@@ -100,11 +100,6 @@ def _taylor_recursion_numpy(a_sign, a_log, k, degree, init_sign, init_log):
     return sign, logmag
 
 
-def _weight_cumsum_numpy(increments, offset):
-    """Running sums of weight increments with a carried offset."""
-    return offset + np.cumsum(increments)
-
-
 # ---------------------------------------------------------------------------
 # numba implementations
 
@@ -166,21 +161,10 @@ if HAVE_NUMBA:
             logmag[m + k] = mx + math.log(abs(acc)) - fact
         return sign, logmag
 
-    @njit(cache=True)
-    def _weight_cumsum_numba(increments, offset):
-        out = np.empty(increments.shape[0])
-        acc = offset
-        for i in range(increments.shape[0]):
-            acc += increments[i]
-            out[i] = acc
-        return out
-
 
 if BACKEND == "numba":
     kernel_sums = _kernel_sums_numba
     taylor_recursion = _taylor_recursion_numba
-    weight_cumsum = _weight_cumsum_numba
 else:
     kernel_sums = _kernel_sums_numpy
     taylor_recursion = _taylor_recursion_numpy
-    weight_cumsum = _weight_cumsum_numpy

@@ -16,11 +16,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 NEG_INF = float("-inf")
 
 # relative size under which a signed sum is flagged as catastrophically
 # cancelled (result tiny against the largest term)
 CANCEL_RATIO = 1e-12
+
+# gap e^(-g) below which log r = -e^(-g) to the last bit; the series'
+# relative stopping test underflows to 0 below ~1e-306
+TINY_GAP = 1e-300
+
+# iteration cap of the array series loops: converging series stop within
+# ~40 terms, log_ratio_r's q^k < 1e-320 guard within ~740
+SERIES_CAP = 1000
 
 
 class NumericsError(ValueError):
@@ -97,13 +107,16 @@ def log_r_from_g(g: float) -> float:
 
     For g > 1 the series log(1-q) = -sum q^k/k in q = e^(-g) converges fast
     and keeps n*log r products meaningful for astronomically large n; below
-    that a direct expm1 evaluation is exact enough.
+    that a direct expm1 evaluation is exact enough.  Once q < 1e-300 the
+    correction terms are below the last bit of q and log r = -q.
     """
     if g == 0.0:
         return NEG_INF
     if g <= 1.0:
         return math.log(-math.expm1(-g))
     q = math.exp(-g)
+    if q < TINY_GAP:
+        return -q
     term = q
     acc = q
     k = 1
@@ -247,6 +260,116 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
             break
         k += 1
     return log_r + log_dw + math.log(acc)
+
+
+# ---------------------------------------------------------------------------
+# array forms of the log-gap series, elementwise on float ndarrays; the
+# scalar functions above are their reference
+
+
+def _check_cap(k: int, name: str) -> None:
+    if k > SERIES_CAP:
+        raise NumericsError(f"{name}: series did not converge in {SERIES_CAP} terms")
+
+
+def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
+    """Array form of :func:`log_r_from_g`."""
+    g = np.asarray(g, dtype=float)
+    out = np.empty_like(g)
+    near = g <= 1.0
+    with np.errstate(divide="ignore"):
+        out[near] = np.log(-np.expm1(-g[near]))
+    q = np.exp(-g[~near])
+    term = q.copy()
+    acc = q.copy()
+    live = q >= TINY_GAP
+    k = 1
+    while live.any():
+        k += 1
+        _check_cap(k, "log_r_from_g_array")
+        term *= q
+        inc = term / k
+        acc[live] += inc[live]
+        live &= inc >= acc * 1e-18
+    out[~near] = -acc
+    return out
+
+
+def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
+    """Array form of :func:`log_ratio_r` for one lower log-gap ``g_lo``."""
+    g_hi = np.asarray(g_hi, dtype=float)
+    if np.any(g_hi < g_lo):
+        raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo}")
+    dg = g_hi - g_lo
+    if g_lo <= 1.0:
+        return np.log1p(math.exp(-g_lo) * (-np.expm1(-dg)) / -math.expm1(-g_lo))
+    q = math.exp(-g_lo)
+    qk = q
+    acc = np.zeros_like(dg)
+    live = dg != 0.0
+    k = 1
+    while live.any():
+        _check_cap(k, "log_ratio_r_array")
+        inc = qk / k * (-np.expm1(-k * dg))
+        acc[live] += inc[live]
+        live &= inc > acc * 1e-18
+        if qk < 1e-320:
+            break
+        k += 1
+        qk *= q
+    return acc
+
+
+def log_int_log_ratio_array(
+    g_r: np.ndarray, g_a: float, g_b: float | np.ndarray, span_ba: float | None = None
+) -> np.ndarray:
+    """Array form of :func:`log_int_log_ratio` over upper log-gaps ``g_r``;
+    ``g_b`` is a float or an array shaped like ``g_r``."""
+    g_r = np.asarray(g_r, dtype=float)
+    g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
+    if np.any((g_a > g_b) | (g_b > g_r)):
+        raise NumericsError("log_int_log_ratio_array needs g_a <= g_b <= g_r")
+    out = np.full(g_r.shape, NEG_INF)
+    sel = g_b > g_a
+    gr, gb = g_r[sel], g_b[sel]
+    log_r = log_r_from_g_array(gr)
+    with np.errstate(divide="ignore"):
+        # log w = gap_diff_log(g_t, g_r) - log r; w_b = 0 where g_b == g_r
+        log_gap_a = np.log(-np.expm1(-(gr - g_a)))
+        log_gap_b = np.log(-np.expm1(-(gr - gb)))
+    log_wa = -g_a + log_gap_a - log_r
+    log_wb = -gb + log_gap_b - log_r
+    wa, wb = np.exp(log_wa), np.exp(log_wb)
+    res = np.empty_like(gr)
+    # wide geometry (possible only at tiny g): F(w_a) - F(w_b) directly
+    wide = wa > 0.1
+    f = lambda w: np.where(w > 0.0, (1.0 - w) * np.log1p(-w) + w, 0.0)
+    res[wide] = log_r[wide] + np.log(f(wa[wide]) - f(wb[wide]))
+    # log(w_a - w_b) without cancellation, then the series
+    # sum_k (sum_i w_a^i w_b^(k-i))/(k(k+1)) with inner sums by recurrence
+    n = ~wide
+    if span_ba is not None:
+        t = -span_ba + log_gap_b[n] - log_gap_a[n]
+    else:
+        t = log_wb[n] - log_wa[n]
+    log_dw = log_wa[n] + np.log(-np.expm1(t))
+    wa, wb = wa[n], wb[n]
+    wa_k = np.ones_like(wa)
+    inner = np.ones_like(wa)
+    acc = np.zeros_like(wa)
+    live = np.ones(wa.shape, dtype=bool)
+    k = 0
+    while live.any():
+        k += 1
+        _check_cap(k, "log_int_log_ratio_array")
+        wa_k *= wa
+        inner = wb * inner + wa_k
+        inc = inner / (k * (k + 1))
+        acc[live] += inc[live]
+        live &= inc >= acc * 1e-18
+    res[n] = log_r[n] + log_dw + np.log(acc)
+    out[sel] = res
+    return out
 
 
 # ---------------------------------------------------------------------------

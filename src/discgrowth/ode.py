@@ -26,10 +26,13 @@ class OdeError(NumericsError):
 
 @dataclass(frozen=True)
 class DenseCoeffs:
-    """Taylor coefficients of A as parallel (sign, log|.|) arrays."""
+    """Taylor coefficients of A as parallel (sign, log|.|) arrays.
+    ``pole=(p, scale)`` marks A = scale * p (1-z)^-(p+1), unlocking the
+    O(degree * p) recursion in :func:`taylor_solve`."""
 
     sign: np.ndarray
     logmag: np.ndarray
+    pole: tuple[int, float] | None = None
 
     @classmethod
     def from_values(cls, values: Sequence[LogValue]) -> "DenseCoeffs":
@@ -49,6 +52,10 @@ class DenseCoeffs:
 def pole_coeffs(p: int, degree: int, scale: float = 1.0) -> DenseCoeffs:
     """A(z) = scale * p (1-z)^-(p+1): the coefficient whose antiderivative
     power is (1-z)^-p; A_j = scale * p * binom(j+p, p)."""
+    if p < 1:
+        raise OdeError(f"pole order must be >= 1, got {p}")
+    if scale == 0.0:
+        raise OdeError("scale must be nonzero")
     logs = np.empty(degree + 1)
     signs = np.full(degree + 1, math.copysign(1.0, scale))
     acc = math.log(p) + math.log(abs(scale))
@@ -56,7 +63,7 @@ def pole_coeffs(p: int, degree: int, scale: float = 1.0) -> DenseCoeffs:
         if j > 0:
             acc += math.log(j + p) - math.log(j)
         logs[j] = acc
-    return DenseCoeffs(signs, logs)
+    return DenseCoeffs(signs, logs, pole=(p, scale))
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,12 @@ def taylor_solve(
 
     ``init`` supplies f(0), f'(0), ..., f^(k-1)(0)/(k-1)! as the first k
     Taylor coefficients.
+
+    Path selection: coefficients tagged ``pole=(p, scale)`` with scale < 0,
+    nonnegative ``init`` and no truncation (``len(coeffs) > degree - k``) go
+    through :func:`_pole_recursion`, O(degree * (p+1)); every coefficient
+    stays positive there, so nothing cancels.  Any other input takes the
+    dense O(degree^2) convolution ``_accel.taylor_recursion``.
     """
     if k < 1:
         raise OdeError("k must be >= 1")
@@ -153,10 +166,52 @@ def taylor_solve(
     a_log = coeffs.logmag + (np.arange(len(coeffs)) + k) * log_rho
     init_sign = np.array([float(v.sign) for v in init])
     init_log = np.array([v.logmag + m * log_rho for m, v in enumerate(init)])
-    sign, logmag = taylor_recursion(a_sign, a_log, k, degree, init_sign, init_log)
+    if (
+        coeffs.pole is not None
+        and coeffs.pole[1] < 0.0
+        and np.all(init_sign >= 0.0)
+        and len(coeffs) > degree - k
+    ):
+        sign, logmag = _pole_recursion(coeffs.pole[0], a_log[0], k, degree, log_rho, init_log)
+    else:
+        sign, logmag = taylor_recursion(a_sign, a_log, k, degree, init_sign, init_log)
     if np.any(np.isnan(logmag)):
         raise OdeError("overflow in scaled recursion; use a smaller rho")
     return SolutionSeries(sign, logmag, k=k, log_rho=log_rho)
+
+
+def _pole_recursion(
+    p: int, log_a0: float, k: int, degree: int, log_rho: float, init_log: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The recursion of :func:`taylor_solve` for the scaled pole coefficient
+    a_j = a_0 binom(j+p, p) rho^j, a_0 < 0, and nonnegative initial values.
+
+    sum_j binom(j+p, p) rho^j c_{m-j} is the (p+1)-fold geometric prefix sum
+    of c (the series of (1 - rho z)^-(p+1) C(z)):
+    s^(i)_m = rho s^(i)_{m-1} + s^(i-1)_m with s^(0) = c.  Those p+1 running
+    sums are kept as logs; all terms are positive, so log-add-exp is exact
+    up to rounding.
+    """
+    logmag = np.full(degree + 1, -np.inf)
+    logmag[:k] = init_log
+    sums = [-math.inf] * (p + 1)
+    for m in range(degree + 1 - k):
+        s = float(logmag[m])
+        for i in range(p + 1):
+            a, b = log_rho + sums[i], s
+            if a < b:
+                a, b = b, a
+            if b != -math.inf:
+                a += math.log1p(math.exp(b - a))
+            sums[i] = s = a
+        if s == -math.inf:
+            continue
+        fact = 0.0
+        for i in range(1, k + 1):
+            fact += math.log(m + i)
+        logmag[m + k] = log_a0 + s - fact
+    sign = np.where(logmag == -np.inf, 0.0, 1.0)
+    return sign, logmag
 
 
 def growth_majorant(model: MajorantModel, k: int, g: LogGap | float) -> LogValue:
@@ -258,21 +313,23 @@ def paired_radius_limit(c: float, q: float, g_grid: Sequence[float]) -> list[tup
     return out
 
 
-def coefficient_integral_log_bound(log_m: Callable[[float], float], k: int, g: float, step: float = 0.01) -> float:
+def coefficient_integral_log_bound(
+    log_m: Callable[[np.ndarray], np.ndarray], k: int, g: float, step: float = 0.01
+) -> float:
     """log of the coefficient-integral bound k int_0^r M(t,A)^(1/k) dt for a
-    log-domain majorant callable (g -> log M), summed piecewise in the log
-    domain so M beyond double range stays usable.  Midpoint accuracy is
-    O(step^2) relative."""
+    log-domain majorant, summed piecewise in the log domain so M beyond
+    double range stays usable.  Midpoint accuracy is O(step^2) relative.
+
+    ``log_m`` maps an ndarray of g's to the ndarray of log M values (e.g.
+    ``RadialProfile.phi``); it is called once, on the midpoints of the grid
+    linspace(0, g, n+1)."""
     if g <= 0.0:
         raise OdeError("need g > 0")
     n = max(2, int(math.ceil(g / step)))
     edges = np.linspace(0.0, g, n + 1)
-    pieces = np.empty(n)
-    for i in range(n):
-        lo, hi = edges[i], edges[i + 1]
-        mid = 0.5 * (lo + hi)
-        log_dr = -lo + math.log(-math.expm1(-(hi - lo)))  # log(e^-lo - e^-hi)
-        pieces[i] = log_m(mid) / k + log_dr
+    lo, hi = edges[:-1], edges[1:]
+    log_dr = -lo + np.log(-np.expm1(-(hi - lo)))  # log(e^-lo - e^-hi)
+    pieces = np.asarray(log_m(0.5 * (lo + hi)), dtype=float) / k + log_dr
     m = float(np.max(pieces))
     return math.log(k) + m + math.log(float(np.sum(np.exp(pieces - m))))
 

@@ -23,14 +23,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .numerics import (
     LogGap,
     LogValue,
     NumericsError,
     gap_diff_log,
     log_int_log_ratio,
+    log_int_log_ratio_array,
     log_r_from_g,
     log_ratio_r,
+    log_ratio_r_array,
     lse_sum,
 )
 from .scaffold import Generation, IrregularScaffold
@@ -70,6 +74,7 @@ class RadialProfile:
                 self._bounds.append((gen.r_prime.g, i, 3))
             self._bounds.append((gen.r_hat.g, i, 4))
             self._bounds.append((gen.r_star.g, i, 5))
+        self._starts = np.array([b[0] for b in self._bounds])
 
     @property
     def g_end(self) -> float:
@@ -102,10 +107,28 @@ class RadialProfile:
         lap = self._laplacian(gv, gen, b)
         return ProfileValue(phi, dphi, lap, gen.index, b)
 
-    def phi(self, g: LogGap | float) -> float:
+    def phi(self, g: LogGap | float | np.ndarray) -> float | np.ndarray:
+        """phi at one point, or elementwise over a float ndarray of g's."""
+        if isinstance(g, np.ndarray):
+            return self._phi_many(g.astype(float, copy=False))
         gv = g.g if isinstance(g, LogGap) else float(g)
         i, b = self.branch_at(gv)
         return self._phi(gv, self.scaffold.generations[i], b)
+
+    def _phi_many(self, g: np.ndarray) -> np.ndarray:
+        inside = (g >= 0.0) & (g < self.g_end)
+        if not inside.all():
+            raise ProfileRangeError(
+                f"g = {g[~inside][0]} outside constructed range [0, {self.g_end})"
+            )
+        # right-continuous branch lookup, as in branch_at
+        idx = np.maximum(np.searchsorted(self._starts, g, side="right") - 1, 0)
+        out = np.empty_like(g)
+        for j in np.unique(idx):
+            sel = idx == j
+            _, i, b = self._bounds[j]
+            out[sel] = self._phi_array(g[sel], self.scaffold.generations[i], b)
+        return out
 
     def _q1(self, g: float, gen: Generation) -> float:
         """R_n log(r/r_n)."""
@@ -122,11 +145,12 @@ class RadialProfile:
         """M_n int_{r_hat}^{min(r*, r)} log(r/t) dt via the closed form."""
         if upper_g <= gen.r_hat.g:
             return 0.0
-        span = None
-        if upper_g == gen.r_star.g:
-            # exact width of [r_hat, r*]: g* - g_hat = -log1p(-1/u_hat)
-            span = -math.log1p(-1.0 / (gen.r_hat.g + self.params.log_c))
+        span = self._star_span(gen) if upper_g == gen.r_star.g else None
         return math.exp(gen.log_M + log_int_log_ratio(g, gen.r_hat.g, upper_g, span_ba=span))
+
+    def _star_span(self, gen: Generation) -> float:
+        """Exact width of [r_hat, r*]: g* - g_hat = -log1p(-1/u_hat)."""
+        return -math.log1p(-1.0 / (gen.r_hat.g + self.params.log_c))
 
     def _phi(self, g: float, gen: Generation, b: int) -> float:
         p1, p2, log_c = self.params.p1, self.params.p2, self.params.log_c
@@ -151,6 +175,26 @@ class RadialProfile:
             - self._q3(g, gen)
             + self._mass_integral(g, gen, gen.r_star.g)
         )
+
+    def _phi_array(self, g: np.ndarray, gen: Generation, b: int) -> np.ndarray:
+        """Array form of :meth:`_phi` on one branch."""
+        p1, p2, log_c = self.params.p1, self.params.p2, self.params.log_c
+        eps = gen.eps_n
+        if b == 1:
+            return (p2 + eps) * (g + log_c)
+        with np.errstate(divide="ignore"):
+            q1 = np.exp(gen.log_R + np.log(log_ratio_r_array(g, gen.r_n.g)))
+        if b == 2:
+            return (p2 + eps) * (gen.r_n.g + log_c) + q1
+        s = g - gen.r_prime.g
+        if b == 3:
+            return p1 * (gen.r_prime.g + log_c) + q1 + p1 * (s - (-np.expm1(-s)))
+        if b == 4:
+            upper, span = g, None
+        else:
+            upper, span = gen.r_star.g, self._star_span(gen)
+        mass = np.exp(gen.log_M + log_int_log_ratio_array(g, gen.r_hat.g, upper, span_ba=span))
+        return p1 * (g + log_c) + q1 - p1 * (-np.expm1(-s)) + mass
 
     def _phi_prime(self, g: float, gen: Generation, b: int) -> LogValue:
         p1, p2 = self.params.p1, self.params.p2

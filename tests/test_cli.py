@@ -76,6 +76,16 @@ class TestPredict:
         assert "message" in err
 
 
+class TestOdeSolveCmd:
+    @pytest.mark.parametrize("flag,value", [("--pole-order", "0"), ("--scale", "0")])
+    def test_bad_pole_input_is_a_validation_error(self, tmp_path, capsys, flag, value):
+        code = run("ode", "solve", "--degree", "50", flag, value, "--out", str(tmp_path / "o.json"))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OdeError"
+
+
 class TestSeriesCmd:
     def test_reference_doubling_with_trace(self, tmp_path):
         out, trace = tmp_path / "ser.json", tmp_path / "tr.csv"

@@ -18,9 +18,12 @@ from discgrowth.numerics import (
     gap_diff_log,
     integrate,
     log_int_log_ratio,
+    log_int_log_ratio_array,
     log_neg_log_r,
     log_r_from_g,
+    log_r_from_g_array,
     log_ratio_r,
+    log_ratio_r_array,
     lse_sum,
 )
 
@@ -68,6 +71,17 @@ class TestLogGap:
         # invisible, so -log r equals e^(-100) to full precision
         assert log_r_from_g(100.0) == pytest.approx(-math.exp(-100.0), rel=1e-15)
 
+    @pytest.mark.parametrize("g", [700.0, 745.0, 1e3, 1e5, 1e8])
+    def test_log_r_at_depth_against_mpmath(self, g):
+        # e^(-g) is subnormal or zero here; the series' relative stopping
+        # test underflows, so log r = -e^(-g) must come out directly
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        want = float(mp.log1p(-mp.exp(-mp.mpf(g))))
+        for got in (log_r_from_g(g), float(log_r_from_g_array(np.array([g]))[0])):
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-323)
+            assert got <= 0.0
+
     def test_log_ratio_r_no_cancellation(self):
         # nearly identical huge radii: ratio ~ delta_lo - delta_hi, exactly
         g = 50.0
@@ -106,6 +120,43 @@ class TestIntLogRatio:
         wb = (math.exp(-g_b) - math.exp(-g_r)) / (1 - math.exp(-g_r))
         f = lambda w: sum(w ** (k + 1) / (k * (k + 1)) for k in range(1, 8))
         assert got == pytest.approx(math.log(f(wa) - f(wb)), rel=1e-10)
+
+
+class TestArrayForms:
+    # the scalar functions are the reference; only summation order differs
+    def test_log_r_from_g_array(self):
+        gs = np.array([0.0, 1e-8, 0.5, 1.0, 1.0 + 1e-12, 2.0, 40.0, 690.0, 700.0, 800.0])
+        want = [log_r_from_g(float(g)) for g in gs]
+        assert log_r_from_g_array(gs).tolist() == pytest.approx(want, rel=1e-15, abs=1e-323)
+
+    @pytest.mark.parametrize("g_lo", [0.3, 1.0, 3.0, 50.0])
+    def test_log_ratio_r_array(self, g_lo):
+        g_hi = g_lo + np.array([0.0, 1e-12, 1e-3, 0.5, 4.0, 60.0])
+        want = [log_ratio_r(float(g), g_lo) for g in g_hi]
+        assert log_ratio_r_array(g_hi, g_lo).tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
+        with pytest.raises(NumericsError):
+            log_ratio_r_array(np.array([g_lo - 0.1]), g_lo)
+
+    @pytest.mark.parametrize("g_a,g_b,span", [
+        (0.2, 0.9, None), (3.0, 3.5, None), (40.0, 40.5, None), (10.0, 10.0 + 1e-9, 1e-9),
+    ])
+    def test_log_int_log_ratio_array(self, g_a, g_b, span):
+        g_r = g_b + np.array([0.0, 1e-6, 0.3, 2.0, 25.0])
+        want = [log_int_log_ratio(float(g), g_a, g_b, span_ba=span) for g in g_r]
+        got = log_int_log_ratio_array(g_r, g_a, g_b, span_ba=span)
+        assert got.tolist() == pytest.approx(want, rel=1e-12)
+        # g_b may vary with g_r; g_b == g_a gives an empty integral
+        got = log_int_log_ratio_array(g_r, g_a, g_r)
+        assert got.tolist() == pytest.approx([log_int_log_ratio(float(g), g_a, float(g)) for g in g_r], rel=1e-12)
+        assert log_int_log_ratio_array(g_r, g_a, g_a).tolist() == [-math.inf] * len(g_r)
+        with pytest.raises(NumericsError):
+            log_int_log_ratio_array(g_r, g_b, g_a)
+
+    def test_log_int_log_ratio_array_raises_at_depth(self):
+        # w_a underflows once e^(-g_a) does, and the series cannot reach its
+        # relative stopping test: a typed error, not an endless loop
+        with pytest.raises(NumericsError, match="did not converge"):
+            log_int_log_ratio_array(np.array([800.0]), 760.0, 780.0)
 
 
 class TestLseSum:

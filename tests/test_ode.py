@@ -67,6 +67,73 @@ class TestTaylorSolve:
             O.taylor_solve(coeffs, 2, [LogValue.from_float(1.0)], 5)
         with pytest.raises(O.OdeError):
             O.taylor_solve(coeffs, 2, [LogValue.from_float(1.0)] * 2, 1)
+        with pytest.raises(O.OdeError):
+            O.pole_coeffs(0, 5)
+        with pytest.raises(O.OdeError):
+            O.pole_coeffs(2, 5, scale=0.0)
+
+
+def dense_oracle(coeffs, k, init, degree, rho=1.0):
+    # the same coefficients without the pole tag take the dense convolution
+    return O.taylor_solve(O.DenseCoeffs(coeffs.sign, coeffs.logmag), k, init, degree, rho=rho)
+
+
+def log_deviation(got, want):
+    # relative deviation in log|f_m|, floored at 1 where log|f_m| is near 0
+    assert np.array_equal(got.sign, want.sign)
+    live = want.sign != 0.0
+    assert np.array_equal(np.isfinite(got.logmag), live)
+    return float(np.max(np.abs(got.logmag[live] - want.logmag[live])
+                        / np.maximum(1.0, np.abs(want.logmag[live]))))
+
+
+class TestPolePath:
+    """The O(degree p) pole recursion against the dense kernel."""
+
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        calls = []
+        kernel = O.taylor_recursion
+
+        def spy(*args):
+            calls.append(args[3])
+            return kernel(*args)
+
+        monkeypatch.setattr(O, "taylor_recursion", spy)
+        return calls
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_dense_kernel(self, p, k, rho, dense_calls):
+        degree = 240
+        coeffs = O.pole_coeffs(p, degree, scale=-1.5)
+        init = [LogValue.from_float(v) for v in (1.0, 0.0, 0.25)[:k]]
+        got = O.taylor_solve(coeffs, k, init, degree, rho=rho)
+        assert dense_calls == []
+        assert log_deviation(got, dense_oracle(coeffs, k, init, degree, rho)) <= 1e-12
+
+    @pytest.mark.parametrize("p,degree", [(2, 12000), (3, 18000)])
+    def test_matches_dense_kernel_c5_pair(self, p, degree, dense_calls):
+        coeffs = O.pole_coeffs(p, degree, scale=-1.0)
+        init = [LogValue.from_float(1.0)]
+        got = O.taylor_solve(coeffs, 1, init, degree)
+        assert dense_calls == []
+        assert log_deviation(got, dense_oracle(coeffs, 1, init, degree)) <= 1e-12
+
+    @pytest.mark.parametrize("scale,coeff_degree,init", [
+        (1.0, 200, [1.0, 0.5]),  # positive scale: mixed signs can cancel
+        (-1.0, 150, [1.0, 0.5]),  # truncated coefficients
+        (-1.0, 200, [1.0, -0.5]),  # negative initial value
+    ])
+    def test_other_inputs_fall_back_bit_identical(self, scale, coeff_degree, init, dense_calls):
+        coeffs = O.pole_coeffs(2, coeff_degree, scale=scale)
+        init = [LogValue.from_float(v) for v in init]
+        got = O.taylor_solve(coeffs, 2, init, 200)
+        want = dense_oracle(coeffs, 2, init, 200)
+        assert dense_calls == [200, 200]
+        assert np.array_equal(got.sign, want.sign)
+        assert np.array_equal(got.logmag, want.logmag)
 
 
 class TestGrowthMajorant:

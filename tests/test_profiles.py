@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from discgrowth import ode as O
 from discgrowth.numerics import LogGap
 from discgrowth.profiles import ProfileRangeError, RadialProfile, branch_samples
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
@@ -46,6 +47,41 @@ class TestEval:
         gen = ref_profile.scaffold.generations[0]
         assert ref_profile.branch_at(gen.r_n.g)[1] == 2
         assert ref_profile.branch_at(math.nextafter(gen.r_n.g, 0.0))[1] == 1
+
+
+class TestArrayPhi:
+    @pytest.mark.parametrize("fixture", ["ref", "wide"])
+    def test_matches_scalar_phi_on_every_branch(self, fixture, ref_scaffold, wide_scaffold):
+        prof = RadialProfile(ref_scaffold if fixture == "ref" else wide_scaffold)
+        # interior points of every branch plus the junctions themselves,
+        # where membership is right-continuous
+        gs = np.array(branch_samples(prof, 9) + [b[0] for b in prof._bounds])
+        want = np.array([prof.phi(float(g)) for g in gs])
+        got = prof.phi(gs)
+        assert got.shape == gs.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        # branch 3 exists only when p > p2 (the wide scaffold)
+        assert {prof.branch_at(float(g))[1] for g in gs} == {b for _, _, b in prof._bounds}
+
+    def test_out_of_range_entry(self, ref_profile):
+        for bad in (ref_profile.g_end, -0.5):
+            with pytest.raises(ProfileRangeError):
+                ref_profile.phi(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("g", [2.0, 9.5, 31.0])
+    def test_majorant_integral_matches_scalar_loop(self, ref_profile, g):
+        # the loop the integral replaced: one scalar phi call per midpoint
+        step, k = 0.02, 1
+        n = max(2, int(math.ceil(g / step)))
+        edges = np.linspace(0.0, g, n + 1)
+        pieces = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            log_dr = -lo + math.log(-math.expm1(-(hi - lo)))
+            pieces.append(ref_profile.phi(float(0.5 * (lo + hi))) / k + log_dr)
+        m = max(pieces)
+        want = math.log(k) + m + math.log(sum(math.exp(x - m) for x in pieces))
+        got = O.coefficient_integral_log_bound(ref_profile.phi, k, g, step=step)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestJunctions:
