@@ -5,7 +5,6 @@ zeros, maximum-term machinery for sparse power series, log-derivative window
 estimates, and closed-form growth predictors.
 """
 
-from ._accel import BACKEND
 from .numerics import LogGap, LogValue, find_root, integrate, lse_sum
 from .profiles import RadialProfile
 from .scaffold import IrregularScaffold, ScaffoldParams, build_scaffold
@@ -13,7 +12,6 @@ from .scaffold import IrregularScaffold, ScaffoldParams, build_scaffold
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "IrregularScaffold",
     "LogGap",
     "LogValue",

@@ -1,10 +1,9 @@
-"""Backend selection for the hot numeric kernels.
+"""The two hot numeric kernels, one numpy implementation each.
 
-Two interchangeable implementations are provided for every kernel: a numba
-``@njit`` version and a pure-numpy one.  The active backend is chosen at
-import time from the environment variable ``DISCGROWTH_BACKEND`` (``"numba"``
-or ``"numpy"``); the default is numba when it imports, numpy otherwise.
-``benchmarks/bench_backends.py`` compares the two.
+``kernel_sums`` evaluates weighted disc-kernel sums over atom clouds (the
+Riesz surrogate); ``taylor_recursion`` is the dense O(degree^2) log-domain
+Taylor convolution for f^(k) = -A f, the general path of ``ode.taylor_solve``
+and the oracle its pole recursion is tested against.
 
 Kernels operate on radii in gap form: a point near the unit circle is passed
 as (delta, theta) with delta = 1 - |z|.  Callers guarantee delta > 0 is
@@ -14,34 +13,11 @@ representable (enumerated clouds live at g <= ~30).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_requested = os.environ.get("DISCGROWTH_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"DISCGROWTH_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
 
-if _requested in ("", "numba"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-        if _requested == "numba":
-            raise
-else:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def _kernel_sums_numpy(samp_delta, samp_theta, src_delta, src_theta, src_weight):
+def kernel_sums(samp_delta, samp_theta, src_delta, src_theta, src_weight):
     """Weighted disc-kernel sums sum_j w_j (log|z-zeta_j| - log|1 - conj(z) zeta_j|).
 
     Evaluated per sample z.  Signs of the Blaschke kernel come out through the
@@ -64,7 +40,7 @@ def _kernel_sums_numpy(samp_delta, samp_theta, src_delta, src_theta, src_weight)
     return out
 
 
-def _taylor_recursion_numpy(a_sign, a_log, k, degree, init_sign, init_log):
+def taylor_recursion(a_sign, a_log, k, degree, init_sign, init_log):
     """Log-domain Taylor recursion for f^{(k)} = -A f.
 
     Returns (sign, log|f_m|) arrays of length degree+1.  f_{m+k} is
@@ -98,73 +74,3 @@ def _taylor_recursion_numpy(a_sign, a_log, k, degree, init_sign, init_log):
         sign[m + k] = -math.copysign(1.0, acc)
         logmag[m + k] = mx + math.log(abs(acc)) - fact
     return sign, logmag
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _kernel_sums_numba(samp_delta, samp_theta, src_delta, src_theta, src_weight):
-        n = samp_delta.shape[0]
-        m = src_delta.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            dz = samp_delta[i]
-            tz = samp_theta[i]
-            rz = 1.0 - dz
-            acc = 0.0
-            for j in range(m):
-                ds = src_delta[j]
-                rs = 1.0 - ds
-                s = math.sin(0.5 * (tz - src_theta[j]))
-                cross = 4.0 * rz * rs * s * s
-                dd = ds - dz
-                num = dd * dd + cross
-                one_minus = dz + ds - dz * ds
-                den = one_minus * one_minus + cross
-                acc += src_weight[j] * (math.log(num) - math.log(den))
-            out[i] = 0.5 * acc
-        return out
-
-    @njit(cache=True)
-    def _taylor_recursion_numba(a_sign, a_log, k, degree, init_sign, init_log):
-        sign = np.zeros(degree + 1)
-        logmag = np.full(degree + 1, -np.inf)
-        for i in range(k):
-            sign[i] = init_sign[i]
-            logmag[i] = init_log[i]
-        for m in range(0, degree + 1 - k):
-            n_terms = min(m, len(a_sign) - 1)
-            mx = -np.inf
-            for j in range(n_terms + 1):
-                if a_sign[j] != 0.0 and sign[m - j] != 0.0:
-                    t = a_log[j] + logmag[m - j]
-                    if t > mx:
-                        mx = t
-            if mx == -np.inf:
-                continue
-            acc = 0.0
-            for j in range(n_terms + 1):
-                if a_sign[j] != 0.0 and sign[m - j] != 0.0:
-                    acc += a_sign[j] * sign[m - j] * math.exp(a_log[j] + logmag[m - j] - mx)
-            if acc == 0.0:
-                continue
-            fact = 0.0
-            for i in range(1, k + 1):
-                fact += math.log(m + i)
-            if acc > 0.0:
-                sign[m + k] = -1.0
-            else:
-                sign[m + k] = 1.0
-            logmag[m + k] = mx + math.log(abs(acc)) - fact
-        return sign, logmag
-
-
-if BACKEND == "numba":
-    kernel_sums = _kernel_sums_numba
-    taylor_recursion = _taylor_recursion_numba
-else:
-    kernel_sums = _kernel_sums_numpy
-    taylor_recursion = _taylor_recursion_numpy

@@ -83,7 +83,7 @@ def _cmd_scaffold(args) -> int:
         raise CliValidationError("scaffold needs --p1 and --p2 (flags or config)")
     params = ScaffoldParams.with_defaults(
         k=args.k, p1=args.p1, p2=args.p2, p=args.p,
-        eta=lambda n: float(n + args.eta_offset),
+        eta_offset=args.eta_offset,
         log_c=args.log_c, g1=args.g1,
     )
     sc = build_scaffold(params, args.generations)
@@ -228,7 +228,6 @@ def _cmd_logderiv(args) -> int:
                 "j": rpt.j,
                 "eps": rpt.eps,
                 "max_statistic": rpt.max_statistic,
-                "fitted_constant": rpt.fitted_constant,
             },
             {
                 "kind": "check",

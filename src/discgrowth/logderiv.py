@@ -19,6 +19,7 @@ from .numerics import (
     LogGap,
     LogValue,
     NumericsError,
+    as_g,
     gap_diff_log,
     integrate,
     lse_sum_floats,
@@ -168,7 +169,7 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
     """(n, N): multiplicity count in the closed disc of radius h about zeta,
     and N = sum mult * log(h/dist) over those zeros (the exact integral of
     n(t)/t)."""
-    gz = zeta[0].g if isinstance(zeta[0], LogGap) else float(zeta[0])
+    gz = as_g(zeta[0])
     tz = zeta[1]
     if h >= math.exp(-gz):
         raise NumericsError("need h < 1 - |zeta|")
@@ -187,7 +188,7 @@ def circle_counting_integral(
 ) -> float:
     """int_0^2pi N(R e^(i theta), (1-R)/16)/|R e^(i theta) - z|^2 d theta by
     the periodic trapezoid rule with refinement until stable."""
-    gz = z[0].g if isinstance(z[0], LogGap) else float(z[0])
+    gz = as_g(z[0])
     tz = z[1]
     g_r = big_r.g
     if gz == g_r:
@@ -234,7 +235,7 @@ def circle_counting_integral(
 def sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
     """max over angular offsets of the zero count in the annulus
     r <= |a| <= (1+r)/2 within angular half-width (pi/4)(1-r)."""
-    gv = g.g if isinstance(g, LogGap) else float(g)
+    gv = as_g(g)
     gap = math.exp(-gv)
     # annulus [r, (1+r)/2]: gaps in [gap/2, gap]
     sel = (np.exp(-cloud.g) <= gap) & (np.exp(-cloud.g) >= gap / 2.0)
@@ -289,7 +290,6 @@ def exp_inverse_power_spec(p: float) -> ClosedFormSpec:
 class CertificateReport:
     windows: RadialWindowSet
     max_statistic: float
-    fitted_constant: float
     excluded_per_circle: list[tuple[float, float]]
     fitted_radius_coef: float
     eps: float
@@ -345,7 +345,6 @@ def logderiv_certificate(
     return CertificateReport(
         windows=windows,
         max_statistic=stat_max,
-        fitted_constant=stat_max,
         excluded_per_circle=excluded,
         fitted_radius_coef=fitted_radius_coef,
         eps=eps,

@@ -102,6 +102,11 @@ class LogGap:
         return self.g + log_c
 
 
+def as_g(g: LogGap | float) -> float:
+    """The g-value of a radius argument given as a LogGap or a raw g."""
+    return g.g if isinstance(g, LogGap) else float(g)
+
+
 def log_r_from_g(g: float) -> float:
     """log r for r = 1 - e^(-g), accurate in absolute terms at any g.
 

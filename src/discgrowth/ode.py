@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._accel import taylor_recursion
-from .numerics import LogGap, LogValue, NumericsError, integrate, log_r_from_g
+from .numerics import LogGap, LogValue, NumericsError, as_g, integrate, log_r_from_g
 
 
 class OdeError(NumericsError):
@@ -110,7 +110,7 @@ class SolutionSeries:
     def log_abs_sum(self, g: LogGap | float) -> float:
         """log sum |f_m| r^m: equals log M(r, f) for nonnegative coefficients
         (an upper proxy otherwise), up to the truncation degree."""
-        gv = g.g if isinstance(g, LogGap) else float(g)
+        gv = as_g(g)
         t = log_r_from_g(gv) - self.log_rho
         live = self.sign != 0.0
         vals = self.logmag[live] + np.arange(len(self.sign))[live] * t
@@ -118,14 +118,14 @@ class SolutionSeries:
         return m + math.log(float(np.sum(np.exp(vals - m))))
 
     def log_max_term(self, g: LogGap | float) -> float:
-        gv = g.g if isinstance(g, LogGap) else float(g)
+        gv = as_g(g)
         t = log_r_from_g(gv) - self.log_rho
         live = self.sign != 0.0
         vals = self.logmag[live] + np.arange(len(self.sign))[live] * t
         return float(np.max(vals))
 
     def central_index(self, g: LogGap | float) -> int:
-        gv = g.g if isinstance(g, LogGap) else float(g)
+        gv = as_g(g)
         t = log_r_from_g(gv) - self.log_rho
         live = np.nonzero(self.sign != 0.0)[0]
         vals = self.logmag[live] + live * t
@@ -217,7 +217,7 @@ def _pole_recursion(
 def growth_majorant(model: MajorantModel, k: int, g: LogGap | float) -> LogValue:
     """The coefficient-integral growth bound k int_0^r M(t,A)^(1/k) dt as a
     bound for log M(r, f)."""
-    gv = g.g if isinstance(g, LogGap) else float(g)
+    gv = as_g(g)
     if model.power is not None:
         b, s = model.power
         e = s / k

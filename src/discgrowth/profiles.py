@@ -29,6 +29,7 @@ from .numerics import (
     LogGap,
     LogValue,
     NumericsError,
+    as_g,
     gap_diff_log,
     log_int_log_ratio,
     log_int_log_ratio_array,
@@ -99,7 +100,7 @@ class RadialProfile:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, g: LogGap | float) -> ProfileValue:
-        gv = g.g if isinstance(g, LogGap) else float(g)
+        gv = as_g(g)
         i, b = self.branch_at(gv)
         gen = self.scaffold.generations[i]
         phi = self._phi(gv, gen, b)
@@ -111,7 +112,7 @@ class RadialProfile:
         """phi at one point, or elementwise over a float ndarray of g's."""
         if isinstance(g, np.ndarray):
             return self._phi_many(g.astype(float, copy=False))
-        gv = g.g if isinstance(g, LogGap) else float(g)
+        gv = as_g(g)
         i, b = self.branch_at(gv)
         return self._phi(gv, self.scaffold.generations[i], b)
 
@@ -276,7 +277,7 @@ class RadialProfile:
         """(g, phi(g)/g) samples."""
         out = []
         for g in gs:
-            gv = g.g if isinstance(g, LogGap) else float(g)
+            gv = as_g(g)
             out.append((gv, self.phi(gv) / gv))
         return out
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._accel import kernel_sums
-from .numerics import LogGap, NumericsError
+from .numerics import LogGap, NumericsError, as_g
 from .profiles import RadialProfile
 
 _LEG_NODES = {
@@ -418,11 +418,9 @@ def eval_log_surrogate_many(
     """phi(|z|) plus the atomization correction
     sum_atoms mult [log|(z-zeta)/(1-conj(z) zeta)| - cell average of the same
     kernel]; -inf at a point that sits exactly on an atom."""
-    samp_delta = np.array([math.exp(-(g.g if isinstance(g, LogGap) else float(g))) for g, _ in zs])
+    samp_delta = np.array([math.exp(-as_g(g)) for g, _ in zs])
     samp_theta = np.array([t for _, t in zs])
-    base = np.array(
-        [profile.phi(g.g if isinstance(g, LogGap) else float(g)) for g, _ in zs]
-    )
+    base = np.array([profile.phi(as_g(g)) for g, _ in zs])
     if len(cloud) == 0:
         return base
     atom_delta = np.exp(-cloud.g)
@@ -443,7 +441,7 @@ def atom_correction_sum(cloud: ZeroCloud, z: tuple[LogGap, float]) -> float:
     """Direct atom-only kernel sum (no cell averages); the far-field bound
     oracle works against this."""
     g, t = z
-    gv = g.g if isinstance(g, LogGap) else float(g)
+    gv = as_g(g)
     dz = math.exp(-gv)
     out = kernel_sums(
         np.array([dz]), np.array([t]), np.exp(-cloud.g), cloud.theta, cloud.mult.astype(float)
@@ -498,8 +496,7 @@ def excluded_measure(cloud: ZeroCloud, g_circle: float, eps: float) -> float:
 
 @dataclass(frozen=True)
 class ApproxReport:
-    max_scaled_error: float
-    fitted_error_coef: float  # c with |err| <= c (1 + log g)
+    max_scaled_error: float  # max |err| / (1 + log g) off the excluded arcs
     per_circle_excluded: list[tuple[float, float]]  # (g, measure)
     fitted_c4: float  # c with measure <= c * eps
     eps: float
@@ -537,7 +534,6 @@ def approximation_report(
     c4 = max((m / eps for _, m in per_circle), default=0.0) if eps > 0 else 0.0
     return ApproxReport(
         max_scaled_error=float(np.max(errs)),
-        fitted_error_coef=float(np.max(errs)),
         per_circle_excluded=per_circle,
         fitted_c4=c4,
         eps=eps,

@@ -16,8 +16,7 @@ of 1/(1-r) is a LogValue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from .numerics import (
     LogGap,
@@ -40,17 +39,13 @@ class ConstructionError(NumericsError):
         self.blamed_constant = blamed_constant
 
 
-def _eta_default(n: int) -> float:
-    return float(n + 1)
-
-
 @dataclass(frozen=True)
 class ScaffoldParams:
     """Growth exponents and construction constants.
 
     0 < p1 < p2 <= p; C > e^(p2/(p2-p1)) keeps the closure equation monotone,
-    a < sqrt(log C) and b < a bound the root bracket.  eta maps the
-    generation index to the per-generation thinning factor, eta_n > 1 increasing.
+    a < sqrt(log C) and b < a bound the root bracket.  The per-generation
+    thinning factor is eta_n = n + eta_offset, which must exceed 1.
     """
 
     k: int
@@ -61,7 +56,7 @@ class ScaffoldParams:
     g1: float
     a: float
     b: float
-    eta: Callable[[int], float] = field(default=_eta_default, compare=False)
+    eta_offset: int = 1
 
     def __post_init__(self):
         if self.k < 1:
@@ -84,6 +79,9 @@ class ScaffoldParams:
         if self.g1 <= 0.0:
             raise ConstructionError("g1 must be positive")
 
+    def eta(self, n: int) -> float:
+        return float(n + self.eta_offset)
+
     @classmethod
     def with_defaults(
         cls,
@@ -91,7 +89,7 @@ class ScaffoldParams:
         p1: float,
         p2: float,
         p: float | None = None,
-        eta: Callable[[int], float] = _eta_default,
+        eta_offset: int = 1,
         log_c: float | None = None,
         g1: float | None = None,
     ) -> "ScaffoldParams":
@@ -103,7 +101,7 @@ class ScaffoldParams:
             g1 = 4.0 * log_c
         a = log_c**0.45
         b = min(1.0, (p2 - p1) / 10.0)
-        return cls(k=k, p1=p1, p2=p2, p=p, log_c=log_c, g1=g1, a=a, b=b, eta=eta)
+        return cls(k=k, p1=p1, p2=p2, p=p, log_c=log_c, g1=g1, a=a, b=b, eta_offset=eta_offset)
 
     def bumped(self) -> "ScaffoldParams":
         """Retry step: C -> 10 C with a and g1 recomputed from the new C."""
@@ -383,13 +381,12 @@ def _build_once(params: ScaffoldParams, n_generations: int) -> list[Generation]:
 def scaffold_from_json_dict(doc: dict) -> IrregularScaffold:
     p = doc["params"]
     etas = list(p["eta"])
-
-    def eta(n: int) -> float:
-        return etas[n - 1] if n - 1 < len(etas) else float(n + 1)
-
+    offset = etas[0] - 1.0 if etas else 1.0
+    if not float(offset).is_integer() or any(e != n + offset for n, e in enumerate(etas, start=1)):
+        raise ConstructionError(f"stored eta {etas} is not of the form n + offset")
     params = ScaffoldParams(
         k=p["k"], p1=p["p1"], p2=p["p2"], p=p["p"], log_c=p["log_c"],
-        g1=p["g1"], a=p["a"], b=p["b"], eta=eta,
+        g1=p["g1"], a=p["a"], b=p["b"], eta_offset=int(offset),
     )
     gens = tuple(
         Generation(

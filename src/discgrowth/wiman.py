@@ -3,19 +3,25 @@
 A sparse series is a sorted list of terms (n, log a_n) with nonnegative
 coefficients.  The central index nu(r) is the largest index attaining the
 maximum term mu(r) = max |a_n| r^n; K(r) = r f'(r)/f(r) is the growth gauge
-for positive coefficients.  Three representations coexist:
+for positive coefficients.  Three representations share one protocol,
+each a class with ``central_index(g)``, ``log_max_term(g)``,
+``k_indicator(g)`` and ``derivative_ratio(order, g)``:
 
 * :class:`SparseSeries` - materialized terms; exact closed-form central index
   when the chain of break radii is attached (build_ladder_series attaches it).
 * :class:`PowerLawSeries` - the dense unit-gap construction c_k =
   1 - (sigma/(k+sigma+1))^(1/(sigma+1)), n_k = k, evaluated through windows
   around the central term (the live index reaches ~1e10 at moderate g).
+  It has no closed-form log mu: ``log_max_term`` raises SeriesError.
 * :class:`DoublingSeries` - the sparse construction c_k = 1 - delta^(q^-k),
   n_{k+1} = floor(delta^(-(sigma+1)/q^k)) + 1 with q = lambda/sigma; break
   radii are exact in g, term counts switch to log form beyond 2^62.
+  ``derivative_ratio`` of positive order raises SeriesError.
 
-All radius arithmetic is g-aware, so evaluation works where 1 - r and even
-log mu overflow doubles.
+The module functions ``central_index``, ``log_max_term``, ``k_indicator`` and
+``derivative_asymptotic_ratio`` take the radius as a LogGap or a raw g and
+call the method.  All radius arithmetic is g-aware, so evaluation works where
+1 - r and even log mu overflow doubles.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .numerics import (
     LogGap,
     LogValue,
     NumericsError,
+    as_g,
     find_root,
     log_log_ratio_r,
     log_neg_log_r,
@@ -103,6 +110,40 @@ class SparseSeries:
         # ties resolve to the larger index
         return int(np.nonzero(vals >= best)[0][-1])
 
+    def central_index(self, g: float) -> Term:
+        return self.term(self.central_term_index(g))
+
+    def log_max_term(self, g: float) -> LogValue:
+        return LogValue.from_float(float(np.max(self.term_values(g))))
+
+    def k_indicator(self, g: float) -> LogValue:
+        vals = self.term_values(g)
+        m = float(np.max(vals))
+        ew = np.exp(vals - m)
+        s0 = float(np.sum(ew))
+        s1 = float(np.sum(ew * np.exp(self.log_n - np.max(self.log_n))))
+        if s1 <= 0.0:
+            return LogValue.zero()
+        return LogValue.pos(float(np.max(self.log_n)) + math.log(s1) - math.log(s0))
+
+    def derivative_ratio(self, order: int, g: float) -> float:
+        if order == 0:
+            return 1.0
+        k_log = self.k_indicator(g).logmag
+        vals = self.term_values(g)
+        m = float(np.max(vals))
+        ew = np.exp(vals - m)
+        s0 = float(np.sum(ew))
+        sff = 0.0
+        for j, n in enumerate(self.n_seq):
+            if n < order or ew[j] == 0.0:
+                continue
+            fac = 1.0
+            for i in range(order):
+                fac *= (n - i) * math.exp(-k_log)
+            sff += ew[j] * fac
+        return sff / s0
+
     def to_json_terms(self) -> list[dict]:
         return [
             {"n": n, "log_a": float(la)} if n < _EXACT_N_LIMIT else {"log_n": float(ln), "log_a": float(la)}
@@ -123,7 +164,7 @@ def build_ladder_series(
         raise SeriesError(
             f"need {len(n_seq) - 1} break radii for {len(n_seq)} indices, got {len(c_seq)}"
         )
-    gs = [c.g if isinstance(c, LogGap) else float(c) for c in c_seq]
+    gs = [as_g(c) for c in c_seq]
     if any(b <= a for a, b in zip(gs, gs[1:])):
         raise SeriesError("break radii must be strictly increasing")
     log_a = [log_a0]
@@ -172,6 +213,9 @@ class PowerLawSeries:
 
     def central_index(self, g: float) -> Term:
         return Term.of(self.central_term_index(g))
+
+    def log_max_term(self, g: float) -> LogValue:
+        raise SeriesError("log_max_term needs a materialized or doubling series")
 
     def materialize(self, terms: int, log_a0: float = 0.0) -> SparseSeries:
         return build_ladder_series(list(range(terms)), list(self.break_g(np.arange(terms - 1))), log_a0)
@@ -373,6 +417,11 @@ class DoublingSeries:
             return LogValue.zero()
         return lse_sum(pieces)
 
+    def derivative_ratio(self, order: int, g: float) -> float:
+        if order == 0:
+            return 1.0
+        raise SeriesError("derivative_asymptotic_ratio needs a materialized or power-law series")
+
 
 def default_doubling_delta(lam: float, sigma: float) -> float:
     q = lam / sigma
@@ -403,35 +452,24 @@ def build_reference_series(variant: str, sigma: float, lam: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# operations over any of the series forms
+# operations over any of the series forms (the protocol methods above)
 
 
 def central_index(series, g: LogGap | float) -> Term:
-    gv = g.g if isinstance(g, LogGap) else float(g)
-    if isinstance(series, SparseSeries):
-        return series.term(series.central_term_index(gv))
-    return series.central_index(gv)
+    return series.central_index(as_g(g))
 
 
 def log_max_term(series, g: LogGap | float) -> LogValue:
-    gv = g.g if isinstance(g, LogGap) else float(g)
-    if isinstance(series, SparseSeries):
-        vals = series.term_values(gv)
-        return LogValue.from_float(float(np.max(vals)))
-    if isinstance(series, DoublingSeries):
-        return series.log_max_term(gv)
-    raise SeriesError("log_max_term needs a materialized or doubling series")
+    return series.log_max_term(as_g(g))
 
 
-def max_term_integral_residual(series, g0: LogGap | float, g: LogGap | float) -> float:
+def max_term_integral_residual(series: SparseSeries, g0: LogGap | float, g: LogGap | float) -> float:
     """Relative mismatch between log mu(g) - log mu(g0) and the branch-exact
-    integral of nu(t)/t dt."""
-    g0v = g0.g if isinstance(g0, LogGap) else float(g0)
-    gv = g.g if isinstance(g, LogGap) else float(g)
+    integral of nu(t)/t dt, on a materialized series."""
+    g0v = as_g(g0)
+    gv = as_g(g)
     if g0v >= gv:
         raise SeriesError("need g0 < g")
-    if not isinstance(series, SparseSeries):
-        raise SeriesError("max_term_integral_residual needs a materialized series")
     lhs = float(np.max(series.term_values(gv))) - float(np.max(series.term_values(g0v)))
     # integral: sum over central-index plateaus of n * (log r segments)
     j0 = series.central_term_index(g0v)
@@ -478,42 +516,12 @@ def _envelope_breaks(series: SparseSeries) -> list[float]:
 
 def k_indicator(series, g: LogGap | float) -> LogValue:
     """K(r) = r f'(r)/f(r) = (sum n a_n r^n)/(sum a_n r^n) in the log domain."""
-    gv = g.g if isinstance(g, LogGap) else float(g)
-    if not isinstance(series, SparseSeries):
-        return series.k_indicator(gv)
-    vals = series.term_values(gv)
-    m = float(np.max(vals))
-    ew = np.exp(vals - m)
-    s0 = float(np.sum(ew))
-    s1 = float(np.sum(ew * np.exp(series.log_n - np.max(series.log_n))))
-    if s1 <= 0.0:
-        return LogValue.zero()
-    return LogValue.pos(float(np.max(series.log_n)) + math.log(s1) - math.log(s0))
+    return series.k_indicator(as_g(g))
 
 
 def derivative_asymptotic_ratio(series, order: int, g: LogGap | float) -> float:
     """f^(order)(r) r^order / (K(r)^order f(r)) for positive coefficients."""
-    gv = g.g if isinstance(g, LogGap) else float(g)
-    if order == 0:
-        return 1.0
-    if isinstance(series, PowerLawSeries):
-        return series.derivative_ratio(order, gv)
-    if not isinstance(series, SparseSeries):
-        raise SeriesError("derivative_asymptotic_ratio needs a materialized or power-law series")
-    k_log = k_indicator(series, gv).logmag
-    vals = series.term_values(gv)
-    m = float(np.max(vals))
-    ew = np.exp(vals - m)
-    s0 = float(np.sum(ew))
-    sff = 0.0
-    for j, n in enumerate(series.n_seq):
-        if n < order or ew[j] == 0.0:
-            continue
-        fac = 1.0
-        for i in range(order):
-            fac *= (n - i) * math.exp(-k_log)
-        sff += ew[j] * fac
-    return sff / s0
+    return series.derivative_ratio(order, as_g(g))
 
 
 # ---------------------------------------------------------------------------

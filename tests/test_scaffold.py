@@ -1,6 +1,7 @@
 """Scaffold construction: intermediate-radius algebra, closure-equation
 bracket and root, per-generation residuals and asymptotic diagnostics."""
 
+import json
 import math
 
 import numpy as np
@@ -215,3 +216,20 @@ class TestBuild:
         for a, b in zip(ref_scaffold.generations, back.generations):
             assert a.r_dprime.g == b.r_dprime.g
             assert a.eps_next == b.eps_next
+
+    def test_json_round_trip_keeps_eta_offset(self):
+        params = ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=3.0, log_c=3.2, g1=3.0, eta_offset=3)
+        sc = build_scaffold(params, 2)
+        doc = json.loads(json.dumps(sc.to_json_dict()))
+        assert doc["params"]["eta"] == [4.0, 5.0]
+        back = scaffold_from_json_dict(doc)
+        assert back.params == sc.params
+        for n in (3, 4, 10):  # past the last stored generation
+            assert back.params.eta(n) == n + 3
+
+    @pytest.mark.parametrize("etas", [[2.0, 4.0], [2.5, 3.5]])
+    def test_json_rejects_eta_not_n_plus_offset(self, ref_scaffold, etas):
+        doc = ref_scaffold.to_json_dict()
+        doc["params"]["eta"] = etas
+        with pytest.raises(ConstructionError):
+            scaffold_from_json_dict(doc)

@@ -285,3 +285,49 @@ class TestSerialization:
         doc = s.to_json_terms()
         assert [d["n"] for d in doc] == [0, 1, 4, 9]
         assert all("log_a" in d for d in doc)
+
+
+# form -> (series, its materialized ladder, sample g's, unsupported operation)
+_SERIES_FORMS = {
+    "sparse": (geometric_ladder, lambda s: s, (1.0, 3.0, 6.0), None),
+    "power-law": (lambda: W.PowerLawSeries(1.0), lambda s: s.materialize(400), (0.5, 1.0, 1.5), "log_max_term"),
+    "doubling": (lambda: W.DoublingSeries(1.0, 2.0), lambda s: s.materialize(4), (1.5, 2.6, 4.8), "derivative_ratio"),
+}
+_MODULE_OPS = {
+    "central_index": W.central_index,
+    "log_max_term": W.log_max_term,
+    "k_indicator": W.k_indicator,
+    "derivative_ratio": lambda s, g: W.derivative_asymptotic_ratio(s, 2, g),
+}
+
+
+def _call_method(series, op, g):
+    return series.derivative_ratio(2, g) if op == "derivative_ratio" else getattr(series, op)(g)
+
+
+def _comparable(v):
+    if isinstance(v, W.Term):
+        return v.log_n
+    if isinstance(v, LogValue):
+        return v.logmag
+    return v
+
+
+class TestSeriesProtocol:
+    @pytest.mark.parametrize("op", list(_MODULE_OPS))
+    @pytest.mark.parametrize("form", list(_SERIES_FORMS))
+    def test_method_matches_module_and_materialized(self, form, op):
+        make, materialize, gs, unsupported = _SERIES_FORMS[form]
+        series = make()
+        assert callable(getattr(type(series), op))
+        mat = materialize(series)
+        for g in gs:
+            if op == unsupported:
+                with pytest.raises(W.SeriesError):
+                    _call_method(series, op, g)
+                with pytest.raises(W.SeriesError):
+                    _MODULE_OPS[op](series, LogGap(g))
+                continue
+            got = _comparable(_call_method(series, op, g))
+            assert _comparable(_MODULE_OPS[op](series, LogGap(g))) == got
+            assert _comparable(_call_method(mat, op, g)) == pytest.approx(got, rel=1e-12, abs=1e-12)
