@@ -499,9 +499,9 @@ def main(argv=None) -> int:
 
 
 def _is_validation(err: Exception) -> bool:
-    from .numerics import BracketError, QuadratureError
+    from .numerics import BracketError, QuadratureError, RootConvergenceError
 
-    return not isinstance(err, (BracketError, QuadratureError))
+    return not isinstance(err, (BracketError, QuadratureError, RootConvergenceError))
 
 
 if __name__ == "__main__":

@@ -45,6 +45,14 @@ class BracketError(NumericsError):
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
 
 
+class RootConvergenceError(NumericsError):
+    """Root iteration ran out of iterations; carries the last bracket."""
+
+    def __init__(self, msg, lo, hi, f_lo, f_hi):
+        super().__init__(f"{msg}: root in [{lo!r}, {hi!r}], f={f_lo!r}, {f_hi!r}")
+        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
+
+
 class QuadratureError(NumericsError):
     """Adaptive refinement did not converge; carries the last two estimates."""
 
@@ -505,7 +513,9 @@ def find_root(
 ) -> float:
     """Root of f on [lo, hi] with f(lo) f(hi) < 0; deterministic Brent iteration.
 
-    Converges to a bracket of width <= rel_tol * max(1, |x|).
+    Converges to a bracket of width <= rel_tol * max(1, |x|); raises
+    RootConvergenceError with the last bracket if max_iter steps do not get
+    there.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -517,7 +527,7 @@ def find_root(
         raise BracketError("no sign change over bracket", a, b, fa, fb)
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         if math.copysign(1.0, fb) == math.copysign(1.0, fc):
             c, fc = a, fa
             d = e = b - a
@@ -528,6 +538,11 @@ def find_root(
         xm = 0.5 * (c - b)
         if abs(xm) <= tol or fb == 0.0:
             return b
+        if it == max_iter:
+            lo, hi = sorted(((b, fb), (c, fc)))
+            raise RootConvergenceError(
+                f"no convergence in {max_iter} iterations", lo[0], hi[0], lo[1], hi[1]
+            )
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -554,7 +569,6 @@ def find_root(
         a, fa = b, fb
         b = b + (d if abs(d) > tol else math.copysign(tol, xm))
         fb = f(b)
-    return b
 
 
 # ---------------------------------------------------------------------------

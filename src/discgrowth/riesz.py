@@ -10,6 +10,18 @@ equal sectors, advancing the ring radius so each cell holds mass exactly 2;
 the thin mass ring is a single ring split by angle alone.  Region leftovers
 become flagged remainder cells of mass in [2, 4).
 
+Cells are stored as numpy columns (``CellColumns``: g_lo, g_hi, theta_lo,
+theta_hi, mass, kind code, generation, branch), one row per cell, and a
+``ZeroCloud`` keeps the same columns for the cell piece behind each atom.
+All cells of one ring share g_lo, g_hi, generation and branch, so every
+transcendental value (ring boundaries, centroids, the density at the
+Gauss-Legendre radii) is computed once per ring, with the scalar ``math``
+calls of a per-cell loop; a generation has tens of rings against up to
+~1e5 cells.  Per-cell and per-atom values follow by numpy arithmetic in the
+same operation and element order as that loop, so outputs are bit-identical
+to it.  ``PolarCell`` objects are built only when a caller indexes or
+iterates the columns.
+
 Enumeration happens in plain double arithmetic and is therefore capped at
 moderate g (cells per ring grow like e^g); the cap and the cell-count
 ceiling are explicit, and hitting them yields a truncation report rather
@@ -18,15 +30,18 @@ than a silent failure.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
 from ._accel import kernel_sums
 from .numerics import LogGap, NumericsError, as_g
 from .profiles import RadialProfile
+from .serialize import dumps17
 
 _LEG_NODES = {
     4: (
@@ -36,6 +51,14 @@ _LEG_NODES = {
         (0.8611363115940526, 0.34785484513745385),
     )
 }
+
+KINDS = ("A", "A-hat", "A-star", "A-dprime", "remainder")
+_KIND_CODE = {k: i for i, k in enumerate(KINDS)}
+_KIND_NAMES = np.array(KINDS, dtype=object)
+_REMAINDER = _KIND_CODE["remainder"]
+
+# one cloud line, the bytes dumps17 gives {"cell_kind", "g", "mult", "theta"}
+_JSONL_ROW = '{"cell_kind":%s,"g":%s,"mult":%d,"theta":%s}\n'
 
 
 class PartitionError(NumericsError):
@@ -69,18 +92,86 @@ class PolarCell:
         return max(dth, dr) / min(dth, dr)
 
 
+@dataclass(frozen=True, eq=False)
+class CellColumns(Sequence):
+    """Polar cells as columns, one row per cell; ``kind`` holds codes into
+    KINDS.  An integer index builds the row's PolarCell; a slice, mask or
+    index array selects rows as CellColumns."""
+
+    g_lo: np.ndarray
+    g_hi: np.ndarray
+    theta_lo: np.ndarray
+    theta_hi: np.ndarray
+    mass: np.ndarray
+    kind: np.ndarray
+    generation: np.ndarray
+    branch: np.ndarray
+
+    @classmethod
+    def of(cls, cells: Sequence[PolarCell]) -> CellColumns:
+        """Columns of a sequence of PolarCell (CellColumns pass through)."""
+        if isinstance(cells, CellColumns):
+            return cells
+        floats = ("g_lo", "g_hi", "theta_lo", "theta_hi", "mass")
+        return cls(
+            *(np.array([getattr(c, name) for c in cells], dtype=float) for name in floats),
+            np.array([_KIND_CODE[c.kind] for c in cells], dtype=np.int8),
+            np.array([c.generation for c in cells], dtype=np.int32),
+            np.array([c.branch for c in cells], dtype=np.int8),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[CellColumns]) -> CellColumns:
+        if not parts:
+            return cls.of([])
+        return cls(*(np.concatenate(cols) for cols in zip(*(p._columns() for p in parts))))
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.g_lo)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return _polar_cell(*(col[index].item() for col in self._columns()))
+        return CellColumns(*(col[index] for col in self._columns()))
+
+    def __iter__(self):
+        return (_polar_cell(*row) for row in zip(*(col.tolist() for col in self._columns())))
+
+
+def _polar_cell(g_lo, g_hi, theta_lo, theta_hi, mass, kind, generation, branch) -> PolarCell:
+    return PolarCell(g_lo, g_hi, theta_lo, theta_hi, mass, KINDS[kind], generation, branch)
+
+
+def _per_ring(cells: CellColumns, fn) -> tuple[np.ndarray, np.ndarray]:
+    """fn(g_lo, g_hi, generation, branch) once per ring, i.e. per run of
+    consecutive rows sharing those four values; returns the results as an
+    array, one row per ring, and each cell's ring index into it."""
+    keys = (cells.g_lo, cells.g_hi, cells.generation, cells.branch)
+    new_ring = np.ones(len(cells), dtype=bool)
+    new_ring[1:] = np.any([col[1:] != col[:-1] for col in keys], axis=0)
+    starts = np.flatnonzero(new_ring)
+    per_ring = [fn(*key) for key in zip(*(col[starts].tolist() for col in keys))]
+    return np.array(per_ring, dtype=float), np.cumsum(new_ring) - 1
+
+
 @dataclass
 class PartitionResult:
-    cells: list[PolarCell]
+    cells: CellColumns  # a sequence of PolarCell is converted to columns
     truncated: dict[str, bool]
     generation: int
 
+    def __post_init__(self):
+        self.cells = CellColumns.of(self.cells)
+
     @property
     def total_mass(self) -> float:
-        return math.fsum(c.mass for c in self.cells)
+        return math.fsum(self.cells.mass.tolist())
 
-    def regular_cells(self) -> list[PolarCell]:
-        return [c for c in self.cells if c.kind != "remainder"]
+    def regular_cells(self) -> CellColumns:
+        return self.cells[self.cells.kind != _REMAINDER]
 
 
 # -- per-branch densities (full-circle ring masses and first moments) -------
@@ -172,8 +263,25 @@ def _sector_count(g: float) -> int:
     return max(1, int(math.floor(math.exp(g))))
 
 
+def _ring(g_lo, g_hi, theta_lo, theta_hi, mass, kind, generation, branch) -> CellColumns:
+    """The cells of one ring, given their angular edges, masses and kind codes."""
+    n = len(mass)
+    return CellColumns(
+        np.full(n, g_lo), np.full(n, g_hi), theta_lo, theta_hi, mass, kind,
+        np.full(n, generation, dtype=np.int32), np.full(n, branch, dtype=np.int8),
+    )
+
+
+def _sector_ring(g_lo, g_hi, m, kind, generation, branch) -> CellColumns:
+    """m equal sectors of mass 2."""
+    width = 2.0 * math.pi / m
+    j = np.arange(m, dtype=float)
+    codes = np.full(m, _KIND_CODE[kind], dtype=np.int8)
+    return _ring(g_lo, g_hi, j * width, (j + 1.0) * width, np.full(m, 2.0), codes, generation, branch)
+
+
 def _split_ring_by_angle(
-    out: list[PolarCell], density, g_lo, g_hi, kind, gen_index
+    rings: list[CellColumns], density, g_lo, g_hi, kind, generation
 ) -> None:
     """Angular split of one full ring into mass-2 cells plus a remainder."""
     total = density.ring_mass(g_lo, g_hi)
@@ -181,38 +289,39 @@ def _split_ring_by_angle(
         raise PartitionError(f"ring mass {total} below one cell")
     n_full = int(math.floor(total / 2.0))
     width = 2.0 * math.pi * (2.0 / total)
-    theta = 0.0
-    for _ in range(n_full - 1):
-        out.append(
-            PolarCell(g_lo, g_hi, theta, theta + width, 2.0, kind, gen_index + 1, density.branch)
-        )
-        theta += width
-    out.append(
-        PolarCell(
-            g_lo, g_hi, theta, 2.0 * math.pi,
-            total - 2.0 * (n_full - 1), "remainder", gen_index + 1, density.branch,
-        )
-    )
+    steps = np.full(n_full, width)
+    steps[0] = 0.0
+    theta_lo = np.add.accumulate(steps)  # theta += width, in sequence
+    theta_hi = theta_lo + width
+    theta_hi[-1] = 2.0 * math.pi
+    mass = np.full(n_full, 2.0)
+    mass[-1] = total - 2.0 * (n_full - 1)
+    codes = np.full(n_full, _KIND_CODE[kind], dtype=np.int8)
+    codes[-1] = _REMAINDER
+    rings.append(_ring(g_lo, g_hi, theta_lo, theta_hi, mass, codes, generation, density.branch))
+
+
+def _cell_count(rings: list[CellColumns]) -> int:
+    return sum(len(ring) for ring in rings)
 
 
 def _partition_ringed_region(
-    out: list[PolarCell],
+    rings: list[CellColumns],
     density: _BranchDensity,
     g_start: float,
     g_end: float,
     kind: str,
-    gen_index: int,
+    generation: int,
     g_max: float,
     ceiling: int,
 ) -> bool:
-    """Rings of floor(1/(1-r)) sectors with per-cell mass 2; returns True if
-    truncated by g_max or the ceiling."""
+    """Rings of floor(1/(1-r)) sectors with per-cell mass 2, appended to
+    ``rings``; returns True if truncated by g_max or the ceiling."""
+    first = len(rings)  # this region's sector rings are rings[first:]
     g_k = g_start
-    rings: list[tuple[float, float, int]] = []
     while True:
         if g_k >= g_max:
-            self_truncated = True
-            break
+            return True
         m = _sector_count(g_k)
         g_next = density.next_ring_g(g_k, 2.0 * m)
         if g_next >= g_end:
@@ -221,36 +330,22 @@ def _partition_ringed_region(
             # merged back into the previous ring first
             leftover = density.ring_mass(g_k, g_end)
             width = g_end - g_k
-            prev_width = g_k - rings[-1][0] if rings else math.inf
+            prev_width = g_k - rings[-1].g_lo[0].item() if len(rings) > first else math.inf
             if leftover >= 2.0 and width >= 0.5 * prev_width:
-                _split_ring_by_angle(out, density, g_k, g_end, kind, gen_index)
-                self_truncated = False
-            elif rings:
-                prev_lo, _, prev_m = rings.pop()
-                del out[-prev_m:]
-                _split_ring_by_angle(out, density, prev_lo, g_end, kind, gen_index)
-                self_truncated = False
+                _split_ring_by_angle(rings, density, g_k, g_end, kind, generation)
+            elif len(rings) > first:
+                prev_lo = rings.pop().g_lo[0].item()
+                _split_ring_by_angle(rings, density, prev_lo, g_end, kind, generation)
             elif leftover >= 2.0:
-                _split_ring_by_angle(out, density, g_k, g_end, kind, gen_index)
-                self_truncated = False
+                _split_ring_by_angle(rings, density, g_k, g_end, kind, generation)
             else:
                 # whole region holds less than one cell; dropped, flagged
-                self_truncated = leftover > 0.0
-            break
-        if len(out) + m > ceiling:
-            self_truncated = True
-            break
-        width = 2.0 * math.pi / m
-        for j in range(m):
-            out.append(
-                PolarCell(
-                    g_k, g_next, j * width, (j + 1) * width, 2.0, kind, gen_index + 1,
-                    density.branch,
-                )
-            )
-        rings.append((g_k, g_next, m))
+                return leftover > 0.0
+            return False
+        if _cell_count(rings) + m > ceiling:
+            return True
+        rings.append(_sector_ring(g_k, g_next, m, kind, generation, density.branch))
         g_k = g_next
-    return self_truncated
 
 
 def partition_region(
@@ -265,7 +360,7 @@ def partition_region(
         raise PartitionError(f"generation {generation} not constructed")
     i = generation - 1
     gen = sc.generations[i]
-    cells: list[PolarCell] = []
+    rings: list[CellColumns] = []
     truncated: dict[str, bool] = {}
 
     regions = [
@@ -279,22 +374,26 @@ def partition_region(
             continue
         density = _density_for(profile, i, branch)
         truncated[kind] = _partition_ringed_region(
-            cells, density, g_lo, g_hi, kind, i, g_max, ceiling
+            rings, density, g_lo, g_hi, kind, generation, g_max, ceiling
         )
 
     # the thin mass ring: single ring, angular split only
     if gen.r_hat.g < g_max and gen.r_hat.g <= 36.0:
         density = _density_for(profile, i, 4)
         total = density.ring_mass(gen.r_hat.g, gen.r_star.g)
-        if len(cells) + total / 2.0 <= ceiling:
-            _split_ring_by_angle(cells, density, gen.r_hat.g, gen.r_star.g, "A-star", i)
+        if _cell_count(rings) + total / 2.0 <= ceiling:
+            _split_ring_by_angle(
+                rings, density, gen.r_hat.g, gen.r_star.g, "A-star", generation
+            )
             truncated["A-star"] = False
         else:
             truncated["A-star"] = True
     else:
         truncated["A-star"] = True
 
-    return PartitionResult(cells=cells, truncated=truncated, generation=generation)
+    return PartitionResult(
+        cells=CellColumns.concat(rings), truncated=truncated, generation=generation
+    )
 
 
 # -- atomization -------------------------------------------------------------
@@ -304,15 +403,20 @@ def partition_region(
 class ZeroCloud:
     """Surrogate zeros: one double zero per cell at the density-weighted
     radial centroid and angular midpoint (split_doubles turns each into two
-    simple zeros straddling the midpoint)."""
+    simple zeros straddling the midpoint).  ``cells`` holds, per atom, the
+    piece of its cell the atom stands for (CellColumns from ``atomize``)."""
 
     g: np.ndarray
     theta: np.ndarray
     mult: np.ndarray
-    kind: list[str]
-    cells: list[PolarCell]
+    kind: Sequence[str]
+    cells: Sequence[PolarCell]
     profile: RadialProfile | None = None
+    # built on the first surrogate evaluation: the kernel source triple
+    # (atoms ++ cell nodes), its node tail and the sorted atom positions
+    _sources: tuple | None = field(default=None, repr=False)
     _nodes: tuple | None = field(default=None, repr=False)
+    _atom_keys: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.g)
@@ -322,13 +426,21 @@ class ZeroCloud:
         return int(np.sum(self.mult))
 
     def to_jsonl(self) -> str:
-        from .serialize import dumps17
-
-        lines = [
-            dumps17({"g": float(g), "theta": float(t), "mult": int(m), "cell_kind": k})
-            for g, t, m, k in zip(self.g, self.theta, self.mult, self.kind)
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One dumps17 record per atom with keys cell_kind, g, mult, theta;
+        a non-finite g or theta raises dumps17's ValueError."""
+        g = np.asarray(self.g, dtype=float)
+        theta = np.asarray(self.theta, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(theta)))
+        if len(bad):  # dumps17 raises its ValueError on the first one
+            dumps17([float(g[bad[0]]), float(theta[bad[0]])])
+        quoted = {k: json.dumps(k) for k in set(self.kind)}
+        rows = zip(
+            map(quoted.__getitem__, self.kind),
+            map(format, g.tolist(), repeat(".17g")),
+            np.asarray(self.mult).tolist(),
+            map(format, theta.tolist(), repeat(".17g")),
+        )
+        return "".join(map(_JSONL_ROW.__mod__, rows))
 
 
 def _cell_centroid(density: _BranchDensity, cell_g_lo, cell_g_hi) -> float:
@@ -341,37 +453,38 @@ def _cell_centroid(density: _BranchDensity, cell_g_lo, cell_g_hi) -> float:
 def atomize(
     partition: PartitionResult, profile: RadialProfile, split_doubles: bool = False
 ) -> ZeroCloud:
-    gs, thetas, mults, kinds, cells = [], [], [], [], []
+    cells = partition.cells
 
-    def place(cell: PolarCell, th_lo: float, th_hi: float):
-        density = _density_for(profile, cell.generation - 1, cell.branch)
-        g_c = _cell_centroid(density, cell.g_lo, cell.g_hi)
-        mid = 0.5 * (th_lo + th_hi)
-        piece = PolarCell(
-            cell.g_lo, cell.g_hi, th_lo, th_hi,
-            cell.mass * (th_hi - th_lo) / (cell.theta_hi - cell.theta_lo),
-            cell.kind, cell.generation, cell.branch,
-        )
-        if split_doubles:
-            quarter = 0.25 * (th_hi - th_lo)
-            for th in (mid - quarter, mid + quarter):
-                gs.append(g_c), thetas.append(th), mults.append(1)
-                kinds.append(cell.kind), cells.append(piece)
-        else:
-            gs.append(g_c), thetas.append(mid), mults.append(2)
-            kinds.append(cell.kind), cells.append(piece)
+    def centroid(g_lo, g_hi, generation, branch):
+        return _cell_centroid(_density_for(profile, generation - 1, branch), g_lo, g_hi)
 
-    for cell in partition.cells:
-        if cell.mass < 3.0:
-            place(cell, cell.theta_lo, cell.theta_hi)
-        else:
-            mid = 0.5 * (cell.theta_lo + cell.theta_hi)
-            place(cell, cell.theta_lo, mid)
-            place(cell, mid, cell.theta_hi)
-
+    g_ring, ring_of = _per_ring(cells, centroid)
+    # a heavy cell (mass >= 3) becomes two pieces split at its angular midpoint
+    n_pieces = np.where(cells.mass < 3.0, 1, 2)
+    cell_of = np.repeat(np.arange(len(cells)), n_pieces)
+    lo, hi = cells.theta_lo[cell_of], cells.theta_hi[cell_of]
+    first = (np.cumsum(n_pieces) - n_pieces)[n_pieces == 2]
+    cut = 0.5 * (lo[first] + hi[first])
+    hi[first] = cut
+    lo[first + 1] = cut
+    mass = cells.mass[cell_of] * (hi - lo) / (cells.theta_hi[cell_of] - cells.theta_lo[cell_of])
+    mid = 0.5 * (lo + hi)
+    if split_doubles:
+        quarter = 0.25 * (hi - lo)
+        theta = np.column_stack([mid - quarter, mid + quarter]).ravel()
+        piece_of = np.repeat(np.arange(len(mid)), 2)
+        mult = np.full(len(theta), 1.0)
+    else:
+        theta, piece_of, mult = mid, np.arange(len(mid)), np.full(len(mid), 2.0)
+    atom_cell = cell_of[piece_of]
+    pieces = CellColumns(
+        cells.g_lo[atom_cell], cells.g_hi[atom_cell], lo[piece_of], hi[piece_of],
+        mass[piece_of], cells.kind[atom_cell], cells.generation[atom_cell],
+        cells.branch[atom_cell],
+    )
     return ZeroCloud(
-        g=np.array(gs), theta=np.array(thetas), mult=np.array(mults, dtype=float),
-        kind=kinds, cells=cells, profile=profile,
+        g=g_ring[ring_of[atom_cell]], theta=theta, mult=mult, kind=_KIND_NAMES[pieces.kind],
+        cells=pieces, profile=profile,
     )
 
 
@@ -379,31 +492,60 @@ def atomize(
 
 
 def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Density-weighted quadrature nodes over every atom's source cell,
-    normalized so each cell's node weights sum to the mass its atom carries."""
+    """Density-weighted quadrature nodes over every atom's source cell (4 x 4
+    Gauss-Legendre; atom-major, r-major, theta-minor), normalized so each
+    cell's node weights sum to the mass its atom carries.
+
+    Built once per cloud as the tail of its kernel source triple (atoms ++
+    nodes); returns (delta, theta, weight) views of that tail, the weights
+    negated as ``kernel_sums`` takes cell averages.
+    """
     if cloud._nodes is not None:
         return cloud._nodes
+    cells = CellColumns.of(cloud.cells)
     leg = _LEG_NODES[4]
-    deltas, thetas, weights = [], [], []
-    for atom_idx, cell in enumerate(cloud.cells):
-        density = _density_for(cloud.profile, cell.generation - 1, cell.branch)
-        r_lo, r_hi = cell.r_lo, cell.r_hi
+
+    def ring(g_lo, g_hi, generation, branch):
+        # per ring: 1 - r at the four radii, their radial weights, the total
+        density = _density_for(cloud.profile, generation - 1, branch)
+        r_lo, r_hi = -math.expm1(-g_lo), -math.expm1(-g_hi)
         hr = 0.5 * (r_hi - r_lo)
         cr = 0.5 * (r_hi + r_lo)
-        ht = 0.5 * (cell.theta_hi - cell.theta_lo)
-        ct = 0.5 * (cell.theta_hi + cell.theta_lo)
         rw = [(cr + hr * x, w * density.rho(cr + hr * x)) for x, w in leg]
         total = sum(w for _, w in rw) * sum(w for _, w in leg)
-        # node weights sum exactly to the mass the atom carries
-        scale = cloud.mult[atom_idx] / total
-        for rv, wr in rw:
-            for xt, wt in leg:
-                deltas.append(1.0 - rv)
-                thetas.append(ct + ht * xt)
-                weights.append(wr * wt * scale)
-    nodes = (np.array(deltas), np.array(thetas), np.array(weights))
-    cloud._nodes = nodes
-    return nodes
+        return [1.0 - rv for rv, _ in rw] + [wr for _, wr in rw] + [total]
+
+    per_ring, ring_of = _per_ring(cells, ring)
+    per_atom = per_ring.reshape(-1, 9)[ring_of]
+    n = len(cells)
+    half_width = 0.5 * (cells.theta_hi - cells.theta_lo)
+    centre = 0.5 * (cells.theta_hi + cells.theta_lo)
+    scale = cloud.mult / per_atom[:, 8]
+    src_delta, src_theta, src_weight = (np.empty(17 * n) for _ in range(3))
+    src_delta[:n] = np.exp(-cloud.g)
+    src_theta[:n] = cloud.theta
+    src_weight[:n] = cloud.mult
+    src_delta[n:].reshape(n, 4, 4)[...] = per_atom[:, :4, None]
+    leg_x = np.array([x for x, _ in leg])
+    leg_w = np.array([w for _, w in leg])
+    src_theta[n:].reshape(n, 4, 4)[...] = (centre[:, None] + half_width[:, None] * leg_x)[:, None, :]
+    node_w = src_weight[n:].reshape(n, 4, 4)
+    np.multiply(per_atom[:, 4:8, None] * leg_w, scale[:, None, None], out=node_w)
+    np.negative(node_w, out=node_w)
+    cloud._sources = (src_delta, src_theta, src_weight)
+    cloud._nodes = (src_delta[n:], src_theta[n:], src_weight[n:])
+    return cloud._nodes
+
+
+def _on_atom(cloud: ZeroCloud, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Which points (delta, theta) sit exactly on an atom: a binary search in
+    the atom positions, sorted once per cloud as complex keys delta + i theta."""
+    n = len(cloud)
+    if cloud._atom_keys is None:
+        cloud._atom_keys = np.sort(cloud._sources[0][:n] + 1j * cloud._sources[1][:n])
+    probe = delta + 1j * theta
+    at = np.minimum(np.searchsorted(cloud._atom_keys, probe), n - 1)
+    return cloud._atom_keys[at] == probe
 
 
 def eval_log_surrogate(
@@ -423,17 +565,10 @@ def eval_log_surrogate_many(
     base = np.array([profile.phi(as_g(g)) for g, _ in zs])
     if len(cloud) == 0:
         return base
-    atom_delta = np.exp(-cloud.g)
-    nd, nt, nw = _cell_nodes(cloud)
-    src_delta = np.concatenate([atom_delta, nd])
-    src_theta = np.concatenate([cloud.theta, nt])
-    src_weight = np.concatenate([cloud.mult, -nw])
-    atom_set = set(zip(atom_delta.tolist(), cloud.theta.tolist()))
-    corr = kernel_sums(samp_delta, samp_theta, src_delta, src_theta, src_weight)
+    _cell_nodes(cloud)
+    corr = kernel_sums(samp_delta, samp_theta, *cloud._sources)
     out = base + corr
-    for i, (d, t) in enumerate(zip(samp_delta.tolist(), samp_theta.tolist())):
-        if (d, t) in atom_set:
-            out[i] = -math.inf
+    out[_on_atom(cloud, samp_delta, samp_theta)] = -math.inf
     return out
 
 

@@ -388,18 +388,24 @@ class DoublingSeries:
 
     def k_indicator(self, g: float) -> LogValue:
         m0, idx, w = self.weights(g)
-        nu = self.term(m0)
+        terms = [(self.term(j).log_n, wj) for j, wj in zip(idx, w)]
+        if m0 > 0:
+            ref = self.term(m0).log_n
+            terms = [(log_n, wj) for log_n, wj in terms if wj > _W_CUTOFF]
+        else:
+            # below the first break the central index n_0 = 0 adds nothing to
+            # the numerator: every term counts, indices relative to the largest
+            ref = max(log_n for log_n, _ in terms)
         s0 = 0.0
         s1 = 0.0
-        for j, wj in zip(idx, w):
-            e = math.exp(max(wj, _W_CUTOFF)) if wj > _W_CUTOFF else 0.0
-            if e == 0.0:
-                continue
-            t = self.term(j)
-            ratio = math.exp(t.log_n - nu.log_n) if t.log_n > -math.inf else 0.0
+        for log_n, wj in terms:
+            e = math.exp(wj)
+            ratio = math.exp(log_n - ref) if log_n > -math.inf else 0.0
             s0 += e
             s1 += e * ratio
-        return LogValue.pos(nu.log_n + math.log(s1) - math.log(s0))
+        if s1 <= 0.0:
+            return LogValue.zero()
+        return LogValue.pos(ref + math.log(s1) - math.log(s0))
 
     def log_max_term(self, g: float) -> LogValue:
         """log mu(r) as a LogValue, from the all-positive branch sums of

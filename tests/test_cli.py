@@ -59,6 +59,18 @@ class TestScaffoldCmd:
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_root_exhaustion_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        from discgrowth import numerics, scaffold
+
+        monkeypatch.setattr(
+            scaffold, "find_root", lambda *a, **k: numerics.find_root(*a, **k, max_iter=1)
+        )
+        code = run("scaffold", "--p1", "2", "--p2", "3", "--generations", "1",
+                   "--out", str(tmp_path / "s.json"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert json.loads(lines[-1])["error"] == "RootConvergenceError"
+
     def test_validation_exit_code(self, tmp_path):
         code = run("scaffold", "--p1", "3", "--p2", "2", "--out", str(tmp_path / "x.json"))
         assert code == 2
@@ -97,6 +109,16 @@ class TestSeriesCmd:
         header = trace.read_text().splitlines()[0]
         assert header == "g,log_mu,nu_log,K_log"
 
+    def test_doubling_trace_below_first_break_has_no_nan(self, tmp_path):
+        out, trace = tmp_path / "ser.json", tmp_path / "tr.csv"
+        code = run("series", "reference", "--variant", "doubling", "--lambda", "1", "--sigma", "2",
+                   "--out", str(out), "--trace", str(trace), "--trace-k-lo", "0")
+        assert code == 0
+        rows = trace.read_text().splitlines()[1:]
+        k_logs = [float(row.split(",")[3]) for row in rows]
+        assert len(k_logs) == 15
+        assert all(math.isfinite(k) for k in k_logs)
+
     def test_rejects_bad_delta(self, tmp_path):
         code = run("series", "reference", "--variant", "doubling", "--lambda", "1", "--sigma", "2",
                    "--delta", "0.9", "--out", str(tmp_path / "x.json"))
@@ -114,6 +136,28 @@ class TestRieszCmd:
         assert set(first) == {"g", "theta", "mult", "cell_kind"}
         s = read_records(str(summary))[0]
         assert s["atoms"] >= s["cells"]
+
+
+    # sha256 of the cloud and summary bytes, recorded at commit dc95d27 (one
+    # PolarCell per cell); plain and split runs take the merge-back of a thin
+    # leftover ring, the ceiling of 2000 stops inside the A-dprime region
+    @pytest.mark.parametrize("extra,cloud_sha,summary_sha", [
+        ((), "3e29869b0a6aea0ba31931ac2dacc21e3fb28d908334c155099d2ab740c861b2",
+         "2b6e52399c7b2022d7adc08473ae2b36ba5835b312a89fd8e46782b7776c7504"),
+        (("--split-doubles",), "03689a36ae0c978687a41125c28e79630a68e163ab06e41e3522dbe619685174",
+         "c948327b9a64d347c61c14c6615e2c34691f81100df960da91baa2f9bd700d47"),
+        (("--ceiling", "2000"), "317c173f6ca2ddd463817cdaa5fbe8918f62c7c6c82c39901b150acba425d546",
+         "f332d2678d2e173d187a971abc8c837bb32e403499025d70ccf0fa2c83c2c598"),
+    ])
+    def test_bytes_pinned(self, small_scaffold_file, tmp_path, extra, cloud_sha, summary_sha):
+        import hashlib
+
+        cloud, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"
+        code = run("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1",
+                   "--out", str(cloud), "--summary-out", str(summary), *extra)
+        assert code == 0
+        assert hashlib.sha256(cloud.read_bytes()).hexdigest() == cloud_sha
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
 
 class TestLogderivCmd:

@@ -14,6 +14,7 @@ from discgrowth.numerics import (
     LogGap,
     LogValue,
     NumericsError,
+    RootConvergenceError,
     find_root,
     gap_diff_log,
     integrate,
@@ -63,7 +64,7 @@ class TestLogGap:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
         for g in (0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 400.0):
-            want = float(mp.log(1 - mp.exp(-mp.mpf(g))))
+            want = float(mp.log1p(-mp.exp(-mp.mpf(g))))
             assert log_r_from_g(g) == pytest.approx(want, rel=1e-14)
 
     def test_log_r_deep(self):
@@ -233,6 +234,17 @@ class TestFindRoot:
         with pytest.raises(BracketError) as ei:
             find_root(lambda t: t * t + 1.0, -1.0, 1.0)
         assert ei.value.f_lo == 2.0 and ei.value.f_hi == 2.0
+
+    def test_exhausted_iterations_raise_with_last_bracket(self):
+        f = lambda t: t**3 - 2.0
+        with pytest.raises(RootConvergenceError) as ei:
+            find_root(f, 0.0, 2.0, max_iter=3)
+        err = ei.value
+        assert isinstance(err, NumericsError)
+        assert 0.0 <= err.lo < 2.0 ** (1.0 / 3.0) < err.hi <= 2.0
+        assert (err.f_lo, err.f_hi) == (f(err.lo), f(err.hi))
+        assert err.f_lo < 0.0 < err.f_hi
+        assert find_root(f, 0.0, 2.0) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-13)
 
     def test_inside_bracket_and_stable_under_perturbation(self):
         f = lambda t: math.tan(t) - 2.0 * t  # root near 1.1655

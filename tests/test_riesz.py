@@ -2,6 +2,7 @@
 The cell-mass and centroid oracles run independent adaptive quadrature
 through the profile's pointwise Laplacian."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -245,6 +246,57 @@ class TestSurrogate:
         # scaled errors do not trend upward: the last is no worse than twice
         # the running median
         assert worst[-1] <= 2.0 * sorted(worst)[len(worst) // 2] + 1.0
+
+
+class TestColumns:
+    def test_no_cell_objects_on_the_pipeline(self, small_profile, monkeypatch):
+        built = []
+        monkeypatch.setattr(R, "PolarCell", lambda *a: built.append(a))
+        part = R.partition_region(small_profile, 1, g_max=25.0, ceiling=100_000)
+        cloud = R.atomize(part, small_profile, split_doubles=True)
+        cloud.to_jsonl()
+        R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.1)])
+        assert part.total_mass > 0.0 and not built
+
+    def test_list_of_cells_gives_the_same_cloud(self, gen1_partition, gen1_cloud, small_profile):
+        rows = R.PartitionResult(cells=list(gen1_partition.cells), truncated={}, generation=1)
+        cloud = R.atomize(rows, small_profile)
+        assert cloud.to_jsonl() == gen1_cloud.to_jsonl()
+        assert list(cloud.cells) == list(gen1_cloud.cells)
+        assert gen1_partition.cells[-1] == list(gen1_partition.cells)[-1]
+
+    def test_jsonl_rejects_non_finite_like_dumps17(self, small_profile):
+        cloud = R.ZeroCloud(
+            np.array([1.0, math.nan]), np.array([0.5, 0.5]), np.array([2.0, 2.0]),
+            ["A", "A"], [None, None], small_profile,
+        )
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            cloud.to_jsonl()
+
+
+class TestPinnedValues:
+    """Values recorded at commit dc95d27 (one PolarCell per cell and per
+    atom); the column layout must reproduce them bit for bit."""
+
+    def test_surrogate_values(self, gen1_cloud, small_profile):
+        zs = [(LogGap(1.0), 0.3), (LogGap(3.5), 2.0), (LogGap(6.15), 1.0), (LogGap(8.0), 5.0)]
+        got = R.eval_log_surrogate_many(gen1_cloud, small_profile, zs)
+        want = ["0x1.e0455c12d7429p+3", "0x1.33942de12a136p+4",
+                "0x1.9c4c91dcccf8fp+3", "0x1.03662bc3253d4p+5"]
+        assert [v.hex() for v in got.tolist()] == want
+
+    def test_hat_region_cloud_and_surrogate(self):
+        # p > p2 opens the A-hat region; the ceiling stops inside A-dprime
+        params = ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=3.5, log_c=3.2, g1=3.0)
+        prof = RadialProfile(build_scaffold(params, 2))
+        part = R.partition_region(prof, 1, g_max=25.0, ceiling=3000)
+        assert len(part.cells) == 2177
+        assert part.total_mass.hex() == (4356.9362555897505).hex()
+        cloud = R.atomize(part, prof, split_doubles=True)
+        digest = hashlib.sha256(cloud.to_jsonl().encode()).hexdigest()
+        assert digest == "f63e024ca262afb9840dbddebdc386068ac9f48950e7bb8d7ca53e34719f3a3a"
+        got = R.eval_log_surrogate_many(cloud, prof, [(LogGap(6.3), 0.5), (LogGap(2.0), 4.0)])
+        assert [v.hex() for v in got.tolist()] == ["0x1.596b141685cdcp+4", "0x1.d90f88e561307p+3"]
 
 
 class TestExcludedArcs:

@@ -174,6 +174,16 @@ class TestKIndicator:
             ratio = b.k_indicator(rk.g).logmag / rk.g
             assert 1.35 <= ratio <= 1.65
 
+    @pytest.mark.parametrize("g", [0.01, 0.3, 0.55, 1.0])
+    def test_doubling_k_below_first_break_matches_ladder(self, g):
+        # central index n_0 = 0 below break_g(0): the old ratio to n_0 gave NaN
+        b = W.DoublingSeries(1.0, 2.0)
+        assert g < b.break_g(0)
+        want = W.k_indicator(b.materialize(5), g).logmag
+        got = b.k_indicator(g).logmag
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_power_law_nu_asymptotics(self):
         s = W.build_reference_series("power-law", sigma=1.5)
         g = 8.0
