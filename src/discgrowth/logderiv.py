@@ -175,7 +175,9 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
         raise NumericsError("need h < 1 - |zeta|")
     n = 0
     big_n = 0.0
-    for g, t, m in zip(cloud.g, cloud.theta, cloud.mult):
+    # dist >= the radial gap |e^-g - e^-gz|; the factor 2 covers numpy's exp rounding
+    near = np.abs(np.exp(-cloud.g) - math.exp(-gz)) <= 2.0 * h
+    for g, t, m in zip(cloud.g[near], cloud.theta[near], cloud.mult[near]):
         d = _pair_distance(gz, tz, g, t)
         if d <= h:
             n += int(m)

@@ -464,12 +464,6 @@ class LogValue:
         s = self.sign * (1 if c > 0 else -1)
         return LogValue(s, self.logmag + math.log(abs(c)))
 
-    def powi(self, n: int) -> "LogValue":
-        if self.sign == 0:
-            return LogValue.zero() if n > 0 else LogValue.pos(0.0)
-        s = 1 if (self.sign > 0 or n % 2 == 0) else -1
-        return LogValue(s, n * self.logmag)
-
     def _cmp_key(self):
         return (self.sign, self.sign * self.logmag if self.sign != 0 else 0.0)
 

@@ -81,10 +81,6 @@ class MajorantModel:
     def pure_power(cls, b: float, s: float) -> "MajorantModel":
         return cls(lambda g: math.log(b) + s * g, p1=s, p2=s, power=(b, s))
 
-    @classmethod
-    def from_profile(cls, profile, p1: float, p2: float) -> "MajorantModel":
-        return cls(lambda g: profile.phi(g), p1=p1, p2=p2)
-
 
 # ---------------------------------------------------------------------------
 # power-series solving

@@ -596,7 +596,9 @@ def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[f
     gap = math.exp(-g_circle)
     lim = eps * gap
     arcs = []
-    for ga, ta in zip(cloud.g, cloud.theta):
+    # the loop keeps |dr| <= lim; the factor 2 covers numpy's exp rounding
+    near = np.abs(np.exp(-cloud.g) - gap) <= 2.0 * lim
+    for ga, ta in zip(cloud.g[near], cloud.theta[near]):
         s = -math.expm1(-ga)
         dr = math.exp(-g_circle) - math.exp(-ga)
         if abs(dr) > lim:

@@ -10,13 +10,20 @@ each a class with ``central_index(g)``, ``log_max_term(g)``,
 * :class:`SparseSeries` - materialized terms; exact closed-form central index
   when the chain of break radii is attached (build_ladder_series attaches it).
 * :class:`PowerLawSeries` - the dense unit-gap construction c_k =
-  1 - (sigma/(k+sigma+1))^(1/(sigma+1)), n_k = k, evaluated through windows
-  around the central term (the live index reaches ~1e10 at moderate g).
-  It has no closed-form log mu: ``log_max_term`` raises SeriesError.
+  1 - (sigma/(k+sigma+1))^(1/(sigma+1)), n_k = k (the live index reaches
+  ~1e10 at moderate g).  It has no closed-form log mu: ``log_max_term``
+  raises SeriesError.
 * :class:`DoublingSeries` - the sparse construction c_k = 1 - delta^(q^-k),
   n_{k+1} = floor(delta^(-(sigma+1)/q^k)) + 1 with q = lambda/sigma; break
   radii are exact in g, term counts switch to log form beyond 2^62.
   ``derivative_ratio`` of positive order raises SeriesError.
+
+Each form supplies ``window(g)``: log n_ref and blocks of (n / n_ref, w), w
+the log weight relative to the central term, for every term that can move a
+double-precision sum (a materialized series: all terms in one block; the
+power-law walk: blocks of 64 terms doubling up to 2^20 on each side of nu,
+until w < -46; the doubling series: its ``weights`` terms).  The one pair
+of reducers ``_k_indicator`` and ``_derivative_ratio`` sums those blocks.
 
 The module functions ``central_index``, ``log_max_term``, ``k_indicator`` and
 ``derivative_asymptotic_ratio`` take the radius as a LogGap or a raw g and
@@ -29,7 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +55,11 @@ from .numerics import (
 
 _EXACT_N_LIMIT = 2**62
 _W_CUTOFF = -46.0  # weights below e^-46 cannot move a double-precision sum
+_BLOCK_FIRST = 64  # power-law walk: first block, doubled up to _BLOCK_MAX
+_BLOCK_MAX = 1 << 20
+_WEIGHT_TERMS = 400  # doubling walk above the central term, before SeriesError
+
+_Blocks = Iterable[tuple[np.ndarray, np.ndarray]]  # (n / n_ref, w) per block
 
 
 class SeriesError(NumericsError):
@@ -67,6 +79,40 @@ class Term:
 
     def as_float(self) -> float:
         return float(self.n) if self.n is not None else math.exp(self.log_n)
+
+
+def _k_indicator(log_ref: float, blocks: _Blocks) -> LogValue:
+    """K = n_ref sum e^w (n/n_ref) / sum e^w over a window."""
+    s0 = s1 = 0.0
+    for x, w in blocks:
+        e = np.exp(w)
+        s0 += float(np.sum(e))
+        s1 += float(np.dot(e, x))
+    if s1 <= 0.0:
+        return LogValue.zero()
+    return LogValue.pos(log_ref + math.log(s1) - math.log(s0))
+
+
+def _derivative_ratio(series, order: int, g: float) -> float:
+    """sum e^w n(n-1)...(n-order+1)/K^order / sum e^w over the window; exact
+    indices come as n / math.exp(log_ref), so n - i vanishes at n = i."""
+    if order == 0:
+        return 1.0
+    k = series.k_indicator(g)
+    if k.sign == 0:
+        return 0.0
+    log_ref, blocks = series.window(g)
+    n_ref = math.exp(log_ref)
+    scale = math.exp(log_ref - k.logmag)
+    s0 = sff = 0.0
+    for x, w in blocks:
+        e = np.exp(w)
+        fac = np.ones_like(x)
+        for i in range(order):
+            fac *= (x - i / n_ref) * scale
+        s0 += float(np.sum(e))
+        sff += float(np.dot(e, fac))
+    return sff / s0
 
 
 class SparseSeries:
@@ -116,33 +162,17 @@ class SparseSeries:
     def log_max_term(self, g: float) -> LogValue:
         return LogValue.from_float(float(np.max(self.term_values(g))))
 
-    def k_indicator(self, g: float) -> LogValue:
+    def window(self, g: float) -> tuple[float, _Blocks]:
+        """One block of every term, indices relative to the largest."""
         vals = self.term_values(g)
-        m = float(np.max(vals))
-        ew = np.exp(vals - m)
-        s0 = float(np.sum(ew))
-        s1 = float(np.sum(ew * np.exp(self.log_n - np.max(self.log_n))))
-        if s1 <= 0.0:
-            return LogValue.zero()
-        return LogValue.pos(float(np.max(self.log_n)) + math.log(s1) - math.log(s0))
+        log_ref = math.log(max(self.n_seq[-1], 1))
+        return log_ref, [(np.array(self.n_seq, dtype=float) / math.exp(log_ref), vals - np.max(vals))]
+
+    def k_indicator(self, g: float) -> LogValue:
+        return _k_indicator(*self.window(g))
 
     def derivative_ratio(self, order: int, g: float) -> float:
-        if order == 0:
-            return 1.0
-        k_log = self.k_indicator(g).logmag
-        vals = self.term_values(g)
-        m = float(np.max(vals))
-        ew = np.exp(vals - m)
-        s0 = float(np.sum(ew))
-        sff = 0.0
-        for j, n in enumerate(self.n_seq):
-            if n < order or ew[j] == 0.0:
-                continue
-            fac = 1.0
-            for i in range(order):
-                fac *= (n - i) * math.exp(-k_log)
-            sff += ew[j] * fac
-        return sff / s0
+        return _derivative_ratio(self, order, g)
 
     def to_json_terms(self) -> list[dict]:
         return [
@@ -183,9 +213,8 @@ def build_ladder_series(
 class PowerLawSeries:
     """Dense construction n_k = k, c_k = 1 - (sigma/(k+sigma+1))^(1/(sigma+1)).
 
-    The central index grows like sigma/(1-r)^(sigma+1); sums over terms are
-    evaluated through a window around the central term, walked in numpy
-    chunks with running log-domain accumulators.
+    The central index grows like sigma/(1-r)^(sigma+1); its window is walked
+    outward from the central term in growing numpy blocks.
     """
 
     def __init__(self, sigma: float):
@@ -220,66 +249,36 @@ class PowerLawSeries:
     def materialize(self, terms: int, log_a0: float = 0.0) -> SparseSeries:
         return build_ladder_series(list(range(terms)), list(self.break_g(np.arange(terms - 1))), log_a0)
 
-    def window_sums(self, g: float, factors) -> list[float]:
-        """sum_j e^(w_j) fac(n_j) for each fac in factors, w relative to nu.
-
-        Walks j away from the central index in chunks until the weights fall
-        below the double-precision floor.
-        """
+    def window(self, g: float) -> tuple[float, _Blocks]:
+        """Blocks walked from the central index m0 (reference max(m0, 1))."""
         m0 = self.central_term_index(g)
-        t = log_r_from_g(g)
-        sums = [1.0 * f(np.array([float(m0)]))[0] for f in factors]
-        chunk = 1 << 20
+        log_ref = math.log(max(m0, 1))
+        return log_ref, self._walk(m0, math.exp(log_ref), log_r_from_g(g))
 
-        def march(direction: int):
-            w_off = 0.0
-            j = m0
-            while True:
-                if direction > 0:
-                    idx = np.arange(j + 1, j + chunk + 1, dtype=float)
+    def _walk(self, m0: int, n_ref: float, t: float) -> _Blocks:
+        yield np.array([m0 / n_ref]), np.zeros(1)
+        for up in (True, False):
+            j, w_off, size = m0, 0.0, _BLOCK_FIRST
+            while up or j > 0:
+                if up:
+                    idx = np.arange(j + 1, j + size + 1, dtype=float)
                     inc = t - np.log1p(-np.exp(-self.break_g(idx - 1.0)))
                 else:
-                    hi = j - 1
-                    lo = max(0, j - chunk)
-                    if hi < lo:
-                        return
-                    idx = np.arange(hi, lo - 1.0, -1.0)
+                    idx = np.arange(j - 1, max(0, j - size) - 1, -1, dtype=float)
                     inc = np.log1p(-np.exp(-self.break_g(idx))) - t
                 w = w_off + np.cumsum(inc)
-                live = w > _W_CUTOFF
-                ew = np.exp(np.where(live, w, _W_CUTOFF))
-                ew[~live] = 0.0
-                for i, f in enumerate(factors):
-                    sums[i] += float(np.dot(ew, f(idx)))
-                if not live[-1]:
-                    return
-                w_off = float(w[-1])
-                j = int(idx[-1])
-                if direction < 0 and j == 0:
-                    return
-
-        march(+1)
-        march(-1)
-        return sums
+                # w falls monotonically away from the central term
+                live = int(np.count_nonzero(w > _W_CUTOFF))
+                yield idx[:live] / n_ref, w[:live]
+                if live < len(w):
+                    break
+                j, w_off, size = int(idx[-1]), float(w[-1]), min(2 * size, _BLOCK_MAX)
 
     def k_indicator(self, g: float) -> LogValue:
-        m0 = self.central_term_index(g)
-        s0, s1 = self.window_sums(g, [lambda n: np.ones_like(n), lambda n: n / float(m0)])
-        return LogValue.pos(math.log(m0) + math.log(s1) - math.log(s0))
+        return _k_indicator(*self.window(g))
 
     def derivative_ratio(self, order: int, g: float) -> float:
-        if order == 0:
-            return 1.0
-        k_log = self.k_indicator(g).logmag
-
-        def ff_over_kn(n: np.ndarray) -> np.ndarray:
-            out = np.ones_like(n)
-            for i in range(order):
-                out = out * np.maximum(n - i, 0.0) * math.exp(-k_log)
-            return out
-
-        s0, sff = self.window_sums(g, [lambda n: np.ones_like(n), ff_over_kn])
-        return sff / s0
+        return _derivative_ratio(self, order, g)
 
 
 class DoublingSeries:
@@ -359,20 +358,24 @@ class DoublingSeries:
     def _w_increment(self, j: int, g: float) -> float:
         """w_{j+1} - w_j = (n_{j+1} - n_j)(log r - log c_j), saturating."""
         gj = self.break_g(j)
-        if g >= gj:
+        if g == gj:
+            return 0.0
+        if g > gj:
             mag = self._log_dn(j) + log_log_ratio_r(g, gj)
             return math.exp(min(mag, 705.0))
         mag = self._log_dn(j) + log_log_ratio_r(gj, g)
         return -math.exp(min(mag, 705.0))
 
-    def weights(self, g: float, max_terms: int = 400) -> tuple[int, list[int], list[float]]:
+    def weights(self, g: float) -> tuple[int, list[int], list[float]]:
         """(nu_index, indices, w) with w relative to the central term."""
         m0 = self.central_term_index(g)
         idx = [m0]
         w = [0.0]
         acc = 0.0
         j = m0
-        while acc > _W_CUTOFF and j + 1 - m0 < max_terms:
+        while acc > _W_CUTOFF:
+            if j + 1 - m0 >= _WEIGHT_TERMS:
+                raise SeriesError(f"doubling weights still live {_WEIGHT_TERMS} terms above nu")
             acc += self._w_increment(j, g)
             j += 1
             idx.append(j)
@@ -386,26 +389,21 @@ class DoublingSeries:
             w.insert(0, acc)
         return m0, idx, w
 
-    def k_indicator(self, g: float) -> LogValue:
+    def window(self, g: float) -> tuple[float, _Blocks]:
+        """The live weights, relative to n_{m0}; below the first break
+        (n_0 = 0) every weight, relative to the largest index."""
         m0, idx, w = self.weights(g)
         terms = [(self.term(j).log_n, wj) for j, wj in zip(idx, w)]
         if m0 > 0:
-            ref = self.term(m0).log_n
-            terms = [(log_n, wj) for log_n, wj in terms if wj > _W_CUTOFF]
+            log_ref = self.term(m0).log_n
+            terms = [t for t in terms if t[1] > _W_CUTOFF]
         else:
-            # below the first break the central index n_0 = 0 adds nothing to
-            # the numerator: every term counts, indices relative to the largest
-            ref = max(log_n for log_n, _ in terms)
-        s0 = 0.0
-        s1 = 0.0
-        for log_n, wj in terms:
-            e = math.exp(wj)
-            ratio = math.exp(log_n - ref) if log_n > -math.inf else 0.0
-            s0 += e
-            s1 += e * ratio
-        if s1 <= 0.0:
-            return LogValue.zero()
-        return LogValue.pos(ref + math.log(s1) - math.log(s0))
+            log_ref = max(log_n for log_n, _ in terms)
+        x = [math.exp(log_n - log_ref) for log_n, _ in terms]
+        return log_ref, [(np.array(x), np.array([wj for _, wj in terms]))]
+
+    def k_indicator(self, g: float) -> LogValue:
+        return _k_indicator(*self.window(g))
 
     def log_max_term(self, g: float) -> LogValue:
         """log mu(r) as a LogValue, from the all-positive branch sums of

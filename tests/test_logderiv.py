@@ -268,3 +268,23 @@ class TestCertificate:
         spec = L.exp_inverse_power_spec(2.0)
         with pytest.raises(Exception):
             L.logderiv_certificate(spec, 1, 1, 0.1, L.RadialWindowSet(((1.0, 2.0),)))
+
+
+class TestZeroCountsBandEdge:
+    def test_atoms_straddling_the_radial_band(self):
+        # atoms at radial gap s*h from zeta, on its ray and off it: the count
+        # and N must equal the per-atom loop over every atom
+        gz, tz, h = 3.0, 1.2, 0.3 * math.exp(-3.0)
+        offsets = [-2.5, -2.0001, -1.5, -1 - 1e-12, -1.0, -0.5, 0.25,
+                   0.5, 1.0, 1 + 1e-12, 1.5, 1.9999, 2.0001, 2.5]
+        pts = [(-math.log(math.exp(-gz) + s * h), tz + dt, m)
+               for s in offsets for dt, m in ((0.0, 1), (0.05 * h, 2), (2.0, 1))]
+        cloud = synthetic_cloud(pts)
+        n, big_n = 0, 0.0
+        for g, t, m in pts:
+            d = L._pair_distance(gz, tz, g, t)
+            if d <= h:
+                n += m
+                big_n += m * math.log(h / d)
+        assert n >= 10
+        assert L.zero_counts(cloud, (LogGap(gz), tz), h) == (n, big_n)

@@ -323,3 +323,45 @@ class TestExcludedArcs:
         assert rpt.fitted_c4 >= 0.0
         for g, m in rpt.per_circle_excluded:
             assert m <= rpt.fitted_c4 * rpt.eps + 1e-12
+
+
+def _excluded_arcs_scalar(cloud, g_circle, eps):
+    """Reference: the per-atom loop over every atom, merged as in the module."""
+    r = -math.expm1(-g_circle)
+    lim = eps * math.exp(-g_circle)
+    flat = []
+    for ga, ta in zip(cloud.g, cloud.theta):
+        dr = math.exp(-g_circle) - math.exp(-ga)
+        if abs(dr) > lim:
+            continue
+        sin2 = (lim * lim - dr * dr) / (4.0 * r * -math.expm1(-ga))
+        half = 2.0 * math.asin(min(1.0, math.sqrt(max(sin2, 0.0))))
+        lo, hi = (ta - half) % (2.0 * math.pi), (ta + half) % (2.0 * math.pi)
+        flat.extend([(lo, 2.0 * math.pi), (0.0, hi)] if hi < lo else [(lo, hi)])
+    merged = []
+    for lo, hi in sorted(flat):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+class TestExcludedArcsBandEdge:
+    @pytest.mark.parametrize("g_circle, eps", [(2.0, 0.05), (6.5, 0.3), (12.0, 0.01)])
+    def test_atoms_straddling_the_band_edge(self, g_circle, eps):
+        # radial offsets in units of the band half-width eps (1 - r): inside,
+        # on and just beyond the edge, and past the prefilter's 2x margin
+        lim = eps * math.exp(-g_circle)
+        offsets = [-2.5, -2.0001, -1.5, -1 - 1e-12, -1.0, -1 + 1e-12, -0.5, 0.0,
+                   0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1.5, 1.9999, 2.0001, 2.5]
+        gs = np.array([-math.log(math.exp(-g_circle) + s * lim) for s in offsets])
+        thetas = np.linspace(0.1, 6.2, len(offsets))
+        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs), [None] * len(gs))
+        want = _excluded_arcs_scalar(cloud, g_circle, eps)
+        assert len(want) >= 5
+        assert R.excluded_arcs(cloud, g_circle, eps) == want
+
+    def test_cloud_matches_scalar_loop(self, gen1_cloud):
+        for g in (1.0, 3.5, float(gen1_cloud.g[100])):
+            assert R.excluded_arcs(gen1_cloud, g, 0.05) == _excluded_arcs_scalar(gen1_cloud, g, 0.05)

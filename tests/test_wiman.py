@@ -341,3 +341,48 @@ class TestSeriesProtocol:
             got = _comparable(_call_method(series, op, g))
             assert _comparable(_MODULE_OPS[op](series, LogGap(g))) == got
             assert _comparable(_call_method(mat, op, g)) == pytest.approx(got, rel=1e-12, abs=1e-12)
+
+
+class TestWindowReducer:
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_doubling_k_at_exact_break_radius(self, j):
+        # at g = g_j the weight increment (n_{j+1} - n_j)(log r - log c_j) is 0
+        b = W.DoublingSeries(1.0, 2.0)
+        g = b.break_g(j)
+        got = b.k_indicator(g).logmag
+        assert math.isfinite(got)
+        assert got == pytest.approx(W.k_indicator(b.materialize(5), g).logmag, rel=1e-12)
+
+    def test_doubling_sweep_ending_on_a_break(self):
+        b = W.DoublingSeries(1.0, 2.0)
+        gs = np.linspace(b.break_g(0), b.break_g(6), 200)
+        assert gs[-1] == b.break_g(6)
+        for g in gs:
+            assert math.isfinite(b.k_indicator(float(g)).logmag)
+            b.weights(float(g))
+
+    def test_doubling_weights_walk_cap_raises(self, monkeypatch):
+        b = W.DoublingSeries(1.0, 2.0)
+        b.weights(2.6)
+        monkeypatch.setattr(W, "_WEIGHT_TERMS", 1)
+        with pytest.raises(W.SeriesError):
+            b.weights(2.6)
+        with pytest.raises(W.SeriesError):
+            b.k_indicator(2.6)
+
+    @pytest.mark.parametrize("g", [0.2, 2.5, 3.0])
+    def test_power_law_matches_ladder(self, g):
+        # g = 0.2 lies below the first break (central index 0)
+        s = W.PowerLawSeries(1.0)
+        mat = s.materialize(3000)
+        assert s.k_indicator(g).logmag == pytest.approx(mat.k_indicator(g).logmag, rel=1e-12)
+        assert s.derivative_ratio(2, g) == pytest.approx(mat.derivative_ratio(2, g), rel=1e-12)
+
+    def test_power_law_window_stops_where_weights_die(self):
+        s = W.PowerLawSeries(1.0)
+        visited = []
+        break_g = s.break_g
+        s.break_g = lambda k: visited.append(np.size(k)) or break_g(k)
+        log_ref, blocks = s.window(0.5)
+        assert sum(len(x) for x, _ in blocks) > 10
+        assert sum(visited) < 1000
