@@ -1,7 +1,9 @@
 """The two hot numeric kernels, one numpy implementation each.
 
-``kernel_sums`` evaluates weighted disc-kernel sums over atom clouds (the
-Riesz surrogate); ``taylor_recursion`` is the dense O(degree^2) log-domain
+``kernel_sums`` evaluates weighted disc-kernel sums of samples over the
+sources it is given; the Riesz surrogate passes each sample its near-field
+sources (``riesz._near_atoms``), the tests the whole cloud as the direct-sum
+reference.  ``taylor_recursion`` is the dense O(degree^2) log-domain
 Taylor convolution for f^(k) = -A f, the general path of ``ode.taylor_solve``
 and the oracle its pole recursion is tested against.
 

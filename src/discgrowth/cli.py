@@ -39,6 +39,7 @@ def _scaffold_records(scaffold) -> list[dict]:
     doc = scaffold.to_json_dict()
     head = {"kind": "scaffold-params", **doc["params"], "retries": doc["retries"]}
     recs = [head]
+    eps_bound = (scaffold.params.p2 - scaffold.params.p1) / 2.0  # the paper's |eps_n| bound
     checks = []
     for g in doc["generations"]:
         recs.append({"kind": "generation", **g})
@@ -54,8 +55,8 @@ def _scaffold_records(scaffold) -> list[dict]:
             {
                 "name": f"oscillation-bound-gen-{g['n']}",
                 "value": abs(g["eps"]),
-                "threshold": 0.5,
-                "passed": abs(g["eps"]) < 0.5,
+                "threshold": eps_bound,
+                "passed": abs(g["eps"]) < eps_bound,
             }
         )
     recs.extend({"kind": "check", **c} for c in checks)
@@ -148,6 +149,12 @@ def _cmd_series(args) -> int:
     if args.action != "reference":
         raise CliValidationError(f"unknown series action {args.action!r}")
     series = W.build_reference_series(args.variant, sigma=args.sigma, lam=args.lam, delta=args.delta)
+    if args.trace and args.variant == "doubling":
+        k_inside = series.first_inside_k()
+        if args.trace_k_lo < k_inside:
+            raise CliValidationError(
+                f"--trace-k-lo {args.trace_k_lo} is below k = {k_inside}, the first k with r_k > 0"
+            )
     recs: list[dict] = []
     if args.variant == "power-law":
         recs.append({"kind": "series-params", "variant": "power-law", "sigma": args.sigma})

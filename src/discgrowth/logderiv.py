@@ -175,8 +175,14 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
         raise NumericsError("need h < 1 - |zeta|")
     n = 0
     big_n = 0.0
-    # dist >= the radial gap |e^-g - e^-gz|; the factor 2 covers numpy's exp rounding
-    near = np.abs(np.exp(-cloud.g) - math.exp(-gz)) <= 2.0 * h
+    # dist >= the radial gap |e^-g - e^-gz|, and the disc about zeta subtends
+    # |theta - tz| <= asin(h/|zeta|) < 2 h/|zeta| unless it holds the origin;
+    # the factor 2 also covers numpy's rounding.  Survivors keep cloud order.
+    near = np.flatnonzero(np.abs(np.exp(-cloud.g) - math.exp(-gz)) <= 2.0 * h)
+    rz = -math.expm1(-gz)
+    if h < rz:
+        wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
+        near = near[wrapped <= 2.0 * h / rz]
     for g, t, m in zip(cloud.g[near], cloud.theta[near], cloud.mult[near]):
         d = _pair_distance(gz, tz, g, t)
         if d <= h:

@@ -22,6 +22,10 @@ same operation and element order as that loop, so outputs are bit-identical
 to it.  ``PolarCell`` objects are built only when a caller indexes or
 iterates the columns.
 
+The surrogate sums each sample over its near field only: the rings within
+64 local cell sizes of it and, on each, an angular window found in a ring
+index built once per cloud.
+
 Enumeration happens in plain double arithmetic and is therefore capped at
 moderate g (cells per ring grow like e^g); the cap and the cell-count
 ceiling are explicit, and hitting them yields a truncation report rather
@@ -413,9 +417,11 @@ class ZeroCloud:
     cells: Sequence[PolarCell]
     profile: RadialProfile | None = None
     # built on the first surrogate evaluation: the kernel source triple
-    # (atoms ++ cell nodes), its node tail and the sorted atom positions
+    # (atoms ++ cell nodes), its node tail, the ring index of the atoms and
+    # the sorted atom positions
     _sources: tuple | None = field(default=None, repr=False)
     _nodes: tuple | None = field(default=None, repr=False)
+    _rings: _RingIndex | None = field(default=None, repr=False)
     _atom_keys: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -554,20 +560,120 @@ def eval_log_surrogate(
     return eval_log_surrogate_many(cloud, profile, [z])[0]
 
 
+# near field of a sample: the rings within _NEAR_CUT local cell sizes of it
+_NEAR_CUT = 64.0
+_TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class _RingIndex:
+    """The atoms of a cloud grouped by ring: each run of consecutive atoms
+    whose cells share (g_lo, g_hi) is one ring, its atoms listed by ascending
+    theta mod 2 pi.  ``keys`` = 8 ring + theta mod 2 pi in that order, so one
+    binary search finds an angular window on every ring (2 pi < 8)."""
+
+    order: np.ndarray  # atom indices, ring-major, theta-ascending
+    keys: np.ndarray
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+    s: np.ndarray  # max(radial extent, widest cell width x r_lo)
+
+
+def _ring_index(cloud: ZeroCloud) -> _RingIndex:
+    """Built once per cloud.  ``atomize`` emits atoms ring by ring, sorted by
+    theta within a ring, so the index is a diff of run boundaries; a ring
+    given out of theta order (positional ZeroCloud input) is argsorted."""
+    if cloud._rings is not None:
+        return cloud._rings
+    cells = CellColumns.of(cloud.cells)
+    n = len(cells)
+    new_ring = np.ones(n, dtype=bool)
+    new_ring[1:] = (cells.g_lo[1:] != cells.g_lo[:-1]) | (cells.g_hi[1:] != cells.g_hi[:-1])
+    starts = np.flatnonzero(new_ring)
+    ring_of = np.cumsum(new_ring) - 1
+    theta = np.mod(cloud.theta, _TWO_PI)
+    order = np.arange(n)
+    ends = np.append(starts[1:], n)
+    descents = np.flatnonzero(theta[1:] < theta[:-1]) + 1
+    for ring in np.unique(ring_of[descents[~new_ring[descents]]]):
+        a, b = starts[ring], ends[ring]
+        order[a:b] = a + np.argsort(theta[a:b], kind="stable")
+    g_lo, g_hi = cells.g_lo[starts], cells.g_hi[starts]
+    r_lo = -np.expm1(-g_lo)
+    width = np.maximum.reduceat(cells.theta_hi - cells.theta_lo, starts)
+    cloud._rings = _RingIndex(
+        order=order, keys=8.0 * ring_of + theta[order], r_lo=r_lo,
+        r_hi=-np.expm1(-g_hi), s=np.maximum(np.exp(-g_lo) - np.exp(-g_hi), width * r_lo),
+    )
+    return cloud._rings
+
+
+def _near_atoms(rings: _RingIndex, delta: float, theta: float) -> np.ndarray:
+    """Indices of the atoms within the near field of the point (delta, theta):
+    on each ring within _NEAR_CUT s of it, the atoms in the angular window of
+    half-width sqrt((_NEAR_CUT s)^2 - dr^2) / r_lo about theta, where dr is
+    the radial distance to the ring; the whole ring once that reaches pi."""
+    r = 1.0 - delta
+    reach = _NEAR_CUT * rings.s
+    dr = np.maximum(np.maximum(rings.r_lo - r, r - rings.r_hi), 0.0)
+    span = np.sqrt(np.maximum(reach * reach - dr * dr, 0.0))
+    near = dr <= reach
+    whole = near & (span >= math.pi * rings.r_lo)  # also an innermost ring with r_lo = 0
+    part = near & ~whole
+    half = span / np.where(part, rings.r_lo, 1.0)
+    t = theta % _TWO_PI
+    # per ring, the window clipped to [0, 2 pi] and the piece wrapping round;
+    # a far ring gets two empty windows
+    lo = np.where(part, t - half, np.where(whole, 0.0, 1.0))
+    hi = np.where(part, t + half, np.where(whole, _TWO_PI, 0.0))
+    wrap_lo = np.where(lo < 0.0, lo + _TWO_PI, 0.0)
+    wrap_hi = np.where(lo < 0.0, _TWO_PI, np.where(hi > _TWO_PI, hi - _TWO_PI, -1.0))
+    base = np.tile(8.0 * np.arange(len(rings.s)), 2)
+    first = np.searchsorted(rings.keys, base + np.concatenate([np.maximum(lo, 0.0), wrap_lo]), "left")
+    last = np.searchsorted(rings.keys, base + np.concatenate([np.minimum(hi, _TWO_PI), wrap_hi]), "right")
+    count = np.maximum(last - first, 0)
+    pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    return rings.order[pos]
+
+
 def eval_log_surrogate_many(
     cloud: ZeroCloud, profile: RadialProfile, zs: Sequence[tuple[LogGap, float]]
 ) -> np.ndarray:
     """phi(|z|) plus the atomization correction
     sum_atoms mult [log|(z-zeta)/(1-conj(z) zeta)| - cell average of the same
-    kernel]; -inf at a point that sits exactly on an atom."""
-    samp_delta = np.array([math.exp(-as_g(g)) for g, _ in zs])
-    samp_theta = np.array([t for _, t in zs])
-    base = np.array([profile.phi(as_g(g)) for g, _ in zs])
+    kernel]; -inf at a point that sits exactly on an atom.
+
+    Each term has zero net mass, so its far field decays fast, and the sum
+    runs over the near field only (``_near_atoms``: the rings within
+    _NEAR_CUT = 64 local cell sizes of z, and the cell nodes of their atoms).
+    That keeps 9% of the sources on the 5.9k-atom generation-1 cloud of the
+    small test scaffold and 0.8% on the 127k-atom cloud of the wide one.
+    Measured against the direct sum over every source, on uniform random
+    samples over the enumerated range (600 and 120 samples), the dropped
+    tail is at most 1.4e-4 and 1.6e-4 on these clouds, largest at g < 3
+    where the sample sees far rings of fine cells, and at most 5.2e-5 and
+    1.1e-4 at g >= 3.  No runtime estimate of the tail is made, because the
+    cheap ones do not bound it: on 48 random samples of the wide cloud at
+    g >= 3, |S(64) - S(32)| (S(c): the sum at cut c) fell below the true
+    error on 11, by up to 51x, and max(|S(64) - S(32)|, |S(32) - S(16)|/2)
+    on 2.
+    """
+    gs = np.array([as_g(g) for g, _ in zs], dtype=float)
+    samp_delta = np.exp(-gs)
+    samp_theta = np.array([t for _, t in zs], dtype=float)
+    out = profile.phi(gs)
     if len(cloud) == 0:
-        return base
+        return out
     _cell_nodes(cloud)
-    corr = kernel_sums(samp_delta, samp_theta, *cloud._sources)
-    out = base + corr
+    rings = _ring_index(cloud)
+    n = len(cloud)
+    node = np.arange(16)
+    for i, (delta, theta) in enumerate(zip(samp_delta.tolist(), samp_theta.tolist())):
+        atoms = _near_atoms(rings, delta, theta)
+        src = np.concatenate([atoms, (n + 16 * atoms[:, None] + node).ravel()])
+        out[i] += kernel_sums(
+            samp_delta[i : i + 1], samp_theta[i : i + 1], *(col[src] for col in cloud._sources)
+        )[0]
     out[_on_atom(cloud, samp_delta, samp_theta)] = -math.inf
     return out
 
@@ -663,10 +769,9 @@ def approximation_report(
                 continue
             zs.append((LogGap(g), t))
             picked += 1
+    gs = np.array([z[0].g for z in zs])
     vals = eval_log_surrogate_many(cloud, profile, zs)
-    errs = np.array(
-        [abs(v - profile.phi(z[0].g)) / (1.0 + math.log(max(z[0].g, 1.0))) for v, z in zip(vals, zs)]
-    )
+    errs = np.abs(vals - profile.phi(gs)) / (1.0 + np.log(np.maximum(gs, 1.0)))
     per_circle = [(g, excluded_measure(cloud, g, eps)) for g in circle_gs]
     c4 = max((m / eps for _, m in per_circle), default=0.0) if eps > 0 else 0.0
     return ApproxReport(

@@ -337,6 +337,13 @@ class DoublingSeries:
         """r_k = 2 c_k - 1, i.e. gap twice the break gap."""
         return LogGap(self.break_g(k) - math.log(2.0))
 
+    def first_inside_k(self) -> int:
+        """Smallest k with r_k > 0 inside the disc, i.e. break_g(k) > log 2."""
+        k = 0
+        while self.break_g(k) <= math.log(2.0):
+            k += 1
+        return k
+
     def materialize(self, terms: int, log_a0: float = 0.0) -> SparseSeries:
         ns = []
         for j in range(terms):

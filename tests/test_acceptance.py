@@ -40,7 +40,8 @@ def small(small_scaffold):
 def test_criterion_1_scaffold_consistency(reference):
     sc, _ = reference
     assert len(sc.generations) == 4
-    eps_ok = all(abs(g.eps_n) < 0.5 for g in sc.generations)
+    eps_bound = (sc.params.p2 - sc.params.p1) / 2.0  # the paper's |eps_n| < (p2 - p1)/2
+    eps_ok = all(abs(g.eps_n) < eps_bound for g in sc.generations)
     res = max(g.residual for g in sc.generations)
     order_ok = all(g.ordered() for g in sc.generations)
     increasing = all(

@@ -75,6 +75,17 @@ class TestScaffoldCmd:
         code = run("scaffold", "--p1", "3", "--p2", "2", "--out", str(tmp_path / "x.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("p1, p2, bound", [("2", "3", 0.5), ("2", "4", 1.0), ("2", "2.5", 0.25)])
+    def test_oscillation_threshold_is_the_paper_bound(self, tmp_path, p1, p2, bound):
+        # |eps_n| < (p2 - p1)/2, read from the scaffold's own parameters
+        out = tmp_path / "s.json"
+        assert run("scaffold", "--p1", p1, "--p2", p2, "--generations", "2", "--out", str(out)) == 0
+        recs = read_records(str(out))
+        eps = [abs(r["eps"]) for r in recs if r["kind"] == "generation"]
+        checks = [r for r in recs if r["kind"] == "check" and r["name"].startswith("oscillation-bound")]
+        assert [c["threshold"] for c in checks] == [bound, bound]
+        assert [c["passed"] for c in checks] == [e < bound for e in eps]
+
 
 class TestPredict:
     def test_reference_values(self, capsys):
@@ -118,6 +129,18 @@ class TestSeriesCmd:
         k_logs = [float(row.split(",")[3]) for row in rows]
         assert len(k_logs) == 15
         assert all(math.isfinite(k) for k in k_logs)
+
+    def test_trace_k_lo_below_the_first_inside_radius(self, tmp_path, capsys):
+        # sigma 3: r_0 = 2 c_0 - 1 < 0 lies outside the disc; k = 1 is the first inside
+        out, trace = tmp_path / "ser.json", tmp_path / "tr.csv"
+        args = ["series", "reference", "--variant", "doubling", "--lambda", "1", "--sigma", "3",
+                "--out", str(out), "--trace", str(trace)]
+        assert run(*args, "--trace-k-lo", "0") == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "CliValidationError" and "k = 1" in err["message"]
+        assert not out.exists() and not trace.exists()
+        assert run(*args, "--trace-k-lo", "1") == 0
+        assert len(trace.read_text().splitlines()) == 15
 
     def test_rejects_bad_delta(self, tmp_path):
         code = run("series", "reference", "--variant", "doubling", "--lambda", "1", "--sigma", "2",

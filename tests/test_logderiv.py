@@ -288,3 +288,27 @@ class TestZeroCountsBandEdge:
                 big_n += m * math.log(h / d)
         assert n >= 10
         assert L.zero_counts(cloud, (LogGap(gz), tz), h) == (n, big_n)
+
+    @pytest.mark.parametrize("gz, tz, h_frac", [(3.0, 0.01, 0.3), (3.0, 2.0 * math.pi - 0.01, 0.3),
+                                                (8.0, 3.0, 0.9), (0.51, 0.2, 0.8)])
+    def test_atoms_straddling_the_angular_window(self, gz, tz, h_frac):
+        # atoms on and just off zeta's circle, and near the origin, at angular
+        # offsets around the disc's edge, the window 2 h/|zeta| and pi, across
+        # theta = 0 and given both wrapped and unwrapped; the last disc holds
+        # the origin (h > |zeta|), so its atoms near the origin at any angle count
+        h = h_frac * math.exp(-gz)
+        rz = -math.expm1(-gz)
+        edge = 2.0 * math.asin(min(1.0, h / (2.0 * rz)))  # chord h on zeta's circle
+        dts = [u * 2.0 * h / rz for u in (-1.0001, -0.9999, -0.5, 0.5, 0.9999, 1.0001, 3.0)]
+        dts += [u * edge for u in (-1 - 1e-9, -1 + 1e-9, 1 - 1e-9, 1 + 1e-9)] + [math.pi]
+        pts = [(g, t, m) for g in (gz, gz + 0.01, 0.05) for dt in dts
+               for t, m in ((tz + dt, 1), ((tz + dt) % (2.0 * math.pi), 2))]
+        cloud = synthetic_cloud(pts)
+        n, big_n = 0, 0.0
+        for g, t, m in pts:
+            d = L._pair_distance(gz, tz, g, t)
+            if d <= h:
+                n += m
+                big_n += m * math.log(h / d)
+        assert n >= 6
+        assert L.zero_counts(cloud, (LogGap(gz), tz), h) == (n, big_n)

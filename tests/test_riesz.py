@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from discgrowth import riesz as R
+from discgrowth._accel import kernel_sums
 from discgrowth.numerics import LogGap, integrate
 from discgrowth.profiles import RadialProfile
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
@@ -27,6 +28,13 @@ def gen1_partition(small_profile):
 @pytest.fixture(scope="module")
 def gen1_cloud(gen1_partition, small_profile):
     return R.atomize(gen1_partition, small_profile)
+
+
+@pytest.fixture(scope="module")
+def wide_cloud(wide_scaffold):
+    """Generation 1 of the wide scaffold: 127k atoms."""
+    prof = RadialProfile(wide_scaffold)
+    return R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=200_000), prof), prof
 
 
 def quad_mass(profile, cell):
@@ -274,16 +282,31 @@ class TestColumns:
             cloud.to_jsonl()
 
 
+def _direct_sum(cloud, profile, zs):
+    """The surrogate as a direct sum: scalar phi plus the kernel sum over every
+    source of the cloud (all atoms and all their cell nodes)."""
+    R._cell_nodes(cloud)
+    return [
+        profile.phi(g.g) + kernel_sums(np.array([math.exp(-g.g)]), np.array([t]), *cloud._sources)[0]
+        for g, t in zs
+    ]
+
+
 class TestPinnedValues:
-    """Values recorded at commit dc95d27 (one PolarCell per cell and per
-    atom); the column layout must reproduce them bit for bit."""
+    """The direct sums reproduce values recorded at commit dc95d27 (one
+    PolarCell per cell and per atom), so the column layout of the cell nodes
+    must match them bit for bit.  The near-field values of
+    eval_log_surrogate_many are pinned beside them; they differ from the
+    direct sums by at most 1.3e-4."""
 
     def test_surrogate_values(self, gen1_cloud, small_profile):
         zs = [(LogGap(1.0), 0.3), (LogGap(3.5), 2.0), (LogGap(6.15), 1.0), (LogGap(8.0), 5.0)]
+        direct = _direct_sum(gen1_cloud, small_profile, zs)
+        assert [v.hex() for v in direct] == ["0x1.e0455c12d7429p+3", "0x1.33942de12a136p+4",
+                                             "0x1.9c4c91dcccf8fp+3", "0x1.03662bc3253d4p+5"]
         got = R.eval_log_surrogate_many(gen1_cloud, small_profile, zs)
-        want = ["0x1.e0455c12d7429p+3", "0x1.33942de12a136p+4",
-                "0x1.9c4c91dcccf8fp+3", "0x1.03662bc3253d4p+5"]
-        assert [v.hex() for v in got.tolist()] == want
+        assert [v.hex() for v in got.tolist()] == ["0x1.e0448459e04c1p+3", "0x1.33940c1c7fdf6p+4",
+                                                   "0x1.9c4c8d22af156p+3", "0x1.03662b939cc1dp+5"]
 
     def test_hat_region_cloud_and_surrogate(self):
         # p > p2 opens the A-hat region; the ceiling stops inside A-dprime
@@ -295,8 +318,89 @@ class TestPinnedValues:
         cloud = R.atomize(part, prof, split_doubles=True)
         digest = hashlib.sha256(cloud.to_jsonl().encode()).hexdigest()
         assert digest == "f63e024ca262afb9840dbddebdc386068ac9f48950e7bb8d7ca53e34719f3a3a"
-        got = R.eval_log_surrogate_many(cloud, prof, [(LogGap(6.3), 0.5), (LogGap(2.0), 4.0)])
-        assert [v.hex() for v in got.tolist()] == ["0x1.596b141685cdcp+4", "0x1.d90f88e561307p+3"]
+        zs = [(LogGap(6.3), 0.5), (LogGap(2.0), 4.0)]
+        direct = _direct_sum(cloud, prof, zs)
+        assert [v.hex() for v in direct] == ["0x1.596b141685cdcp+4", "0x1.d90f88e561307p+3"]
+        got = R.eval_log_surrogate_many(cloud, prof, zs)
+        assert [v.hex() for v in got.tolist()] == ["0x1.596b123e6d679p+4", "0x1.d90e8505de20cp+3"]
+
+
+def _near_atoms_loop(cloud, delta, theta):
+    """The near-field rule atom by atom: keep an atom when its ring (its
+    cell's g_lo, g_hi) lies within 64 s of the point, s = max(radial extent,
+    widest cell width on the ring x r_lo), and its angle lies within
+    sqrt((64 s)^2 - dr^2) / r_lo of theta, or that window reaches pi."""
+    cells = list(cloud.cells)
+    widest = {}
+    for c in cells:
+        key = (c.g_lo, c.g_hi)
+        widest[key] = max(widest.get(key, 0.0), c.theta_hi - c.theta_lo)
+    r = 1.0 - delta
+    kept = []
+    for i, c in enumerate(cells):
+        s = max(math.exp(-c.g_lo) - math.exp(-c.g_hi), widest[(c.g_lo, c.g_hi)] * c.r_lo)
+        reach = 64.0 * s
+        dr = max(c.r_lo - r, r - c.r_hi, 0.0)
+        if dr > reach:
+            continue
+        span = math.sqrt(reach * reach - dr * dr)
+        off = abs((float(cloud.theta[i]) - theta + math.pi) % (2.0 * math.pi) - math.pi)
+        if span >= math.pi * c.r_lo or off <= span / c.r_lo:
+            kept.append(i)
+    return kept
+
+
+class TestNearField:
+    def test_agrees_with_direct_sum(self, gen1_cloud, small_profile, wide_cloud):
+        rng = np.random.default_rng(11)
+        for (cloud, prof), m in (((gen1_cloud, small_profile), 64), (wide_cloud, 8)):
+            g_top = float(np.max(cloud.g)) + 0.3
+            zs = [(LogGap(float(g)), float(t))
+                  for g, t in zip(rng.uniform(0.0, g_top, m), rng.uniform(0.0, 2.0 * math.pi, m))]
+            got = R.eval_log_surrogate_many(cloud, prof, zs)
+            assert np.max(np.abs(got - _direct_sum(cloud, prof, zs))) <= 2e-4
+
+    @pytest.mark.parametrize("g", [0.1, 2.2, 6.0, 7.9])
+    def test_window_matches_the_per_atom_rule(self, gen1_cloud, small_profile, g):
+        # the ring index gives the same atoms as the rule applied atom by atom,
+        # also for windows across theta = 0 and angles outside [0, 2 pi)
+        rings = R._ring_index(gen1_cloud)
+        delta = math.exp(-g)
+        for theta in (1e-12, 0.02, 2.0, 2.0 * math.pi - 0.02, -0.3, 2.0 * math.pi + 0.3):
+            want = _near_atoms_loop(gen1_cloud, delta, theta)
+            assert want and sorted(R._near_atoms(rings, delta, theta).tolist()) == want
+
+    def test_shuffled_rings_give_the_same_values(self, gen1_cloud, small_profile):
+        # a positional cloud with each ring's atoms out of theta order
+        new_ring = np.ones(len(gen1_cloud), dtype=bool)
+        new_ring[1:] = np.diff(gen1_cloud.cells.g_lo) != 0.0
+        rng = np.random.default_rng(5)
+        order = np.lexsort((rng.random(len(gen1_cloud)), np.cumsum(new_ring)))
+        shuffled = R.ZeroCloud(
+            gen1_cloud.g[order], gen1_cloud.theta[order], gen1_cloud.mult[order],
+            gen1_cloud.kind[order], gen1_cloud.cells[order], small_profile,
+        )
+        zs = [(LogGap(g), t) for g, t in ((1.0, 0.3), (3.5, 2.0), (6.15, 1.0), (8.0, 6.2))]
+        assert np.array_equal(
+            R.eval_log_surrogate_many(shuffled, small_profile, zs),
+            R.eval_log_surrogate_many(gen1_cloud, small_profile, zs),
+        )
+
+    def test_sources_per_sample_under_two_percent(self, wide_cloud, monkeypatch):
+        # a fall-back to the full sum over 17 N sources shows without timing
+        cloud, prof = wide_cloud
+        pairs, samples = [], []
+
+        def counting(samp_delta, samp_theta, src_delta, src_theta, src_weight):
+            pairs.append(len(samp_delta) * len(src_delta))
+            samples.append(len(samp_delta))
+            return kernel_sums(samp_delta, samp_theta, src_delta, src_theta, src_weight)
+
+        monkeypatch.setattr(R, "kernel_sums", counting)
+        zs = [(LogGap(float(g)), float(t)) for g, t in zip(np.linspace(0.2, 11.3, 12), np.linspace(0.0, 6.2, 12))]
+        R.eval_log_surrogate_many(cloud, prof, zs)
+        assert sum(samples) == len(zs)
+        assert sum(pairs) < 0.02 * 17 * len(cloud) * len(zs)
 
 
 class TestExcludedArcs:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from discgrowth.numerics import LogGap, LogValue
+from discgrowth.numerics import LogGap, LogValue, NumericsError
 from discgrowth import wiman as W
 
 
@@ -245,6 +245,17 @@ class TestReferenceConstructions:
             val = t.log_n if t.n is None else math.log(max(t.n, 1))
             assert val > prev or j == 0
             prev = val
+
+    @pytest.mark.parametrize("lam, sigma, delta", [(1.0, 3.0, None), (1.0, 2.0, None), (0.5, 3.0, None),
+                                                   (2.9, 3.0, None), (5.0, 20.0, 0.9), (10.0, 20.0, 0.9),
+                                                   (20.0, 40.0, 0.95), (30.0, 40.0, 0.9)])
+    def test_first_inside_k_is_the_first_radius_in_the_disc(self, lam, sigma, delta):
+        b = W.DoublingSeries(lam, sigma, delta)
+        k = b.first_inside_k()
+        assert b.r_k(k).g > 0.0
+        if k > 0:
+            with pytest.raises(NumericsError):
+                b.r_k(k - 1)
 
     def test_variant_a_rejects_lambda(self):
         with pytest.raises(W.SeriesError):
