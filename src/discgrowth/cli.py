@@ -21,7 +21,14 @@ from . import logderiv as L
 from . import ode as O
 from . import riesz as R
 from . import wiman as W
-from .numerics import LogValue, NumericsError
+from .numerics import (
+    BracketError,
+    LogValue,
+    NumericsError,
+    QuadratureError,
+    RootConvergenceError,
+    SeriesCapError,
+)
 from .profiles import RadialProfile, branch_samples
 from .scaffold import ScaffoldParams, build_scaffold, scaffold_from_json_dict
 from .serialize import dumps17, read_records, write_records
@@ -496,19 +503,16 @@ def main(argv=None) -> int:
         except SystemExit as e:
             return int(e.code or 0)
         return args.func(args)
-    except (CliValidationError, NumericsError) as err:
-        code = 2 if _is_validation(err) else 3
+    except Exception as err:
         sys.stderr.write(dumps17({"error": type(err).__name__, "message": str(err)}) + "\n")
-        return code
-    except OSError as err:
-        sys.stderr.write(dumps17({"error": type(err).__name__, "message": str(err)}) + "\n")
-        return 2
+        return 2 if _is_validation(err) else 3
 
 
 def _is_validation(err: Exception) -> bool:
-    from .numerics import BracketError, QuadratureError, RootConvergenceError
-
-    return not isinstance(err, (BracketError, QuadratureError, RootConvergenceError))
+    """Bad input (exit 2) as opposed to a numerical or unforeseen failure (3)."""
+    if isinstance(err, (BracketError, QuadratureError, RootConvergenceError, SeriesCapError)):
+        return False
+    return isinstance(err, (CliValidationError, NumericsError, OSError))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,11 @@ CANCEL_RATIO = 1e-12
 # relative stopping test underflows to 0 below ~1e-306
 TINY_GAP = 1e-300
 
-# iteration cap of the array series loops: converging series stop within
+# log-gap past which log(r_hi/r_lo) is its leading term e^(-g_lo)(1 - e^(-dg))
+# to the last bit (the correction is ~e^(-g_lo) relative)
+LEAD_ONLY_G = 700.0
+
+# iteration cap of every log-gap series loop: converging series stop within
 # ~40 terms, log_ratio_r's q^k < 1e-320 guard within ~740
 SERIES_CAP = 1000
 
@@ -51,6 +55,13 @@ class RootConvergenceError(NumericsError):
     def __init__(self, msg, lo, hi, f_lo, f_hi):
         super().__init__(f"{msg}: root in [{lo!r}, {hi!r}], f={f_lo!r}, {f_hi!r}")
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
+
+
+class SeriesCapError(NumericsError):
+    """A log-gap series ran SERIES_CAP terms without converging."""
+
+    def __init__(self, name):
+        super().__init__(f"{name}: series did not converge in {SERIES_CAP} terms")
 
 
 class QuadratureError(NumericsError):
@@ -132,15 +143,13 @@ def log_r_from_g(g: float) -> float:
         return -q
     term = q
     acc = q
-    k = 1
-    while True:
-        k += 1
+    for k in range(2, SERIES_CAP + 1):
         term *= q
         inc = term / k
         acc += inc
         if inc < acc * 1e-18:
-            break
-    return -acc
+            return -acc
+    raise SeriesCapError("log_r_from_g")
 
 
 def log_ratio_r(g_hi: float, g_lo: float) -> float:
@@ -163,15 +172,13 @@ def log_ratio_r(g_hi: float, g_lo: float) -> float:
     q = math.exp(-g_lo)
     qk = q
     acc = 0.0
-    k = 1
-    while True:
+    for k in range(1, SERIES_CAP + 1):
         inc = qk / k * (-math.expm1(-k * dg))
         acc += inc
         if inc <= acc * 1e-18 or qk < 1e-320:
-            break
-        k += 1
+            return acc
         qk *= q
-    return acc
+    raise SeriesCapError("log_ratio_r")
 
 
 def gap_diff_log(g_lo: float, g_hi: float) -> float:
@@ -190,7 +197,7 @@ def log_log_ratio_r(g_hi: float, g_lo: float) -> float:
     if g_hi <= g_lo:
         raise NumericsError(f"log_log_ratio_r needs g_hi > g_lo, got {g_hi} <= {g_lo}")
     lead = gap_diff_log(g_lo, g_hi)
-    if g_lo > 700.0:
+    if g_lo > LEAD_ONLY_G:
         return lead
     val = log_ratio_r(g_hi, g_lo)
     if val > 0.0:
@@ -208,15 +215,13 @@ def log_neg_log_r(g: float) -> float:
     q = math.exp(-g)
     corr = 0.0
     term = 1.0
-    k = 1
-    while True:
-        k += 1
+    for k in range(2, SERIES_CAP + 1):
         term *= q
         inc = term / k
         corr += inc
         if inc < 1e-18:
-            break
-    return -g + math.log1p(corr)
+            return -g + math.log1p(corr)
+    raise SeriesCapError("log_neg_log_r")
 
 
 def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None = None) -> float:
@@ -250,8 +255,9 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
         f = lambda w: (1.0 - w) * math.log1p(-w) + w if w > 0 else 0.0
         val = f(wa) - f(wb)
         return log_r + math.log(val)
-    # log(w_a - w_b) without cancellation
-    if wb > 0.0:
+    # log(w_a - w_b) without cancellation; t = log(w_b/w_a), kept even where
+    # w_b underflows
+    if log_wb != NEG_INF:
         if span_ba is not None:
             t = -span_ba + math.log(-math.expm1(-(g_r - g_b))) - math.log(
                 -math.expm1(-(g_r - g_a))
@@ -260,19 +266,22 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
             t = log_wb - log_wa
         log_dw = log_wa + math.log(-math.expm1(t))
     else:
+        t = NEG_INF
         log_dw = log_wa
+    if wa < TINY_GAP:
+        # the series over w_a is (1 + w_b/w_a)/2 to the last bit; summed, its
+        # terms underflow and the stopping test never fires
+        return log_r + log_dw + log_wa + math.log1p(math.exp(t)) - math.log(2.0)
     acc = 0.0
-    k = 1
-    while True:
+    for k in range(1, SERIES_CAP + 1):
         inner = 0.0
         for i in range(k + 1):
             inner += wa**i * wb ** (k - i)
         inc = inner / (k * (k + 1))
         acc += inc
         if inc < acc * 1e-18:
-            break
-        k += 1
-    return log_r + log_dw + math.log(acc)
+            return log_r + log_dw + math.log(acc)
+    raise SeriesCapError("log_int_log_ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +291,7 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
 
 def _check_cap(k: int, name: str) -> None:
     if k > SERIES_CAP:
-        raise NumericsError(f"{name}: series did not converge in {SERIES_CAP} terms")
+        raise SeriesCapError(name)
 
 
 def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
@@ -333,6 +342,15 @@ def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     return acc
 
 
+def log_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
+    """Array form of :func:`log_log_ratio_r`; -inf where g_hi == g_lo."""
+    g_hi = np.asarray(g_hi, dtype=float)
+    with np.errstate(divide="ignore"):
+        if g_lo > LEAD_ONLY_G:
+            return -g_lo + np.log(-np.expm1(-(g_hi - g_lo)))
+        return np.log(log_ratio_r_array(g_hi, g_lo))
+
+
 def log_int_log_ratio_array(
     g_r: np.ndarray, g_a: float, g_b: float | np.ndarray, span_ba: float | None = None
 ) -> np.ndarray:
@@ -370,7 +388,8 @@ def log_int_log_ratio_array(
     wa_k = np.ones_like(wa)
     inner = np.ones_like(wa)
     acc = np.zeros_like(wa)
-    live = np.ones(wa.shape, dtype=bool)
+    # w_a < TINY_GAP: the closed form of the scalar early-out
+    live = wa >= TINY_GAP
     k = 0
     while live.any():
         k += 1
@@ -380,7 +399,11 @@ def log_int_log_ratio_array(
         inc = inner / (k * (k + 1))
         acc[live] += inc[live]
         live &= inc >= acc * 1e-18
-    res[n] = log_r[n] + log_dw + np.log(acc)
+    with np.errstate(divide="ignore"):
+        log_acc = np.log(acc)
+    tiny = wa < TINY_GAP
+    log_acc[tiny] = log_wa[n][tiny] + np.log1p(np.exp(t[tiny])) - math.log(2.0)
+    res[n] = log_r[n] + log_dw + log_acc
     out[sel] = res
     return out
 

@@ -33,9 +33,9 @@ from .numerics import (
     gap_diff_log,
     log_int_log_ratio,
     log_int_log_ratio_array,
+    log_log_ratio_r,
+    log_log_ratio_r_array,
     log_r_from_g,
-    log_ratio_r,
-    log_ratio_r_array,
     lse_sum,
 )
 from .scaffold import Generation, IrregularScaffold
@@ -133,10 +133,9 @@ class RadialProfile:
 
     def _q1(self, g: float, gen: Generation) -> float:
         """R_n log(r/r_n)."""
-        ratio = log_ratio_r(g, gen.r_n.g)
-        if ratio == 0.0:
+        if g <= gen.r_n.g:
             return 0.0
-        return math.exp(gen.log_R + math.log(ratio))
+        return math.exp(gen.log_R + log_log_ratio_r(g, gen.r_n.g))
 
     def _q3(self, g: float, gen: Generation) -> float:
         """p1 (r - r_n')/(1 - r_n')."""
@@ -183,8 +182,7 @@ class RadialProfile:
         eps = gen.eps_n
         if b == 1:
             return (p2 + eps) * (g + log_c)
-        with np.errstate(divide="ignore"):
-            q1 = np.exp(gen.log_R + np.log(log_ratio_r_array(g, gen.r_n.g)))
+        q1 = np.exp(gen.log_R + log_log_ratio_r_array(g, gen.r_n.g))
         if b == 2:
             return (p2 + eps) * (gen.r_n.g + log_c) + q1
         s = g - gen.r_prime.g

@@ -701,20 +701,15 @@ def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[f
     r = -math.expm1(-g_circle)
     gap = math.exp(-g_circle)
     lim = eps * gap
-    arcs = []
-    # the loop keeps |dr| <= lim; the factor 2 covers numpy's exp rounding
-    near = np.abs(np.exp(-cloud.g) - gap) <= 2.0 * lim
-    for ga, ta in zip(cloud.g[near], cloud.theta[near]):
-        s = -math.expm1(-ga)
-        dr = math.exp(-g_circle) - math.exp(-ga)
-        if abs(dr) > lim:
-            continue
-        num = lim * lim - dr * dr
-        sin2 = num / (4.0 * r * s)
-        half = 2.0 * math.asin(min(1.0, math.sqrt(max(sin2, 0.0))))
-        arcs.append(((ta - half) % (2.0 * math.pi), (ta + half) % (2.0 * math.pi)))
-    if not arcs:
+    # atoms within eps (1 - r) of the circle radially, then their half-arcs
+    dr = gap - np.exp(-cloud.g)
+    near = np.abs(dr) <= lim
+    if not near.any():
         return []
+    ga, ta, dr = cloud.g[near], cloud.theta[near], dr[near]
+    sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-ga))
+    half = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(sin2, 0.0))))
+    arcs = zip(((ta - half) % (2.0 * math.pi)).tolist(), ((ta + half) % (2.0 * math.pi)).tolist())
     # unwrap, sort, merge
     flat = []
     for lo, hi in arcs:

@@ -25,8 +25,8 @@ from .numerics import (
     find_root,
     gap_diff_log,
     log_int_log_ratio,
+    log_log_ratio_r,
     log_r_from_g,
-    log_ratio_r,
     lse_sum,
 )
 
@@ -264,7 +264,7 @@ def closure_residuals(r: LogGap, seed: GenerationSeed, params: ScaffoldParams) -
     )
     g_l = pre.sign * math.exp(pre.logmag - g - log_r + math.log(w))
 
-    q1 = math.exp(seed.log_R + math.log(log_ratio_r(g, seed.r_n.g)))
+    q1 = math.exp(seed.log_R + log_log_ratio_r(g, seed.r_n.g))
     span = -math.log1p(-1.0 / (seed.r_hat.g + log_c))
     q2 = math.exp(
         seed.log_M + log_int_log_ratio(g, seed.r_hat.g, seed.r_star.g, span_ba=span)

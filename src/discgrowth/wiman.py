@@ -88,31 +88,37 @@ def _k_indicator(log_ref: float, blocks: _Blocks) -> LogValue:
         e = np.exp(w)
         s0 += float(np.sum(e))
         s1 += float(np.dot(e, x))
+    return _k_of_sums(log_ref, s0, s1)
+
+
+def _k_of_sums(log_ref: float, s0: float, s1: float) -> LogValue:
     if s1 <= 0.0:
         return LogValue.zero()
     return LogValue.pos(log_ref + math.log(s1) - math.log(s0))
 
 
 def _derivative_ratio(series, order: int, g: float) -> float:
-    """sum e^w n(n-1)...(n-order+1)/K^order / sum e^w over the window; exact
-    indices come as n / math.exp(log_ref), so n - i vanishes at n = i."""
+    """sum e^w n(n-1)...(n-order+1)/K^order / sum e^w over the window, with
+    K summed in the same walk; exact indices come as n / math.exp(log_ref),
+    so n - i vanishes at n = i."""
     if order == 0:
         return 1.0
-    k = series.k_indicator(g)
-    if k.sign == 0:
-        return 0.0
     log_ref, blocks = series.window(g)
     n_ref = math.exp(log_ref)
-    scale = math.exp(log_ref - k.logmag)
-    s0 = sff = 0.0
+    s0 = s1 = sff = 0.0
     for x, w in blocks:
         e = np.exp(w)
-        fac = np.ones_like(x)
-        for i in range(order):
-            fac *= (x - i / n_ref) * scale
+        fac = x
+        for i in range(1, order):
+            fac = fac * (x - i / n_ref)
         s0 += float(np.sum(e))
+        s1 += float(np.dot(e, x))
         sff += float(np.dot(e, fac))
-    return sff / s0
+    k = _k_of_sums(log_ref, s0, s1)
+    if k.sign == 0:
+        return 0.0
+    # the falling factorial in units of K: (n_ref / K)^order prod (x - i/n_ref)
+    return math.exp(log_ref - k.logmag) ** order * sff / s0
 
 
 class SparseSeries:

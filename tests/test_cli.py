@@ -75,6 +75,40 @@ class TestScaffoldCmd:
         code = run("scaffold", "--p1", "3", "--p2", "2", "--out", str(tmp_path / "x.json"))
         assert code == 2
 
+    def test_series_cap_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        from discgrowth import numerics
+
+        monkeypatch.setattr(numerics, "SERIES_CAP", 1)
+        code = run("scaffold", "--p1", "2", "--p2", "3", "--generations", "1",
+                   "--out", str(tmp_path / "s.json"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert json.loads(lines[-1])["error"] == "SeriesCapError"
+
+    def test_unforeseen_error_is_one_json_line_and_exit_3(self, tmp_path, capsys, monkeypatch):
+        from discgrowth import cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_scaffold", boom)
+        code = run("scaffold", "--p1", "2", "--p2", "3", "--out", str(tmp_path / "s.json"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(x) for x in lines] == [{"error": "RuntimeError", "message": "boom"}]
+
+    @pytest.mark.parametrize("generations", [7, 10])
+    def test_past_the_underflow_depth(self, tmp_path, generations):
+        # e^(-g) underflows past g ~ 745, which generation 6 crosses
+        out = tmp_path / "s.json"
+        assert run("scaffold", "--p1", "2", "--p2", "3", "--generations", str(generations),
+                   "--out", str(out)) == 0
+        recs = read_records(str(out))
+        gens = [r for r in recs if r["kind"] == "generation"]
+        assert len(gens) == generations and gens[-1]["g_rn"] > 745.0
+        checks = [r for r in recs if r["kind"] == "check"]
+        assert len(checks) == 2 * generations and all(c["passed"] for c in checks)
+
     @pytest.mark.parametrize("p1, p2, bound", [("2", "3", 0.5), ("2", "4", 1.0), ("2", "2.5", 0.25)])
     def test_oscillation_threshold_is_the_paper_bound(self, tmp_path, p1, p2, bound):
         # |eps_n| < (p2 - p1)/2, read from the scaffold's own parameters

@@ -9,17 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discgrowth import numerics
 from discgrowth.numerics import (
     BracketError,
     LogGap,
     LogValue,
     NumericsError,
     RootConvergenceError,
+    SeriesCapError,
     find_root,
     gap_diff_log,
     integrate,
     log_int_log_ratio,
     log_int_log_ratio_array,
+    log_log_ratio_r,
+    log_log_ratio_r_array,
     log_neg_log_r,
     log_r_from_g,
     log_r_from_g_array,
@@ -138,6 +142,14 @@ class TestArrayForms:
         with pytest.raises(NumericsError):
             log_ratio_r_array(np.array([g_lo - 0.1]), g_lo)
 
+    @pytest.mark.parametrize("g_lo", [0.3, 3.0, 50.0, 690.0, 750.0, 3e3])
+    def test_log_log_ratio_r_array(self, g_lo):
+        # past e^(-g) underflow only the leading term is left, on both sides
+        g_hi = g_lo + np.array([1e-12, 1e-3, 0.5, 4.0, 60.0])
+        want = [log_log_ratio_r(float(g), g_lo) for g in g_hi]
+        assert log_log_ratio_r_array(g_hi, g_lo).tolist() == pytest.approx(want, rel=1e-13)
+        assert log_log_ratio_r_array(np.array([g_lo]), g_lo).tolist() == [-math.inf]
+
     @pytest.mark.parametrize("g_a,g_b,span", [
         (0.2, 0.9, None), (3.0, 3.5, None), (40.0, 40.5, None), (10.0, 10.0 + 1e-9, 1e-9),
     ])
@@ -153,11 +165,46 @@ class TestArrayForms:
         with pytest.raises(NumericsError):
             log_int_log_ratio_array(g_r, g_b, g_a)
 
-    def test_log_int_log_ratio_array_raises_at_depth(self):
-        # w_a underflows once e^(-g_a) does, and the series cannot reach its
-        # relative stopping test: a typed error, not an endless loop
-        with pytest.raises(NumericsError, match="did not converge"):
-            log_int_log_ratio_array(np.array([800.0]), 760.0, 780.0)
+    def test_log_int_log_ratio_agrees_with_mpmath_at_depth(self):
+        # past w_a < TINY_GAP the series is its closed form (1 + w_b/w_a)/2;
+        # the oracle is [t log r - t log t + t]_a^b, which cancels down to
+        # ~e^(-2 g_a), so it needs ~2 g/ln 10 digits (1,200 give -inf at 3e3)
+        mp = pytest.importorskip("mpmath")
+        cases = [
+            (800.0, 760.0, 780.0, None),
+            (770.0, 750.0, 760.0, None),
+            (801.0, 800.0, 800.5, None),
+            (1e3 + 3.0, 1e3, 1e3 + 3.0, None),  # w_b = 0
+            (3e3 + 25.0, 3e3, 3e3 + 20.0, None),
+            (3e3 + 2.0, 3e3, 3e3 + 0.01, 0.01),
+            (721.0, 720.0, 720.3, None),  # w_a subnormal, not 0
+        ]
+        for g_r, g_a, g_b, span in cases:
+            mp.mp.dps = int(2.0 * g_r / math.log(10.0)) + 60
+            gb = mp.mpf(g_a) + mp.mpf(span) if span is not None else mp.mpf(g_b)
+            r, a, b = (-mp.expm1(-x) for x in (mp.mpf(g_r), mp.mpf(g_a), gb))
+            antider = lambda t: t * mp.log(r) - t * mp.log(t) + t
+            want = float(mp.log(antider(b) - antider(a)))
+            got = log_int_log_ratio(g_r, g_a, g_b, span_ba=span)
+            assert got == pytest.approx(want, rel=1e-14)
+            got = log_int_log_ratio_array(np.array([g_r]), g_a, g_b, span_ba=span)
+            assert got.tolist() == pytest.approx([want], rel=1e-14)
+        assert 0.0 < math.exp(-720.0) < 2.2250738585072014e-308
+
+
+class TestSeriesCap:
+    def test_every_scalar_series_loop_is_capped(self, monkeypatch):
+        monkeypatch.setattr(numerics, "SERIES_CAP", 3)
+        calls = [
+            ("log_r_from_g", lambda: log_r_from_g(2.0)),
+            ("log_ratio_r", lambda: log_ratio_r(3.0, 2.0)),
+            ("log_neg_log_r", lambda: log_neg_log_r(2.0)),
+            ("log_int_log_ratio", lambda: log_int_log_ratio(40.0, 2.5, 3.0)),
+        ]
+        for name, call in calls:
+            with pytest.raises(SeriesCapError, match=f"{name}: series did not converge in 3"):
+                call()
+        assert issubclass(SeriesCapError, NumericsError)
 
 
 class TestLseSum:

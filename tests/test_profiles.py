@@ -19,6 +19,12 @@ def ref_profile(ref_scaffold):
     return RadialProfile(ref_scaffold)
 
 
+@pytest.fixture(scope="module")
+def deep_profile(ref_params):
+    """Eight generations: e^(-g) underflows from generation 6 on."""
+    return RadialProfile(build_scaffold(ref_params, 8))
+
+
 class TestEval:
     def test_first_branch_closed_form(self, ref_profile):
         # eps_1 = 0, so phi = p2 (g + log C) on [0, r_1)
@@ -62,6 +68,29 @@ class TestArrayPhi:
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
         # branch 3 exists only when p > p2 (the wide scaffold)
         assert {prof.branch_at(float(g))[1] for g in gs} == {b for _, _, b in prof._bounds}
+
+    def test_matches_scalar_phi_past_the_underflow_depth(self, deep_profile):
+        gs = np.array(branch_samples(deep_profile, 16) + [b[0] for b in deep_profile._bounds])
+        assert gs.max() > 1.5e3
+        want = np.array([deep_profile.phi(float(g)) for g in gs])
+        assert np.max(np.abs(deep_profile.phi(gs) - want) / np.abs(want)) <= 1e-12
+
+    def test_q1_against_mpmath_past_the_underflow_depth(self, deep_profile):
+        # R_n log(r/r_n) is O(p2) on branch 2 and must survive e^(-g_n)
+        # underflowing to 0
+        mp = pytest.importorskip("mpmath")
+        gen = next(gen for gen in deep_profile.scaffold.generations if gen.r_n.g > 745.0)
+        g = 0.5 * (gen.r_n.g + gen.r_prime.g)
+        assert deep_profile.branch_at(g)[1] == 2
+        mp.mp.dps = int(g / math.log(10.0)) + 60
+        r, r_n = (-mp.expm1(-mp.mpf(x)) for x in (g, gen.r_n.g))
+        q1 = mp.exp(gen.log_R) * mp.log(r / r_n)
+        assert q1 > 1.0
+        assert deep_profile._q1(g, gen) == pytest.approx(float(q1), rel=1e-13)
+        p = deep_profile.params
+        want = (p.p2 + gen.eps_n) * (gen.r_n.g + p.log_c) + q1
+        assert deep_profile.phi(g) == pytest.approx(float(want), rel=1e-15)
+        assert deep_profile.phi(np.array([g]))[0] == pytest.approx(float(want), rel=1e-15)
 
     def test_out_of_range_entry(self, ref_profile):
         for bad in (ref_profile.g_end, -0.5):

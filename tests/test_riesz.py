@@ -469,3 +469,17 @@ class TestExcludedArcsBandEdge:
     def test_cloud_matches_scalar_loop(self, gen1_cloud):
         for g in (1.0, 3.5, float(gen1_cloud.g[100])):
             assert R.excluded_arcs(gen1_cloud, g, 0.05) == _excluded_arcs_scalar(gen1_cloud, g, 0.05)
+
+    def test_wide_cloud_matches_scalar_loop(self, wide_cloud):
+        # numpy's transcendentals may differ from math's in the last bit
+        cloud = wide_cloud[0]
+        seen = 0
+        for g in (3.5, 6.0, float(cloud.g[5000]), 10.9):
+            for eps in (0.01, 0.1):
+                got = R.excluded_arcs(cloud, g, eps)
+                want = _excluded_arcs_scalar(cloud, g, eps)
+                assert len(got) == len(want)
+                if want:
+                    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
+                seen += len(want)
+        assert seen > 1000

@@ -3,6 +3,7 @@ bracket and root, per-generation residuals and asymptotic diagnostics."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -233,3 +234,73 @@ class TestBuild:
         doc["params"]["eta"] = etas
         with pytest.raises(ConstructionError):
             scaffold_from_json_dict(doc)
+
+
+# the construction grid of the benchmark and its +0.01, +0.02 shifts in p1;
+# e^(-g) underflows past g ~ 745, which all but (3.5,4,4) cross by generation 10
+_GRID = [
+    (round(p1 + shift, 2), p2, p)
+    for p1, p2, p in (
+        (2.0, 3.0, 3.0), (2.0, 4.0, 4.0), (1.5, 3.0, 3.0), (3.0, 4.0, 4.0),
+        (2.5, 3.0, 3.0), (3.5, 4.0, 4.0), (4.0, 5.0, 5.0), (2.0, 2.5, 2.5),
+    )
+    for shift in (0.0, 0.01, 0.02)
+]
+
+
+class TestDepth:
+    @pytest.mark.parametrize("p1,p2,p", _GRID)
+    def test_generations_sweep_within_paper_bounds(self, p1, p2, p):
+        params = ScaffoldParams.with_defaults(k=1, p1=p1, p2=p2, p=p)
+        for n in range(1, 11):
+            t0 = time.perf_counter()
+            sc = build_scaffold(params, n)
+            # a build takes <= 5 ms; the bound catches a loop that runs away
+            assert time.perf_counter() - t0 < 0.5
+            assert len(sc.generations) == n
+            for gen in sc.generations:
+                assert gen.residual <= 1e-9
+                assert abs(gen.eps_n) < (p2 - p1) / 2.0
+                assert abs(gen.eps_next) < (p2 - p1) / 2.0
+                assert gen.ordered()
+            starts = [gen.r_n.g for gen in sc.generations]
+            ends = [gen.r_dprime.g for gen in sc.generations]
+            assert all(e < s for e, s in zip(ends, starts[1:]))
+
+    def test_closure_sides_against_mpmath_past_underflow(self):
+        # generation 7 of (2,3,3) starts at g ~ 765: both sides of the
+        # closure, evaluated at the bracket ends and the root
+        mp = pytest.importorskip("mpmath")
+        params = ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=3.0)
+        gen = build_scaffold(params, 7).generations[6]
+        seed = seed_generation(7, gen.r_n, gen.eps_n, params)
+        assert seed.r_n.g > 745.0
+        u_hat = seed.r_hat.g + params.log_c
+        s_alpha = 0.5 * math.log(u_hat) - math.log(params.a)
+        s_beta = 2.0 * math.log(u_hat) - math.log(params.b)
+        for g in (seed.r_hat.g + s_alpha, gen.r_dprime.g, seed.r_hat.g + s_beta):
+            # the mass integral cancels down to ~e^(-2 g_hat) of its terms
+            mp.mp.dps = int(2.0 * g / math.log(10.0)) + 60
+            r, r_n, r_prime, r_hat, r_star_stored = (
+                -mp.expm1(-mp.mpf(x))
+                for x in (g, seed.r_n.g, seed.r_prime.g, seed.r_hat.g, seed.r_star.g)
+            )
+            # gR takes the width of [r_hat, r*] exactly, gL from the stored g*
+            r_star = 1 - (1 - r_hat) * (1 - 1 / mp.mpf(u_hat))
+            big_r, big_m, p1 = mp.exp(seed.log_R), mp.exp(seed.log_M), mp.mpf(params.p1)
+            antider = lambda t: t * mp.log(r) - t * mp.log(t) + t
+            want_r = (
+                big_r * mp.log(r / r_n)
+                + big_m * (antider(r_star) - antider(r_hat))
+                - p1 * (r - r_prime) / (1 - r_prime)
+            )
+            want_l = (
+                (big_r + big_m * (r_star_stored - r_hat) - p1 * r / (1 - r_prime))
+                * (1 - r) / r * (mp.mpf(g) + params.log_c)
+            )
+            g_l, g_r = closure_residuals(LogGap(g), seed, params)
+            # the stored g's carry ulp ~2e-13 against a width of [r_hat, r*]
+            # of 9e-4, so the mass term is conditioned to ~1e-11 relative;
+            # dropping R_n log(r/r_n) would move g_r by 3e-3
+            assert g_l == pytest.approx(float(want_l), rel=1e-10)
+            assert g_r == pytest.approx(float(want_r), rel=1e-10)

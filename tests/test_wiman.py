@@ -208,6 +208,28 @@ class TestDerivativeAsymptotics:
         s = W.SparseSeries([10**6], [0.0])
         assert W.derivative_asymptotic_ratio(s, 2, 1.0) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_walk_matches_the_two_walk_form(self, order, monkeypatch):
+        # reference: K from k_indicator, then a second walk for the falling
+        # factorial with every factor scaled by n_ref / K
+        for s, g in ((W.PowerLawSeries(1.5), 4.0), (W.PowerLawSeries(0.5), 6.0), (geometric_ladder(), 3.0)):
+            k = s.k_indicator(g)
+            log_ref, blocks = s.window(g)
+            n_ref, scale = math.exp(log_ref), math.exp(log_ref - k.logmag)
+            s0 = sff = 0.0
+            for x, w in blocks:
+                e = np.exp(w)
+                fac = np.ones_like(x)
+                for i in range(order):
+                    fac *= (x - i / n_ref) * scale
+                s0 += float(np.sum(e))
+                sff += float(np.dot(e, fac))
+            walks = []
+            window = s.window
+            monkeypatch.setattr(s, "window", lambda g: walks.append(g) or window(g))
+            assert s.derivative_ratio(order, g) == pytest.approx(sff / s0, rel=1e-14)
+            assert walks == [g]
+
     def test_power_law_near_one(self):
         s = W.build_reference_series("power-law", sigma=1.5)
         got = W.derivative_asymptotic_ratio(s, 1, 8.0)
