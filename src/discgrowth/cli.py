@@ -30,7 +30,7 @@ from .numerics import (
     SeriesCapError,
 )
 from .profiles import RadialProfile, branch_samples
-from .scaffold import ScaffoldParams, build_scaffold, scaffold_from_json_dict
+from .scaffold import RetriesExhaustedError, ScaffoldParams, build_scaffold, scaffold_from_json_dict
 from .serialize import dumps17, read_records, write_records
 
 
@@ -510,7 +510,8 @@ def main(argv=None) -> int:
 
 def _is_validation(err: Exception) -> bool:
     """Bad input (exit 2) as opposed to a numerical or unforeseen failure (3)."""
-    if isinstance(err, (BracketError, QuadratureError, RootConvergenceError, SeriesCapError)):
+    if isinstance(err, (BracketError, QuadratureError, RetriesExhaustedError,
+                        RootConvergenceError, SeriesCapError)):
         return False
     return isinstance(err, (CliValidationError, NumericsError, OSError))
 

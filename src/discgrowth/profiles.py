@@ -12,8 +12,9 @@ right-continuous):
 
 phi stays a plain float (it grows like a multiple of g); phi' and the
 Laplacian grow like powers of 1/(1-r) and are returned as LogValues.  The
-mass-term integral uses the closed form, so junction residuals reflect
-construction error only.
+slope, compensation and mass terms are the generation's own closed forms
+(the methods of scaffold.GenerationSeed, which the closure equation uses
+too), so junction residuals reflect construction error only.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .numerics import (
     NumericsError,
     as_g,
     gap_diff_log,
-    log_int_log_ratio,
     log_int_log_ratio_array,
-    log_log_ratio_r,
     log_log_ratio_r_array,
     log_r_from_g,
     lse_sum,
@@ -87,14 +86,7 @@ class RadialProfile:
             raise ProfileRangeError(
                 f"g = {g} outside constructed range [0, {self.g_end})"
             )
-        lo, hi = 0, len(self._bounds) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._bounds[mid][0] <= g:
-                lo = mid
-            else:
-                hi = mid - 1
-        _, i, b = self._bounds[lo]
+        _, i, b = self._bounds[np.searchsorted(self._starts, g, side="right") - 1]
         return i, b
 
     # -- evaluation ---------------------------------------------------------
@@ -122,8 +114,7 @@ class RadialProfile:
             raise ProfileRangeError(
                 f"g = {g[~inside][0]} outside constructed range [0, {self.g_end})"
             )
-        # right-continuous branch lookup, as in branch_at
-        idx = np.maximum(np.searchsorted(self._starts, g, side="right") - 1, 0)
+        idx = np.searchsorted(self._starts, g, side="right") - 1
         out = np.empty_like(g)
         for j in np.unique(idx):
             sel = idx == j
@@ -131,49 +122,22 @@ class RadialProfile:
             out[sel] = self._phi_array(g[sel], self.scaffold.generations[i], b)
         return out
 
-    def _q1(self, g: float, gen: Generation) -> float:
-        """R_n log(r/r_n)."""
-        if g <= gen.r_n.g:
-            return 0.0
-        return math.exp(gen.log_R + log_log_ratio_r(g, gen.r_n.g))
-
-    def _q3(self, g: float, gen: Generation) -> float:
-        """p1 (r - r_n')/(1 - r_n')."""
-        return self.params.p1 * (-math.expm1(-(g - gen.r_prime.g)))
-
-    def _mass_integral(self, g: float, gen: Generation, upper_g: float) -> float:
-        """M_n int_{r_hat}^{min(r*, r)} log(r/t) dt via the closed form."""
-        if upper_g <= gen.r_hat.g:
-            return 0.0
-        span = self._star_span(gen) if upper_g == gen.r_star.g else None
-        return math.exp(gen.log_M + log_int_log_ratio(g, gen.r_hat.g, upper_g, span_ba=span))
-
-    def _star_span(self, gen: Generation) -> float:
-        """Exact width of [r_hat, r*]: g* - g_hat = -log1p(-1/u_hat)."""
-        return -math.log1p(-1.0 / (gen.r_hat.g + self.params.log_c))
-
     def _phi(self, g: float, gen: Generation, b: int) -> float:
         p1, p2, log_c = self.params.p1, self.params.p2, self.params.log_c
         eps = gen.eps_n
         if b == 1:
             return (p2 + eps) * (g + log_c)
         if b == 2:
-            return (p2 + eps) * (gen.r_n.g + log_c) + self._q1(g, gen)
+            return (p2 + eps) * (gen.r_n.g + log_c) + gen.slope_term(g)
         if b == 3:
             comp = (g - gen.r_prime.g) - (-math.expm1(-(g - gen.r_prime.g)))
-            return p1 * (gen.r_prime.g + log_c) + self._q1(g, gen) + p1 * comp
-        if b == 4:
-            return (
-                p1 * (g + log_c)
-                + self._q1(g, gen)
-                - self._q3(g, gen)
-                + self._mass_integral(g, gen, g)
-            )
+            return p1 * (gen.r_prime.g + log_c) + gen.slope_term(g) + p1 * comp
+        upper = g if b == 4 else gen.r_star.g
         return (
             p1 * (g + log_c)
-            + self._q1(g, gen)
-            - self._q3(g, gen)
-            + self._mass_integral(g, gen, gen.r_star.g)
+            + gen.slope_term(g)
+            - gen.compensation(g, p1)
+            + gen.mass_term(g, log_c, upper)
         )
 
     def _phi_array(self, g: np.ndarray, gen: Generation, b: int) -> np.ndarray:
@@ -191,7 +155,7 @@ class RadialProfile:
         if b == 4:
             upper, span = g, None
         else:
-            upper, span = gen.r_star.g, self._star_span(gen)
+            upper, span = gen.r_star.g, gen.star_span(log_c)
         mass = np.exp(gen.log_M + log_int_log_ratio_array(g, gen.r_hat.g, upper, span_ba=span))
         return p1 * (g + log_c) + q1 - p1 * (-np.expm1(-s)) + mass
 

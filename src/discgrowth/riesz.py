@@ -246,21 +246,6 @@ def _density_for(profile: RadialProfile, gen_index: int, branch: int) -> _Branch
     return _BranchDensity(branch, coef, p.p1, e_prime, big_m)
 
 
-def next_ring_radius(g_k: LogGap, p_eff: float) -> LogGap:
-    """Next equal-mass ring boundary for the outer-approach density
-    p_eff/(1-r)^2: with m = floor(1/(1-r_k)), the per-sector mass-2 condition
-    solves in closed form to 1/(1-r_{k+1}) = 1/(1-r_k) + 2m/p_eff."""
-    if p_eff <= 0.0:
-        raise PartitionError(f"density coefficient must be positive, got {p_eff}")
-    g = g_k.g
-    if g <= 36.0:
-        m_gap = math.floor(math.exp(g)) * math.exp(-g)
-    else:
-        m_gap = 1.0  # floor(1/(1-r)) (1-r) -> 1 beyond exact-integer range
-    c = 2.0 * m_gap / p_eff
-    return LogGap(g + math.log1p(c))
-
-
 def _sector_count(g: float) -> int:
     if g > 36.0:
         raise PartitionError("sector count beyond exact range; lower g_max")
@@ -709,23 +694,18 @@ def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[f
     ga, ta, dr = cloud.g[near], cloud.theta[near], dr[near]
     sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-ga))
     half = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(sin2, 0.0))))
-    arcs = zip(((ta - half) % (2.0 * math.pi)).tolist(), ((ta + half) % (2.0 * math.pi)).tolist())
-    # unwrap, sort, merge
-    flat = []
-    for lo, hi in arcs:
-        if hi < lo:
-            flat.append((lo, 2.0 * math.pi))
-            flat.append((0.0, hi))
-        else:
-            flat.append((lo, hi))
-    flat.sort()
-    merged = [flat[0]]
-    for lo, hi in flat[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    lo, hi = (ta - half) % (2.0 * math.pi), (ta + half) % (2.0 * math.pi)
+    # unwrap: an arc over theta = 0 splits into [lo, 2 pi) and [0, hi)
+    wrap = hi < lo
+    lo = np.concatenate([lo, np.zeros(np.count_nonzero(wrap))])
+    hi = np.concatenate([np.where(wrap, 2.0 * math.pi, hi), hi[wrap]])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    # an arc opens a new merged arc iff it starts past every end before it
+    reach = np.maximum.accumulate(hi)
+    start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
+    end = np.append(start[1:], len(lo)) - 1
+    return list(zip(lo[start].tolist(), reach[end].tolist()))
 
 
 def excluded_measure(cloud: ZeroCloud, g_circle: float, eps: float) -> float:

@@ -39,6 +39,10 @@ class ConstructionError(NumericsError):
         self.blamed_constant = blamed_constant
 
 
+class RetriesExhaustedError(ConstructionError):
+    """Every retry of the construction failed: the numerics, not the input."""
+
+
 @dataclass(frozen=True)
 class ScaffoldParams:
     """Growth exponents and construction constants.
@@ -110,18 +114,47 @@ class ScaffoldParams:
 
 
 @dataclass(frozen=True)
-class Generation:
-    """One generation of the scaffold, radii as g-values increasing."""
+class GenerationSeed:
+    """State from which one generation's closure is solved, and the closed
+    forms of the branch terms that both the closure and the profile use."""
 
     index: int
     r_n: LogGap
+    eps_n: float
     r_prime: LogGap
     r_hat: LogGap
     r_star: LogGap
-    r_dprime: LogGap
     log_R: float
     log_M: float
-    eps_n: float
+
+    def star_span(self, log_c: float) -> float:
+        """Exact width of [r_hat, r*]: g* - g_hat = -log1p(-1/u_hat)."""
+        return -math.log1p(-1.0 / (self.r_hat.g + log_c))
+
+    def slope_term(self, g: float) -> float:
+        """R_n log(r/r_n), 0 at or below r_n."""
+        if g <= self.r_n.g:
+            return 0.0
+        return math.exp(self.log_R + log_log_ratio_r(g, self.r_n.g))
+
+    def compensation(self, g: float, p1: float) -> float:
+        """p1 (r - r_n')/(1 - r_n')."""
+        return p1 * (-math.expm1(-(g - self.r_prime.g)))
+
+    def mass_term(self, g: float, log_c: float, upper_g: float) -> float:
+        """M_n int_{r_hat}^{min(r*, r)} log(r/t) dt via the closed form, taking
+        the exact width of [r_hat, r*] when upper_g is r*."""
+        if upper_g <= self.r_hat.g:
+            return 0.0
+        span = self.star_span(log_c) if upper_g == self.r_star.g else None
+        return math.exp(self.log_M + log_int_log_ratio(g, self.r_hat.g, upper_g, span_ba=span))
+
+
+@dataclass(frozen=True)
+class Generation(GenerationSeed):
+    """One closed generation of the scaffold, radii as g-values increasing."""
+
+    r_dprime: LogGap
     eps_next: float
     residual: float  # relative mismatch of the two closure identities at the root
     ratio_diag: float  # (1 - r'') * log(1/(1-r_hat)) / (1 - r_hat)
@@ -132,6 +165,27 @@ class Generation:
             self.r_prime.g == self.r_hat.g
             and self.r_n.g < self.r_prime.g < self.r_star.g < self.r_dprime.g
         )
+
+
+# JSON key of each Generation field, in record order; radii are stored by their g
+_GENERATION_KEYS = (
+    ("n", "index"),
+    ("g_rn", "r_n"),
+    ("g_rprime", "r_prime"),
+    ("g_rhat", "r_hat"),
+    ("g_rstar", "r_star"),
+    ("g_rdprime", "r_dprime"),
+    ("log_R", "log_R"),
+    ("log_M", "log_M"),
+    ("eps", "eps_n"),
+    ("eps_next", "eps_next"),
+    ("residual", "residual"),
+    ("ratio_diag", "ratio_diag"),
+)
+
+
+def _stored(value):
+    return value.g if isinstance(value, LogGap) else value
 
 
 @dataclass(frozen=True)
@@ -172,20 +226,7 @@ class IrregularScaffold:
             },
             "retries": self.retries,
             "generations": [
-                {
-                    "n": g.index,
-                    "g_rn": g.r_n.g,
-                    "g_rprime": g.r_prime.g,
-                    "g_rhat": g.r_hat.g,
-                    "g_rstar": g.r_star.g,
-                    "g_rdprime": g.r_dprime.g,
-                    "log_R": g.log_R,
-                    "log_M": g.log_M,
-                    "eps": g.eps_n,
-                    "eps_next": g.eps_next,
-                    "residual": g.residual,
-                    "ratio_diag": g.ratio_diag,
-                }
+                {key: _stored(getattr(g, field)) for key, field in _GENERATION_KEYS}
                 for g in self.generations
             ],
         }
@@ -221,20 +262,6 @@ def derive_intermediates(
     return LogGap(g_prime), LogGap(g_hat), LogGap(g_star), log_R, log_M
 
 
-@dataclass(frozen=True)
-class GenerationSeed:
-    """State from which one generation's closure is solved."""
-
-    index: int
-    r_n: LogGap
-    eps_n: float
-    r_prime: LogGap
-    r_hat: LogGap
-    r_star: LogGap
-    log_R: float
-    log_M: float
-
-
 def seed_generation(index: int, r_n: LogGap, eps_n: float, params: ScaffoldParams) -> GenerationSeed:
     r_prime, r_hat, r_star, log_R, log_M = derive_intermediates(r_n, eps_n, params)
     return GenerationSeed(index, r_n, eps_n, r_prime, r_hat, r_star, log_R, log_M)
@@ -264,13 +291,8 @@ def closure_residuals(r: LogGap, seed: GenerationSeed, params: ScaffoldParams) -
     )
     g_l = pre.sign * math.exp(pre.logmag - g - log_r + math.log(w))
 
-    q1 = math.exp(seed.log_R + log_log_ratio_r(g, seed.r_n.g))
-    span = -math.log1p(-1.0 / (seed.r_hat.g + log_c))
-    q2 = math.exp(
-        seed.log_M + log_int_log_ratio(g, seed.r_hat.g, seed.r_star.g, span_ba=span)
-    )
-    q3 = p1 * (-math.expm1(-(g - seed.r_prime.g)))
-    g_r = q1 + q2 - q3
+    mass = seed.mass_term(g, log_c, seed.r_star.g)
+    g_r = seed.slope_term(g) + mass - seed.compensation(g, p1)
     return g_l, g_r
 
 
@@ -288,8 +310,7 @@ def solve_closure(
     u_hat = seed.r_hat.g + params.log_c
     s_alpha = 0.5 * math.log(u_hat) - math.log(params.a)
     s_beta = 2.0 * math.log(u_hat) - math.log(params.b)
-    s_star = -math.log1p(-1.0 / u_hat)
-    if s_alpha <= s_star:
+    if s_alpha <= seed.star_span(params.log_c):
         raise ConstructionError(
             f"bracket start alpha_n not past r*: a = {params.a} too large",
             blamed_constant="a",
@@ -335,7 +356,7 @@ def build_scaffold(params: ScaffoldParams, n_generations: int, max_retries: int 
         except ConstructionError as err:
             last_err = err
             attempt = attempt.bumped()
-    raise ConstructionError(
+    raise RetriesExhaustedError(
         f"scaffold construction failed after {max_retries} retries: {last_err}",
         blamed_constant=getattr(last_err, "blamed_constant", None),
     )
@@ -354,17 +375,7 @@ def _build_once(params: ScaffoldParams, n_generations: int) -> list[Generation]:
                 blamed_constant="C",
             )
         gen = Generation(
-            index=idx,
-            r_n=r_n,
-            r_prime=seed.r_prime,
-            r_hat=seed.r_hat,
-            r_star=seed.r_star,
-            r_dprime=r_dp,
-            log_R=seed.log_R,
-            log_M=seed.log_M,
-            eps_n=eps_n,
-            eps_next=eps_next,
-            residual=residual,
+            **vars(seed), r_dprime=r_dp, eps_next=eps_next, residual=residual,
             ratio_diag=ratio_diag,
         )
         if not gen.ordered():
@@ -389,20 +400,10 @@ def scaffold_from_json_dict(doc: dict) -> IrregularScaffold:
         g1=p["g1"], a=p["a"], b=p["b"], eta_offset=int(offset),
     )
     gens = tuple(
-        Generation(
-            index=g["n"],
-            r_n=LogGap(g["g_rn"]),
-            r_prime=LogGap(g["g_rprime"]),
-            r_hat=LogGap(g["g_rhat"]),
-            r_star=LogGap(g["g_rstar"]),
-            r_dprime=LogGap(g["g_rdprime"]),
-            log_R=g["log_R"],
-            log_M=g["log_M"],
-            eps_n=g["eps"],
-            eps_next=g["eps_next"],
-            residual=g["residual"],
-            ratio_diag=g["ratio_diag"],
-        )
-        for g in doc["generations"]
+        Generation(**{
+            field: LogGap(rec[key]) if key.startswith("g_") else rec[key]
+            for key, field in _GENERATION_KEYS
+        })
+        for rec in doc["generations"]
     )
     return IrregularScaffold(params=params, generations=gens, retries=doc.get("retries", 0))

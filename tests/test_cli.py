@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, config-file overrides,
 determinism of emitted bytes, 17-digit serialization."""
 
+import hashlib
 import json
 import math
 
@@ -70,6 +71,20 @@ class TestScaffoldCmd:
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
         assert json.loads(lines[-1])["error"] == "RootConvergenceError"
+
+    def test_exhausted_retries_are_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        from discgrowth import scaffold
+
+        def fail(params, n_generations):
+            raise scaffold.ConstructionError("forced bracket failure", blamed_constant="b")
+
+        monkeypatch.setattr(scaffold, "_build_once", fail)
+        code = run("scaffold", "--p1", "2", "--p2", "3", "--generations", "1",
+                   "--out", str(tmp_path / "s.json"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "RetriesExhaustedError"
 
     def test_validation_exit_code(self, tmp_path):
         code = run("scaffold", "--p1", "3", "--p2", "2", "--out", str(tmp_path / "x.json"))
@@ -297,3 +312,30 @@ class TestProfileCmd:
                    "--out", str(out), "--junctions-out", str(jout)) == 0
         assert out.read_text().splitlines()[0] == "g,r,phi,phi_over_g,branch_id"
         assert all(r["passed"] for r in read_records(str(jout)))
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestConstructionBytes:
+    # sha256 of the scaffold and profile outputs, recorded at commit f5748b9;
+    # ten generations of (2,3,3) reach g ~ 4e3, past the e^-g underflow
+    def test_ten_generation_scaffold_and_profile(self, tmp_path):
+        s, s_csv = tmp_path / "s10.json", tmp_path / "s10.csv"
+        prof, junctions = tmp_path / "prof10.csv", tmp_path / "j10.json"
+        assert run("scaffold", "--p1", "2", "--p2", "3", "--p", "3", "--k", "1",
+                   "--generations", "10", "--out", str(s), "--csv-out", str(s_csv)) == 0
+        assert run("profile", "--scaffold", str(s), "--out", str(prof),
+                   "--junctions-out", str(junctions)) == 0
+        assert _sha256(s) == "55b3631e521069f3e3b033936841f2c5b2143a7ac9f9a0f6117278855ba0dc65"
+        assert _sha256(s_csv) == "43d7f7e6a8279385e0b1fd721ad211f98ed4991dbfba753ebd048ac20ccb9c57"
+        assert _sha256(prof) == "6c6a182e9744530d7ef23d2064b2a0a83a843cc0280e0ab8e7e4b97b6e07bdc9"
+        assert _sha256(junctions) == "0f034f5d9da19d395df36c3e59fb3605b23a705be6deb3e2c76b346d3939d588"
+
+    def test_readme_profile(self, tmp_path):
+        s, prof = tmp_path / "s.json", tmp_path / "prof.csv"
+        assert run("scaffold", "--p1", "2", "--p2", "3", "--p", "3", "--k", "1",
+                   "--generations", "4", "--out", str(s)) == 0
+        assert run("profile", "--scaffold", str(s), "--out", str(prof)) == 0
+        assert _sha256(prof) == "3cc92bd2fb5a79c5d64445113d4d42c70fcf5c362255633be5a9c6bcd092b284"

@@ -86,7 +86,7 @@ class TestArrayPhi:
         r, r_n = (-mp.expm1(-mp.mpf(x)) for x in (g, gen.r_n.g))
         q1 = mp.exp(gen.log_R) * mp.log(r / r_n)
         assert q1 > 1.0
-        assert deep_profile._q1(g, gen) == pytest.approx(float(q1), rel=1e-13)
+        assert gen.slope_term(g) == pytest.approx(float(q1), rel=1e-13)
         p = deep_profile.params
         want = (p.p2 + gen.eps_n) * (gen.r_n.g + p.log_c) + q1
         assert deep_profile.phi(g) == pytest.approx(float(want), rel=1e-15)

@@ -46,16 +46,24 @@ def quad_mass(profile, cell):
     return inner * (cell.theta_hi - cell.theta_lo) / (2.0 * math.pi)
 
 
+def _next_outer_ring(g_k: float, p_eff: float) -> float:
+    """Next equal-mass ring boundary for the outer-approach density
+    p_eff/(1-r)^2, as the partition steps it: m = floor(1/(1-r_k)) sectors of
+    mass 2."""
+    density = R._BranchDensity(1, p_eff, p_eff, 0.0, 0.0)
+    return density.next_ring_g(g_k, 2.0 * R._sector_count(g_k))
+
+
 class TestNextRingRadius:
     def test_closed_form_example(self):
         # r_k = 0.9, p_eff = 4: m = 10, c = 0.5 -> r_{k+1} = 1.4/1.5
-        nxt = R.next_ring_radius(LogGap.from_r(0.9), 4.0)
+        nxt = LogGap(_next_outer_ring(LogGap.from_r(0.9).g, 4.0))
         assert nxt.r == pytest.approx(0.9333333333333333, rel=1e-13)
 
     def test_mass_recomputed_exact(self):
         g0 = LogGap.from_r(0.9)
         p_eff = 4.0
-        g1 = R.next_ring_radius(g0, p_eff)
+        g1 = LogGap(_next_outer_ring(g0.g, p_eff))
         m = math.floor(1.0 / (1.0 - g0.r))
         mass = (
             p_eff
@@ -66,16 +74,12 @@ class TestNextRingRadius:
 
     def test_gap_ratio_approaches_two_over_p(self):
         p2 = 3.0
-        g = LogGap(12.0)
+        g = 12.0
         for _ in range(30):
-            g = R.next_ring_radius(g, p2)
-        nxt = R.next_ring_radius(g, p2)
-        ratio = (math.exp(-g.g) - math.exp(-nxt.g)) / math.exp(-nxt.g)
+            g = _next_outer_ring(g, p2)
+        nxt = _next_outer_ring(g, p2)
+        ratio = (math.exp(-g) - math.exp(-nxt)) / math.exp(-nxt)
         assert ratio == pytest.approx(2.0 / p2, rel=1e-6)
-
-    def test_deep_g_no_overflow(self):
-        nxt = R.next_ring_radius(LogGap(5000.0), 3.0)
-        assert nxt.g == pytest.approx(5000.0 + math.log1p(2.0 / 3.0), rel=1e-12)
 
 
 class TestPartition:
@@ -469,6 +473,36 @@ class TestExcludedArcsBandEdge:
     def test_cloud_matches_scalar_loop(self, gen1_cloud):
         for g in (1.0, 3.5, float(gen1_cloud.g[100])):
             assert R.excluded_arcs(gen1_cloud, g, 0.05) == _excluded_arcs_scalar(gen1_cloud, g, 0.05)
+
+    def test_split_doubles_cloud_matches_scalar_loop(self, gen1_partition, small_profile):
+        cloud = R.atomize(gen1_partition, small_profile, split_doubles=True)
+        seen = 0
+        for g in (1.0, float(cloud.g[100]), float(cloud.g[-1])):
+            for eps in (0.05, 0.3):
+                want = _excluded_arcs_scalar(cloud, g, eps)
+                assert R.excluded_arcs(cloud, g, eps) == want
+                seen += len(want)
+        assert seen > 5000
+
+    def test_arcs_split_at_theta_zero_and_merge_when_touching_or_nested(self):
+        # atoms just either side of theta = 0 give arcs that wrap, and the
+        # pieces merge across 0; at theta = 1 two arcs touch end to start; near
+        # theta = 3 a short arc nested in a long one is followed by an arc
+        # starting past the short one's end but inside the long one
+        g_circle, eps = 3.0, 0.4
+        lim = eps * math.exp(-g_circle)
+        h = 2.0 * math.asin(lim / (2.0 * -math.expm1(-g_circle)))  # half-width on the circle
+        g_off = -math.log(math.exp(-g_circle) + 0.9 * lim)
+        gs = np.array([g_circle] * 7 + [g_off] * 2)
+        thetas = np.array([0.0, 1e-4, 2.0 * math.pi - 1e-4, 2.0 * math.pi - 0.05,
+                           1.0, 1.0 + 2.0 * h, 3.0, 3.0 - 0.3 * h, 3.0 + 0.7 * h])
+        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs), [None] * len(gs))
+        want = _excluded_arcs_scalar(cloud, g_circle, eps)
+        assert len(want) == 5
+        assert want[0][0] == 0.0 and want[-1][1] == 2.0 * math.pi
+        assert want[1][0] < 1.0 < 1.0 + 2.0 * h < want[1][1]
+        assert want[2][1] > 3.0 + h
+        assert R.excluded_arcs(cloud, g_circle, eps) == want
 
     def test_wide_cloud_matches_scalar_loop(self, wide_cloud):
         # numpy's transcendentals may differ from math's in the last bit
