@@ -136,8 +136,9 @@ def _cmd_riesz(args) -> int:
     prof = RadialProfile(sc)
     part = R.partition_region(prof, args.generation, g_max=args.g_max, ceiling=args.ceiling)
     cloud = R.atomize(part, prof, split_doubles=args.split_doubles)
+    text = cloud.to_jsonl()  # before opening --out, so a failure leaves no file
     with open(args.out, "w", newline="\n") as fh:
-        fh.write(cloud.to_jsonl())
+        fh.write(text)
     if args.summary_out:
         recs = [
             {

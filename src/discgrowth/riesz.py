@@ -22,6 +22,11 @@ same operation and element order as that loop, so outputs are bit-identical
 to it.  ``PolarCell`` objects are built only when a caller indexes or
 iterates the columns.
 
+``ZeroCloud.to_jsonl`` writes one dumps17 row per atom.  All atoms of a ring
+share their cell kind, centroid g and multiplicity, so the row prefix up to
+theta is formatted once per run of equal (kind, g, mult) and only theta once
+per atom; the text is byte-identical to per-atom dumps17 rows.
+
 The surrogate sums each sample over its near field only: the rings within
 64 local cell sizes of it and, on each, an angular window found in a ring
 index built once per cloud.
@@ -38,7 +43,6 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -60,9 +64,6 @@ KINDS = ("A", "A-hat", "A-star", "A-dprime", "remainder")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 _KIND_NAMES = np.array(KINDS, dtype=object)
 _REMAINDER = _KIND_CODE["remainder"]
-
-# one cloud line, the bytes dumps17 gives {"cell_kind", "g", "mult", "theta"}
-_JSONL_ROW = '{"cell_kind":%s,"g":%s,"mult":%d,"theta":%s}\n'
 
 
 class PartitionError(NumericsError):
@@ -418,20 +419,28 @@ class ZeroCloud:
 
     def to_jsonl(self) -> str:
         """One dumps17 record per atom with keys cell_kind, g, mult, theta;
-        a non-finite g or theta raises dumps17's ValueError."""
-        g = np.asarray(self.g, dtype=float)
+        a non-finite g or theta raises dumps17's ValueError.
+
+        The row prefix up to theta depends on (kind, g, mult) alone, so it is
+        formatted once per run of atoms with equal values (a ring of one cell
+        kind); only theta is formatted per atom.  Runs break wherever a value
+        or the bits of g change (0.0 and -0.0 print differently), so the text
+        is byte-identical to the dumps17 rows for any cloud."""
+        g = np.ascontiguousarray(self.g, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(theta)))
         if len(bad):  # dumps17 raises its ValueError on the first one
             dumps17([float(g[bad[0]]), float(theta[bad[0]])])
-        quoted = {k: json.dumps(k) for k in set(self.kind)}
-        rows = zip(
-            map(quoted.__getitem__, self.kind),
-            map(format, g.tolist(), repeat(".17g")),
-            np.asarray(self.mult).tolist(),
-            map(format, theta.tolist(), repeat(".17g")),
-        )
-        return "".join(map(_JSONL_ROW.__mod__, rows))
+        bits, kind, mult = g.view(np.int64), np.asarray(self.kind, dtype=object), np.asarray(self.mult)
+        change = np.ones(len(g), dtype=bool)
+        change[1:] = (bits[1:] != bits[:-1]) | (kind[1:] != kind[:-1]) | (mult[1:] != mult[:-1])
+        starts = np.flatnonzero(change).tolist()
+        thetas = theta.tolist()
+        out = []
+        for s, e in zip(starts, starts[1:] + [len(g)]):
+            head = '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(kind[s]), g[s], mult[s])
+            out.append("".join(map((head.replace("%", "%%") + "%.17g}\n").__mod__, thetas[s:e])))
+        return "".join(out)
 
 
 def _cell_centroid(density: _BranchDensity, cell_g_lo, cell_g_hi) -> float:

@@ -231,6 +231,26 @@ class TestRieszCmd:
         assert hashlib.sha256(cloud.read_bytes()).hexdigest() == cloud_sha
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
+    def test_failed_serialisation_leaves_no_files(self, small_scaffold_file, tmp_path, capsys,
+                                                  monkeypatch):
+        import numpy as np
+
+        from discgrowth import riesz
+
+        def nan_cloud(part, prof, split_doubles=False):
+            return riesz.ZeroCloud(np.array([1.0, math.nan]), np.array([0.5, 0.5]),
+                                   np.array([2.0, 2.0]), ["A", "A"], [None, None], prof)
+
+        monkeypatch.setattr(riesz, "atomize", nan_cloud)
+        cloud, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"
+        code = run("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1",
+                   "--ceiling", "2000", "--out", str(cloud), "--summary-out", str(summary))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValueError"
+        assert not cloud.exists() and not summary.exists()
+
 
 class TestLogderivCmd:
     def test_windows_density(self, tmp_path):

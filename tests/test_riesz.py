@@ -13,6 +13,7 @@ from discgrowth._accel import kernel_sums
 from discgrowth.numerics import LogGap, integrate
 from discgrowth.profiles import RadialProfile
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
+from discgrowth.serialize import dumps17
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +32,16 @@ def gen1_cloud(gen1_partition, small_profile):
 
 
 @pytest.fixture(scope="module")
-def wide_cloud(wide_scaffold):
-    """Generation 1 of the wide scaffold: 127k atoms."""
+def wide_partition(wide_scaffold):
     prof = RadialProfile(wide_scaffold)
-    return R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=200_000), prof), prof
+    return R.partition_region(prof, 1, g_max=25.0, ceiling=200_000), prof
+
+
+@pytest.fixture(scope="module")
+def wide_cloud(wide_partition):
+    """Generation 1 of the wide scaffold: 127k atoms."""
+    part, prof = wide_partition
+    return R.atomize(part, prof), prof
 
 
 def quad_mass(profile, cell):
@@ -278,12 +285,60 @@ class TestColumns:
         assert gen1_partition.cells[-1] == list(gen1_partition.cells)[-1]
 
     def test_jsonl_rejects_non_finite_like_dumps17(self, small_profile):
-        cloud = R.ZeroCloud(
-            np.array([1.0, math.nan]), np.array([0.5, 0.5]), np.array([2.0, 2.0]),
-            ["A", "A"], [None, None], small_profile,
-        )
-        with pytest.raises(ValueError, match="non-finite float nan"):
-            cloud.to_jsonl()
+        for bad_g, bad_theta, shown in ((math.nan, 0.5, "nan"), (1.0, math.inf, "inf")):
+            cloud = R.ZeroCloud(
+                np.array([1.0, bad_g]), np.array([0.5, bad_theta]), np.array([2.0, 2.0]),
+                ["A", "A"], [None, None], small_profile,
+            )
+            with pytest.raises(ValueError, match=f"non-finite float {shown}"):
+                cloud.to_jsonl()
+
+
+def _jsonl_rows(cloud):
+    """The cloud's text as one dumps17 record per atom."""
+    return "".join(
+        dumps17({"cell_kind": k, "g": float(g), "mult": int(m), "theta": float(t)}) + "\n"
+        for k, g, m, t in zip(cloud.kind, cloud.g, cloud.mult, cloud.theta)
+    )
+
+
+class TestJsonlRuns:
+    """to_jsonl formats one row prefix per run of equal (kind, g, mult); the
+    text must equal the per-atom dumps17 rows wherever a run breaks."""
+
+    def test_hand_built_run_boundaries(self):
+        rows = [
+            ("A", 1.5, 2.0, 0.1), ("A", 1.5, 2.0, 0.2),
+            ("remainder", 1.5, 2.0, 0.3),  # kind changes at equal g
+            ("remainder", 1.5, 1.0, 0.4), ("remainder", 1.5, 2.0, 0.5),  # mult 2 -> 1 -> 2
+            ("remainder", 1.75, 2.0, 0.6),  # g changes at equal kind
+            ("A", 1.5, 2.0, 0.7),  # back to an earlier prefix: a new run
+            ("50%", 0.0, 2.0, -0.0), ("50%", -0.0, 2.0, 1e-300),  # '%' in kind, signed zeros
+        ]
+        kind, g, mult, theta = zip(*rows)
+        cloud = R.ZeroCloud(np.array(g), np.array(theta), np.array(mult), list(kind), [None] * len(g))
+        text = cloud.to_jsonl()
+        assert text == _jsonl_rows(cloud)
+        assert '"g":-0,' in text and '"theta":-0}' in text
+
+    def test_empty_cloud(self):
+        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [], [])
+        assert cloud.to_jsonl() == "" == _jsonl_rows(cloud)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_gen1_cloud_matches_rows_and_round_trips(self, gen1_partition, small_profile, split):
+        import json
+
+        cloud = R.atomize(gen1_partition, small_profile, split_doubles=split)
+        text = cloud.to_jsonl()
+        assert text == _jsonl_rows(cloud)
+        docs = [json.loads(line) for line in text.splitlines()]
+        g = np.array([d["g"] for d in docs])
+        theta = np.array([d["theta"] for d in docs])
+        assert g.tobytes() == np.asarray(cloud.g, dtype=float).tobytes()
+        assert theta.tobytes() == np.asarray(cloud.theta, dtype=float).tobytes()
+        assert [d["cell_kind"] for d in docs] == list(cloud.kind)
+        assert [d["mult"] for d in docs] == np.asarray(cloud.mult).astype(int).tolist()
 
 
 def _direct_sum(cloud, profile, zs):
@@ -327,6 +382,19 @@ class TestPinnedValues:
         assert [v.hex() for v in direct] == ["0x1.596b141685cdcp+4", "0x1.d90f88e561307p+3"]
         got = R.eval_log_surrogate_many(cloud, prof, zs)
         assert [v.hex() for v in got.tolist()] == ["0x1.596b123e6d679p+4", "0x1.d90e8505de20cp+3"]
+
+    # sha256 and length of the 127k-atom cloud text, plain and split_doubles,
+    # recorded at commit 947e291 (one format of the whole row per atom)
+    @pytest.mark.parametrize("split,atoms,chars,digest", [
+        (False, 126_749, 10_527_289, "f19d82258ea9f8900f3afbdd5c6c6b3ba1b36868a78a52e7836e22cc10d8c647"),
+        (True, 253_498, 21_054_600, "85edc9b5c25139b9a19f246a2f036385117eff78dbcbdfeeab90f64b8f5a9e72"),
+    ])
+    def test_wide_cloud_bytes(self, wide_partition, split, atoms, chars, digest):
+        part, prof = wide_partition
+        cloud = R.atomize(part, prof, split_doubles=split)
+        text = cloud.to_jsonl()
+        assert (len(cloud), len(text)) == (atoms, chars)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _near_atoms_loop(cloud, delta, theta):
