@@ -1,9 +1,12 @@
-"""The two hot numeric kernels, one numpy implementation each.
+"""Two numeric kernels, one numpy implementation each.
 
-``kernel_sums`` evaluates weighted disc-kernel sums of samples over the
-sources it is given; the Riesz surrogate passes each sample its near-field
-sources (``riesz._near_atoms``), the tests the whole cloud as the direct-sum
-reference.  ``taylor_recursion`` is the dense O(degree^2) log-domain
+``kernel_sums`` evaluates weighted disc-kernel sums of samples over every
+source it is given: ``riesz.atom_correction_sum`` over a cloud's atoms, and
+the tests over the 17 N sources of a cloud (its atoms and ``riesz._cell_nodes``)
+as the direct-sum reference for the surrogate's batched near-field kernel
+(``riesz._pair_terms``).  Each sample's terms are added by numpy, not by a
+BLAS dot product, so the sums do not depend on the BLAS thread count.
+``taylor_recursion`` is the dense O(degree^2) log-domain
 Taylor convolution for f^(k) = -A f, the general path of ``ode.taylor_solve``
 and the oracle its pole recursion is tested against.
 
@@ -38,7 +41,7 @@ def kernel_sums(samp_delta, samp_theta, src_delta, src_theta, src_weight):
         one_minus = dz + src_delta - dz * src_delta
         den = one_minus * one_minus + cross
         with np.errstate(divide="ignore"):
-            out[i] = 0.5 * float(np.dot(src_weight, np.log(num) - np.log(den)))
+            out[i] = 0.5 * float(np.sum(src_weight * (np.log(num) - np.log(den))))
     return out
 
 

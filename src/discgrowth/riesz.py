@@ -29,7 +29,11 @@ per atom; the text is byte-identical to per-atom dumps17 rows.
 
 The surrogate sums each sample over its near field only: the rings within
 64 local cell sizes of it and, on each, an angular window found in a ring
-index built once per cloud.
+index built once per cloud.  One call evaluates all its samples in one
+batched pass over (sample, atom) pairs, reading the cell nodes in compact
+form (per ring the four node radii and radial weights, per atom the angular
+centre, half-width and weight scale); it makes no BLAS call, so its values
+do not depend on the BLAS thread count.
 
 Enumeration happens in plain double arithmetic and is therefore capped at
 moderate g (cells per ring grow like e^g); the cap and the cell-count
@@ -402,11 +406,9 @@ class ZeroCloud:
     kind: Sequence[str]
     cells: Sequence[PolarCell]
     profile: RadialProfile | None = None
-    # built on the first surrogate evaluation: the kernel source triple
-    # (atoms ++ cell nodes), its node tail, the ring index of the atoms and
-    # the sorted atom positions
-    _sources: tuple | None = field(default=None, repr=False)
-    _nodes: tuple | None = field(default=None, repr=False)
+    # built on the first surrogate evaluation: the compact kernel sources,
+    # the ring index of the atoms and the sorted atom positions
+    _sources: _Sources | None = field(default=None, repr=False)
     _rings: _RingIndex | None = field(default=None, repr=False)
     _atom_keys: np.ndarray | None = field(default=None, repr=False)
 
@@ -490,18 +492,36 @@ def atomize(
 
 # -- surrogate potential ------------------------------------------------------
 
+_LEG_X = np.array([x for x, _ in _LEG_NODES[4]])
+_LEG_W = np.array([w for _, w in _LEG_NODES[4]])
+assert np.array_equal(_LEG_W, _LEG_W[::-1])  # the kernel pairs mirrored nodes
 
-def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Density-weighted quadrature nodes over every atom's source cell (4 x 4
-    Gauss-Legendre; atom-major, r-major, theta-minor), normalized so each
-    cell's node weights sum to the mass its atom carries.
 
-    Built once per cloud as the tail of its kernel source triple (atoms ++
-    nodes); returns (delta, theta, weight) views of that tail, the weights
-    negated as ``kernel_sums`` takes cell averages.
-    """
-    if cloud._nodes is not None:
-        return cloud._nodes
+@dataclass(frozen=True)
+class _Sources:
+    """The kernel sources of a cloud, compact: its atoms and the 4 x 4
+    density-weighted Gauss-Legendre nodes of every atom's source cell.  A
+    ring's cells share the node radii, so the node gaps 1 - r_i and radial
+    weights w_i rho(r_i) are kept once per ring; node (i, j) of an atom sits
+    at angle centre + half_width x_j with weight radial_i w_j scale, where
+    scale = mult / (the ring's total weight), so a cell's node weights sum
+    to the mass its atom carries."""
+
+    delta: np.ndarray  # per atom: exp(-g)
+    theta: np.ndarray
+    mult: np.ndarray
+    ring: np.ndarray  # per atom: its ring's column in gap and radial
+    centre: np.ndarray  # per atom: angular centre of its cell piece
+    half_width: np.ndarray
+    scale: np.ndarray
+    gap: np.ndarray  # (4, rings)
+    radial: np.ndarray  # (4, rings)
+
+
+def _sources(cloud: ZeroCloud) -> _Sources:
+    """Built once per cloud; the transcendental values once per ring."""
+    if cloud._sources is not None:
+        return cloud._sources
     cells = CellColumns.of(cloud.cells)
     leg = _LEG_NODES[4]
 
@@ -516,33 +536,37 @@ def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return [1.0 - rv for rv, _ in rw] + [wr for _, wr in rw] + [total]
 
     per_ring, ring_of = _per_ring(cells, ring)
-    per_atom = per_ring.reshape(-1, 9)[ring_of]
-    n = len(cells)
-    half_width = 0.5 * (cells.theta_hi - cells.theta_lo)
-    centre = 0.5 * (cells.theta_hi + cells.theta_lo)
-    scale = cloud.mult / per_atom[:, 8]
-    src_delta, src_theta, src_weight = (np.empty(17 * n) for _ in range(3))
-    src_delta[:n] = np.exp(-cloud.g)
-    src_theta[:n] = cloud.theta
-    src_weight[:n] = cloud.mult
-    src_delta[n:].reshape(n, 4, 4)[...] = per_atom[:, :4, None]
-    leg_x = np.array([x for x, _ in leg])
-    leg_w = np.array([w for _, w in leg])
-    src_theta[n:].reshape(n, 4, 4)[...] = (centre[:, None] + half_width[:, None] * leg_x)[:, None, :]
-    node_w = src_weight[n:].reshape(n, 4, 4)
-    np.multiply(per_atom[:, 4:8, None] * leg_w, scale[:, None, None], out=node_w)
-    np.negative(node_w, out=node_w)
-    cloud._sources = (src_delta, src_theta, src_weight)
-    cloud._nodes = (src_delta[n:], src_theta[n:], src_weight[n:])
-    return cloud._nodes
+    per_ring = per_ring.reshape(-1, 9)
+    mult = np.asarray(cloud.mult, dtype=float)
+    cloud._sources = _Sources(
+        delta=np.exp(-np.asarray(cloud.g, dtype=float)), theta=np.asarray(cloud.theta, dtype=float),
+        mult=mult, ring=ring_of, centre=0.5 * (cells.theta_hi + cells.theta_lo),
+        half_width=0.5 * (cells.theta_hi - cells.theta_lo), scale=mult / per_ring[ring_of, 8],
+        gap=per_ring[:, :4].T.copy(), radial=per_ring[:, 4:8].T.copy(),
+    )
+    return cloud._sources
+
+
+def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell nodes laid out one by one as (delta, theta, weight), atom-major,
+    r-major, theta-minor, the weights negated as ``kernel_sums`` takes cell
+    averages: the direct-sum reference.  The surrogate reads the compact
+    ``_sources`` and never builds this 16 N triple."""
+    src = _sources(cloud)
+    delta = np.repeat(src.gap.T[src.ring], 4, axis=1)
+    theta = np.tile(src.centre[:, None] + src.half_width[:, None] * _LEG_X, 4)
+    weight = -(src.radial.T[src.ring][:, :, None] * _LEG_W * src.scale[:, None, None])
+    return delta.ravel(), theta.ravel(), weight.ravel()
 
 
 def _on_atom(cloud: ZeroCloud, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Which points (delta, theta) sit exactly on an atom: a binary search in
-    the atom positions, sorted once per cloud as complex keys delta + i theta."""
+    the atom positions, sorted once per cloud as complex keys
+    exp(-g) + i theta."""
     n = len(cloud)
     if cloud._atom_keys is None:
-        cloud._atom_keys = np.sort(cloud._sources[0][:n] + 1j * cloud._sources[1][:n])
+        src = _sources(cloud)
+        cloud._atom_keys = np.sort(src.delta + 1j * src.theta)
     probe = delta + 1j * theta
     at = np.minimum(np.searchsorted(cloud._atom_keys, probe), n - 1)
     return cloud._atom_keys[at] == probe
@@ -557,6 +581,9 @@ def eval_log_surrogate(
 # near field of a sample: the rings within _NEAR_CUT local cell sizes of it
 _NEAR_CUT = 64.0
 _TWO_PI = 2.0 * math.pi
+# (sample, atom) pairs per block of the near-field kernel, so that its
+# (4, 4, block) temporaries stay in a 1-2 MB L2 cache
+_PAIR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -602,12 +629,15 @@ def _ring_index(cloud: ZeroCloud) -> _RingIndex:
     return cloud._rings
 
 
-def _near_atoms(rings: _RingIndex, delta: float, theta: float) -> np.ndarray:
-    """Indices of the atoms within the near field of the point (delta, theta):
-    on each ring within _NEAR_CUT s of it, the atoms in the angular window of
-    half-width sqrt((_NEAR_CUT s)^2 - dr^2) / r_lo about theta, where dr is
-    the radial distance to the ring; the whole ring once that reaches pi."""
-    r = 1.0 - delta
+def _near_pairs(rings: _RingIndex, delta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The near field of each point (delta[k], theta[k]): on each ring within
+    _NEAR_CUT s of it, the atoms in the angular window of half-width
+    sqrt((_NEAR_CUT s)^2 - dr^2) / r_lo about theta, where dr is the radial
+    distance to the ring; the whole ring once that reaches pi.  The windows
+    of all points and rings come from one pair of binary searches.  Returns
+    the atoms, point-major (a point's atoms ring by ring), and the count of
+    each point."""
+    r = 1.0 - delta[:, None]
     reach = _NEAR_CUT * rings.s
     dr = np.maximum(np.maximum(rings.r_lo - r, r - rings.r_hi), 0.0)
     span = np.sqrt(np.maximum(reach * reach - dr * dr, 0.0))
@@ -615,19 +645,58 @@ def _near_atoms(rings: _RingIndex, delta: float, theta: float) -> np.ndarray:
     whole = near & (span >= math.pi * rings.r_lo)  # also an innermost ring with r_lo = 0
     part = near & ~whole
     half = span / np.where(part, rings.r_lo, 1.0)
-    t = theta % _TWO_PI
-    # per ring, the window clipped to [0, 2 pi] and the piece wrapping round;
-    # a far ring gets two empty windows
+    t = np.mod(theta, _TWO_PI)[:, None]
+    # per (point, ring), the window clipped to [0, 2 pi] and the piece
+    # wrapping round; a far ring gets two empty windows
     lo = np.where(part, t - half, np.where(whole, 0.0, 1.0))
     hi = np.where(part, t + half, np.where(whole, _TWO_PI, 0.0))
     wrap_lo = np.where(lo < 0.0, lo + _TWO_PI, 0.0)
     wrap_hi = np.where(lo < 0.0, _TWO_PI, np.where(hi > _TWO_PI, hi - _TWO_PI, -1.0))
-    base = np.tile(8.0 * np.arange(len(rings.s)), 2)
-    first = np.searchsorted(rings.keys, base + np.concatenate([np.maximum(lo, 0.0), wrap_lo]), "left")
-    last = np.searchsorted(rings.keys, base + np.concatenate([np.minimum(hi, _TWO_PI), wrap_hi]), "right")
+    base = 8.0 * np.arange(len(rings.s))
+    first = np.searchsorted(rings.keys, np.hstack([base + np.maximum(lo, 0.0), base + wrap_lo]), "left")
+    last = np.searchsorted(rings.keys, np.hstack([base + np.minimum(hi, _TWO_PI), base + wrap_hi]), "right")
     count = np.maximum(last - first, 0)
-    pos = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-    return rings.order[pos]
+    flat = count.ravel()
+    pos = np.arange(flat.sum()) + np.repeat(first.ravel() - np.cumsum(flat) + flat, flat)
+    return rings.order[pos], count.sum(axis=1)
+
+
+def _near_atoms(rings: _RingIndex, delta: float, theta: float) -> np.ndarray:
+    """The near-field atoms of one point (``_near_pairs``)."""
+    return _near_pairs(rings, np.array([delta]), np.array([theta]))[0]
+
+
+def _pair_terms(src: _Sources, dz: np.ndarray, tz: np.ndarray, atom: np.ndarray) -> np.ndarray:
+    """Twice the kernel term of each (sample, atom) pair minus its cell
+    average: mult L(atom) - scale sum_i radial_i sum_j w_j L(node ij), where
+    L = log(num / den) = 2 log|(z - zeta) / (1 - conj(z) zeta)| with
+    num = (delta - dz)^2 + cross, den = (dz + delta - dz delta)^2 + cross and
+    cross = 4 |z| |zeta| sin^2((theta_z - theta) / 2).  A pair's value does
+    not depend on the other pairs of its block."""
+    rz4 = 4.0 * (1.0 - dz)
+    d = src.delta[atom]
+    s = np.sin(0.5 * (tz - src.theta[atom]))
+    cross = rz4 * (1.0 - d) * s * s
+    dd, om = d - dz, dz + d - dz * d
+    atom_l = np.log((dd * dd + cross) / (om * om + cross))
+    # the nodes: sines once per angle j, radial terms once per radius i
+    ring = src.ring[atom]
+    gap = np.take(src.gap, ring, axis=1)
+    s = np.sin(0.5 * (tz - (src.centre[atom] + src.half_width[atom] * _LEG_X[:, None])))
+    s *= s
+    dd, om = gap - dz, dz + gap - dz * gap
+    dd *= dd
+    om *= om
+    cross = (rz4 * (1.0 - gap))[:, None] * s  # (radius i, angle j, pair)
+    num = cross + dd[:, None]
+    cross += om[:, None]
+    # w_j = w_(3-j): one log per radius and pair of mirrored angles
+    num[:, :2] *= num[:, :1:-1]
+    cross[:, :2] *= cross[:, :1:-1]
+    ratio = np.log(num[:, :2] / cross[:, :2])
+    node = ratio[:, 0] * _LEG_W[0] + ratio[:, 1] * _LEG_W[1]
+    node *= np.take(src.radial, ring, axis=1)
+    return src.mult[atom] * atom_l - src.scale[atom] * node.sum(axis=0)
 
 
 def eval_log_surrogate_many(
@@ -638,7 +707,7 @@ def eval_log_surrogate_many(
     kernel]; -inf at a point that sits exactly on an atom.
 
     Each term has zero net mass, so its far field decays fast, and the sum
-    runs over the near field only (``_near_atoms``: the rings within
+    runs over the near field only (``_near_pairs``: the rings within
     _NEAR_CUT = 64 local cell sizes of z, and the cell nodes of their atoms).
     That keeps 9% of the sources on the 5.9k-atom generation-1 cloud of the
     small test scaffold and 0.8% on the 127k-atom cloud of the wide one.
@@ -651,6 +720,15 @@ def eval_log_surrogate_many(
     g >= 3, |S(64) - S(32)| (S(c): the sum at cut c) fell below the true
     error on 11, by up to 51x, and max(|S(64) - S(32)|, |S(32) - S(16)|/2)
     on 2.
+
+    One batched pass per call: the near-field windows of all samples come
+    from one binary-search pair, giving a flat sample-major list of
+    (sample, atom) pairs; ``_pair_terms`` evaluates them in blocks of
+    _PAIR_BLOCK pairs from the compact per-ring and per-atom node
+    parameters (``_sources``), and each sample's contiguous run of pair
+    terms is summed in order.  No BLAS call is made, so the values do not
+    depend on the BLAS thread count, and a sample gets the same value alone
+    or in any batch.
     """
     gs = np.array([as_g(g) for g, _ in zs], dtype=float)
     samp_delta = np.exp(-gs)
@@ -658,16 +736,18 @@ def eval_log_surrogate_many(
     out = profile.phi(gs)
     if len(cloud) == 0:
         return out
-    _cell_nodes(cloud)
-    rings = _ring_index(cloud)
-    n = len(cloud)
-    node = np.arange(16)
-    for i, (delta, theta) in enumerate(zip(samp_delta.tolist(), samp_theta.tolist())):
-        atoms = _near_atoms(rings, delta, theta)
-        src = np.concatenate([atoms, (n + 16 * atoms[:, None] + node).ravel()])
-        out[i] += kernel_sums(
-            samp_delta[i : i + 1], samp_theta[i : i + 1], *(col[src] for col in cloud._sources)
-        )[0]
+    src = _sources(cloud)
+    atoms, count = _near_pairs(_ring_index(cloud), samp_delta, samp_theta)
+    sample = np.repeat(np.arange(len(gs)), count)
+    terms = np.empty(len(atoms))
+    with np.errstate(divide="ignore"):  # log 0 on an atom; masked below
+        for start in range(0, len(atoms), _PAIR_BLOCK):
+            block = slice(start, start + _PAIR_BLOCK)
+            at = sample[block]
+            terms[block] = _pair_terms(src, samp_delta[at], samp_theta[at], atoms[block])
+    some = count > 0  # np.add.reduceat would give an empty run its next term
+    if some.any():
+        out[some] += 0.5 * np.add.reduceat(terms, (np.cumsum(count) - count)[some])
     out[_on_atom(cloud, samp_delta, samp_theta)] = -math.inf
     return out
 

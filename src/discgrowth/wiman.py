@@ -82,12 +82,15 @@ class Term:
 
 
 def _k_indicator(log_ref: float, blocks: _Blocks) -> LogValue:
-    """K = n_ref sum e^w (n/n_ref) / sum e^w over a window."""
+    """K = n_ref sum e^w (n/n_ref) / sum e^w over a window.  The sums are
+    numpy's, not BLAS dot products, so K does not depend on the BLAS thread
+    count; the products are taken in place in the block of weights."""
     s0 = s1 = 0.0
     for x, w in blocks:
         e = np.exp(w)
         s0 += float(np.sum(e))
-        s1 += float(np.dot(e, x))
+        e *= x
+        s1 += float(np.sum(e))
     return _k_of_sums(log_ref, s0, s1)
 
 
@@ -100,7 +103,8 @@ def _k_of_sums(log_ref: float, s0: float, s1: float) -> LogValue:
 def _derivative_ratio(series, order: int, g: float) -> float:
     """sum e^w n(n-1)...(n-order+1)/K^order / sum e^w over the window, with
     K summed in the same walk; exact indices come as n / math.exp(log_ref),
-    so n - i vanishes at n = i."""
+    so n - i vanishes at n = i.  Summed as in ``_k_indicator``, the weights
+    times x, then times each factor x - i/n_ref, in place."""
     if order == 0:
         return 1.0
     log_ref, blocks = series.window(g)
@@ -108,12 +112,12 @@ def _derivative_ratio(series, order: int, g: float) -> float:
     s0 = s1 = sff = 0.0
     for x, w in blocks:
         e = np.exp(w)
-        fac = x
-        for i in range(1, order):
-            fac = fac * (x - i / n_ref)
         s0 += float(np.sum(e))
-        s1 += float(np.dot(e, x))
-        sff += float(np.dot(e, fac))
+        e *= x
+        s1 += float(np.sum(e))
+        for i in range(1, order):
+            e *= x - i / n_ref
+        sff += float(np.sum(e))
     k = _k_of_sums(log_ref, s0, s1)
     if k.sign == 0:
         return 0.0

@@ -343,29 +343,36 @@ class TestJsonlRuns:
 
 def _direct_sum(cloud, profile, zs):
     """The surrogate as a direct sum: scalar phi plus the kernel sum over every
-    source of the cloud (all atoms and all their cell nodes)."""
-    R._cell_nodes(cloud)
+    source of the cloud (all atoms, then all their cell nodes)."""
+    atoms = (np.exp(-cloud.g), cloud.theta, cloud.mult)
+    sources = [np.concatenate(cols) for cols in zip(atoms, R._cell_nodes(cloud))]
     return [
-        profile.phi(g.g) + kernel_sums(np.array([math.exp(-g.g)]), np.array([t]), *cloud._sources)[0]
+        profile.phi(g.g) + kernel_sums(np.array([math.exp(-g.g)]), np.array([t]), *sources)[0]
         for g, t in zs
     ]
 
 
+def _nodes_digest(cloud):
+    return hashlib.sha256(b"".join(col.tobytes() for col in R._cell_nodes(cloud))).hexdigest()
+
+
 class TestPinnedValues:
-    """The direct sums reproduce values recorded at commit dc95d27 (one
-    PolarCell per cell and per atom), so the column layout of the cell nodes
-    must match them bit for bit.  The near-field values of
-    eval_log_surrogate_many are pinned beside them; they differ from the
-    direct sums by at most 1.3e-4."""
+    """The cell nodes are pinned bit for bit by the sha256 of their
+    (delta, theta, weight) bytes, recorded at commit 8d59609 (the 17 N source
+    triple built once per cloud).  The direct sums over every source and the
+    near-field values of eval_log_surrogate_many are pinned beside them; the
+    two differ by at most 1.3e-4.  Neither sum calls BLAS, so the values do
+    not depend on its thread count."""
 
     def test_surrogate_values(self, gen1_cloud, small_profile):
+        assert _nodes_digest(gen1_cloud) == "3c7fa41c7006074cf9ab3ce0ab55ec19e40ad057d1d19c305d5842f904885ac5"
         zs = [(LogGap(1.0), 0.3), (LogGap(3.5), 2.0), (LogGap(6.15), 1.0), (LogGap(8.0), 5.0)]
         direct = _direct_sum(gen1_cloud, small_profile, zs)
-        assert [v.hex() for v in direct] == ["0x1.e0455c12d7429p+3", "0x1.33942de12a136p+4",
-                                             "0x1.9c4c91dcccf8fp+3", "0x1.03662bc3253d4p+5"]
+        assert [v.hex() for v in direct] == ["0x1.e0455c12d7426p+3", "0x1.33942de12a137p+4",
+                                             "0x1.9c4c91dcccfb3p+3", "0x1.03662bc3253d4p+5"]
         got = R.eval_log_surrogate_many(gen1_cloud, small_profile, zs)
-        assert [v.hex() for v in got.tolist()] == ["0x1.e0448459e04c1p+3", "0x1.33940c1c7fdf6p+4",
-                                                   "0x1.9c4c8d22af156p+3", "0x1.03662b939cc1dp+5"]
+        assert [v.hex() for v in got.tolist()] == ["0x1.e0448459e04c1p+3", "0x1.33940c1c7fdf7p+4",
+                                                   "0x1.9c4c8d22af155p+3", "0x1.03662b939cc1dp+5"]
 
     def test_hat_region_cloud_and_surrogate(self):
         # p > p2 opens the A-hat region; the ceiling stops inside A-dprime
@@ -377,11 +384,12 @@ class TestPinnedValues:
         cloud = R.atomize(part, prof, split_doubles=True)
         digest = hashlib.sha256(cloud.to_jsonl().encode()).hexdigest()
         assert digest == "f63e024ca262afb9840dbddebdc386068ac9f48950e7bb8d7ca53e34719f3a3a"
+        assert _nodes_digest(cloud) == "2d59ef9fd74fd0d1f7fa97720efe1a53a413e878dd340920bf82836dd6eb65cc"
         zs = [(LogGap(6.3), 0.5), (LogGap(2.0), 4.0)]
         direct = _direct_sum(cloud, prof, zs)
-        assert [v.hex() for v in direct] == ["0x1.596b141685cdcp+4", "0x1.d90f88e561307p+3"]
+        assert [v.hex() for v in direct] == ["0x1.596b141685cdbp+4", "0x1.d90f88e561303p+3"]
         got = R.eval_log_surrogate_many(cloud, prof, zs)
-        assert [v.hex() for v in got.tolist()] == ["0x1.596b123e6d679p+4", "0x1.d90e8505de20cp+3"]
+        assert [v.hex() for v in got.tolist()] == ["0x1.596b123e6d67ap+4", "0x1.d90e8505de20dp+3"]
 
     # sha256 and length of the 127k-atom cloud text, plain and split_doubles,
     # recorded at commit 947e291 (one format of the whole row per atom)
@@ -459,20 +467,64 @@ class TestNearField:
         )
 
     def test_sources_per_sample_under_two_percent(self, wide_cloud, monkeypatch):
-        # a fall-back to the full sum over 17 N sources shows without timing
+        # a fall-back to the full sum over 17 N sources shows without timing;
+        # a (sample, atom) pair of the kernel stands for the atom and its 16
+        # cell nodes, 17 sources
         cloud, prof = wide_cloud
-        pairs, samples = [], []
+        pair_terms, pairs = R._pair_terms, []
 
-        def counting(samp_delta, samp_theta, src_delta, src_theta, src_weight):
-            pairs.append(len(samp_delta) * len(src_delta))
-            samples.append(len(samp_delta))
-            return kernel_sums(samp_delta, samp_theta, src_delta, src_theta, src_weight)
+        def counting(src, dz, tz, atom):
+            pairs.append(len(atom))
+            return pair_terms(src, dz, tz, atom)
 
-        monkeypatch.setattr(R, "kernel_sums", counting)
+        monkeypatch.setattr(R, "_pair_terms", counting)
         zs = [(LogGap(float(g)), float(t)) for g, t in zip(np.linspace(0.2, 11.3, 12), np.linspace(0.0, 6.2, 12))]
         R.eval_log_surrogate_many(cloud, prof, zs)
-        assert sum(samples) == len(zs)
-        assert sum(pairs) < 0.02 * 17 * len(cloud) * len(zs)
+        assert sum(pairs) > 0 and max(pairs) <= R._PAIR_BLOCK
+        assert 17 * sum(pairs) < 0.02 * 17 * len(cloud) * len(zs)
+
+
+class TestBatchedKernel:
+    def test_pair_terms_match_the_expanded_nodes(self, gen1_cloud):
+        # the kernel reads the compact node parameters; kernel_sums over each
+        # atom's 17 expanded sources (the atom, then its 16 nodes) agrees
+        src = R._sources(gen1_cloud)
+        delta, theta, weight = (col.reshape(-1, 16) for col in R._cell_nodes(gen1_cloud))
+        atoms = np.arange(0, len(gen1_cloud), 37)
+        for g, t in ((0.4, 1.0), (3.5, 2.0), (6.1, 0.01)):
+            dz, tz = np.full(len(atoms), math.exp(-g)), np.full(len(atoms), t)
+            got = R._pair_terms(src, dz, tz, atoms)
+            for a, v in zip(atoms, got):
+                want = kernel_sums(
+                    dz[:1], tz[:1], np.append(src.delta[a], delta[a]), np.append(src.theta[a], theta[a]),
+                    np.append(src.mult[a], weight[a]),
+                )[0]
+                assert 0.5 * v == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("block", [7, 500, 4096])
+    def test_same_bits_alone_in_a_batch_and_across_blocks(self, gen1_cloud, small_profile, monkeypatch, block):
+        rng = np.random.default_rng(3)
+        zs = [(LogGap(float(g)), float(t)) for g, t in zip(rng.uniform(0.0, 8.0, 24), rng.uniform(0.0, 6.3, 24))]
+        alone = [R.eval_log_surrogate(gen1_cloud, small_profile, z) for z in zs]
+        monkeypatch.setattr(R, "_PAIR_BLOCK", block)
+        batch = R.eval_log_surrogate_many(gen1_cloud, small_profile, zs)
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(R.eval_log_surrogate_many(gen1_cloud, small_profile, zs[::-1]), alone[::-1])
+
+    def test_sample_without_near_atoms_returns_phi(self, gen1_partition, small_profile):
+        # a cloud of deep cells with theta < 0.5 only: a sample on their
+        # rings at theta = 3 sees none of them
+        cells = gen1_partition.cells
+        part = R.PartitionResult(cells=cells[(cells.g_lo >= 5.5) & (cells.theta_hi <= 0.5)], truncated={}, generation=1)
+        cloud = R.atomize(part, small_profile)
+        assert len(cloud) > 0
+        rings = R._ring_index(cloud)
+        empty, near = (LogGap(6.0), 3.0), (LogGap(6.0), 0.25)
+        assert len(R._near_atoms(rings, math.exp(-6.0), 3.0)) == 0
+        assert len(R._near_atoms(rings, math.exp(-6.0), 0.25)) > 0
+        got = R.eval_log_surrogate_many(cloud, small_profile, [empty, near, empty])
+        assert got[0] == got[2] == small_profile.phi(6.0)
+        assert got[1] == R.eval_log_surrogate(cloud, small_profile, near) != small_profile.phi(6.0)
 
 
 class TestExcludedArcs:
