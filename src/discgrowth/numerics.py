@@ -657,7 +657,7 @@ def _adaptive(f, a, b, rel_tol, abs_tol, max_intervals):
         total_err += e1 + e2 - err0
         segs.append((e1, a0, mid, v1))
         segs.append((e2, mid, b0, v2))
-    if not good(total_err, total) and not good(0.1 * total_err, total):
+    if not good(total_err, total):
         raise QuadratureError("adaptive refinement did not converge", prev_total, total)
     return total
 

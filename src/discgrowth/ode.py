@@ -1,7 +1,8 @@
 """The equation f^(k) + A f = 0: power-series solving in log-domain
-arithmetic, the coefficient-majorant growth bound, order/lower-order
-estimation from samples, and the closed-form predictors tying coefficient
-degrees to solution orders.
+arithmetic, the coefficient-integral growth bound for a log-domain majorant
+(``coefficient_integral_log_bound``), order/lower-order estimation from
+samples, and the closed-form predictors tying coefficient degrees to
+solution orders.
 """
 
 from __future__ import annotations
@@ -66,22 +67,6 @@ def pole_coeffs(p: int, degree: int, scale: float = 1.0) -> DenseCoeffs:
     return DenseCoeffs(signs, logs, pole=(p, scale))
 
 
-@dataclass(frozen=True)
-class MajorantModel:
-    """Radial majorant M(t, A): log-domain callable plus declared degrees.
-    ``power=(B, s)`` marks the pure-power model M(t) = B (1-t)^-s, unlocking
-    the closed-form antiderivative in the growth bound."""
-
-    log_M: Callable[[float], float]  # g -> log M(r(g), A)
-    p1: float
-    p2: float
-    power: tuple[float, float] | None = None
-
-    @classmethod
-    def pure_power(cls, b: float, s: float) -> "MajorantModel":
-        return cls(lambda g: math.log(b) + s * g, p1=s, p2=s, power=(b, s))
-
-
 # ---------------------------------------------------------------------------
 # power-series solving
 
@@ -103,28 +88,24 @@ class SolutionSeries:
             return LogValue.zero()
         return LogValue(int(self.sign[m]), float(self.logmag[m] - m * self.log_rho))
 
+    def _log_terms(self, g: LogGap | float) -> tuple[np.ndarray, np.ndarray]:
+        """(indices m of the nonzero coefficients, log |f_m| r^m at each)."""
+        t = log_r_from_g(as_g(g)) - self.log_rho
+        live = np.nonzero(self.sign != 0.0)[0]
+        return live, self.logmag[live] + live * t
+
     def log_abs_sum(self, g: LogGap | float) -> float:
         """log sum |f_m| r^m: equals log M(r, f) for nonnegative coefficients
         (an upper proxy otherwise), up to the truncation degree."""
-        gv = as_g(g)
-        t = log_r_from_g(gv) - self.log_rho
-        live = self.sign != 0.0
-        vals = self.logmag[live] + np.arange(len(self.sign))[live] * t
+        vals = self._log_terms(g)[1]
         m = float(np.max(vals))
         return m + math.log(float(np.sum(np.exp(vals - m))))
 
     def log_max_term(self, g: LogGap | float) -> float:
-        gv = as_g(g)
-        t = log_r_from_g(gv) - self.log_rho
-        live = self.sign != 0.0
-        vals = self.logmag[live] + np.arange(len(self.sign))[live] * t
-        return float(np.max(vals))
+        return float(np.max(self._log_terms(g)[1]))
 
     def central_index(self, g: LogGap | float) -> int:
-        gv = as_g(g)
-        t = log_r_from_g(gv) - self.log_rho
-        live = np.nonzero(self.sign != 0.0)[0]
-        vals = self.logmag[live] + live * t
+        live, vals = self._log_terms(g)
         return int(live[np.argmax(vals)])
 
 
@@ -208,30 +189,6 @@ def _pole_recursion(
         logmag[m + k] = log_a0 + s - fact
     sign = np.where(logmag == -np.inf, 0.0, 1.0)
     return sign, logmag
-
-
-def growth_majorant(model: MajorantModel, k: int, g: LogGap | float) -> LogValue:
-    """The coefficient-integral growth bound k int_0^r M(t,A)^(1/k) dt as a
-    bound for log M(r, f)."""
-    gv = as_g(g)
-    if model.power is not None:
-        b, s = model.power
-        e = s / k
-        if e > 1.0:
-            # k B^(1/k) ((1-r)^(1-e) - 1)/(e-1)
-            val = k * b ** (1.0 / k) * (math.exp((e - 1.0) * gv) - 1.0) / (e - 1.0)
-        elif e == 1.0:
-            val = k * b ** (1.0 / k) * gv
-        else:
-            val = k * b ** (1.0 / k) * (1.0 - math.exp(-(1.0 - e) * gv)) / (1.0 - e)
-        return LogValue.from_float(val)
-    r = LogGap(gv).r if gv <= 36.0 else None
-    if r is None:
-        raise OdeError("callable majorants integrate only for g <= 36; use a power model")
-    val = k * integrate(
-        lambda t: math.exp(model.log_M(-math.log1p(-t)) / k), 0.0, r, rel_tol=1e-9
-    )
-    return LogValue.from_float(val)
 
 
 # ---------------------------------------------------------------------------

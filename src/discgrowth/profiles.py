@@ -243,33 +243,6 @@ class RadialProfile:
             out.append((gv, self.phi(gv) / gv))
         return out
 
-    def junction_distance(self, g: float) -> float:
-        """Distance in g to the nearest branch boundary (or domain edge)."""
-        d = min(abs(g - b[0]) for b in self._bounds)
-        return min(d, abs(self.g_end - g))
-
-    def laplacian_fd(self, g: float, h: float | None = None) -> tuple[LogValue, float]:
-        """Finite-difference radial Laplacian from phi alone (oracle path).
-
-        Uses psi(g) = phi(r(g)): (1/r)(r phi')' = (psi'' + psi') e^{2g}
-        + psi' e^g / r, with 4th-order central differences in g.  Returns the
-        value and the O(1) inner quantity (psi''+psi') + psi' e^{-g}/r whose
-        size calibrates zero-Laplacian branches.
-        """
-        if h is None:
-            h = min(1e-2, 0.15 * self.junction_distance(g))
-        if h <= 0.0:
-            raise ProfileRangeError(f"no room for a finite-difference stencil at g={g}")
-        f = self.phi
-        f2p, f1p, f0, f1m, f2m = f(g + 2 * h), f(g + h), f(g), f(g - h), f(g - 2 * h)
-        d1 = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
-        d2 = (-f2p + 16.0 * f1p - 30.0 * f0 + 16.0 * f1m - f2m) / (12.0 * h * h)
-        r_log = log_r_from_g(g)
-        inner = (d2 + d1) + d1 * math.exp(-g - r_log)
-        if inner == 0.0:
-            return LogValue.zero(), 0.0
-        return LogValue(1 if inner > 0 else -1, 2.0 * g + math.log(abs(inner))), inner
-
     def write_csv(self, path: str, gs: Sequence[float]) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -33,7 +33,9 @@ index built once per cloud.  One call evaluates all its samples in one
 batched pass over (sample, atom) pairs, reading the cell nodes in compact
 form (per ring the four node radii and radial weights, per atom the angular
 centre, half-width and weight scale); it makes no BLAS call, so its values
-do not depend on the BLAS thread count.
+do not depend on the BLAS thread count.  The direct sum over all 17 N
+sources (atoms plus cell nodes) that the tests compare it against lives in
+``tests/reference.py``.
 
 Enumeration happens in plain double arithmetic and is therefore capped at
 moderate g (cells per ring grow like e^g); the cap and the cell-count
@@ -50,7 +52,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._accel import kernel_sums
 from .numerics import LogGap, NumericsError, as_g
 from .profiles import RadialProfile
 from .serialize import dumps17
@@ -547,18 +548,6 @@ def _sources(cloud: ZeroCloud) -> _Sources:
     return cloud._sources
 
 
-def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cell nodes laid out one by one as (delta, theta, weight), atom-major,
-    r-major, theta-minor, the weights negated as ``kernel_sums`` takes cell
-    averages: the direct-sum reference.  The surrogate reads the compact
-    ``_sources`` and never builds this 16 N triple."""
-    src = _sources(cloud)
-    delta = np.repeat(src.gap.T[src.ring], 4, axis=1)
-    theta = np.tile(src.centre[:, None] + src.half_width[:, None] * _LEG_X, 4)
-    weight = -(src.radial.T[src.ring][:, :, None] * _LEG_W * src.scale[:, None, None])
-    return delta.ravel(), theta.ravel(), weight.ravel()
-
-
 def _on_atom(cloud: ZeroCloud, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Which points (delta, theta) sit exactly on an atom: a binary search in
     the atom positions, sorted once per cloud as complex keys
@@ -570,12 +559,6 @@ def _on_atom(cloud: ZeroCloud, delta: np.ndarray, theta: np.ndarray) -> np.ndarr
     probe = delta + 1j * theta
     at = np.minimum(np.searchsorted(cloud._atom_keys, probe), n - 1)
     return cloud._atom_keys[at] == probe
-
-
-def eval_log_surrogate(
-    cloud: ZeroCloud, profile: RadialProfile, z: tuple[LogGap, float]
-) -> float:
-    return eval_log_surrogate_many(cloud, profile, [z])[0]
 
 
 # near field of a sample: the rings within _NEAR_CUT local cell sizes of it
@@ -659,11 +642,6 @@ def _near_pairs(rings: _RingIndex, delta: np.ndarray, theta: np.ndarray) -> tupl
     flat = count.ravel()
     pos = np.arange(flat.sum()) + np.repeat(first.ravel() - np.cumsum(flat) + flat, flat)
     return rings.order[pos], count.sum(axis=1)
-
-
-def _near_atoms(rings: _RingIndex, delta: float, theta: float) -> np.ndarray:
-    """The near-field atoms of one point (``_near_pairs``)."""
-    return _near_pairs(rings, np.array([delta]), np.array([theta]))[0]
 
 
 def _pair_terms(src: _Sources, dz: np.ndarray, tz: np.ndarray, atom: np.ndarray) -> np.ndarray:
@@ -750,18 +728,6 @@ def eval_log_surrogate_many(
         out[some] += 0.5 * np.add.reduceat(terms, (np.cumsum(count) - count)[some])
     out[_on_atom(cloud, samp_delta, samp_theta)] = -math.inf
     return out
-
-
-def atom_correction_sum(cloud: ZeroCloud, z: tuple[LogGap, float]) -> float:
-    """Direct atom-only kernel sum (no cell averages); the far-field bound
-    oracle works against this."""
-    g, t = z
-    gv = as_g(g)
-    dz = math.exp(-gv)
-    out = kernel_sums(
-        np.array([dz]), np.array([t]), np.exp(-cloud.g), cloud.theta, cloud.mult.astype(float)
-    )
-    return float(out[0])
 
 
 # -- excluded arcs and the approximation report -------------------------------

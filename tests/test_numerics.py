@@ -15,6 +15,7 @@ from discgrowth.numerics import (
     LogGap,
     LogValue,
     NumericsError,
+    QuadratureError,
     RootConvergenceError,
     SeriesCapError,
     find_root,
@@ -341,3 +342,9 @@ class TestIntegrate:
     def test_rejects_bad_hint(self):
         with pytest.raises(NumericsError):
             integrate(lambda t: t, 0.0, 1.0, singularity_hint=1.5)
+
+    def test_unconverged_refinement_raises(self):
+        # the kink at 1/3 keeps the error estimate above the tolerance
+        # (2.56x) once the 16 intervals are spent
+        with pytest.raises(QuadratureError):
+            integrate(lambda t: math.sqrt(abs(t - 1.0 / 3.0)), 0.0, 1.0, max_intervals=16)

@@ -1,4 +1,4 @@
-"""Power-series solving of f^(k) + A f = 0, the coefficient-majorant bound,
+"""Power-series solving of f^(k) + A f = 0, the coefficient-integral bound,
 closed-form predictors, order estimation and the inequality audit."""
 
 import math
@@ -8,6 +8,7 @@ import pytest
 
 from discgrowth import ode as O
 from discgrowth.numerics import LogGap, LogValue
+from reference import power_majorant_bound
 
 
 def exp_frac_coeffs(n: int) -> list[float]:
@@ -137,27 +138,41 @@ class TestPolePath:
 
 
 class TestGrowthMajorant:
+    """coefficient_integral_log_bound against the closed form of the bound for
+    M = B (1-t)^-s.  With e = s/k and step h, the midpoint rule in g is off by
+    the same factor (e-1) sinh(h/2) / sinh((e-1) h/2) on every piece, so
+    log(got) - log(closed form) = e (2-e) h^2/24 + O(h^4), exact at e = 2."""
+
     def test_pure_power_closed_form(self):
         # M = (1-t)^-2, k = 1: bound = r/(1-r)
-        model = O.MajorantModel.pure_power(1.0, 2.0)
         for g in (1.0, 3.0, 6.0):
             r = LogGap(g).r
-            want = r / (1.0 - r)
-            assert O.growth_majorant(model, 1, g).to_float() == pytest.approx(want, rel=1e-12)
+            assert power_majorant_bound(1.0, 2.0, 1, g) == pytest.approx(r / (1.0 - r), rel=1e-12)
+
+    @pytest.mark.parametrize("g", [0.5, 3.0, 6.0, 20.0])
+    @pytest.mark.parametrize("b,s,k", [
+        (1.0, 0.5, 1), (3.0, 3.0, 4),  # e < 1
+        (1.0, 2.0, 2),  # e = 1
+        (1.0, 2.0, 1), (3.0, 2.0, 1),  # e = 2
+        (1.0, 6.0, 2), (2.0, 4.0, 1),  # e > 2
+    ])
+    def test_integral_matches_closed_form(self, b, s, k, g):
+        step, e = 0.02, s / k
+        h = g / max(2, int(math.ceil(g / step)))
+        got = O.coefficient_integral_log_bound(lambda gs: math.log(b) + s * gs, k, g, step=step)
+        residual = got - math.log(power_majorant_bound(b, s, k, g)) - e * (2.0 - e) * h * h / 24.0
+        assert abs(residual) <= (1e-12 if e == 2.0 else 1e-8)
 
     def test_bounded_model(self):
         b = 7.0
-        model = O.MajorantModel(lambda g: math.log(b), p1=0.0, p2=0.0)
         for k in (1, 2):
-            got = O.growth_majorant(model, k, LogGap.from_r(0.8)).to_float()
-            assert got <= k * b ** (1.0 / k) * 0.8 * (1.0 + 1e-12)
-            assert got == pytest.approx(k * b ** (1.0 / k) * 0.8, rel=1e-9)
+            got = O.coefficient_integral_log_bound(lambda gs: np.full(len(gs), math.log(b)), k, LogGap.from_r(0.8).g)
+            assert abs(got - math.log(k * b ** (1.0 / k) * 0.8)) <= 1e-12
 
     def test_solution_below_majorant(self, exp_solution):
         # |A| = (1-t)^-2 exactly, k = 1
-        model = O.MajorantModel.pure_power(1.0, 2.0)
         for g in np.linspace(0.3, 6.0, 30):
-            bound = O.growth_majorant(model, 1, float(g)).to_float()
+            bound = power_majorant_bound(1.0, 2.0, 1, float(g))
             assert exp_solution.log_abs_sum(float(g)) <= bound * (1.0 + 1e-12) + 1e-9
 
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from discgrowth import riesz as R
-from discgrowth._accel import kernel_sums
 from discgrowth.numerics import LogGap, integrate
 from discgrowth.profiles import RadialProfile
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
 from discgrowth.serialize import dumps17
+from reference import cell_nodes, kernel_sums
 
 
 @pytest.fixture(scope="module")
@@ -216,19 +216,19 @@ class TestSurrogate:
         cloud = R.ZeroCloud(
             np.array([]), np.array([]), np.array([]), [], [], small_profile
         )
-        v = R.eval_log_surrogate(cloud, small_profile, (LogGap(2.0), 0.7))
+        v = R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.7)])[0]
         assert v == small_profile.phi(2.0)
 
     def test_on_atom_sentinel(self, gen1_cloud, small_profile):
         z = (LogGap(float(gen1_cloud.g[10])), float(gen1_cloud.theta[10]))
-        assert R.eval_log_surrogate(gen1_cloud, small_profile, z) == -math.inf
+        assert R.eval_log_surrogate_many(gen1_cloud, small_profile, [z])[0] == -math.inf
 
     def test_near_atom_logarithmic_dip(self, gen1_cloud, small_profile):
         g = float(gen1_cloud.g[10])
         t = float(gen1_cloud.theta[10])
         gap = math.exp(-g)
         vals = [
-            R.eval_log_surrogate(gen1_cloud, small_profile, (LogGap(g), t + s * gap))
+            R.eval_log_surrogate_many(gen1_cloud, small_profile, [(LogGap(g), t + s * gap)])[0]
             for s in (1e-3, 1e-6)
         ]
         assert vals[1] < vals[0] - 10.0  # ~ 2 log of the approach factor
@@ -241,7 +241,9 @@ class TestSurrogate:
         cloud = R.atomize(part, small_profile)
         budget = 4.0 * float(np.sum(cloud.mult * np.exp(-cloud.g)))
         for (g, t) in ((0.2, 0.0), (0.5, 2.1), (0.69, 4.0)):
-            corr = R.atom_correction_sum(cloud, (LogGap(g), t))
+            corr = kernel_sums(
+                np.array([math.exp(-g)]), np.array([t]), np.exp(-cloud.g), cloud.theta, cloud.mult.astype(float)
+            )[0]
             assert abs(corr) <= budget / (math.exp(-g))
 
     def test_surrogate_tracks_phi(self, gen1_cloud, small_profile):
@@ -345,7 +347,7 @@ def _direct_sum(cloud, profile, zs):
     """The surrogate as a direct sum: scalar phi plus the kernel sum over every
     source of the cloud (all atoms, then all their cell nodes)."""
     atoms = (np.exp(-cloud.g), cloud.theta, cloud.mult)
-    sources = [np.concatenate(cols) for cols in zip(atoms, R._cell_nodes(cloud))]
+    sources = [np.concatenate(cols) for cols in zip(atoms, cell_nodes(cloud))]
     return [
         profile.phi(g.g) + kernel_sums(np.array([math.exp(-g.g)]), np.array([t]), *sources)[0]
         for g, t in zs
@@ -353,7 +355,7 @@ def _direct_sum(cloud, profile, zs):
 
 
 def _nodes_digest(cloud):
-    return hashlib.sha256(b"".join(col.tobytes() for col in R._cell_nodes(cloud))).hexdigest()
+    return hashlib.sha256(b"".join(col.tobytes() for col in cell_nodes(cloud))).hexdigest()
 
 
 class TestPinnedValues:
@@ -448,7 +450,7 @@ class TestNearField:
         delta = math.exp(-g)
         for theta in (1e-12, 0.02, 2.0, 2.0 * math.pi - 0.02, -0.3, 2.0 * math.pi + 0.3):
             want = _near_atoms_loop(gen1_cloud, delta, theta)
-            assert want and sorted(R._near_atoms(rings, delta, theta).tolist()) == want
+            assert want and sorted(R._near_pairs(rings, np.array([delta]), np.array([theta]))[0].tolist()) == want
 
     def test_shuffled_rings_give_the_same_values(self, gen1_cloud, small_profile):
         # a positional cloud with each ring's atoms out of theta order
@@ -489,7 +491,7 @@ class TestBatchedKernel:
         # the kernel reads the compact node parameters; kernel_sums over each
         # atom's 17 expanded sources (the atom, then its 16 nodes) agrees
         src = R._sources(gen1_cloud)
-        delta, theta, weight = (col.reshape(-1, 16) for col in R._cell_nodes(gen1_cloud))
+        delta, theta, weight = (col.reshape(-1, 16) for col in cell_nodes(gen1_cloud))
         atoms = np.arange(0, len(gen1_cloud), 37)
         for g, t in ((0.4, 1.0), (3.5, 2.0), (6.1, 0.01)):
             dz, tz = np.full(len(atoms), math.exp(-g)), np.full(len(atoms), t)
@@ -505,7 +507,7 @@ class TestBatchedKernel:
     def test_same_bits_alone_in_a_batch_and_across_blocks(self, gen1_cloud, small_profile, monkeypatch, block):
         rng = np.random.default_rng(3)
         zs = [(LogGap(float(g)), float(t)) for g, t in zip(rng.uniform(0.0, 8.0, 24), rng.uniform(0.0, 6.3, 24))]
-        alone = [R.eval_log_surrogate(gen1_cloud, small_profile, z) for z in zs]
+        alone = [R.eval_log_surrogate_many(gen1_cloud, small_profile, [z])[0] for z in zs]
         monkeypatch.setattr(R, "_PAIR_BLOCK", block)
         batch = R.eval_log_surrogate_many(gen1_cloud, small_profile, zs)
         assert np.array_equal(batch, alone)
@@ -520,11 +522,11 @@ class TestBatchedKernel:
         assert len(cloud) > 0
         rings = R._ring_index(cloud)
         empty, near = (LogGap(6.0), 3.0), (LogGap(6.0), 0.25)
-        assert len(R._near_atoms(rings, math.exp(-6.0), 3.0)) == 0
-        assert len(R._near_atoms(rings, math.exp(-6.0), 0.25)) > 0
+        assert len(R._near_pairs(rings, np.array([math.exp(-6.0)]), np.array([3.0]))[0]) == 0
+        assert len(R._near_pairs(rings, np.array([math.exp(-6.0)]), np.array([0.25]))[0]) > 0
         got = R.eval_log_surrogate_many(cloud, small_profile, [empty, near, empty])
         assert got[0] == got[2] == small_profile.phi(6.0)
-        assert got[1] == R.eval_log_surrogate(cloud, small_profile, near) != small_profile.phi(6.0)
+        assert got[1] == R.eval_log_surrogate_many(cloud, small_profile, [near])[0] != small_profile.phi(6.0)
 
 
 class TestExcludedArcs:
