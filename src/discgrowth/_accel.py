@@ -1,7 +1,17 @@
-"""The dense log-domain Taylor convolution for f^(k) = -A f: the general path
-of ``ode.taylor_solve`` and the oracle its pole recursion is tested against,
-O(degree^2) in numpy.  Its sums are numpy's, not BLAS dot products, so they
-do not depend on the BLAS thread count.
+"""Two numeric kernels, one numpy implementation each.
+
+``taylor_recursion`` is the dense O(degree^2) log-domain Taylor convolution
+for f^(k) = -A f, the general path of ``ode.taylor_solve`` and the oracle its
+pole recursion is tested against.  ``kernel_sums`` is the direct disc-kernel
+sum the tests compare the surrogate's batched near-field kernel
+(``riesz._pair_terms``) against, over the 17 N sources of a cloud (its atoms
+and ``riesz._cell_nodes``); the library never calls it.  Both add their
+terms with numpy, not BLAS dot products, so they do not depend on the BLAS
+thread count.
+
+Kernels operate on radii in gap form: a point near the unit circle is passed
+as (delta, theta) with delta = 1 - |z|.  Callers guarantee delta > 0 is
+representable (enumerated clouds live at g <= ~30).
 """
 
 from __future__ import annotations
@@ -9,6 +19,29 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def kernel_sums(samp_delta, samp_theta, src_delta, src_theta, src_weight):
+    """Weighted disc-kernel sums sum_j w_j (log|z-zeta_j| - log|1 - conj(z) zeta_j|).
+
+    Evaluated per sample z.  Signs of the Blaschke kernel come out through the
+    weights, so atoms carry +multiplicity and cell-average nodes carry
+    -(node weight).
+    """
+    out = np.empty(samp_delta.shape[0])
+    r_src = 1.0 - src_delta
+    for i in range(samp_delta.shape[0]):
+        dz, tz = samp_delta[i], samp_theta[i]
+        rz = 1.0 - dz
+        s2 = np.sin(0.5 * (tz - src_theta))
+        cross = 4.0 * rz * r_src * s2 * s2
+        dd = src_delta - dz
+        num = dd * dd + cross
+        one_minus = dz + src_delta - dz * src_delta
+        den = one_minus * one_minus + cross
+        with np.errstate(divide="ignore"):
+            out[i] = 0.5 * float(np.sum(src_weight * (np.log(num) - np.log(den))))
+    return out
 
 
 def taylor_recursion(a_sign, a_log, k, degree, init_sign, init_log):

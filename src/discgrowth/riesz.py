@@ -33,9 +33,10 @@ index built once per cloud.  One call evaluates all its samples in one
 batched pass over (sample, atom) pairs, reading the cell nodes in compact
 form (per ring the four node radii and radial weights, per atom the angular
 centre, half-width and weight scale); it makes no BLAS call, so its values
-do not depend on the BLAS thread count.  The direct sum over all 17 N
-sources (atoms plus cell nodes) that the tests compare it against lives in
-``tests/reference.py``.
+do not depend on the BLAS thread count.  ``_cell_nodes`` expands the
+compact nodes one by one for the direct sum over all 17 N sources
+(``_accel.kernel_sums``) that the tests compare the surrogate against; the
+library never calls it.
 
 Enumeration happens in plain double arithmetic and is therefore capped at
 moderate g (cells per ring grow like e^g); the cap and the cell-count
@@ -546,6 +547,18 @@ def _sources(cloud: ZeroCloud) -> _Sources:
         gap=per_ring[:, :4].T.copy(), radial=per_ring[:, 4:8].T.copy(),
     )
     return cloud._sources
+
+
+def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell nodes laid out one by one as (delta, theta, weight), atom-major,
+    r-major, theta-minor, the weights negated as ``kernel_sums`` takes cell
+    averages: the direct-sum reference.  The surrogate reads the compact
+    ``_sources`` and never builds this 16 N triple."""
+    src = _sources(cloud)
+    delta = np.repeat(src.gap.T[src.ring], 4, axis=1)
+    theta = np.tile(src.centre[:, None] + src.half_width[:, None] * _LEG_X, 4)
+    weight = -(src.radial.T[src.ring][:, :, None] * _LEG_W * src.scale[:, None, None])
+    return delta.ravel(), theta.ravel(), weight.ravel()
 
 
 def _on_atom(cloud: ZeroCloud, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:

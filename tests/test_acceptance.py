@@ -16,7 +16,7 @@ from discgrowth import wiman as W
 from discgrowth.numerics import LogGap, LogValue, integrate
 from discgrowth.profiles import RadialProfile, branch_samples
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
-from reference import laplacian_fd, power_majorant_bound
+from oracles import laplacian_fd, power_majorant_bound
 
 
 def _line(criterion: str, passed: bool, detail: str):

@@ -8,7 +8,7 @@ import pytest
 
 from discgrowth import ode as O
 from discgrowth.numerics import LogGap, LogValue
-from reference import power_majorant_bound
+from oracles import power_majorant_bound
 
 
 def exp_frac_coeffs(n: int) -> list[float]:

@@ -12,7 +12,7 @@ from discgrowth import ode as O
 from discgrowth.numerics import LogGap
 from discgrowth.profiles import ProfileRangeError, RadialProfile, branch_samples
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
-from reference import laplacian_fd
+from oracles import laplacian_fd
 
 
 @pytest.fixture(scope="module")

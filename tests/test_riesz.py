@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from discgrowth import riesz as R
+from discgrowth._accel import kernel_sums
 from discgrowth.numerics import LogGap, integrate
 from discgrowth.profiles import RadialProfile
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
 from discgrowth.serialize import dumps17
-from reference import cell_nodes, kernel_sums
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +347,7 @@ def _direct_sum(cloud, profile, zs):
     """The surrogate as a direct sum: scalar phi plus the kernel sum over every
     source of the cloud (all atoms, then all their cell nodes)."""
     atoms = (np.exp(-cloud.g), cloud.theta, cloud.mult)
-    sources = [np.concatenate(cols) for cols in zip(atoms, cell_nodes(cloud))]
+    sources = [np.concatenate(cols) for cols in zip(atoms, R._cell_nodes(cloud))]
     return [
         profile.phi(g.g) + kernel_sums(np.array([math.exp(-g.g)]), np.array([t]), *sources)[0]
         for g, t in zs
@@ -355,7 +355,7 @@ def _direct_sum(cloud, profile, zs):
 
 
 def _nodes_digest(cloud):
-    return hashlib.sha256(b"".join(col.tobytes() for col in cell_nodes(cloud))).hexdigest()
+    return hashlib.sha256(b"".join(col.tobytes() for col in R._cell_nodes(cloud))).hexdigest()
 
 
 class TestPinnedValues:
@@ -491,7 +491,7 @@ class TestBatchedKernel:
         # the kernel reads the compact node parameters; kernel_sums over each
         # atom's 17 expanded sources (the atom, then its 16 nodes) agrees
         src = R._sources(gen1_cloud)
-        delta, theta, weight = (col.reshape(-1, 16) for col in cell_nodes(gen1_cloud))
+        delta, theta, weight = (col.reshape(-1, 16) for col in R._cell_nodes(gen1_cloud))
         atoms = np.arange(0, len(gen1_cloud), 37)
         for g, t in ((0.4, 1.0), (3.5, 2.0), (6.1, 0.01)):
             dz, tz = np.full(len(atoms), math.exp(-g)), np.full(len(atoms), t)
