@@ -38,6 +38,11 @@ class CliValidationError(ValueError):
     pass
 
 
+def _check(name: str, value, threshold: float, passed: bool) -> dict:
+    """One ``check`` record, the row ``report`` collates."""
+    return {"kind": "check", "name": name, "value": value, "threshold": threshold, "passed": passed}
+
+
 # ---------------------------------------------------------------------------
 # scaffold plumbing
 
@@ -50,24 +55,11 @@ def _scaffold_records(scaffold) -> list[dict]:
     checks = []
     for g in doc["generations"]:
         recs.append({"kind": "generation", **g})
+        checks.append(_check(f"closure-residual-gen-{g['n']}", g["residual"], 1e-9, g["residual"] <= 1e-9))
         checks.append(
-            {
-                "name": f"closure-residual-gen-{g['n']}",
-                "value": g["residual"],
-                "threshold": 1e-9,
-                "passed": g["residual"] <= 1e-9,
-            }
+            _check(f"oscillation-bound-gen-{g['n']}", abs(g["eps"]), eps_bound, abs(g["eps"]) < eps_bound)
         )
-        checks.append(
-            {
-                "name": f"oscillation-bound-gen-{g['n']}",
-                "value": abs(g["eps"]),
-                "threshold": eps_bound,
-                "passed": abs(g["eps"]) < eps_bound,
-            }
-        )
-    recs.extend({"kind": "check", **c} for c in checks)
-    return recs
+    return recs + checks
 
 
 def _load_scaffold(path: str):
@@ -118,15 +110,8 @@ def _cmd_profile(args) -> int:
     if args.junctions_out:
         recs = []
         for j in prof.junction_report():
-            recs.append(
-                {
-                    "kind": "check",
-                    "name": f"junction-{j.label}",
-                    "value": max(j.phi_rel_jump, j.dphi_rel_jump),
-                    "threshold": 1e-9,
-                    "passed": max(j.phi_rel_jump, j.dphi_rel_jump) <= 1e-9,
-                }
-            )
+            jump = max(j.phi_rel_jump, j.dphi_rel_jump)
+            recs.append(_check(f"junction-{j.label}", jump, 1e-9, jump <= 1e-9))
         write_records(args.junctions_out, recs)
     return 0
 
@@ -222,13 +207,7 @@ def _cmd_logderiv(args) -> int:
                 "upper_density": dens.value,
                 "flagged": dens.flagged,
             },
-            {
-                "kind": "check",
-                "name": "window-density",
-                "value": dens.value,
-                "threshold": 1.0,
-                "passed": dens.value >= 0.0,
-            },
+            _check("window-density", dens.value, 1.0, dens.value >= 0.0),
         ]
         write_records(args.out, recs)
         return 0
@@ -244,13 +223,7 @@ def _cmd_logderiv(args) -> int:
                 "eps": rpt.eps,
                 "max_statistic": rpt.max_statistic,
             },
-            {
-                "kind": "check",
-                "name": "certificate-statistic-bounded",
-                "value": rpt.max_statistic,
-                "threshold": args.power,
-                "passed": rpt.max_statistic <= args.power,
-            },
+            _check("certificate-statistic-bounded", rpt.max_statistic, args.power, rpt.max_statistic <= args.power),
         ]
         write_records(args.out, recs)
         return 0
@@ -270,13 +243,7 @@ def _cmd_ode(args) -> int:
     if args.action == "exponents":
         xi, beta, res = O.quadratic_growth_exponents(args.k, args.p1, args.p2, args.eps)
         rec = {"kind": "xi-beta", "xi": xi, "beta": beta, "identity_residual": res}
-        chk = {
-            "kind": "check",
-            "name": "growth-exponent-identity-residual",
-            "value": res,
-            "threshold": 1e-12,
-            "passed": res <= 1e-12,
-        }
+        chk = _check("growth-exponent-identity-residual", res, 1e-12, res <= 1e-12)
         if args.out:
             write_records(args.out, [rec, chk])
         else:
@@ -311,16 +278,7 @@ def _cmd_ode(args) -> int:
         if args.audit_p1 is not None:
             rows = O.audit_inequalities(ind, args.audit_p1, args.audit_p2, args.k)
             for row in rows:
-                recs.append(
-                    {
-                        "kind": "check",
-                        "name": row.name,
-                        "value": row.margin,
-                        "threshold": 0.0,
-                        "passed": row.passed,
-                        "detail": row.detail,
-                    }
-                )
+                recs.append({**_check(row.name, row.margin, 0.0, row.passed), "detail": row.detail})
         write_records(args.out, recs)
         return 0
     raise CliValidationError(f"unknown ode action {args.action!r}")

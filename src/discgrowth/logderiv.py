@@ -104,9 +104,6 @@ class RadialWindowSet:
             if a2 < b:  # touching endpoints allowed (splitting an interval)
                 raise NumericsError("intervals must be sorted with disjoint interiors")
 
-    def contains(self, g: float) -> bool:
-        return any(a <= g <= b for a, b in self.intervals)
-
 
 def loworder_windows(lam: float, eta: float, g_seq: Sequence[float]) -> RadialWindowSet:
     """Windows [R*, R] with (1-R*)^(lam+eta) = (1-R)^(lam+eta/2), i.e.
@@ -178,7 +175,7 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
     # dist >= the radial gap |e^-g - e^-gz|, and the disc about zeta subtends
     # |theta - tz| <= asin(h/|zeta|) < 2 h/|zeta| unless it holds the origin;
     # the factor 2 also covers numpy's rounding.  Survivors keep cloud order.
-    near = np.flatnonzero(np.abs(np.exp(-cloud.g) - math.exp(-gz)) <= 2.0 * h)
+    near = np.flatnonzero(np.abs(cloud.delta - math.exp(-gz)) <= 2.0 * h)
     rz = -math.expm1(-gz)
     if h < rz:
         wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
@@ -208,7 +205,7 @@ def circle_counting_integral(
     rz = 1.0 - dz
 
     # prefilter atoms within h of the circle radius
-    keep = np.abs(np.exp(-cloud.g) - d_r) <= h
+    keep = np.abs(cloud.delta - d_r) <= h
     ag, at, am = cloud.g[keep], cloud.theta[keep], cloud.mult[keep]
     if len(ag) == 0:
         return 0.0
@@ -246,7 +243,7 @@ def sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
     gv = as_g(g)
     gap = math.exp(-gv)
     # annulus [r, (1+r)/2]: gaps in [gap/2, gap]
-    sel = (np.exp(-cloud.g) <= gap) & (np.exp(-cloud.g) >= gap / 2.0)
+    sel = (cloud.delta <= gap) & (cloud.delta >= gap / 2.0)
     if not np.any(sel):
         return 0
     width = (math.pi / 4.0) * gap

@@ -88,25 +88,15 @@ class SolutionSeries:
             return LogValue.zero()
         return LogValue(int(self.sign[m]), float(self.logmag[m] - m * self.log_rho))
 
-    def _log_terms(self, g: LogGap | float) -> tuple[np.ndarray, np.ndarray]:
-        """(indices m of the nonzero coefficients, log |f_m| r^m at each)."""
+    def log_abs_sum(self, g: LogGap | float) -> float:
+        """log sum |f_m| r^m over the nonzero coefficients: equals log M(r, f)
+        for nonnegative coefficients (an upper proxy otherwise), up to the
+        truncation degree."""
         t = log_r_from_g(as_g(g)) - self.log_rho
         live = np.nonzero(self.sign != 0.0)[0]
-        return live, self.logmag[live] + live * t
-
-    def log_abs_sum(self, g: LogGap | float) -> float:
-        """log sum |f_m| r^m: equals log M(r, f) for nonnegative coefficients
-        (an upper proxy otherwise), up to the truncation degree."""
-        vals = self._log_terms(g)[1]
+        vals = self.logmag[live] + live * t
         m = float(np.max(vals))
         return m + math.log(float(np.sum(np.exp(vals - m))))
-
-    def log_max_term(self, g: LogGap | float) -> float:
-        return float(np.max(self._log_terms(g)[1]))
-
-    def central_index(self, g: LogGap | float) -> int:
-        live, vals = self._log_terms(g)
-        return int(live[np.argmax(vals)])
 
 
 def taylor_solve(

@@ -27,16 +27,19 @@ share their cell kind, centroid g and multiplicity, so the row prefix up to
 theta is formatted once per run of equal (kind, g, mult) and only theta once
 per atom; the text is byte-identical to per-atom dumps17 rows.
 
-The surrogate sums each sample over its near field only: the rings within
-64 local cell sizes of it and, on each, an angular window found in a ring
-index built once per cloud.  One call evaluates all its samples in one
-batched pass over (sample, atom) pairs, reading the cell nodes in compact
-form (per ring the four node radii and radial weights, per atom the angular
-centre, half-width and weight scale); it makes no BLAS call, so its values
-do not depend on the BLAS thread count.  ``_cell_nodes`` expands the
-compact nodes one by one for the direct sum over all 17 N sources
-(``_accel.kernel_sums``) that the tests compare the surrogate against; the
-library never calls it.
+Every query of a cloud reads one table built once per cloud (``_Sources``)
+and the atom gaps exp(-g) (``ZeroCloud.delta``).  The surrogate sums each
+sample over its near field only: the rings within 64 local cell sizes of it
+and, on each, an angular window found by binary search in the table's ring
+index.  One call evaluates all its samples in one batched pass over
+(sample, atom) pairs, reading the cell nodes in compact form (per ring the
+four node radii and radial weights, per atom the angular centre, half-width
+and weight scale); it makes no BLAS call, so its values do not depend on the
+BLAS thread count.  A sample that sits exactly on an atom has that atom in
+its near field, where the kernel's log 0 makes the sum -inf.
+``_cell_nodes`` expands the compact nodes one by one for the direct sum
+over all 17 N sources (``_accel.kernel_sums``) that the tests compare the
+surrogate against; the library never calls it.
 
 Enumeration happens in plain double arithmetic and is therefore capped at
 moderate g (cells per ring grow like e^g); the cap and the cell-count
@@ -50,6 +53,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -156,16 +160,17 @@ def _polar_cell(g_lo, g_hi, theta_lo, theta_hi, mass, kind, generation, branch) 
     return PolarCell(g_lo, g_hi, theta_lo, theta_hi, mass, KINDS[kind], generation, branch)
 
 
-def _per_ring(cells: CellColumns, fn) -> tuple[np.ndarray, np.ndarray]:
+def _per_ring(cells: CellColumns, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """fn(g_lo, g_hi, generation, branch) once per ring, i.e. per run of
     consecutive rows sharing those four values; returns the results as an
-    array, one row per ring, and each cell's ring index into it."""
+    array, one row per ring, each cell's ring index into it and the first
+    row of each ring."""
     keys = (cells.g_lo, cells.g_hi, cells.generation, cells.branch)
     new_ring = np.ones(len(cells), dtype=bool)
     new_ring[1:] = np.any([col[1:] != col[:-1] for col in keys], axis=0)
     starts = np.flatnonzero(new_ring)
     per_ring = [fn(*key) for key in zip(*(col[starts].tolist() for col in keys))]
-    return np.array(per_ring, dtype=float), np.cumsum(new_ring) - 1
+    return np.array(per_ring, dtype=float), np.cumsum(new_ring) - 1, starts
 
 
 @dataclass
@@ -408,14 +413,16 @@ class ZeroCloud:
     kind: Sequence[str]
     cells: Sequence[PolarCell]
     profile: RadialProfile | None = None
-    # built on the first surrogate evaluation: the compact kernel sources,
-    # the ring index of the atoms and the sorted atom positions
+    # the kernel sources and ring index, built on the first surrogate call
     _sources: _Sources | None = field(default=None, repr=False)
-    _rings: _RingIndex | None = field(default=None, repr=False)
-    _atom_keys: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.g)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """exp(-g) = 1 - |zeta| per atom, computed once per cloud."""
+        return np.exp(-np.asarray(self.g, dtype=float))
 
     @property
     def total_multiplicity(self) -> int:
@@ -462,7 +469,7 @@ def atomize(
     def centroid(g_lo, g_hi, generation, branch):
         return _cell_centroid(_density_for(profile, generation - 1, branch), g_lo, g_hi)
 
-    g_ring, ring_of = _per_ring(cells, centroid)
+    g_ring, ring_of, _ = _per_ring(cells, centroid)
     # a heavy cell (mass >= 3) becomes two pieces split at its angular midpoint
     n_pieces = np.where(cells.mass < 3.0, 1, 2)
     cell_of = np.repeat(np.arange(len(cells)), n_pieces)
@@ -499,15 +506,29 @@ _LEG_W = np.array([w for _, w in _LEG_NODES[4]])
 assert np.array_equal(_LEG_W, _LEG_W[::-1])  # the kernel pairs mirrored nodes
 
 
+# near field of a sample: the rings within _NEAR_CUT local cell sizes of it
+_NEAR_CUT = 64.0
+_TWO_PI = 2.0 * math.pi
+# (sample, atom) pairs per block of the near-field kernel, so that its
+# (4, 4, block) temporaries stay in a 1-2 MB L2 cache
+_PAIR_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class _Sources:
-    """The kernel sources of a cloud, compact: its atoms and the 4 x 4
-    density-weighted Gauss-Legendre nodes of every atom's source cell.  A
-    ring's cells share the node radii, so the node gaps 1 - r_i and radial
-    weights w_i rho(r_i) are kept once per ring; node (i, j) of an atom sits
-    at angle centre + half_width x_j with weight radial_i w_j scale, where
-    scale = mult / (the ring's total weight), so a cell's node weights sum
-    to the mass its atom carries."""
+    """The table every surrogate query of a cloud reads: its kernel sources
+    in compact form and its atoms grouped by ring.
+
+    Kernel sources: the atoms and the 4 x 4 density-weighted Gauss-Legendre
+    nodes of every atom's source cell.  A ring's cells share the node radii,
+    so the node gaps 1 - r_i and radial weights w_i rho(r_i) are kept once
+    per ring; node (i, j) of an atom sits at angle centre + half_width x_j
+    with weight radial_i w_j scale, where scale = mult / (the ring's total
+    weight), so a cell's node weights sum to the mass its atom carries.
+
+    Ring index: a ring's atoms are listed by ascending theta mod 2 pi, and
+    ``keys`` = 8 ring + theta mod 2 pi in that order, so one binary search
+    finds an angular window on every ring (2 pi < 8)."""
 
     delta: np.ndarray  # per atom: exp(-g)
     theta: np.ndarray
@@ -518,10 +539,19 @@ class _Sources:
     scale: np.ndarray
     gap: np.ndarray  # (4, rings)
     radial: np.ndarray  # (4, rings)
+    order: np.ndarray  # atom indices, ring-major, theta-ascending
+    keys: np.ndarray
+    r_lo: np.ndarray  # per ring
+    r_hi: np.ndarray
+    s: np.ndarray  # per ring: max(radial extent, widest cell width x r_lo)
 
 
 def _sources(cloud: ZeroCloud) -> _Sources:
-    """Built once per cloud; the transcendental values once per ring."""
+    """Built once per cloud; the transcendental values once per ring.  A ring
+    is a run of consecutive atoms whose cells share (g_lo, g_hi, generation,
+    branch).  ``atomize`` emits atoms ring by ring, sorted by theta within a
+    ring, so ``order`` is the identity; a ring given out of theta order
+    (positional ZeroCloud input) is argsorted."""
     if cloud._sources is not None:
         return cloud._sources
     cells = CellColumns.of(cloud.cells)
@@ -537,14 +567,26 @@ def _sources(cloud: ZeroCloud) -> _Sources:
         total = sum(w for _, w in rw) * sum(w for _, w in leg)
         return [1.0 - rv for rv, _ in rw] + [wr for _, wr in rw] + [total]
 
-    per_ring, ring_of = _per_ring(cells, ring)
+    per_ring, ring_of, starts = _per_ring(cells, ring)
     per_ring = per_ring.reshape(-1, 9)
+    theta = np.mod(cloud.theta, _TWO_PI)
+    order = np.arange(len(cells))
+    ends = np.append(starts[1:], len(cells))
+    descents = (theta[1:] < theta[:-1]) & (ring_of[1:] == ring_of[:-1])
+    for k in np.unique(ring_of[1:][descents]):
+        a, b = starts[k], ends[k]
+        order[a:b] = a + np.argsort(theta[a:b], kind="stable")
+    g_lo, g_hi = cells.g_lo[starts], cells.g_hi[starts]
+    r_lo = -np.expm1(-g_lo)
+    width = np.maximum.reduceat(cells.theta_hi - cells.theta_lo, starts)
     mult = np.asarray(cloud.mult, dtype=float)
     cloud._sources = _Sources(
-        delta=np.exp(-np.asarray(cloud.g, dtype=float)), theta=np.asarray(cloud.theta, dtype=float),
+        delta=cloud.delta, theta=np.asarray(cloud.theta, dtype=float),
         mult=mult, ring=ring_of, centre=0.5 * (cells.theta_hi + cells.theta_lo),
         half_width=0.5 * (cells.theta_hi - cells.theta_lo), scale=mult / per_ring[ring_of, 8],
         gap=per_ring[:, :4].T.copy(), radial=per_ring[:, 4:8].T.copy(),
+        order=order, keys=8.0 * ring_of + theta[order], r_lo=r_lo, r_hi=-np.expm1(-g_hi),
+        s=np.maximum(np.exp(-g_lo) - np.exp(-g_hi), width * r_lo),
     )
     return cloud._sources
 
@@ -561,71 +603,7 @@ def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return delta.ravel(), theta.ravel(), weight.ravel()
 
 
-def _on_atom(cloud: ZeroCloud, delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Which points (delta, theta) sit exactly on an atom: a binary search in
-    the atom positions, sorted once per cloud as complex keys
-    exp(-g) + i theta."""
-    n = len(cloud)
-    if cloud._atom_keys is None:
-        src = _sources(cloud)
-        cloud._atom_keys = np.sort(src.delta + 1j * src.theta)
-    probe = delta + 1j * theta
-    at = np.minimum(np.searchsorted(cloud._atom_keys, probe), n - 1)
-    return cloud._atom_keys[at] == probe
-
-
-# near field of a sample: the rings within _NEAR_CUT local cell sizes of it
-_NEAR_CUT = 64.0
-_TWO_PI = 2.0 * math.pi
-# (sample, atom) pairs per block of the near-field kernel, so that its
-# (4, 4, block) temporaries stay in a 1-2 MB L2 cache
-_PAIR_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class _RingIndex:
-    """The atoms of a cloud grouped by ring: each run of consecutive atoms
-    whose cells share (g_lo, g_hi) is one ring, its atoms listed by ascending
-    theta mod 2 pi.  ``keys`` = 8 ring + theta mod 2 pi in that order, so one
-    binary search finds an angular window on every ring (2 pi < 8)."""
-
-    order: np.ndarray  # atom indices, ring-major, theta-ascending
-    keys: np.ndarray
-    r_lo: np.ndarray
-    r_hi: np.ndarray
-    s: np.ndarray  # max(radial extent, widest cell width x r_lo)
-
-
-def _ring_index(cloud: ZeroCloud) -> _RingIndex:
-    """Built once per cloud.  ``atomize`` emits atoms ring by ring, sorted by
-    theta within a ring, so the index is a diff of run boundaries; a ring
-    given out of theta order (positional ZeroCloud input) is argsorted."""
-    if cloud._rings is not None:
-        return cloud._rings
-    cells = CellColumns.of(cloud.cells)
-    n = len(cells)
-    new_ring = np.ones(n, dtype=bool)
-    new_ring[1:] = (cells.g_lo[1:] != cells.g_lo[:-1]) | (cells.g_hi[1:] != cells.g_hi[:-1])
-    starts = np.flatnonzero(new_ring)
-    ring_of = np.cumsum(new_ring) - 1
-    theta = np.mod(cloud.theta, _TWO_PI)
-    order = np.arange(n)
-    ends = np.append(starts[1:], n)
-    descents = np.flatnonzero(theta[1:] < theta[:-1]) + 1
-    for ring in np.unique(ring_of[descents[~new_ring[descents]]]):
-        a, b = starts[ring], ends[ring]
-        order[a:b] = a + np.argsort(theta[a:b], kind="stable")
-    g_lo, g_hi = cells.g_lo[starts], cells.g_hi[starts]
-    r_lo = -np.expm1(-g_lo)
-    width = np.maximum.reduceat(cells.theta_hi - cells.theta_lo, starts)
-    cloud._rings = _RingIndex(
-        order=order, keys=8.0 * ring_of + theta[order], r_lo=r_lo,
-        r_hi=-np.expm1(-g_hi), s=np.maximum(np.exp(-g_lo) - np.exp(-g_hi), width * r_lo),
-    )
-    return cloud._rings
-
-
-def _near_pairs(rings: _RingIndex, delta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _near_pairs(src: _Sources, delta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The near field of each point (delta[k], theta[k]): on each ring within
     _NEAR_CUT s of it, the atoms in the angular window of half-width
     sqrt((_NEAR_CUT s)^2 - dr^2) / r_lo about theta, where dr is the radial
@@ -634,13 +612,13 @@ def _near_pairs(rings: _RingIndex, delta: np.ndarray, theta: np.ndarray) -> tupl
     the atoms, point-major (a point's atoms ring by ring), and the count of
     each point."""
     r = 1.0 - delta[:, None]
-    reach = _NEAR_CUT * rings.s
-    dr = np.maximum(np.maximum(rings.r_lo - r, r - rings.r_hi), 0.0)
+    reach = _NEAR_CUT * src.s
+    dr = np.maximum(np.maximum(src.r_lo - r, r - src.r_hi), 0.0)
     span = np.sqrt(np.maximum(reach * reach - dr * dr, 0.0))
     near = dr <= reach
-    whole = near & (span >= math.pi * rings.r_lo)  # also an innermost ring with r_lo = 0
+    whole = near & (span >= math.pi * src.r_lo)  # also an innermost ring with r_lo = 0
     part = near & ~whole
-    half = span / np.where(part, rings.r_lo, 1.0)
+    half = span / np.where(part, src.r_lo, 1.0)
     t = np.mod(theta, _TWO_PI)[:, None]
     # per (point, ring), the window clipped to [0, 2 pi] and the piece
     # wrapping round; a far ring gets two empty windows
@@ -648,13 +626,13 @@ def _near_pairs(rings: _RingIndex, delta: np.ndarray, theta: np.ndarray) -> tupl
     hi = np.where(part, t + half, np.where(whole, _TWO_PI, 0.0))
     wrap_lo = np.where(lo < 0.0, lo + _TWO_PI, 0.0)
     wrap_hi = np.where(lo < 0.0, _TWO_PI, np.where(hi > _TWO_PI, hi - _TWO_PI, -1.0))
-    base = 8.0 * np.arange(len(rings.s))
-    first = np.searchsorted(rings.keys, np.hstack([base + np.maximum(lo, 0.0), base + wrap_lo]), "left")
-    last = np.searchsorted(rings.keys, np.hstack([base + np.minimum(hi, _TWO_PI), base + wrap_hi]), "right")
+    base = 8.0 * np.arange(len(src.s))
+    first = np.searchsorted(src.keys, np.hstack([base + np.maximum(lo, 0.0), base + wrap_lo]), "left")
+    last = np.searchsorted(src.keys, np.hstack([base + np.minimum(hi, _TWO_PI), base + wrap_hi]), "right")
     count = np.maximum(last - first, 0)
     flat = count.ravel()
     pos = np.arange(flat.sum()) + np.repeat(first.ravel() - np.cumsum(flat) + flat, flat)
-    return rings.order[pos], count.sum(axis=1)
+    return src.order[pos], count.sum(axis=1)
 
 
 def _pair_terms(src: _Sources, dz: np.ndarray, tz: np.ndarray, atom: np.ndarray) -> np.ndarray:
@@ -695,7 +673,9 @@ def eval_log_surrogate_many(
 ) -> np.ndarray:
     """phi(|z|) plus the atomization correction
     sum_atoms mult [log|(z-zeta)/(1-conj(z) zeta)| - cell average of the same
-    kernel]; -inf at a point that sits exactly on an atom.
+    kernel]; -inf at a point that sits exactly on an atom (equal g and
+    theta): that atom is always in the point's near field, and its kernel
+    term is log 0.
 
     Each term has zero net mass, so its far field decays fast, and the sum
     runs over the near field only (``_near_pairs``: the rings within
@@ -716,8 +696,9 @@ def eval_log_surrogate_many(
     from one binary-search pair, giving a flat sample-major list of
     (sample, atom) pairs; ``_pair_terms`` evaluates them in blocks of
     _PAIR_BLOCK pairs from the compact per-ring and per-atom node
-    parameters (``_sources``), and each sample's contiguous run of pair
-    terms is summed in order.  No BLAS call is made, so the values do not
+    parameters, and each sample's contiguous run of pair terms is summed in
+    order.  The windows and the node parameters come from one table per
+    cloud (``_sources``).  No BLAS call is made, so the values do not
     depend on the BLAS thread count, and a sample gets the same value alone
     or in any batch.
     """
@@ -728,10 +709,10 @@ def eval_log_surrogate_many(
     if len(cloud) == 0:
         return out
     src = _sources(cloud)
-    atoms, count = _near_pairs(_ring_index(cloud), samp_delta, samp_theta)
+    atoms, count = _near_pairs(src, samp_delta, samp_theta)
     sample = np.repeat(np.arange(len(gs)), count)
     terms = np.empty(len(atoms))
-    with np.errstate(divide="ignore"):  # log 0 on an atom; masked below
+    with np.errstate(divide="ignore"):  # log 0 = -inf on an atom
         for start in range(0, len(atoms), _PAIR_BLOCK):
             block = slice(start, start + _PAIR_BLOCK)
             at = sample[block]
@@ -739,7 +720,6 @@ def eval_log_surrogate_many(
     some = count > 0  # np.add.reduceat would give an empty run its next term
     if some.any():
         out[some] += 0.5 * np.add.reduceat(terms, (np.cumsum(count) - count)[some])
-    out[_on_atom(cloud, samp_delta, samp_theta)] = -math.inf
     return out
 
 
@@ -755,7 +735,7 @@ def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[f
     gap = math.exp(-g_circle)
     lim = eps * gap
     # atoms within eps (1 - r) of the circle radially, then their half-arcs
-    dr = gap - np.exp(-cloud.g)
+    dr = gap - cloud.delta
     near = np.abs(dr) <= lim
     if not near.any():
         return []

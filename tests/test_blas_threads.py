@@ -22,7 +22,7 @@ prof = RadialProfile(build_scaffold(params, 2))
 cloud = R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=100_000), prof)
 zs = [(LogGap(g), t) for g, t in ((1.0, 0.3), (3.5, 2.0), (6.15, 1.0))]
 out = R.eval_log_surrogate_many(cloud, prof, zs).tolist()
-atoms = (np.exp(-cloud.g), cloud.theta, cloud.mult)
+atoms = (cloud.delta, cloud.theta, cloud.mult)
 sources = [np.concatenate(cols) for cols in zip(atoms, R._cell_nodes(cloud))]
 out += kernel_sums(np.exp(-np.array([1.0, 3.5])), np.array([0.3, 2.0]), *sources).tolist()
 series = PowerLawSeries(2.0)

@@ -219,9 +219,34 @@ class TestSurrogate:
         v = R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.7)])[0]
         assert v == small_profile.phi(2.0)
 
-    def test_on_atom_sentinel(self, gen1_cloud, small_profile):
-        z = (LogGap(float(gen1_cloud.g[10])), float(gen1_cloud.theta[10]))
-        assert R.eval_log_surrogate_many(gen1_cloud, small_profile, [z])[0] == -math.inf
+    def test_on_atom_sentinel(self, gen1_cloud, gen1_partition, small_profile, wide_cloud):
+        # a sample on an atom has that atom in its near field, where the
+        # kernel's log 0 makes the sum -inf with no NaN; off-atom samples
+        # batched among them keep their solo values bit for bit.  Batches of
+        # at most 2000 on-atom samples bound the pair arrays.
+        split = R.atomize(gen1_partition, small_profile, split_doubles=True)
+        wide, wide_profile = wide_cloud
+        rng = np.random.default_rng(23)
+        for cloud, prof, atoms in (
+            (gen1_cloud, small_profile, np.arange(len(gen1_cloud))),
+            (split, small_profile, np.arange(len(split))),
+            (wide, wide_profile, rng.choice(len(wide), 2000, replace=False)),
+        ):
+            for chunk in np.array_split(atoms, range(2000, len(atoms), 2000)):
+                on = [(LogGap(float(cloud.g[a])), float(cloud.theta[a])) for a in chunk]
+                off = [(LogGap(float(g)), float(t))
+                       for g, t in zip(rng.uniform(0.0, float(np.max(cloud.g)), 8), rng.uniform(0.0, 6.3, 8))]
+                off += [(g, t + 1e-9) for g, t in on[:4]]
+                where = np.sort(rng.choice(len(on) + len(off), len(off), replace=False))
+                zs = list(on)
+                for k, z in zip(where, off):
+                    zs.insert(k, z)
+                got = R.eval_log_surrogate_many(cloud, prof, zs)
+                is_off = np.zeros(len(zs), dtype=bool)
+                is_off[where] = True
+                assert np.all(got[~is_off] == -math.inf)
+                solo = [R.eval_log_surrogate_many(cloud, prof, [z])[0] for z in off]
+                assert np.all(np.isfinite(solo)) and np.array_equal(got[is_off], solo)
 
     def test_near_atom_logarithmic_dip(self, gen1_cloud, small_profile):
         g = float(gen1_cloud.g[10])
@@ -239,10 +264,10 @@ class TestSurrogate:
         far_cells = [c for c in gen1_partition.cells if c.g_lo >= 5.0][:500]
         part = R.PartitionResult(cells=far_cells, truncated={}, generation=1)
         cloud = R.atomize(part, small_profile)
-        budget = 4.0 * float(np.sum(cloud.mult * np.exp(-cloud.g)))
+        budget = 4.0 * float(np.sum(cloud.mult * cloud.delta))
         for (g, t) in ((0.2, 0.0), (0.5, 2.1), (0.69, 4.0)):
             corr = kernel_sums(
-                np.array([math.exp(-g)]), np.array([t]), np.exp(-cloud.g), cloud.theta, cloud.mult.astype(float)
+                np.array([math.exp(-g)]), np.array([t]), cloud.delta, cloud.theta, cloud.mult.astype(float)
             )[0]
             assert abs(corr) <= budget / (math.exp(-g))
 
@@ -346,7 +371,7 @@ class TestJsonlRuns:
 def _direct_sum(cloud, profile, zs):
     """The surrogate as a direct sum: scalar phi plus the kernel sum over every
     source of the cloud (all atoms, then all their cell nodes)."""
-    atoms = (np.exp(-cloud.g), cloud.theta, cloud.mult)
+    atoms = (cloud.delta, cloud.theta, cloud.mult)
     sources = [np.concatenate(cols) for cols in zip(atoms, R._cell_nodes(cloud))]
     return [
         profile.phi(g.g) + kernel_sums(np.array([math.exp(-g.g)]), np.array([t]), *sources)[0]
@@ -446,11 +471,11 @@ class TestNearField:
     def test_window_matches_the_per_atom_rule(self, gen1_cloud, small_profile, g):
         # the ring index gives the same atoms as the rule applied atom by atom,
         # also for windows across theta = 0 and angles outside [0, 2 pi)
-        rings = R._ring_index(gen1_cloud)
+        src = R._sources(gen1_cloud)
         delta = math.exp(-g)
         for theta in (1e-12, 0.02, 2.0, 2.0 * math.pi - 0.02, -0.3, 2.0 * math.pi + 0.3):
             want = _near_atoms_loop(gen1_cloud, delta, theta)
-            assert want and sorted(R._near_pairs(rings, np.array([delta]), np.array([theta]))[0].tolist()) == want
+            assert want and sorted(R._near_pairs(src, np.array([delta]), np.array([theta]))[0].tolist()) == want
 
     def test_shuffled_rings_give_the_same_values(self, gen1_cloud, small_profile):
         # a positional cloud with each ring's atoms out of theta order
@@ -520,10 +545,10 @@ class TestBatchedKernel:
         part = R.PartitionResult(cells=cells[(cells.g_lo >= 5.5) & (cells.theta_hi <= 0.5)], truncated={}, generation=1)
         cloud = R.atomize(part, small_profile)
         assert len(cloud) > 0
-        rings = R._ring_index(cloud)
+        src = R._sources(cloud)
         empty, near = (LogGap(6.0), 3.0), (LogGap(6.0), 0.25)
-        assert len(R._near_pairs(rings, np.array([math.exp(-6.0)]), np.array([3.0]))[0]) == 0
-        assert len(R._near_pairs(rings, np.array([math.exp(-6.0)]), np.array([0.25]))[0]) > 0
+        assert len(R._near_pairs(src, np.array([math.exp(-6.0)]), np.array([3.0]))[0]) == 0
+        assert len(R._near_pairs(src, np.array([math.exp(-6.0)]), np.array([0.25]))[0]) > 0
         got = R.eval_log_surrogate_many(cloud, small_profile, [empty, near, empty])
         assert got[0] == got[2] == small_profile.phi(6.0)
         assert got[1] == R.eval_log_surrogate_many(cloud, small_profile, [near])[0] != small_profile.phi(6.0)
