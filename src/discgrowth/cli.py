@@ -1,6 +1,11 @@
 """Command-line front end: every pipeline as a subcommand with deterministic
 line-delimited JSON (and CSV trace) outputs.
 
+A subcommand computes everything before it returns its outputs, and one
+writer then puts them on disk: outputs are written only after the whole
+command succeeded, and a run that exits non-zero leaves behind no file it
+created.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Errors go to
 stderr as one JSON object.  An INI config file supplies defaults per section
 (section name = subcommand); explicit flags override it, unknown keys are
@@ -11,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
+import io
 import math
+import os
 import sys
 
 import numpy as np
@@ -75,10 +83,20 @@ def _load_scaffold(path: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns its outputs as (path, payload)
+# pairs, a payload being a list of records or finished text; "-" is stdout
+# and a path of None an output that was not requested
+
+Output = tuple[str | None, list[dict] | str]
 
 
-def _cmd_scaffold(args) -> int:
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _cmd_scaffold(args) -> list[Output]:
     if args.p1 is None or args.p2 is None:
         raise CliValidationError("scaffold needs --p1 and --p2 (flags or config)")
     params = ScaffoldParams.with_defaults(
@@ -87,58 +105,47 @@ def _cmd_scaffold(args) -> int:
         log_c=args.log_c, g1=args.g1,
     )
     sc = build_scaffold(params, args.generations)
-    write_records(args.out, _scaffold_records(sc))
-    if args.csv_out:
-        with open(args.csv_out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "g_rn", "g_rprime", "g_rhat", "g_rstar", "g_rdprime", "eps", "residual"])
-            for g in sc.generations:
-                w.writerow(
-                    [g.index] + [f"{x:.17g}" for x in (
-                        g.r_n.g, g.r_prime.g, g.r_hat.g, g.r_star.g, g.r_dprime.g,
-                        g.eps_n, g.residual,
-                    )]
-                )
-    return 0
+    header = ["n", "g_rn", "g_rprime", "g_rhat", "g_rstar", "g_rdprime", "eps", "residual"]
+    rows = [
+        [g.index] + [f"{x:.17g}" for x in (
+            g.r_n.g, g.r_prime.g, g.r_hat.g, g.r_star.g, g.r_dprime.g,
+            g.eps_n, g.residual,
+        )]
+        for g in sc.generations
+    ]
+    return [(args.out, _scaffold_records(sc)), (args.csv_out, _csv_text([header, *rows]))]
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> list[Output]:
     sc = _load_scaffold(args.scaffold)
     prof = RadialProfile(sc)
     gs = branch_samples(prof, args.samples_per_branch)
-    prof.write_csv(args.out, gs)
+    outputs = [(args.out, _csv_text(prof.sample_rows(gs)))]
     if args.junctions_out:
         recs = []
         for j in prof.junction_report():
             jump = max(j.phi_rel_jump, j.dphi_rel_jump)
             recs.append(_check(f"junction-{j.label}", jump, 1e-9, jump <= 1e-9))
-        write_records(args.junctions_out, recs)
-    return 0
+        outputs.append((args.junctions_out, recs))
+    return outputs
 
 
-def _cmd_riesz(args) -> int:
+def _cmd_riesz(args) -> list[Output]:
     sc = _load_scaffold(args.scaffold)
     prof = RadialProfile(sc)
     part = R.partition_region(prof, args.generation, g_max=args.g_max, ceiling=args.ceiling)
     cloud = R.atomize(part, prof, split_doubles=args.split_doubles)
-    text = cloud.to_jsonl()  # before opening --out, so a failure leaves no file
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(text)
-    if args.summary_out:
-        recs = [
-            {
-                "kind": "riesz-summary",
-                "cells": len(part.cells),
-                "atoms": len(cloud),
-                "total_mass": part.total_mass,
-                "truncated": {k: bool(v) for k, v in sorted(part.truncated.items())},
-            }
-        ]
-        write_records(args.summary_out, recs)
-    return 0
+    summary = {
+        "kind": "riesz-summary",
+        "cells": len(part.cells),
+        "atoms": len(cloud),
+        "total_mass": part.total_mass,
+        "truncated": {k: bool(v) for k, v in sorted(part.truncated.items())},
+    }
+    return [(args.out, cloud.to_jsonl()), (args.summary_out, [summary])]
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> list[Output]:
     if args.action != "reference":
         raise CliValidationError(f"unknown series action {args.action!r}")
     series = W.build_reference_series(args.variant, sigma=args.sigma, lam=args.lam, delta=args.delta)
@@ -148,54 +155,30 @@ def _cmd_series(args) -> int:
             raise CliValidationError(
                 f"--trace-k-lo {args.trace_k_lo} is below k = {k_inside}, the first k with r_k > 0"
             )
-    recs: list[dict] = []
-    if args.variant == "power-law":
-        recs.append({"kind": "series-params", "variant": "power-law", "sigma": args.sigma})
-        mat = series.materialize(args.terms)
-        recs.extend({"kind": "term", **t} for t in mat.to_json_terms())
-    else:
-        recs.append(
-            {
-                "kind": "series-params",
-                "variant": "doubling",
-                "sigma": args.sigma,
-                "lambda": args.lam,
-                "delta": series.delta,
-            }
-        )
+    params = {"kind": "series-params", "variant": args.variant, "sigma": args.sigma}
+    if args.variant == "doubling":
+        params.update({"lambda": args.lam, "delta": series.delta})
         mat = series.materialize(min(args.terms, 4))
-        recs.extend({"kind": "term", **t} for t in mat.to_json_terms())
-    write_records(args.out, recs)
-    if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["g", "log_mu", "nu_log", "K_log"])
-            if args.variant == "doubling":
-                for k in range(args.trace_k_lo, args.trace_k_hi + 1):
-                    g = series.r_k(k).g
-                    mu = series.log_max_term(g)
-                    nu = series.central_index(g)
-                    kk = series.k_indicator(g)
-                    w.writerow(
-                        [f"{g:.17g}", f"{mu.logmag:.17g}", f"{nu.log_n:.17g}", f"{kk.logmag:.17g}"]
-                    )
-            else:
-                for g in np.linspace(0.5, 3.5, 25):
-                    mat_mu = W.log_max_term(mat, float(g))
-                    nu = series.central_index(float(g))
-                    kk = series.k_indicator(float(g))
-                    w.writerow(
-                        [
-                            f"{g:.17g}",
-                            f"{mat_mu.to_float():.17g}",
-                            f"{nu.log_n:.17g}",
-                            f"{kk.logmag:.17g}",
-                        ]
-                    )
-    return 0
+    else:
+        mat = series.materialize(args.terms)
+    outputs = [(args.out, [params] + [{"kind": "term", **t} for t in mat.to_json_terms()])]
+    if not args.trace:
+        return outputs
+    if args.variant == "doubling":
+        gs = [series.r_k(k).g for k in range(args.trace_k_lo, args.trace_k_hi + 1)]
+        log_mu = lambda g: series.log_max_term(g).logmag
+    else:
+        gs = [float(g) for g in np.linspace(0.5, 3.5, 25)]
+        log_mu = lambda g: W.log_max_term(mat, g).to_float()
+    rows = [
+        [f"{x:.17g}" for x in (g, log_mu(g), series.central_index(g).log_n, series.k_indicator(g).logmag)]
+        for g in gs
+    ]
+    outputs.append((args.trace, _csv_text([["g", "log_mu", "nu_log", "K_log"], *rows])))
+    return outputs
 
 
-def _cmd_logderiv(args) -> int:
+def _cmd_logderiv(args) -> list[Output]:
     g_seq = [float(x) for x in args.g_n.split(",")]
     if args.action == "windows":
         ws = L.loworder_windows(args.lam, args.eta, g_seq)
@@ -209,8 +192,7 @@ def _cmd_logderiv(args) -> int:
             },
             _check("window-density", dens.value, 1.0, dens.value >= 0.0),
         ]
-        write_records(args.out, recs)
-        return 0
+        return [(args.out, recs)]
     if args.action == "certificate":
         spec = L.exp_inverse_power_spec(args.power)
         ws = L.loworder_windows(spec.lam, args.eta, g_seq)
@@ -225,31 +207,24 @@ def _cmd_logderiv(args) -> int:
             },
             _check("certificate-statistic-bounded", rpt.max_statistic, args.power, rpt.max_statistic <= args.power),
         ]
-        write_records(args.out, recs)
-        return 0
+        return [(args.out, recs)]
     raise CliValidationError(f"unknown logderiv action {args.action!r}")
 
 
-def _cmd_ode(args) -> int:
+def _cmd_ode(args) -> list[Output]:
     if args.action == "predict":
         sigma, lam, alpha = O.predict_orders(args.p1, args.p2, args.k, args.p)
         rec = {"kind": "prediction", "sigma": sigma, "lambda": lam, "alpha": alpha,
                "k": args.k, "p1": args.p1, "p2": args.p2, "p": args.p}
-        if args.out:
-            write_records(args.out, [rec])
-        else:
-            sys.stdout.write(dumps17(rec) + "\n")
-        return 0
+        return [(args.out or "-", [rec])]
     if args.action == "exponents":
         xi, beta, res = O.quadratic_growth_exponents(args.k, args.p1, args.p2, args.eps)
         rec = {"kind": "xi-beta", "xi": xi, "beta": beta, "identity_residual": res}
         chk = _check("growth-exponent-identity-residual", res, 1e-12, res <= 1e-12)
-        if args.out:
-            write_records(args.out, [rec, chk])
-        else:
-            sys.stdout.write(dumps17(rec) + "\n")
-        return 0
+        return [(args.out, [rec, chk])] if args.out else [("-", [rec])]
     if args.action == "solve":
+        if not args.out:
+            raise CliValidationError("ode solve needs --out")
         coeffs = O.pole_coeffs(args.pole_order, args.degree, scale=args.scale)
         init = [LogValue.from_float(1.0)] + [LogValue.zero()] * (args.k - 1)
         sol = O.taylor_solve(coeffs, args.k, init, args.degree)
@@ -257,12 +232,6 @@ def _cmd_ode(args) -> int:
         gs = np.linspace(g_lo, g_hi, int(n))
         samples = [(float(g), math.log(max(sol.log_abs_sum(float(g)), 1e-300))) for g in gs]
         ind = O.estimate_orders(samples, window=0.4, min_span=args.min_span)
-        if args.samples_csv:
-            with open(args.samples_csv, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["g", "log_logM", "ratio"])
-                for g, v in samples:
-                    w.writerow([f"{g:.17g}", f"{v:.17g}", f"{v / g:.17g}"])
         recs = [
             {
                 "kind": "ode-orders",
@@ -279,12 +248,12 @@ def _cmd_ode(args) -> int:
             rows = O.audit_inequalities(ind, args.audit_p1, args.audit_p2, args.k)
             for row in rows:
                 recs.append({**_check(row.name, row.margin, 0.0, row.passed), "detail": row.detail})
-        write_records(args.out, recs)
-        return 0
+        sample_rows = [[f"{g:.17g}", f"{v:.17g}", f"{v / g:.17g}"] for g, v in samples]
+        return [(args.out, recs), (args.samples_csv, _csv_text([["g", "log_logM", "ratio"], *sample_rows]))]
     raise CliValidationError(f"unknown ode action {args.action!r}")
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> list[Output]:
     rows = []
     for path in args.inputs:
         try:
@@ -302,19 +271,39 @@ def _cmd_report(args) -> int:
             f"| {rec['name']} | {path} | {rec['value']:.6g} | "
             f"{rec.get('threshold', float('nan')):.3g} | {status} |"
         )
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(text)
-    if args.csv_out:
-        with open(args.csv_out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["check", "source", "value", "threshold", "passed"])
-            for path, rec in rows:
-                w.writerow(
-                    [rec["name"], path, f"{rec['value']:.17g}",
-                     f"{rec.get('threshold', float('nan')):.17g}", rec.get("passed")]
-                )
-    return 0
+    csv_rows = [["check", "source", "value", "threshold", "passed"]] + [
+        [rec["name"], path, f"{rec['value']:.17g}",
+         f"{rec.get('threshold', float('nan')):.17g}", rec.get("passed")]
+        for path, rec in rows
+    ]
+    return [(args.out, "\n".join(lines) + "\n"), (args.csv_out, _csv_text(csv_rows))]
+
+
+def _write_outputs(outputs: list[Output]) -> None:
+    """Write each requested (path, payload) pair: records as JSONL through
+    write_records, text verbatim.  If a write fails, the files this run
+    created are removed before the error propagates."""
+    created = []
+    try:
+        for path, payload in outputs:
+            if path is None:
+                continue
+            if path == "-":
+                text = payload if isinstance(payload, str) else "".join(dumps17(r) + "\n" for r in payload)
+                sys.stdout.write(text)
+                continue
+            if not os.path.lexists(path):
+                created.append(path)
+            if isinstance(payload, str):
+                with open(path, "w", newline="") as fh:
+                    fh.write(payload)
+            else:
+                write_records(path, payload)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +450,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as e:
             return int(e.code or 0)
-        return args.func(args)
+        _write_outputs(args.func(args))
+        return 0
     except Exception as err:
         sys.stderr.write(dumps17({"error": type(err).__name__, "message": str(err)}) + "\n")
         return 2 if _is_validation(err) else 3

@@ -247,20 +247,15 @@ def sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
     if not np.any(sel):
         return 0
     width = (math.pi / 4.0) * gap
-    angles = np.sort(np.mod(cloud.theta[sel], 2.0 * math.pi))
-    mult = cloud.mult[sel][np.argsort(np.mod(cloud.theta[sel], 2.0 * math.pi))]
-    # two-pointer sweep over the circle: window of total width 2*width
-    ext_angles = np.concatenate([angles, angles + 2.0 * math.pi])
-    ext_mult = np.concatenate([mult, mult])
-    best = 0
-    j = 0
-    for i in range(len(angles)):
-        if j < i:
-            j = i
-        while j + 1 < len(ext_angles) and ext_angles[j + 1] <= ext_angles[i] + 2.0 * width:
-            j += 1
-        best = max(best, int(np.sum(ext_mult[i : j + 1])))
-    return best
+    theta = np.mod(cloud.theta[sel], 2.0 * math.pi)
+    order = np.argsort(theta)
+    angles = theta[order]
+    # windows [angle, angle + 2 width] on the circle unrolled once; the count
+    # in each is a difference of the cumulative doubled multiplicities
+    ext = np.concatenate([angles, angles + 2.0 * math.pi])
+    ends = np.searchsorted(ext, angles + 2.0 * width, "right")
+    csum = np.concatenate([[0.0], np.cumsum(np.tile(cloud.mult[sel][order], 2))])
+    return int(np.max(csum[ends] - csum[: len(angles)]))
 
 
 # ---------------------------------------------------------------------------

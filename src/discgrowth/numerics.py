@@ -112,10 +112,6 @@ class LogGap:
         """1 - r = e^(-g); underflows to 0.0 for g beyond ~745."""
         return math.exp(-self.g)
 
-    @property
-    def log_r(self) -> float:
-        return log_r_from_g(self.g)
-
     def u(self, log_c: float) -> float:
         """log(C/(1-r)) = g + log C."""
         return self.g + log_c
@@ -479,13 +475,6 @@ class LogValue:
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return lse_sum((self, -other))
-
-    def scaled(self, c: float) -> "LogValue":
-        """Multiply by an ordinary float."""
-        if c == 0.0 or self.sign == 0:
-            return LogValue.zero()
-        s = self.sign * (1 if c > 0 else -1)
-        return LogValue(s, self.logmag + math.log(abs(c)))
 
     def _cmp_key(self):
         return (self.sign, self.sign * self.logmag if self.sign != 0 else 0.0)

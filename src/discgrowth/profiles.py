@@ -19,7 +19,6 @@ too), so junction residuals reflect construction error only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -243,19 +242,19 @@ class RadialProfile:
             out.append((gv, self.phi(gv) / gv))
         return out
 
-    def write_csv(self, path: str, gs: Sequence[float]) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["g", "r", "phi", "phi_over_g", "branch_id"])
-            for gv in gs:
-                i, b = self.branch_at(gv)
-                gen = self.scaffold.generations[i]
-                phi = self._phi(gv, gen, b)
-                r = f"{LogGap(gv).r:.17g}" if gv <= 36.0 else ""
-                w.writerow(
-                    [f"{gv:.17g}", r, f"{phi:.17g}", f"{phi / gv:.17g}" if gv > 0 else "",
-                     f"g{gen.index}b{b}"]
-                )
+    def sample_rows(self, gs: Sequence[float]) -> list[list[str]]:
+        """CSV rows, header first; r is blank past g = 36, where it rounds to 1."""
+        rows = [["g", "r", "phi", "phi_over_g", "branch_id"]]
+        for gv in gs:
+            i, b = self.branch_at(gv)
+            gen = self.scaffold.generations[i]
+            phi = self._phi(gv, gen, b)
+            r = f"{LogGap(gv).r:.17g}" if gv <= 36.0 else ""
+            rows.append(
+                [f"{gv:.17g}", r, f"{phi:.17g}", f"{phi / gv:.17g}" if gv > 0 else "",
+                 f"g{gen.index}b{b}"]
+            )
+        return rows
 
 
 def branch_samples(profile: RadialProfile, per_branch: int, margin: float = 0.01) -> list[float]:

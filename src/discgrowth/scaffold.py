@@ -193,9 +193,8 @@ class IrregularScaffold:
     params: ScaffoldParams
     generations: tuple[Generation, ...]
     retries: int = 0
-    # r_0'' = 0 and eps_1 = 0 seed the first generation
+    # r_0'' = 0 seeds the first generation
     g_origin: float = 0.0
-    eps_origin: float = 0.0
 
     def generation_start(self, i: int) -> float:
         """g of the left end of generation i's range (previous r'')."""

@@ -359,3 +359,83 @@ class TestConstructionBytes:
                    "--generations", "4", "--out", str(s)) == 0
         assert run("profile", "--scaffold", str(s), "--out", str(prof)) == 0
         assert _sha256(prof) == "3cc92bd2fb5a79c5d64445113d4d42c70fcf5c362255633be5a9c6bcd092b284"
+
+
+class TestOutputBytes:
+    # sha256 of each output and of stdout, recorded at commit 7125026, before
+    # the subcommands handed their outputs to one writer; "-" is stdout, and
+    # "--out -" prints the bytes that commit wrote to the file
+    @pytest.mark.parametrize("argv,shas", [
+        ("series reference --variant doubling --lambda 1 --sigma 2 --out ser.json --trace tr.csv",
+         {"ser.json": "29af34d153dcd09e44653cdacd837eeccce372583dfb03d9aaba06597e96ca9d",
+          "tr.csv": "a318303d1a90d335eb6b0508f8cabc25ce54b977e83d0a25fc72507cf952bd5a"}),
+        ("series reference --variant power-law --sigma 2 --out ser.json --trace tr.csv",
+         {"ser.json": "39fe1571dc68eaf243f0ae9568fb656cd07b45f8437ee190bfbb3954fb512330",
+          "tr.csv": "c4060ab6b84add787c50e461a82d3cbc639ec485714c7b5ac77aa11850b57539"}),
+        ("logderiv windows --lambda 1 --eta 0.5 --g-n 2,4,8,16 --out w.json",
+         {"w.json": "c0c1e22a95400a8c0aa92f6044931e229effa86cc24bb81a4fae88694e7560b8"}),
+        ("logderiv windows --lambda 1 --eta 0.5 --g-n 2,4,8,16 --out -",
+         {"-": "c0c1e22a95400a8c0aa92f6044931e229effa86cc24bb81a4fae88694e7560b8"}),
+        ("report --out -",
+         {"-": "164a662e21e57c7061b3fe0b7167ab95f07cee3049c375d8bb5f07eddd89c640"}),
+        ("logderiv certificate --power 2 --k 1 --j 0 --eps 0.1 --g-n 6,9,12 --out cert.json",
+         {"cert.json": "b7d4580e443fe20b6c89a553a3cc81a251d93a30518c76e0f077448694fcd4fb"}),
+        ("ode predict --k 1 --p1 2 --p2 4 --p 4",
+         {"-": "390de79a63779e1a4415931c09e2536b86fda1c5ca4323d011b21f967f90a32f"}),
+        ("ode predict --k 1 --p1 2 --p2 4 --p 4 --out pred.json",
+         {"pred.json": "390de79a63779e1a4415931c09e2536b86fda1c5ca4323d011b21f967f90a32f"}),
+        ("ode exponents --k 2 --p1 5 --p2 6 --eps 0",
+         {"-": "82c7718c5a0938a02e8085f0024da7fc832ad2a2980d922c0f5a125b3731627a"}),
+        ("ode exponents --k 2 --p1 5 --p2 6 --eps 0 --out xi.json",
+         {"xi.json": "afdd94c832b5616eca15c7f5435cf9086771e50467e559ec1c19f4ca5a47f737"}),
+        ("ode solve --degree 2000 --audit-p1 3 --audit-p2 3 --out orders.json --samples-csv samples.csv",
+         {"orders.json": "7c326a38090b920ad46d20adc120ac6c2cb8e580b42597a44d88ef807a4b0823",
+          "samples.csv": "9d537ffd16e9e161aa1975b97b1b61b36edc38f12a3134b82f6cecc1b426697e"}),
+    ])
+    def test_bytes_pinned(self, tmp_path, monkeypatch, capsys, argv, shas):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv.split()) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(n for n in shas if n != "-")
+        got = {n: hashlib.sha256(stdout).hexdigest() if n == "-" else _sha256(tmp_path / n) for n in shas}
+        assert got == shas
+        assert stdout == b"" or "-" in shas
+
+    def test_report_bytes_pinned(self, tmp_path, monkeypatch):
+        # relative inputs: the table names the path of each source
+        monkeypatch.chdir(tmp_path)
+        for argv in ("scaffold --p1 2 --p2 3 --generations 2 --out s.json",
+                     "ode exponents --k 2 --p1 5 --p2 6 --out xi.json",
+                     "logderiv certificate --power 2 --g-n 6,9,12 --out cert.json",
+                     "ode solve --degree 2000 --audit-p1 3 --audit-p2 3 --out orders.json",
+                     "report --inputs s.json xi.json cert.json orders.json --out r.md --csv-out r.csv"):
+            assert run(*argv.split()) == 0
+        assert _sha256(tmp_path / "r.md") == "7f7989b2f48d2cdb1670b37652d155a38ef0f567ce370e0962fd01d501839d7f"
+        assert _sha256(tmp_path / "r.csv") == "daf8b36a75870c7d32ae074250899d889a5a773486fc2e4c3b68b57a46bbf6a5"
+
+
+class TestFailedRunLeavesNoFiles:
+    @pytest.mark.parametrize("argv", [
+        "scaffold --p1 2 --p2 3 --p 3 --out s.json --csv-out missing/s.csv",
+        "riesz --scaffold {scaffold} --ceiling 2000 --out cloud.jsonl --summary-out missing/sum.json",
+        "series reference --variant doubling --lambda 1 --sigma 2 --out ser.json --trace missing/tr.csv",
+    ])
+    def test_unwritable_output(self, small_scaffold_file, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv.format(scaffold=small_scaffold_file).split()) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_file_is_kept(self, tmp_path, capsys):
+        # a path the run did not create is not removed
+        out = tmp_path / "s.json"
+        out.write_text("old\n")
+        assert run("scaffold", "--p1", "2", "--p2", "3", "--generations", "1", "--out", str(out),
+                   "--csv-out", str(tmp_path / "missing" / "s.csv")) == 2
+        assert out.exists()
+
+    def test_ode_solve_needs_out(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        assert run("ode", "solve", "--degree", "50", "--samples-csv", str(samples)) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "CliValidationError"
+        assert not samples.exists()

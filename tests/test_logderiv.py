@@ -238,6 +238,62 @@ class TestSectorCrowding:
         assert L.sector_crowding(cloud, 2.0) == 2
 
 
+def _crowding_by_atom(cloud, g):
+    """(count, start, wraps): the largest multiplicity in a window [theta_i,
+    theta_i + 2 width] that starts at an atom of the band, found atom by atom,
+    the first such window's start and whether one of them reaches past 2 pi."""
+    gap = math.exp(-g)
+    sel = (cloud.delta <= gap) & (cloud.delta >= gap / 2.0)
+    theta = np.mod(cloud.theta[sel], 2.0 * math.pi)
+    mult = cloud.mult[sel]
+    best, start, wraps = 0, 0.0, False
+    for t in theta:
+        end = t + 2.0 * (math.pi / 4.0) * gap
+        wrapped = theta + 2.0 * math.pi <= end
+        count = int(mult[((theta >= t) & (theta <= end)) | wrapped].sum())
+        if count > best:
+            best, start, wraps = count, t, False
+        wraps |= count == best and bool(wrapped.any())
+    return best, start, wraps
+
+
+@pytest.fixture(scope="module")
+def sweep_clouds(small_cloud, wide_scaffold):
+    cloud, prof = small_cloud
+    part = R.partition_region(prof, 1, g_max=25.0, ceiling=100_000)
+    wide_prof = RadialProfile(wide_scaffold)
+    wide_part = R.partition_region(wide_prof, 1, g_max=25.0, ceiling=200_000)
+    return [cloud, R.atomize(part, prof, split_doubles=True), R.atomize(wide_part, wide_prof)]
+
+
+class TestSectorCrowdingSweep:
+    def test_window_is_closed(self):
+        # an atom exactly 2 width after another shares its window
+        g = 2.0
+        width = (math.pi / 4.0) * math.exp(-g)
+        cloud = synthetic_cloud([(g + 0.3, 1.0, 1), (g + 0.3, 1.0 + 2.0 * width, 1)])
+        assert L.sector_crowding(cloud, g) == 2
+
+    def test_matches_per_atom_count(self, sweep_clouds):
+        # bands of at most 2500 atoms on a grid of radii, each as given and
+        # turned so that its fullest window straddles theta = 0
+        checked = wrapped = 0
+        for cloud in sweep_clouds:
+            for g in np.linspace(cloud.g.min() - 0.5, cloud.g.max(), 12):
+                gap = math.exp(-g)
+                if not 0 < np.sum((cloud.delta <= gap) & (cloud.delta >= gap / 2.0)) <= 2500:
+                    continue
+                best, start, _ = _crowding_by_atom(cloud, g)
+                assert L.sector_crowding(cloud, g) == best
+                turned = R.ZeroCloud(cloud.g, cloud.theta - start - (math.pi / 4.0) * gap,
+                                     cloud.mult, cloud.kind, cloud.cells, cloud.profile)
+                best, _, wraps = _crowding_by_atom(turned, g)
+                assert L.sector_crowding(turned, g) == best
+                checked += 1
+                wrapped += wraps
+        assert checked >= 15 and wrapped >= 2
+
+
 class TestCertificate:
     def test_zero_free_power_instance_bounded(self):
         p = 2.0
