@@ -71,15 +71,24 @@ def _scaffold_records(scaffold) -> list[dict]:
 
 
 def _load_scaffold(path: str):
-    recs = read_records(path)
-    params = next(r for r in recs if r["kind"] == "scaffold-params")
-    gens = [r for r in recs if r["kind"] == "generation"]
+    try:
+        recs = read_records(path)
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise CliValidationError(f"--scaffold {path} is not a JSONL file: {err}") from None
+    recs = [r for r in recs if isinstance(r, dict)]
+    params = next((r for r in recs if r.get("kind") == "scaffold-params"), None)
+    if params is None:
+        raise CliValidationError(f"--scaffold {path} has no scaffold-params record")
+    gens = [r for r in recs if r.get("kind") == "generation"]
     doc = {
         "params": {k: v for k, v in params.items() if k not in ("kind", "retries")},
         "retries": params.get("retries", 0),
         "generations": gens,
     }
-    return scaffold_from_json_dict(doc)
+    try:
+        return scaffold_from_json_dict(doc)
+    except (KeyError, TypeError) as err:  # a missing or mistyped field
+        raise CliValidationError(f"--scaffold {path} has a malformed record: {err!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +468,8 @@ def main(argv=None) -> int:
 
 def _is_validation(err: Exception) -> bool:
     """Bad input (exit 2) as opposed to a numerical or unforeseen failure (3)."""
-    if isinstance(err, (BracketError, QuadratureError, RetriesExhaustedError,
-                        RootConvergenceError, SeriesCapError)):
+    if isinstance(err, (BracketError, O.OdeOverflowError, QuadratureError,
+                        RetriesExhaustedError, RootConvergenceError, SeriesCapError)):
         return False
     return isinstance(err, (CliValidationError, NumericsError, OSError))
 

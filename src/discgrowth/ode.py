@@ -21,6 +21,10 @@ class OdeError(NumericsError):
     pass
 
 
+class OdeOverflowError(OdeError):
+    """The scaled recursion overflowed: a numerical failure, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # coefficient specifications
 
@@ -124,8 +128,8 @@ def taylor_solve(
         raise OdeError(f"need exactly k={k} initial coefficients, got {len(init)}")
     if degree < k:
         raise OdeError("degree must be at least k")
-    if rho <= 0.0:
-        raise OdeError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise OdeError(f"rho must be positive and finite, got {rho}")
     log_rho = math.log(rho)
     # scaled variables c_m = f_m rho^m satisfy the same recursion with
     # A_j replaced by A_j rho^(j+k)
@@ -143,7 +147,7 @@ def taylor_solve(
     else:
         sign, logmag = taylor_recursion(a_sign, a_log, k, degree, init_sign, init_log)
     if np.any(np.isnan(logmag)):
-        raise OdeError("overflow in scaled recursion; use a smaller rho")
+        raise OdeOverflowError("overflow in scaled recursion; use a smaller rho")
     return SolutionSeries(sign, logmag, k=k, log_rho=log_rho)
 
 

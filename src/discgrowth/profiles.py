@@ -113,13 +113,18 @@ class RadialProfile:
             raise ProfileRangeError(
                 f"g = {g[~inside][0]} outside constructed range [0, {self.g_end})"
             )
-        idx = np.searchsorted(self._starts, g, side="right") - 1
-        out = np.empty_like(g)
-        for j in np.unique(idx):
-            sel = idx == j
-            _, i, b = self._bounds[j]
-            out[sel] = self._phi_array(g[sel], self.scaffold.generations[i], b)
-        return out
+        # one stable sort, then branch j is the slice of sorted g's in
+        # [start_j, start_j+1): O(N log N) for any number of branches
+        order = np.argsort(g, axis=None, kind="stable")
+        sorted_g = g.ravel()[order]
+        cuts = np.searchsorted(sorted_g, self._starts).tolist() + [len(sorted_g)]
+        vals = np.empty_like(sorted_g)
+        for (_, i, b), lo, hi in zip(self._bounds, cuts, cuts[1:]):
+            if lo < hi:
+                vals[lo:hi] = self._phi_array(sorted_g[lo:hi], self.scaffold.generations[i], b)
+        out = np.empty_like(sorted_g)
+        out[order] = vals
+        return out.reshape(g.shape)
 
     def _phi(self, g: float, gen: Generation, b: int) -> float:
         p1, p2, log_c = self.params.p1, self.params.p2, self.params.log_c

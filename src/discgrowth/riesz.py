@@ -24,8 +24,9 @@ iterates the columns.
 
 ``ZeroCloud.to_jsonl`` writes one dumps17 row per atom.  All atoms of a ring
 share their cell kind, centroid g and multiplicity, so the row prefix up to
-theta is formatted once per run of equal (kind, g, mult) and only theta once
-per atom; the text is byte-identical to per-atom dumps17 rows.
+theta is formatted once per run of equal (kind, g, mult), and the rows of a run
+by one ``%`` call per chunk of atoms; the text is byte-identical to per-atom
+dumps17 rows.
 
 Every query of a cloud reads one table built once per cloud (``_Sources``)
 and the atom gaps exp(-g) (``ZeroCloud.delta``).  The surrogate sums each
@@ -400,6 +401,11 @@ def partition_region(
 # -- atomization -------------------------------------------------------------
 
 
+# rows per ``%`` call of ZeroCloud.to_jsonl: a ~60 kB template, so the text of
+# one chunk is made without per-atom strings and without a run-sized template
+_JSONL_CHUNK = 1024
+
+
 @dataclass
 class ZeroCloud:
     """Surrogate zeros: one double zero per cell at the density-weighted
@@ -434,9 +440,12 @@ class ZeroCloud:
 
         The row prefix up to theta depends on (kind, g, mult) alone, so it is
         formatted once per run of atoms with equal values (a ring of one cell
-        kind); only theta is formatted per atom.  Runs break wherever a value
-        or the bits of g change (0.0 and -0.0 print differently), so the text
-        is byte-identical to the dumps17 rows for any cloud."""
+        kind).  The rows of a run are then formatted by one ``%`` call per
+        chunk of up to ``_JSONL_CHUNK`` atoms, on the row template repeated
+        once per atom, so the loop over theta runs inside the string
+        formatter.  Runs break wherever a value or the bits of g change (0.0
+        and -0.0 print differently), and every row has the same format spec,
+        so the text is byte-identical to the dumps17 rows for any cloud."""
         g = np.ascontiguousarray(self.g, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(theta)))
@@ -446,11 +455,14 @@ class ZeroCloud:
         change = np.ones(len(g), dtype=bool)
         change[1:] = (bits[1:] != bits[:-1]) | (kind[1:] != kind[:-1]) | (mult[1:] != mult[:-1])
         starts = np.flatnonzero(change).tolist()
-        thetas = theta.tolist()
+        thetas = tuple(theta.tolist())
         out = []
         for s, e in zip(starts, starts[1:] + [len(g)]):
             head = '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(kind[s]), g[s], mult[s])
-            out.append("".join(map((head.replace("%", "%%") + "%.17g}\n").__mod__, thetas[s:e])))
+            row = head.replace("%", "%%") + "%.17g}\n"
+            for a in range(s, e, _JSONL_CHUNK):
+                chunk = thetas[a:min(a + _JSONL_CHUNK, e)]
+                out.append((row * len(chunk)) % chunk)
         return "".join(out)
 
 

@@ -157,6 +157,27 @@ class TestOdeSolveCmd:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "OdeError"
 
+    def test_ode_errors_split_into_bad_input_and_numerical_failure(self):
+        from discgrowth import ode as O
+        from discgrowth.cli import _is_validation
+
+        assert _is_validation(O.OdeError("rho must be positive and finite, got inf"))
+        assert not _is_validation(O.OdeOverflowError("overflow in scaled recursion"))
+
+    def test_recursion_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
+        from discgrowth import ode as O
+
+        def overflow(*args, **kwargs):
+            raise O.OdeOverflowError("overflow in scaled recursion; use a smaller rho")
+
+        monkeypatch.setattr(O, "taylor_solve", overflow)
+        out = tmp_path / "o.json"
+        assert run("ode", "solve", "--degree", "50", "--out", str(out)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OdeOverflowError"
+        assert not out.exists()
+
 
 class TestSeriesCmd:
     def test_reference_doubling_with_trace(self, tmp_path):
@@ -433,6 +454,31 @@ class TestFailedRunLeavesNoFiles:
         assert run("scaffold", "--p1", "2", "--p2", "3", "--generations", "1", "--out", str(out),
                    "--csv-out", str(tmp_path / "missing" / "s.csv")) == 2
         assert out.exists()
+
+    @pytest.mark.parametrize("content", [
+        '{"kind":"logderiv-window","g":2.0}\n',  # JSONL without a scaffold-params record
+        '{"kind":"scaffold-params","p1":2.0}\n',  # a scaffold-params record missing fields
+        "# report\n\nnot JSON\n",
+    ])
+    @pytest.mark.parametrize("argv", [
+        "profile --scaffold {scaffold} --out prof.csv --junctions-out j.json",
+        "riesz --scaffold {scaffold} --generation 1 --out cloud.jsonl --summary-out sum.json",
+    ])
+    def test_bad_scaffold_file_is_a_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                     content, argv):
+        bad = tmp_path / "in" / "bad.json"
+        bad.parent.mkdir()
+        bad.write_text(content)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.chdir(out_dir)
+        assert run(*argv.format(scaffold=bad).split()) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "CliValidationError"
+        assert str(bad) in err["message"]
+        assert list(out_dir.iterdir()) == []
 
     def test_ode_solve_needs_out(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"

@@ -73,6 +73,20 @@ class TestTaylorSolve:
         with pytest.raises(O.OdeError):
             O.pole_coeffs(2, 5, scale=0.0)
 
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_rho_is_bad_input(self, rho):
+        with pytest.raises(O.OdeError, match="rho must be positive and finite") as info:
+            O.taylor_solve(O.DenseCoeffs.from_floats([1.0]), 1, [LogValue.from_float(1.0)], 5,
+                           rho=rho)
+        assert not isinstance(info.value, O.OdeOverflowError)
+
+    def test_overflow_is_a_numerical_failure(self):
+        # finite inputs whose log magnitudes overflow in the recursion
+        coeffs = O.DenseCoeffs(np.array([1.0, 1.0]), np.array([1e308, 1e308]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(O.OdeOverflowError, match="overflow in scaled recursion"):
+                O.taylor_solve(coeffs, 1, [LogValue.from_float(1.0)], 5)
+
 
 def dense_oracle(coeffs, k, init, degree, rho=1.0):
     # the same coefficients without the pole tag take the dense convolution

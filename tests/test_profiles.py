@@ -69,6 +69,21 @@ class TestArrayPhi:
         # branch 3 exists only when p > p2 (the wide scaffold)
         assert {prof.branch_at(float(g))[1] for g in gs} == {b for _, _, b in prof._bounds}
 
+    @pytest.mark.parametrize("fixture", ["ref", "wide"])
+    def test_dispatch_is_bitwise_pointwise(self, fixture, ref_scaffold, wide_scaffold):
+        # each entry's value does not depend on the order, the duplicates or
+        # the branches of the other entries: shuffled points with repeats,
+        # every branch start and the double just below it
+        prof = RadialProfile(ref_scaffold if fixture == "ref" else wide_scaffold)
+        starts = prof._starts
+        below = np.nextafter(starts, -np.inf)
+        gs = np.concatenate([branch_samples(prof, 5), starts, below[below >= 0.0]])
+        gs = np.random.default_rng(7).permutation(np.concatenate([gs, gs[::3]]))
+        one_by_one = np.array([prof.phi(gs[i:i + 1])[0] for i in range(len(gs))])
+        assert prof.phi(gs).tobytes() == one_by_one.tobytes()
+        assert prof.phi(gs[:1]).tobytes() == one_by_one[:1].tobytes()
+        assert prof.phi(gs[:0]).shape == (0,)
+
     def test_matches_scalar_phi_past_the_underflow_depth(self, deep_profile):
         gs = np.array(branch_samples(deep_profile, 16) + [b[0] for b in deep_profile._bounds])
         assert gs.max() > 1.5e3

@@ -348,6 +348,33 @@ class TestJsonlRuns:
         assert text == _jsonl_rows(cloud)
         assert '"g":-0,' in text and '"theta":-0}' in text
 
+    @staticmethod
+    def _runs_cloud(runs):
+        """A hand-built cloud of runs (kind, g, mult, length), random thetas."""
+        kind = [k for k, _, _, n in runs for _ in range(n)]
+        g = np.concatenate([np.full(n, g) for _, g, _, n in runs])
+        mult = np.concatenate([np.full(n, m) for _, _, m, n in runs])
+        theta = np.random.default_rng(len(g)).uniform(-1.0, 7.0, len(g))
+        return R.ZeroCloud(g, theta, mult, kind, [None] * len(g))
+
+    @pytest.mark.parametrize("n", [R._JSONL_CHUNK - 1, R._JSONL_CHUNK, R._JSONL_CHUNK + 1,
+                                   2 * R._JSONL_CHUNK + 1])
+    def test_run_lengths_around_the_chunk(self, n):
+        cloud = self._runs_cloud([("A", 4.25, 2.0, n)])
+        assert cloud.to_jsonl() == _jsonl_rows(cloud)
+
+    def test_prefix_breaks_on_chunk_boundaries(self):
+        c = R._JSONL_CHUNK
+        cloud = self._runs_cloud([("A", 4.25, 2.0, c), ("A", 4.5, 2.0, 2 * c), ("remainder", 4.5, 2.0, 1)])
+        assert cloud.to_jsonl() == _jsonl_rows(cloud)
+
+    def test_percent_in_kind_across_chunks(self):
+        c = R._JSONL_CHUNK
+        cloud = self._runs_cloud([("A", 1.5, 1.0, 3), ("50%d%%", 2.5, 2.0, 2 * c + 5), ("A", 1.5, 1.0, 2)])
+        text = cloud.to_jsonl()
+        assert text == _jsonl_rows(cloud)
+        assert text.count('"cell_kind":"50%d%%"') == 2 * c + 5
+
     def test_empty_cloud(self):
         cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [], [])
         assert cloud.to_jsonl() == "" == _jsonl_rows(cloud)
