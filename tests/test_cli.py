@@ -458,6 +458,7 @@ class TestFailedRunLeavesNoFiles:
     @pytest.mark.parametrize("content", [
         '{"kind":"logderiv-window","g":2.0}\n',  # JSONL without a scaffold-params record
         '{"kind":"scaffold-params","p1":2.0}\n',  # a scaffold-params record missing fields
+        '[1, 2]\n3\n',  # JSON lines that are not records
         "# report\n\nnot JSON\n",
     ])
     @pytest.mark.parametrize("argv", [
