@@ -18,6 +18,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import functools
 import io
 import math
 import os
@@ -151,6 +152,10 @@ def _cmd_riesz(args) -> list[Output]:
         "total_mass": part.total_mass,
         "truncated": {k: bool(v) for k, v in sorted(part.truncated.items())},
     }
+    # the text and its pieces take twice its size at their peak; the cell
+    # columns of the partition and of the cloud are not needed for it
+    del part
+    cloud.cells = ()
     return [(args.out, cloud.to_jsonl()), (args.summary_out, [summary])]
 
 
@@ -288,6 +293,9 @@ def _cmd_report(args) -> list[Output]:
     return [(args.out, "\n".join(lines) + "\n"), (args.csv_out, _csv_text(csv_rows))]
 
 
+_WRITE_SLICE = 1 << 20
+
+
 def _write_outputs(outputs: list[Output]) -> None:
     """Write each requested (path, payload) pair: records as JSONL through
     write_records, text verbatim.  If a write fails, the files this run
@@ -305,7 +313,9 @@ def _write_outputs(outputs: list[Output]) -> None:
                 created.append(path)
             if isinstance(payload, str):
                 with open(path, "w", newline="") as fh:
-                    fh.write(payload)
+                    # slices of 1 MiB, so no encoded copy of the whole text
+                    for i in range(0, len(payload), _WRITE_SLICE):
+                        fh.write(payload[i:i + _WRITE_SLICE])
             else:
                 write_records(path, payload)
     except BaseException:
@@ -319,25 +329,34 @@ def _write_outputs(outputs: list[Output]) -> None:
 # argument wiring
 
 
-def _add_config_defaults(parser: argparse.ArgumentParser, section: str, config_path: str):
-    """Install INI-section values as subparser defaults (flags still win)."""
+@contextlib.contextmanager
+def _config_defaults(parser: argparse.ArgumentParser, section: str, config_path: str):
+    """Install INI-section values as subparser defaults (flags still win)
+    for the duration of the block.  The parser is shared by every ``main``
+    call of the process, so the old defaults come back on exit, also when a
+    value fails to parse."""
     cp = configparser.ConfigParser()
     if not cp.read(config_path):
         raise CliValidationError(f"config file {config_path} not readable")
-    if not cp.has_section(section):
-        return
-    by_dest = {a.dest: a for a in parser._actions}
-    for key, raw in cp.items(section):
-        dest = key.replace("-", "_")
-        action = by_dest.get(dest)
-        if action is None:
-            raise CliValidationError(f"unknown config key [{section}] {key}")
-        if isinstance(action, argparse._StoreTrueAction):
-            action.default = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            action.default = action.type(raw)
-        else:
-            action.default = raw
+    saved = []
+    try:
+        by_dest = {a.dest: a for a in parser._actions}
+        for key, raw in cp.items(section) if cp.has_section(section) else ():
+            dest = key.replace("-", "_")
+            action = by_dest.get(dest)
+            if action is None:
+                raise CliValidationError(f"unknown config key [{section}] {key}")
+            saved.append((action, action.default))
+            if isinstance(action, argparse._StoreTrueAction):
+                action.default = raw.strip().lower() in ("1", "true", "yes", "on")
+            elif action.type is not None:
+                action.default = action.type(raw)
+            else:
+                action.default = raw
+        yield
+    finally:
+        for action, default in reversed(saved):
+            action.default = default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,19 +465,27 @@ def _prescan(argv):
     return config, command
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the process, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = _parser()
     try:
         config, command = _prescan(argv)
         name_map = parser._subparsers._group_actions[0]._name_parser_map
-        if config and command in name_map:
-            _add_config_defaults(name_map[command], command, config)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as e:
-            return int(e.code or 0)
+        with (
+            _config_defaults(name_map[command], command, config)
+            if config and command in name_map else contextlib.nullcontext()
+        ):
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as e:
+                return int(e.code or 0)
         _write_outputs(args.func(args))
         return 0
     except Exception as err:

@@ -8,6 +8,7 @@ solution orders.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -147,8 +148,30 @@ def taylor_solve(
     else:
         sign, logmag = taylor_recursion(a_sign, a_log, k, degree, init_sign, init_log)
     if np.any(np.isnan(logmag)):
-        raise OdeOverflowError("overflow in scaled recursion; use a smaller rho")
+        raise OdeOverflowError(_overflow_message(logmag, coeffs, init))
     return SolutionSeries(sign, logmag, k=k, log_rho=log_rho)
+
+
+def _overflow_message(logmag: np.ndarray, coeffs: DenseCoeffs, init: Sequence[LogValue]) -> str:
+    """Why the recursion overflowed, naming the first NaN coefficient m.
+
+    At rho = 1 each step adds at most max(log|A_j|, 0) + log(m + 1) to the
+    largest log magnitude so far, which bounds log|f_m|.  When that bound is
+    a finite double, rho > 1 caused the overflow and a smaller rho helps.
+    Otherwise the inputs' log magnitudes are near the double limit; rho moves
+    the log magnitude at index m by m log(rho), |log(rho)| < 745, which
+    cannot offset them."""
+    m = int(np.flatnonzero(np.isnan(logmag))[0])
+    log_a = float(np.max(coeffs.logmag[coeffs.sign != 0.0], initial=0.0))
+    log_init = max([0.0] + [v.logmag for v in init if v.sign != 0])
+    bound = log_init + m * (log_a + math.log(m + 1))
+    if bound < sys.float_info.max:
+        return f"overflow in scaled recursion at coefficient {m}; use a smaller rho"
+    return (
+        f"overflow in scaled recursion at coefficient {m}: the log magnitudes of the "
+        f"coefficients and initial values (up to {max(log_a, log_init):.3g}) are near the "
+        "double limit, and no rho offsets them"
+    )
 
 
 def _pole_recursion(

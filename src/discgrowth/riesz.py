@@ -24,9 +24,9 @@ iterates the columns.
 
 ``ZeroCloud.to_jsonl`` writes one dumps17 row per atom.  All atoms of a ring
 share their cell kind, centroid g and multiplicity, so the row prefix up to
-theta is formatted once per run of equal (kind, g, mult), and the rows of a run
-by one ``%`` call per chunk of atoms; the text is byte-identical to per-atom
-dumps17 rows.
+theta is formatted once per run of equal (kind, g, mult), and the thetas by
+one exact numpy ``%.17g`` kernel call (``serialize.format17_lines``) per block
+of atoms; the text is byte-identical to per-atom dumps17 rows.
 
 Every query of a cloud reads one table built once per cloud (``_Sources``)
 and the atom gaps exp(-g) (``ZeroCloud.delta``).  The surrogate sums each
@@ -60,7 +60,7 @@ import numpy as np
 
 from .numerics import LogGap, NumericsError, as_g
 from .profiles import RadialProfile
-from .serialize import dumps17
+from .serialize import dumps17, format17_lines
 
 _LEG_NODES = {
     4: (
@@ -401,8 +401,8 @@ def partition_region(
 # -- atomization -------------------------------------------------------------
 
 
-# rows per ``%`` call of ZeroCloud.to_jsonl: a ~60 kB template, so the text of
-# one chunk is made without per-atom strings and without a run-sized template
+# rows per format17_lines call of ZeroCloud.to_jsonl: enough to spread the
+# call's fixed cost, few enough for the block's arrays to stay in cache
 _JSONL_CHUNK = 1024
 
 
@@ -440,29 +440,46 @@ class ZeroCloud:
 
         The row prefix up to theta depends on (kind, g, mult) alone, so it is
         formatted once per run of atoms with equal values (a ring of one cell
-        kind).  The rows of a run are then formatted by one ``%`` call per
-        chunk of up to ``_JSONL_CHUNK`` atoms, on the row template repeated
-        once per atom, so the loop over theta runs inside the string
-        formatter.  Runs break wherever a value or the bits of g change (0.0
-        and -0.0 print differently), and every row has the same format spec,
-        so the text is byte-identical to the dumps17 rows for any cloud."""
+        kind).  Runs break wherever a value or the bits of g change (0.0 and
+        -0.0 print differently).  The thetas are formatted by
+        ``format17_lines`` in blocks of ``_JSONL_CHUNK`` atoms, across run
+        boundaries: its numpy path covers 1e-4 <= theta < 8, and any other
+        theta falls back to ``%.17g`` for its row alone.  The rows of a run
+        within a block are its slice of the block's lines with each newline
+        replaced by the row end and the run's prefix, so the text is
+        byte-identical to the dumps17 rows for any cloud.  Each block's rows
+        are joined into one string before the whole text is: pieces of one
+        size leave the freed heap in pieces the next text can reuse."""
         g = np.ascontiguousarray(self.g, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(theta)))
         if len(bad):  # dumps17 raises its ValueError on the first one
             dumps17([float(g[bad[0]]), float(theta[bad[0]])])
         bits, kind, mult = g.view(np.int64), np.asarray(self.kind, dtype=object), np.asarray(self.mult)
-        change = np.ones(len(g), dtype=bool)
+        n = len(g)
+        change = np.ones(n, dtype=bool)
         change[1:] = (bits[1:] != bits[:-1]) | (kind[1:] != kind[:-1]) | (mult[1:] != mult[:-1])
-        starts = np.flatnonzero(change).tolist()
-        thetas = tuple(theta.tolist())
-        out = []
-        for s, e in zip(starts, starts[1:] + [len(g)]):
-            head = '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(kind[s]), g[s], mult[s])
-            row = head.replace("%", "%%") + "%.17g}\n"
-            for a in range(s, e, _JSONL_CHUNK):
-                chunk = thetas[a:min(a + _JSONL_CHUNK, e)]
-                out.append((row * len(chunk)) % chunk)
+        starts = np.flatnonzero(change)
+        heads = [
+            '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(kind[s]), g[s], mult[s])
+            for s in starts.tolist()
+        ]
+        # the pieces: runs cut at block edges
+        cut = change.copy()
+        cut[::_JSONL_CHUNK] = True
+        cuts = np.flatnonzero(cut)
+        run_of = (np.cumsum(change)[cuts] - 1).tolist()
+        out, rows = [], []
+        for a, b, r in zip(cuts.tolist(), cuts[1:].tolist() + [n], run_of):
+            if a % _JSONL_CHUNK == 0:  # a new block
+                out.append("".join(rows))
+                rows = []
+                block = a
+                text, bounds = format17_lines(theta[a:a + _JSONL_CHUNK])
+            head = heads[r]
+            lines = text[bounds[a - block]:bounds[b - block] - 1]
+            rows += (head, lines.replace("\n", "}\n" + head), "}\n")
+        out.append("".join(rows))
         return "".join(out)
 
 

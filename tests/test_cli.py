@@ -230,6 +230,17 @@ class TestRieszCmd:
         s = read_records(str(summary))[0]
         assert s["atoms"] >= s["cells"]
 
+    def test_text_written_in_slices(self, small_scaffold_file, tmp_path, monkeypatch):
+        # the writer puts text on disk in slices; an odd slice size cuts rows
+        # anywhere and the bytes stay those pinned below
+        from discgrowth import cli
+
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 4093)
+        cloud = tmp_path / "cloud.jsonl"
+        assert run("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1",
+                   "--split-doubles", "--out", str(cloud)) == 0
+        assert hashlib.sha256(cloud.read_bytes()).hexdigest() == (
+            "03689a36ae0c978687a41125c28e79630a68e163ab06e41e3522dbe619685174")
 
     # sha256 of the cloud and summary bytes, recorded at commit dc95d27 (one
     # PolarCell per cell); plain and split runs take the merge-back of a thin
@@ -306,6 +317,43 @@ class TestConfigFile:
         cfg = tmp_path / "run.ini"
         cfg.write_text("[scaffold]\np1 = 2\np2 = 3\nbogus = 1\n")
         assert run("--config", str(cfg), "scaffold", "--out", str(tmp_path / "x.json")) == 2
+
+    def test_config_does_not_leak_into_later_calls(self, tmp_path):
+        # main reuses one parser: a config default lasts for its own call,
+        # also when the config is rejected halfway through
+        good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+        good.write_text("[ode]\nk = 2\n")
+        bad.write_text("[ode]\nk = 3\nbogus = 1\n")
+        predict = ("ode", "predict", "--p1", "4", "--p2", "7", "--p", "7", "--out")
+        outs = [tmp_path / f"{i}.json" for i in range(4)]
+        assert run("--config", str(good), *predict, str(outs[0])) == 0
+        assert run(*predict, str(outs[1])) == 0
+        assert run("--config", str(bad), *predict, str(outs[2])) == 2
+        assert run(*predict, str(outs[3])) == 0
+        ks = [read_records(str(outs[i]))[0]["k"] for i in (0, 1, 3)]
+        assert ks == [2, 1, 1] and not outs[2].exists()
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    from discgrowth import cli
+
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for i in range(3):
+            assert run("ode", "predict", "--p1", "2", "--p2", "3", "--p", "3",
+                       "--out", str(tmp_path / f"{i}.json")) == 0
+        assert run("ode", "predict", "--bogus") == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 class TestReportCmd:

@@ -87,6 +87,30 @@ class TestTaylorSolve:
             with pytest.raises(O.OdeOverflowError, match="overflow in scaled recursion"):
                 O.taylor_solve(coeffs, 1, [LogValue.from_float(1.0)], 5)
 
+    def test_overflow_message_names_the_cause(self, monkeypatch):
+        # log magnitudes near the double limit: no rho helps, and the message
+        # says so instead of suggesting one
+        coeffs = O.DenseCoeffs(np.array([1.0, 1.0]), np.array([1e308, 1e308]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(O.OdeOverflowError) as info:
+                O.taylor_solve(coeffs, 1, [LogValue.from_float(1.0)], 5)
+        msg = str(info.value)
+        assert "at coefficient 2:" in msg and "near the double limit" in msg
+        assert "smaller rho" not in msg
+
+        # moderate inputs whose rho = 1 recursion stays finite: an overflow
+        # there comes from rho > 1 (stubbed, since double log magnitudes
+        # cannot get there), and a smaller rho is the advice
+        def nan_at_3(a_sign, a_log, k, degree, init_sign, init_log):
+            logmag = np.zeros(degree + 1)
+            logmag[3:] = np.nan
+            return np.ones(degree + 1), logmag
+
+        monkeypatch.setattr(O, "taylor_recursion", nan_at_3)
+        with pytest.raises(O.OdeOverflowError,
+                           match=r"^overflow in scaled recursion at coefficient 3; use a smaller rho$"):
+            O.taylor_solve(O.DenseCoeffs.from_floats([1.0, 2.0]), 1, [LogValue.from_float(1.0)], 8, rho=2.0)
+
 
 def dense_oracle(coeffs, k, init, degree, rho=1.0):
     # the same coefficients without the pole tag take the dense convolution

@@ -13,7 +13,7 @@ from discgrowth._accel import kernel_sums
 from discgrowth.numerics import LogGap, integrate
 from discgrowth.profiles import RadialProfile
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
-from discgrowth.serialize import dumps17
+from discgrowth.serialize import dumps17, format17_lines
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +393,21 @@ class TestJsonlRuns:
         assert theta.tobytes() == np.asarray(cloud.theta, dtype=float).tobytes()
         assert [d["cell_kind"] for d in docs] == list(cloud.kind)
         assert [d["mult"] for d in docs] == np.asarray(cloud.mult).astype(int).tolist()
+
+
+@pytest.mark.parametrize("name", ["small", "mid", "wide"])
+def test_theta_kernel_matches_percent_on_every_cloud(name, small_scaffold, wide_scaffold):
+    """format17_lines formats every theta of the small, mid and wide clouds,
+    generations 1 and 2, plain and split, as %.17g does."""
+    scaffold = {"small": small_scaffold, "wide": wide_scaffold}.get(name) or build_scaffold(
+        ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=3.0, log_c=3.5, g1=3.5), 2)
+    prof = RadialProfile(scaffold)
+    for generation in (1, 2):
+        part = R.partition_region(prof, generation, g_max=25.0, ceiling=200_000)
+        for split in (False, True):
+            theta = np.asarray(R.atomize(part, prof, split_doubles=split).theta, dtype=float)
+            assert len(theta) > 5000
+            assert format17_lines(theta)[0] == "".join("%.17g\n" % t for t in theta.tolist())
 
 
 def _direct_sum(cloud, profile, zs):
