@@ -242,8 +242,7 @@ def _cmd_ode(args) -> list[Output]:
         coeffs = O.pole_coeffs(args.pole_order, args.degree, scale=args.scale)
         init = [LogValue.from_float(1.0)] + [LogValue.zero()] * (args.k - 1)
         sol = O.taylor_solve(coeffs, args.k, init, args.degree)
-        g_lo, g_hi, n = (float(x) for x in args.estimate.split(":"))
-        gs = np.linspace(g_lo, g_hi, int(n))
+        gs = np.linspace(*args.estimate)
         samples = [(float(g), math.log(max(sol.log_abs_sum(float(g)), 1e-300))) for g in gs]
         ind = O.estimate_orders(samples, window=0.4, min_span=args.min_span)
         recs = [
@@ -329,6 +328,19 @@ def _write_outputs(outputs: list[Output]) -> None:
 # argument wiring
 
 
+def _estimate_grid(text: str) -> tuple[float, float, int]:
+    """``g_lo:g_hi:n`` of ``ode solve --estimate``: finite g_lo < g_hi and a
+    positive integer count of samples."""
+    try:
+        lo, hi, count = text.split(":")
+        g_lo, g_hi, n = float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected g_lo:g_hi:n (two floats and an integer), got {text!r}")
+    if not (math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi and n >= 1):
+        raise argparse.ArgumentTypeError(f"need finite g_lo < g_hi and n >= 1, got {text!r}")
+    return g_lo, g_hi, n
+
+
 @contextlib.contextmanager
 def _config_defaults(parser: argparse.ArgumentParser, section: str, config_path: str):
     """Install INI-section values as subparser defaults (flags still win)
@@ -350,7 +362,10 @@ def _config_defaults(parser: argparse.ArgumentParser, section: str, config_path:
             if isinstance(action, argparse._StoreTrueAction):
                 action.default = raw.strip().lower() in ("1", "true", "yes", "on")
             elif action.type is not None:
-                action.default = action.type(raw)
+                try:
+                    action.default = action.type(raw)
+                except (ValueError, argparse.ArgumentTypeError) as err:
+                    raise CliValidationError(f"config key [{section}] {key}: {err}") from None
             else:
                 action.default = raw
         yield
@@ -429,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pole-order", dest="pole_order", type=int, default=2)
     p.add_argument("--scale", type=float, default=-1.0)
     p.add_argument("--degree", type=int, default=2000)
-    p.add_argument("--estimate", default="0.8:2.2:48")
+    p.add_argument("--estimate", type=_estimate_grid, default="0.8:2.2:48", metavar="G_LO:G_HI:N")
     p.add_argument("--min-span", dest="min_span", type=float, default=1.0)
     p.add_argument("--audit-p1", dest="audit_p1", type=float, default=None)
     p.add_argument("--audit-p2", dest="audit_p2", type=float, default=None)

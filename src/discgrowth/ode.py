@@ -1,5 +1,6 @@
-"""The equation f^(k) + A f = 0: power-series solving in log-domain
-arithmetic, the coefficient-integral growth bound for a log-domain majorant
+"""The equation f^(k) + A f = 0: power-series solving (log-domain
+arithmetic, or plain floats on a shared power-of-two exponent for pole
+coefficients), the coefficient-integral growth bound for a log-domain majorant
 (``coefficient_integral_log_bound``), order/lower-order estimation from
 samples, and the closed-form predictors tying coefficient degrees to
 solution orders.
@@ -7,9 +8,10 @@ solution orders.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,18 +59,17 @@ class DenseCoeffs:
 
 def pole_coeffs(p: int, degree: int, scale: float = 1.0) -> DenseCoeffs:
     """A(z) = scale * p (1-z)^-(p+1): the coefficient whose antiderivative
-    power is (1-z)^-p; A_j = scale * p * binom(j+p, p)."""
+    power is (1-z)^-p; A_j = scale * p * binom(j+p, p), its log the running
+    sum of log1p(p/i) over i <= j."""
     if p < 1:
         raise OdeError(f"pole order must be >= 1, got {p}")
-    if scale == 0.0:
-        raise OdeError("scale must be nonzero")
-    logs = np.empty(degree + 1)
+    if not (math.isfinite(scale) and scale != 0.0):
+        raise OdeError(f"scale must be finite and nonzero, got {scale}")
+    logs = np.arange(degree + 1, dtype=float)
+    steps = logs[1:]  # log1p(p/j) in place, then their running sum; logs[0] = 0
+    np.cumsum(np.log1p(np.divide(p, steps, out=steps), out=steps), out=steps)
+    logs += math.log(p) + math.log(abs(scale))
     signs = np.full(degree + 1, math.copysign(1.0, scale))
-    acc = math.log(p) + math.log(abs(scale))
-    for j in range(degree + 1):
-        if j > 0:
-            acc += math.log(j + p) - math.log(j)
-        logs[j] = acc
     return DenseCoeffs(signs, logs, pole=(p, scale))
 
 
@@ -84,6 +85,13 @@ class SolutionSeries:
     logmag: np.ndarray
     k: int
     log_rho: float = 0.0
+    # the indices m of the nonzero coefficients (as floats) and their logs
+    _live: np.ndarray = field(init=False, repr=False, compare=False)
+    _live_log: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        live = np.flatnonzero(self.sign != 0.0)
+        self._live, self._live_log = live.astype(float), self.logmag[live]
 
     def __len__(self) -> int:
         return len(self.sign)
@@ -96,12 +104,15 @@ class SolutionSeries:
     def log_abs_sum(self, g: LogGap | float) -> float:
         """log sum |f_m| r^m over the nonzero coefficients: equals log M(r, f)
         for nonnegative coefficients (an upper proxy otherwise), up to the
-        truncation degree."""
+        truncation degree; -inf when every coefficient is zero."""
         t = log_r_from_g(as_g(g)) - self.log_rho
-        live = np.nonzero(self.sign != 0.0)[0]
-        vals = self.logmag[live] + live * t
+        if not self._live.size:
+            return -math.inf
+        vals = self._live * t
+        vals += self._live_log
         m = float(np.max(vals))
-        return m + math.log(float(np.sum(np.exp(vals - m))))
+        vals -= m
+        return m + math.log(float(np.sum(np.exp(vals, out=vals))))
 
 
 def taylor_solve(
@@ -112,16 +123,19 @@ def taylor_solve(
     rho: float = 1.0,
 ) -> SolutionSeries:
     """Solve f^(k) = -A f by the exact coefficient recursion
-    f_{m+k} = -(m!/(m+k)!) sum_j A_j f_{m-j}, in scaled log-domain arithmetic.
+    f_{m+k} = -(m!/(m+k)!) sum_j A_j f_{m-j}; the result holds the scaled
+    coefficients c_m = f_m rho^m.
 
     ``init`` supplies f(0), f'(0), ..., f^(k-1)(0)/(k-1)! as the first k
     Taylor coefficients.
 
     Path selection: coefficients tagged ``pole=(p, scale)`` with scale < 0,
-    nonnegative ``init`` and no truncation (``len(coeffs) > degree - k``) go
-    through :func:`_pole_recursion`, O(degree * (p+1)); every coefficient
-    stays positive there, so nothing cancels.  Any other input takes the
-    dense O(degree^2) convolution ``_accel.taylor_recursion``.
+    nonnegative ``init`` with log magnitudes below 1e15 and no truncation
+    (``len(coeffs) > degree - k``) go through :func:`_pole_recursion`,
+    O(degree * (p+1)) plain-float multiply-adds on one shared power-of-two
+    exponent; every coefficient stays positive there, so nothing cancels, and
+    rho only shifts the logs by m log(rho) at the end.  Any other input takes
+    the dense O(degree^2) log-domain convolution ``_accel.taylor_recursion``.
     """
     if k < 1:
         raise OdeError("k must be >= 1")
@@ -132,21 +146,21 @@ def taylor_solve(
     if not (math.isfinite(rho) and rho > 0.0):
         raise OdeError(f"rho must be positive and finite, got {rho}")
     log_rho = math.log(rho)
-    # scaled variables c_m = f_m rho^m satisfy the same recursion with
-    # A_j replaced by A_j rho^(j+k)
-    a_sign = coeffs.sign.copy()
-    a_log = coeffs.logmag + (np.arange(len(coeffs)) + k) * log_rho
-    init_sign = np.array([float(v.sign) for v in init])
-    init_log = np.array([v.logmag + m * log_rho for m, v in enumerate(init)])
     if (
         coeffs.pole is not None
         and coeffs.pole[1] < 0.0
-        and np.all(init_sign >= 0.0)
+        and all(v.sign == 0 or (v.sign > 0 and abs(v.logmag) < 1e15) for v in init)
         and len(coeffs) > degree - k
     ):
-        sign, logmag = _pole_recursion(coeffs.pole[0], a_log[0], k, degree, log_rho, init_log)
+        init_log = np.array([v.logmag for v in init])
+        sign, logmag = _pole_recursion(*coeffs.pole, k, degree, log_rho, init_log)
     else:
-        sign, logmag = taylor_recursion(a_sign, a_log, k, degree, init_sign, init_log)
+        # scaled variables c_m = f_m rho^m satisfy the same recursion with
+        # A_j replaced by A_j rho^(j+k)
+        a_log = coeffs.logmag + (np.arange(len(coeffs)) + k) * log_rho
+        init_sign = np.array([float(v.sign) for v in init])
+        init_log = np.array([v.logmag + m * log_rho for m, v in enumerate(init)])
+        sign, logmag = taylor_recursion(coeffs.sign.copy(), a_log, k, degree, init_sign, init_log)
     if np.any(np.isnan(logmag)):
         raise OdeOverflowError(_overflow_message(logmag, coeffs, init))
     return SolutionSeries(sign, logmag, k=k, log_rho=log_rho)
@@ -174,36 +188,97 @@ def _overflow_message(logmag: np.ndarray, coeffs: DenseCoeffs, init: Sequence[Lo
     )
 
 
-def _pole_recursion(
-    p: int, log_a0: float, k: int, degree: int, log_rho: float, init_log: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The recursion of :func:`taylor_solve` for the scaled pole coefficient
-    a_j = a_0 binom(j+p, p) rho^j, a_0 < 0, and nonnegative initial values.
+# the ceiling of the running sum S^(p), which stays >= 1/2 once nonzero, and
+# the exponent range of a plain-float alpha_m: alpha_m S lies in [2^-302, 2^900]
+_SUM_HI = 2.0**600
+_ALPHA_EXP = 300
+_LN2 = math.log(2.0)
 
-    sum_j binom(j+p, p) rho^j c_{m-j} is the (p+1)-fold geometric prefix sum
-    of c (the series of (1 - rho z)^-(p+1) C(z)):
-    s^(i)_m = rho s^(i)_{m-1} + s^(i-1)_m with s^(0) = c.  Those p+1 running
-    sums are kept as logs; all terms are positive, so log-add-exp is exact
-    up to rounding.
+
+def _pole_alpha(p: int, scale: float, k: int, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """alpha_m = p |scale| / ((m+1)...(m+k)) for m < n as (floats, binary
+    exponents): the whole value and None when every alpha_m lies within
+    2^+-300, mantissas in [0.5, 1) and their exponents otherwise."""
+    mant, exp = math.frexp(-scale)
+    a_mant, a_exp = np.full(n, p * mant), np.full(n, exp, dtype=np.int32)
+    e = np.empty(n, dtype=np.int32)
+    for i in range(1, k + 1):  # divide by m + i, one frexp at a time
+        d = np.arange(i, n + i, dtype=float)
+        np.frexp(d, out=(d, e))
+        a_mant /= d
+        a_exp -= e
+        np.frexp(a_mant, out=(a_mant, e))
+        a_exp += e
+    if -_ALPHA_EXP <= a_exp.min() and a_exp.max() <= _ALPHA_EXP:
+        return np.ldexp(a_mant, a_exp, out=a_mant), None
+    return a_mant, a_exp
+
+
+def _pole_recursion(
+    p: int, scale: float, k: int, degree: int, log_rho: float, init_log: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The recursion of :func:`taylor_solve` for A_j = scale p binom(j+p, p),
+    scale < 0, and nonnegative initial values f_0..f_{k-1} with log
+    magnitudes ``init_log``; returns (sign, log c_m) with c_m = f_m rho^m.
+
+    sum_j binom(j+p, p) f_{m-j} is the (p+1)-fold prefix sum of f (the series
+    of (1 - z)^-(p+1) F(z)): s^(i)_m = s^(i)_{m-1} + s^(i-1)_m with s^(0) = f,
+    and f_{m+k} = alpha_m s^(p)_m.  Every term is positive, so the p+1 sums
+    are plain floats times 2^shared for one shared integer exponent,
+    rescaled exactly by a power of two whenever S = s^(p) passes 2^600.  The
+    k coefficients not yet summed wait as (float, exponent); one whose
+    exponent is not ``shared`` enters the sums by ldexp, or rebases them on
+    its own exponent when it starts them or lies more than 2^300 above them,
+    so S stays >= 1/2.  With alpha_m split as in :func:`_pole_alpha`, no
+    product overflows or underflows for any finite scale or rho.  The
+    exponent of f_{m+k} is ``shared`` after step m (logged only when it
+    changes) plus that of alpha_m.  rho enters only at the end as m log(rho),
+    and the logs are taken once, vectorised.
     """
-    logmag = np.full(degree + 1, -np.inf)
+    n = degree + 1 - k
+    alpha, alpha_exp = _pole_alpha(p, scale, k, n)
+    pend, pend_exp = [0.0] * k, [0] * k  # f_m..f_{m+k-1}, slot m % k
+    for m, v in enumerate(init_log):
+        if v > -math.inf:
+            pend_exp[m] = math.floor(v / _LN2)
+            pend[m] = math.exp(v - pend_exp[m] * _LN2)
+    mant = np.zeros(degree + 1)
+    out = memoryview(mant)
+    ldexp, frexp, hi, cap, ring = math.ldexp, math.frexp, _SUM_HI, _ALPHA_EXP, range(p + 1)
+    sums, shared, moves = [0.0] * (p + 1), 0, [(0, 0)]  # (step, shared from that step on)
+    alpha_exps = itertools.repeat(0) if alpha_exp is None else memoryview(alpha_exp)
+    for m, j, a, a_e in zip(range(n), itertools.cycle(range(k)), memoryview(alpha), alpha_exps):
+        x, d = pend[j], pend_exp[j] - shared
+        if d and x:
+            if d > cap or sums[p] == 0.0:
+                # x dominates (or starts) the sums: rebase on x in [0.5, 1)
+                x, e = frexp(x)
+                d += e
+                sums = [ldexp(v, -d) for v in sums]
+                shared += d
+                moves.append((m, shared))
+            else:
+                x = ldexp(x, d)
+        for i in ring:
+            x = sums[i] = sums[i] + x
+        if x > hi:
+            e = frexp(x)[1]
+            sums = [ldexp(v, -e) for v in sums]
+            x, shared = sums[p], shared + e
+            moves.append((m, shared))
+        out[m + k] = pend[j] = a * x
+        pend_exp[j] = shared + a_e
+    starts, values = np.array(moves).T
+    exps = np.repeat(values, np.diff(starts, append=n))
+    if alpha_exp is not None:
+        exps += alpha_exp
+    logmag = mant
+    with np.errstate(divide="ignore"):
+        np.log(logmag, out=logmag)
+    logmag[k:] += exps * _LN2
     logmag[:k] = init_log
-    sums = [-math.inf] * (p + 1)
-    for m in range(degree + 1 - k):
-        s = float(logmag[m])
-        for i in range(p + 1):
-            a, b = log_rho + sums[i], s
-            if a < b:
-                a, b = b, a
-            if b != -math.inf:
-                a += math.log1p(math.exp(b - a))
-            sums[i] = s = a
-        if s == -math.inf:
-            continue
-        fact = 0.0
-        for i in range(1, k + 1):
-            fact += math.log(m + i)
-        logmag[m + k] = log_a0 + s - fact
+    if log_rho:
+        logmag += np.arange(degree + 1) * log_rho
     sign = np.where(logmag == -np.inf, 0.0, 1.0)
     return sign, logmag
 

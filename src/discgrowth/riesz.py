@@ -602,7 +602,9 @@ def _sources(cloud: ZeroCloud) -> _Sources:
     order = np.arange(len(cells))
     ends = np.append(starts[1:], len(cells))
     descents = (theta[1:] < theta[:-1]) & (ring_of[1:] == ring_of[:-1])
-    for k in np.unique(ring_of[1:][descents]):
+    unsorted = np.zeros(len(starts), dtype=bool)  # a mask, not np.unique: no numpy.ma import
+    unsorted[ring_of[1:][descents]] = True
+    for k in np.flatnonzero(unsorted):
         a, b = starts[k], ends[k]
         order[a:b] = a + np.argsort(theta[a:b], kind="stable")
     g_lo, g_hi = cells.g_lo[starts], cells.g_hi[starts]

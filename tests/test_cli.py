@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from discgrowth.cli import main
@@ -177,6 +178,33 @@ class TestOdeSolveCmd:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "OdeOverflowError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [
+        "1:2", "1:2:x", "1:2:3:4",  # not three fields, or not numbers
+        "2:1:48", "1:1:48",  # g_lo >= g_hi
+        "1:2:48.5", "1:2:0",  # count not a positive integer
+        "nan:2:48", "1:inf:48",  # non-finite g
+    ])
+    def test_bad_estimate_is_a_validation_error(self, tmp_path, capsys, value):
+        out = tmp_path / "o.json"
+        assert run("ode", "solve", "--degree", "50", "--estimate", value, "--out", str(out)) == 2
+        assert "argument --estimate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_estimate_in_a_config_is_a_validation_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.ini", tmp_path / "o.json"
+        cfg.write_text("[ode]\nestimate = 2:1:48\n")
+        assert run("--config", str(cfg), "ode", "solve", "--degree", "50", "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliValidationError" and "[ode] estimate" in err["message"]
+        assert not out.exists()
+
+    def test_estimate_grid(self, tmp_path):
+        out, samples = tmp_path / "o.json", tmp_path / "s.csv"
+        assert run("ode", "solve", "--degree", "400", "--estimate", "0.5:1.5:40",
+                   "--out", str(out), "--samples-csv", str(samples)) == 0
+        gs = [float(row.split(",")[0]) for row in samples.read_text().splitlines()[1:]]
+        assert gs == np.linspace(0.5, 1.5, 40).tolist()
 
 
 class TestSeriesCmd:
@@ -433,7 +461,9 @@ class TestConstructionBytes:
 class TestOutputBytes:
     # sha256 of each output and of stdout, recorded at commit 7125026, before
     # the subcommands handed their outputs to one writer; "-" is stdout, and
-    # "--out -" prints the bytes that commit wrote to the file
+    # "--out -" prints the bytes that commit wrote to the file.  The ode solve
+    # pins were re-recorded when the pole path moved to plain floats and
+    # pole_coeffs to a cumulative sum (log log M samples moved <= 4.3e-16 relative)
     @pytest.mark.parametrize("argv,shas", [
         ("series reference --variant doubling --lambda 1 --sigma 2 --out ser.json --trace tr.csv",
          {"ser.json": "29af34d153dcd09e44653cdacd837eeccce372583dfb03d9aaba06597e96ca9d",
@@ -458,8 +488,8 @@ class TestOutputBytes:
         ("ode exponents --k 2 --p1 5 --p2 6 --eps 0 --out xi.json",
          {"xi.json": "afdd94c832b5616eca15c7f5435cf9086771e50467e559ec1c19f4ca5a47f737"}),
         ("ode solve --degree 2000 --audit-p1 3 --audit-p2 3 --out orders.json --samples-csv samples.csv",
-         {"orders.json": "7c326a38090b920ad46d20adc120ac6c2cb8e580b42597a44d88ef807a4b0823",
-          "samples.csv": "9d537ffd16e9e161aa1975b97b1b61b36edc38f12a3134b82f6cecc1b426697e"}),
+         {"orders.json": "aba5b4cbc3812abb16e8a590a22776dfb9cf57ddfda0ea8121d0edb0f9ef9824",
+          "samples.csv": "ca2e891a791953cf5b632cf090940f15e9283b751da988defeb97806cfa7a5bf"}),
     ])
     def test_bytes_pinned(self, tmp_path, monkeypatch, capsys, argv, shas):
         monkeypatch.chdir(tmp_path)
@@ -471,7 +501,8 @@ class TestOutputBytes:
         assert stdout == b"" or "-" in shas
 
     def test_report_bytes_pinned(self, tmp_path, monkeypatch):
-        # relative inputs: the table names the path of each source
+        # relative inputs: the table names the path of each source; r.csv
+        # holds the ode solve check values (re-recorded with that pin)
         monkeypatch.chdir(tmp_path)
         for argv in ("scaffold --p1 2 --p2 3 --generations 2 --out s.json",
                      "ode exponents --k 2 --p1 5 --p2 6 --out xi.json",
@@ -480,7 +511,7 @@ class TestOutputBytes:
                      "report --inputs s.json xi.json cert.json orders.json --out r.md --csv-out r.csv"):
             assert run(*argv.split()) == 0
         assert _sha256(tmp_path / "r.md") == "7f7989b2f48d2cdb1670b37652d155a38ef0f567ce370e0962fd01d501839d7f"
-        assert _sha256(tmp_path / "r.csv") == "daf8b36a75870c7d32ae074250899d889a5a773486fc2e4c3b68b57a46bbf6a5"
+        assert _sha256(tmp_path / "r.csv") == "b7aa0932a3fa970e5937acf2e19d8f9f426979d065fb3fef4e48b074a46f5791"
 
 
 class TestFailedRunLeavesNoFiles:

@@ -2,12 +2,13 @@
 closed-form predictors, order estimation and the inequality audit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from discgrowth import ode as O
-from discgrowth.numerics import LogGap, LogValue
+from discgrowth.numerics import LogGap, LogValue, log_r_from_g
 from oracles import power_majorant_bound
 
 
@@ -54,6 +55,17 @@ class TestTaylorSolve:
             got = exp_solution.coeff(m).to_float()
             assert got == pytest.approx(want[m], rel=1e-10)
 
+    def test_log_abs_sum_over_the_nonzero_coefficients(self):
+        # the cached live set gives the bytes of the sum over np.nonzero
+        sol = O.taylor_solve(O.DenseCoeffs.from_floats([1.0]), 2,
+                             [LogValue.from_float(1.0), LogValue.zero()], 30, rho=0.5)
+        for g in (0.3, 2.0):
+            t = log_r_from_g(g) - sol.log_rho
+            live = np.nonzero(sol.sign != 0.0)[0]
+            vals = sol.logmag[live] + live * t
+            m = float(np.max(vals))
+            assert sol.log_abs_sum(g) == m + math.log(float(np.sum(np.exp(vals - m))))
+
     def test_rho_scaling_consistent(self):
         want = exp_frac_coeffs(100)
         sol = O.taylor_solve(O.pole_coeffs(1, 100, scale=-1.0), 1,
@@ -70,8 +82,9 @@ class TestTaylorSolve:
             O.taylor_solve(coeffs, 2, [LogValue.from_float(1.0)] * 2, 1)
         with pytest.raises(O.OdeError):
             O.pole_coeffs(0, 5)
-        with pytest.raises(O.OdeError):
-            O.pole_coeffs(2, 5, scale=0.0)
+        for scale in (0.0, -math.inf, math.nan):
+            with pytest.raises(O.OdeError, match="scale must be finite and nonzero"):
+                O.pole_coeffs(2, 5, scale=scale)
 
     @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
     def test_bad_rho_is_bad_input(self, rho):
@@ -160,6 +173,50 @@ class TestPolePath:
         assert dense_calls == []
         assert log_deviation(got, dense_oracle(coeffs, 1, init, degree)) <= 1e-12
 
+    @pytest.mark.parametrize("rho", [1e-3, 1e3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [-5e-324, -1e-300, -1e300, -1.5e308])
+    def test_extreme_scale_and_rho(self, scale, k, rho, dense_calls):
+        # alpha_m = p |scale| / ((m+1)...(m+k)) far outside 2^+-300, and as
+        # one float 0 or inf at the double limits: the split-exponent branch;
+        # the new path emits no warning
+        degree = 240
+        coeffs = O.pole_coeffs(2, degree, scale=scale)
+        init = [LogValue.from_float(v) for v in (1.0, 0.0, 0.25)[:k]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = O.taylor_solve(coeffs, k, init, degree, rho=rho)
+        assert dense_calls == []
+        assert log_deviation(got, dense_oracle(coeffs, k, init, degree, rho)) <= 1e-12
+
+    @pytest.mark.parametrize("logs", [
+        (1000.0, -1000.0, 5.0),  # an input far below the running sums
+        (-1000.0, 1000.0, -math.inf),  # an input far above them
+        (-math.inf, -1000.0, 2.0),  # the sums start at the second input
+    ])
+    def test_initial_values_far_apart(self, logs, dense_calls):
+        coeffs = O.pole_coeffs(3, 200, scale=-1.0)
+        init = [LogValue.zero() if v == -math.inf else LogValue.pos(v) for v in logs]
+        got = O.taylor_solve(coeffs, 3, init, 200)
+        assert dense_calls == []
+        assert log_deviation(got, dense_oracle(coeffs, 3, init, 200)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_initial_values_give_zero_coefficients(self, k, dense_calls):
+        sol = O.taylor_solve(O.pole_coeffs(2, 50, scale=-1.0), k, [LogValue.zero()] * k, 50, rho=0.5)
+        assert dense_calls == []
+        assert np.all(sol.sign == 0.0) and np.all(sol.logmag == -np.inf)
+        assert sol.log_abs_sum(1.0) == -math.inf
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_pole_coeffs_against_mpmath(self, p):
+        mp = pytest.importorskip("mpmath")
+        got = O.pole_coeffs(p, 18000).logmag
+        with mp.workdps(40):
+            for j in (1, 10, 1000, 9000, 18000):
+                want = float(mp.log(p * mp.binomial(j + p, p)))
+                assert abs(got[j] - want) <= 2e-13
+
     @pytest.mark.parametrize("scale,coeff_degree,init", [
         (1.0, 200, [1.0, 0.5]),  # positive scale: mixed signs can cancel
         (-1.0, 150, [1.0, 0.5]),  # truncated coefficients
@@ -173,6 +230,12 @@ class TestPolePath:
         assert dense_calls == [200, 200]
         assert np.array_equal(got.sign, want.sign)
         assert np.array_equal(got.logmag, want.logmag)
+
+    def test_initial_log_magnitude_beyond_1e15_takes_the_dense_kernel(self, dense_calls):
+        coeffs = O.pole_coeffs(2, 20, scale=-1.0)
+        got = O.taylor_solve(coeffs, 1, [LogValue.pos(1e300)], 20)
+        assert dense_calls == [20]
+        assert np.all(got.logmag == 1e300)  # the later terms are below its last bit
 
 
 class TestGrowthMajorant:

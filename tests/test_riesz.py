@@ -4,6 +4,9 @@ through the profile's pointwise Laplacian."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -534,6 +537,31 @@ class TestNearField:
             R.eval_log_surrogate_many(shuffled, small_profile, zs),
             R.eval_log_surrogate_many(gen1_cloud, small_profile, zs),
         )
+
+    def test_shuffled_rings_do_not_import_numpy_ma(self):
+        # the first np.unique of a process imports numpy.ma (tens of ms); the
+        # rings out of theta order are found by a mask instead
+        probe = "\n".join([
+            "import sys",
+            "from discgrowth import riesz as R",
+            "from discgrowth.numerics import LogGap",
+            "from discgrowth.profiles import RadialProfile",
+            "from discgrowth.scaffold import ScaffoldParams, build_scaffold",
+            "params = ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=3.0, log_c=3.2, g1=3.0)",
+            "prof = RadialProfile(build_scaffold(params, 2))",
+            "c = R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=100_000), prof)",
+            "rev = slice(None, None, -1)",
+            "c = R.ZeroCloud(c.g[rev], c.theta[rev], c.mult[rev], c.kind[rev], c.cells[rev], prof)",
+            "R.eval_log_surrogate_many(c, prof, [(LogGap(1.0), 0.3)])",
+            "assert R._sources(c).order.tolist() != list(range(len(c)))",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_sources_per_sample_under_two_percent(self, wide_cloud, monkeypatch):
         # a fall-back to the full sum over 17 N sources shows without timing;
