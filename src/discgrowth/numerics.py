@@ -24,9 +24,20 @@ NEG_INF = float("-inf")
 # cancelled (result tiny against the largest term)
 CANCEL_RATIO = 1e-12
 
-# gap e^(-g) below which log r = -e^(-g) to the last bit; the series'
-# relative stopping test underflows to 0 below ~1e-306
+# w_a below which the mass integral's series is replaced by its closed form
+# (1 + w_b/w_a)/2; its relative stopping test underflows to 0 below ~1e-306
 TINY_GAP = 1e-300
+
+# Series variable x (q = e^(-g), or w_a of the mass integral) at and below
+# which each log-gap series is its first term t_1 to the last bit.  Every
+# later term obeys t_k <= x^(k-1) t_1 (q^k/k; q^k (1 - e^(-k dg))/k with
+# 1 - e^(-k dg) <= k (1 - e^(-dg)); 2 sum_i w_a^i w_b^(k-i)/(k(k+1)) against
+# (w_a + w_b)/2), and adding t < ulp(s)/2 to s leaves s unchanged, where
+# ulp(s)/2 > 2^-54 s for normal s (Higham 2002, sec. 2.1).  At x <= 2^-56
+# (g >= 38.82) the terms sit a factor 4 below that half ulp, which covers
+# their own rounding, and next to a subnormal s they underflow to 0.  So the
+# loops would return their k = 1 value; the exits compute it the same way.
+_LEAD_X = 2.0**-56
 
 # log-gap past which log(r_hi/r_lo) is its leading term e^(-g_lo)(1 - e^(-dg))
 # to the last bit (the correction is ~e^(-g_lo) relative)
@@ -123,19 +134,22 @@ def as_g(g: LogGap | float) -> float:
 
 
 def log_r_from_g(g: float) -> float:
-    """log r for r = 1 - e^(-g), accurate in absolute terms at any g.
+    """log r for r = 1 - e^(-g), accurate in absolute terms at any g >= 0.
 
     For g > 1 the series log(1-q) = -sum q^k/k in q = e^(-g) converges fast
     and keeps n*log r products meaningful for astronomically large n; below
-    that a direct expm1 evaluation is exact enough.  Once q < 1e-300 the
-    correction terms are below the last bit of q and log r = -q.
+    that a direct expm1 evaluation is exact enough.  Once q <= 2^-56
+    (g >= 38.82) the next term is below half an ulp of q and log r = -q.
+    A negative or NaN g raises :class:`NumericsError`.
     """
+    if not g >= 0.0:
+        raise NumericsError(f"log_r_from_g needs g >= 0, got {g}")
     if g == 0.0:
         return NEG_INF
     if g <= 1.0:
         return math.log(-math.expm1(-g))
     q = math.exp(-g)
-    if q < TINY_GAP:
+    if q <= _LEAD_X:
         return -q
     term = q
     acc = q
@@ -151,7 +165,10 @@ def log_r_from_g(g: float) -> float:
 def log_ratio_r(g_hi: float, g_lo: float) -> float:
     """log(r_hi / r_lo) >= 0 for g_hi >= g_lo, free of cancellation.
 
-    Safe even when the two radii agree to within 1e-300 relative gap.
+    Safe even when the two radii agree to within 1e-300 relative gap.  For
+    g_lo > 1 it sums sum_k q^k (1 - e^(-k dg))/k in q = e^(-g_lo), dg =
+    g_hi - g_lo; once q <= 2^-56 (g_lo >= 38.82) that is its first term
+    q (1 - e^(-dg)) to the last bit.
     """
     if g_hi < g_lo:
         raise NumericsError(f"log_ratio_r needs g_hi >= g_lo, got {g_hi} < {g_lo}")
@@ -166,6 +183,8 @@ def log_ratio_r(g_hi: float, g_lo: float) -> float:
         diff = math.exp(-g_lo) * (-math.expm1(-dg))
         return math.log1p(diff / r_lo)
     q = math.exp(-g_lo)
+    if q <= _LEAD_X:
+        return q * -math.expm1(-dg)
     qk = q
     acc = 0.0
     for k in range(1, SERIES_CAP + 1):
@@ -192,13 +211,12 @@ def log_log_ratio_r(g_hi: float, g_lo: float) -> float:
     """
     if g_hi <= g_lo:
         raise NumericsError(f"log_log_ratio_r needs g_hi > g_lo, got {g_hi} <= {g_lo}")
-    lead = gap_diff_log(g_lo, g_hi)
     if g_lo > LEAD_ONLY_G:
-        return lead
+        return gap_diff_log(g_lo, g_hi)
     val = log_ratio_r(g_hi, g_lo)
     if val > 0.0:
         return math.log(val)
-    return lead
+    return gap_diff_log(g_lo, g_hi)
 
 
 def log_neg_log_r(g: float) -> float:
@@ -230,6 +248,10 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
     When the caller knows g_b - g_a to better accuracy than the stored
     endpoints (a thin interval between two large g's), passing it as
     ``span_ba`` removes the 1/(g_b - g_a) noise amplification in w_b/w_a.
+
+    The series over w_a is its first term (w_a + w_b)/2 to the last bit once
+    w_a <= 2^-56 (g_a >= 38.82); below w_a = TINY_GAP it is replaced by the
+    closed form (1 + w_b/w_a)/2 in the log domain.
     """
     if not (g_a <= g_b <= g_r):
         raise NumericsError("log_int_log_ratio needs g_a <= g_b <= g_r")
@@ -268,6 +290,8 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
         # the series over w_a is (1 + w_b/w_a)/2 to the last bit; summed, its
         # terms underflow and the stopping test never fires
         return log_r + log_dw + log_wa + math.log1p(math.exp(t)) - math.log(2.0)
+    if wa <= _LEAD_X:
+        return log_r + log_dw + math.log((wb + wa) / 2)
     acc = 0.0
     for k in range(1, SERIES_CAP + 1):
         inner = 0.0
@@ -291,8 +315,11 @@ def _check_cap(k: int, name: str) -> None:
 
 
 def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
-    """Array form of :func:`log_r_from_g`."""
+    """Array form of :func:`log_r_from_g`; an element with q <= 2^-56 takes
+    -q without entering the series loop."""
     g = np.asarray(g, dtype=float)
+    if not np.all(g >= 0.0):
+        raise NumericsError("log_r_from_g_array needs every g >= 0 (no NaN)")
     out = np.empty_like(g)
     near = g <= 1.0
     with np.errstate(divide="ignore"):
@@ -300,7 +327,7 @@ def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
     q = np.exp(-g[~near])
     term = q.copy()
     acc = q.copy()
-    live = q >= TINY_GAP
+    live = q > _LEAD_X
     k = 1
     while live.any():
         k += 1
@@ -314,7 +341,8 @@ def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
 
 
 def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
-    """Array form of :func:`log_ratio_r` for one lower log-gap ``g_lo``."""
+    """Array form of :func:`log_ratio_r` for one lower log-gap ``g_lo``; at
+    q = e^(-g_lo) <= 2^-56 every element is its first term."""
     g_hi = np.asarray(g_hi, dtype=float)
     if np.any(g_hi < g_lo):
         raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo}")
@@ -322,6 +350,8 @@ def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     if g_lo <= 1.0:
         return np.log1p(math.exp(-g_lo) * (-np.expm1(-dg)) / -math.expm1(-g_lo))
     q = math.exp(-g_lo)
+    if q <= _LEAD_X:
+        return q * -np.expm1(-dg)
     qk = q
     acc = np.zeros_like(dg)
     live = dg != 0.0
@@ -351,7 +381,8 @@ def log_int_log_ratio_array(
     g_r: np.ndarray, g_a: float, g_b: float | np.ndarray, span_ba: float | None = None
 ) -> np.ndarray:
     """Array form of :func:`log_int_log_ratio` over upper log-gaps ``g_r``;
-    ``g_b`` is a float or an array shaped like ``g_r``."""
+    ``g_b`` is a float or an array shaped like ``g_r``.  An element with
+    w_a <= 2^-56 keeps its first series term and leaves the loop at once."""
     g_r = np.asarray(g_r, dtype=float)
     g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
     if np.any((g_a > g_b) | (g_b > g_r)):
@@ -381,12 +412,13 @@ def log_int_log_ratio_array(
         t = log_wb[n] - log_wa[n]
     log_dw = log_wa[n] + np.log(-np.expm1(t))
     wa, wb = wa[n], wb[n]
-    wa_k = np.ones_like(wa)
-    inner = np.ones_like(wa)
-    acc = np.zeros_like(wa)
-    # w_a < TINY_GAP: the closed form of the scalar early-out
-    live = wa >= TINY_GAP
-    k = 0
+    # the k = 1 term everywhere; it is the sum where w_a <= 2^-56, and
+    # w_a < TINY_GAP takes the closed form of the scalar early-out below
+    wa_k = wa.copy()
+    inner = wb + wa
+    acc = inner / 2
+    live = wa > _LEAD_X
+    k = 1
     while live.any():
         k += 1
         _check_cap(k, "log_int_log_ratio_array")

@@ -368,8 +368,10 @@ def coefficient_integral_log_bound(
     ``log_m`` maps an ndarray of g's to the ndarray of log M values (e.g.
     ``RadialProfile.phi``); it is called once, on the midpoints of the grid
     linspace(0, g, n+1)."""
-    if g <= 0.0:
-        raise OdeError("need g > 0")
+    if not (math.isfinite(g) and g > 0.0):
+        raise OdeError(f"g must be finite and > 0, got {g}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise OdeError(f"step must be finite and > 0, got {step}")
     n = max(2, int(math.ceil(g / step)))
     edges = np.linspace(0.0, g, n + 1)
     lo, hi = edges[:-1], edges[1:]

@@ -6,7 +6,18 @@ from __future__ import annotations
 
 import math
 
-from discgrowth.numerics import LogValue, log_r_from_g
+import numpy as np
+
+from discgrowth.numerics import (
+    NEG_INF,
+    SERIES_CAP,
+    TINY_GAP,
+    LogValue,
+    NumericsError,
+    SeriesCapError,
+    gap_diff_log,
+    log_r_from_g,
+)
 from discgrowth.profiles import ProfileRangeError, RadialProfile
 
 
@@ -48,3 +59,209 @@ def laplacian_fd(prof: RadialProfile, g: float, h: float | None = None) -> tuple
     if inner == 0.0:
         return LogValue.zero(), 0.0
     return LogValue(1 if inner > 0 else -1, 2.0 * g + math.log(abs(inner))), inner
+
+
+# ---------------------------------------------------------------------------
+# The six log-gap series of ``discgrowth.numerics`` as they were before the
+# leading-term exits: every loop sums until its relative stopping test fires.
+# The library must agree with them bit for bit.
+
+
+def summed_log_r_from_g(g: float) -> float:
+    if g == 0.0:
+        return NEG_INF
+    if g <= 1.0:
+        return math.log(-math.expm1(-g))
+    q = math.exp(-g)
+    if q < TINY_GAP:
+        return -q
+    term = q
+    acc = q
+    for k in range(2, SERIES_CAP + 1):
+        term *= q
+        inc = term / k
+        acc += inc
+        if inc < acc * 1e-18:
+            return -acc
+    raise SeriesCapError("log_r_from_g")
+
+
+def summed_log_ratio_r(g_hi: float, g_lo: float) -> float:
+    if g_hi < g_lo:
+        raise NumericsError(f"log_ratio_r needs g_hi >= g_lo, got {g_hi} < {g_lo}")
+    dg = g_hi - g_lo
+    if dg == 0.0:
+        return 0.0
+    if g_lo <= 1.0:
+        # both radii well inside the disc; relative difference is stable here
+        r_lo = -math.expm1(-g_lo)
+        if r_lo == 0.0:
+            return summed_log_r_from_g(g_hi) - summed_log_r_from_g(g_lo)
+        diff = math.exp(-g_lo) * (-math.expm1(-dg))
+        return math.log1p(diff / r_lo)
+    q = math.exp(-g_lo)
+    qk = q
+    acc = 0.0
+    for k in range(1, SERIES_CAP + 1):
+        inc = qk / k * (-math.expm1(-k * dg))
+        acc += inc
+        if inc <= acc * 1e-18 or qk < 1e-320:
+            return acc
+        qk *= q
+    raise SeriesCapError("log_ratio_r")
+
+
+def summed_log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None = None) -> float:
+    if not (g_a <= g_b <= g_r):
+        raise NumericsError("log_int_log_ratio needs g_a <= g_b <= g_r")
+    if g_a == g_b:
+        return NEG_INF
+    log_r = summed_log_r_from_g(g_r)
+    # w = (r - t)/r; log(r - t) = gap_diff_log(g_t, g_r) for t < r
+    log_wa = gap_diff_log(g_a, g_r) - log_r
+    if g_b == g_r:
+        log_wb = NEG_INF
+    else:
+        log_wb = gap_diff_log(g_b, g_r) - log_r
+    # F(w_a) - F(w_b) summed termwise via w_a^(k+1) - w_b^(k+1)
+    #   = (w_a - w_b) * sum_i w_a^i w_b^(k-i)
+    wa = math.exp(log_wa)
+    wb = 0.0 if log_wb == NEG_INF else math.exp(log_wb)
+    if wa > 0.1:
+        # wide geometry (possible only at tiny g); do it directly
+        f = lambda w: (1.0 - w) * math.log1p(-w) + w if w > 0 else 0.0
+        val = f(wa) - f(wb)
+        return log_r + math.log(val)
+    # log(w_a - w_b) without cancellation; t = log(w_b/w_a), kept even where
+    # w_b underflows
+    if log_wb != NEG_INF:
+        if span_ba is not None:
+            t = -span_ba + math.log(-math.expm1(-(g_r - g_b))) - math.log(
+                -math.expm1(-(g_r - g_a))
+            )
+        else:
+            t = log_wb - log_wa
+        log_dw = log_wa + math.log(-math.expm1(t))
+    else:
+        t = NEG_INF
+        log_dw = log_wa
+    if wa < TINY_GAP:
+        # the series over w_a is (1 + w_b/w_a)/2 to the last bit; summed, its
+        # terms underflow and the stopping test never fires
+        return log_r + log_dw + log_wa + math.log1p(math.exp(t)) - math.log(2.0)
+    acc = 0.0
+    for k in range(1, SERIES_CAP + 1):
+        inner = 0.0
+        for i in range(k + 1):
+            inner += wa**i * wb ** (k - i)
+        inc = inner / (k * (k + 1))
+        acc += inc
+        if inc < acc * 1e-18:
+            return log_r + log_dw + math.log(acc)
+    raise SeriesCapError("log_int_log_ratio")
+
+
+def _check_cap(k: int, name: str) -> None:
+    if k > SERIES_CAP:
+        raise SeriesCapError(name)
+
+
+def summed_log_r_from_g_array(g: np.ndarray) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    out = np.empty_like(g)
+    near = g <= 1.0
+    with np.errstate(divide="ignore"):
+        out[near] = np.log(-np.expm1(-g[near]))
+    q = np.exp(-g[~near])
+    term = q.copy()
+    acc = q.copy()
+    live = q >= TINY_GAP
+    k = 1
+    while live.any():
+        k += 1
+        _check_cap(k, "log_r_from_g_array")
+        term *= q
+        inc = term / k
+        acc[live] += inc[live]
+        live &= inc >= acc * 1e-18
+    out[~near] = -acc
+    return out
+
+
+def summed_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
+    g_hi = np.asarray(g_hi, dtype=float)
+    if np.any(g_hi < g_lo):
+        raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo}")
+    dg = g_hi - g_lo
+    if g_lo <= 1.0:
+        return np.log1p(math.exp(-g_lo) * (-np.expm1(-dg)) / -math.expm1(-g_lo))
+    q = math.exp(-g_lo)
+    qk = q
+    acc = np.zeros_like(dg)
+    live = dg != 0.0
+    k = 1
+    while live.any():
+        _check_cap(k, "log_ratio_r_array")
+        inc = qk / k * (-np.expm1(-k * dg))
+        acc[live] += inc[live]
+        live &= inc > acc * 1e-18
+        if qk < 1e-320:
+            break
+        k += 1
+        qk *= q
+    return acc
+
+
+def summed_log_int_log_ratio_array(
+    g_r: np.ndarray, g_a: float, g_b: float | np.ndarray, span_ba: float | None = None
+) -> np.ndarray:
+    g_r = np.asarray(g_r, dtype=float)
+    g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
+    if np.any((g_a > g_b) | (g_b > g_r)):
+        raise NumericsError("log_int_log_ratio_array needs g_a <= g_b <= g_r")
+    out = np.full(g_r.shape, NEG_INF)
+    sel = g_b > g_a
+    gr, gb = g_r[sel], g_b[sel]
+    log_r = summed_log_r_from_g_array(gr)
+    with np.errstate(divide="ignore"):
+        # log w = gap_diff_log(g_t, g_r) - log r; w_b = 0 where g_b == g_r
+        log_gap_a = np.log(-np.expm1(-(gr - g_a)))
+        log_gap_b = np.log(-np.expm1(-(gr - gb)))
+    log_wa = -g_a + log_gap_a - log_r
+    log_wb = -gb + log_gap_b - log_r
+    wa, wb = np.exp(log_wa), np.exp(log_wb)
+    res = np.empty_like(gr)
+    # wide geometry (possible only at tiny g): F(w_a) - F(w_b) directly
+    wide = wa > 0.1
+    f = lambda w: np.where(w > 0.0, (1.0 - w) * np.log1p(-w) + w, 0.0)
+    res[wide] = log_r[wide] + np.log(f(wa[wide]) - f(wb[wide]))
+    # log(w_a - w_b) without cancellation, then the series
+    # sum_k (sum_i w_a^i w_b^(k-i))/(k(k+1)) with inner sums by recurrence
+    n = ~wide
+    if span_ba is not None:
+        t = -span_ba + log_gap_b[n] - log_gap_a[n]
+    else:
+        t = log_wb[n] - log_wa[n]
+    log_dw = log_wa[n] + np.log(-np.expm1(t))
+    wa, wb = wa[n], wb[n]
+    wa_k = np.ones_like(wa)
+    inner = np.ones_like(wa)
+    acc = np.zeros_like(wa)
+    # w_a < TINY_GAP: the closed form of the scalar early-out
+    live = wa >= TINY_GAP
+    k = 0
+    while live.any():
+        k += 1
+        _check_cap(k, "log_int_log_ratio_array")
+        wa_k *= wa
+        inner = wb * inner + wa_k
+        inc = inner / (k * (k + 1))
+        acc[live] += inc[live]
+        live &= inc >= acc * 1e-18
+    with np.errstate(divide="ignore"):
+        log_acc = np.log(acc)
+    tiny = wa < TINY_GAP
+    log_acc[tiny] = log_wa[n][tiny] + np.log1p(np.exp(t[tiny])) - math.log(2.0)
+    res[n] = log_r[n] + log_dw + log_acc
+    out[sel] = res
+    return out

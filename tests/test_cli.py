@@ -94,9 +94,11 @@ class TestScaffoldCmd:
     def test_series_cap_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         from discgrowth import numerics
 
+        # the small scaffold starts at g = 3, where log_r_from_g still sums
+        # its series; the default one (g >= 48) takes only leading terms
         monkeypatch.setattr(numerics, "SERIES_CAP", 1)
         code = run("scaffold", "--p1", "2", "--p2", "3", "--generations", "1",
-                   "--out", str(tmp_path / "s.json"))
+                   "--g1", "3", "--log-c", "3.2", "--out", str(tmp_path / "s.json"))
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
         assert json.loads(lines[-1])["error"] == "SeriesCapError"

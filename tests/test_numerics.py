@@ -3,8 +3,10 @@ quadrature.  Expected values for the non-trivial cases were frozen from
 independent closed forms (antiderivatives, direct small-magnitude sums)."""
 
 import math
+import struct
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +193,163 @@ class TestArrayForms:
             got = log_int_log_ratio_array(np.array([g_r]), g_a, g_b, span_ba=span)
             assert got.tolist() == pytest.approx([want], rel=1e-14)
         assert 0.0 < math.exp(-720.0) < 2.2250738585072014e-308
+
+
+def _same_bits(got, want):
+    """Exact equality of floats or float arrays, sign of zero and NaN included."""
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _same_outcome(f, oracle, *args, **kwargs):
+    """f and its summed oracle give the same bits, or raise the same type
+    (at g_lo = 0 or g_a = 0 both fail alike)."""
+    outcomes = []
+    for fn in (f, oracle):
+        try:
+            outcomes.append(fn(*args, **kwargs))
+        except (ArithmeticError, ValueError, RuntimeWarning) as err:
+            outcomes.append(type(err))
+    got, want = outcomes
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return _same_bits(got, want)
+
+
+# q = e^(-g) = 2^-56 at g = 56 log 2: the exits start at the first g whose
+# e^(-g) rounds to 2^-56 or below
+_G_LEAD = 56.0 * math.log(2.0)
+
+
+def _ulps_around(x, n=2):
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return sorted(out)
+
+
+_THRESHOLD_GS = _ulps_around(_G_LEAD) + _ulps_around(38.9) + _ulps_around(-math.log(numerics.TINY_GAP))
+_GS = st.floats(min_value=0.0, max_value=800.0)
+# log-gap differences from 0 through subnormal widths to wide ones
+_DGS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=6.0),
+    st.floats(min_value=-320.0, max_value=0.5).map(lambda e: 10.0**e),
+)
+
+
+class TestLeadingTermExit:
+    """The series return their first term once the next one cannot change a
+    bit; the summed loops of ``oracles`` must agree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_GS, min_size=1, max_size=8))
+    def test_log_r_from_g(self, gs):
+        for g in gs:
+            assert _same_outcome(log_r_from_g, oracles.summed_log_r_from_g, g)
+        arr = np.array(gs)
+        assert _same_outcome(log_r_from_g_array, oracles.summed_log_r_from_g_array, arr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GS, st.lists(_DGS, min_size=1, max_size=6))
+    def test_log_ratio_r(self, g_lo, dgs):
+        g_hi = g_lo + np.array(dgs)
+        for g in g_hi:
+            assert _same_outcome(log_ratio_r, oracles.summed_log_ratio_r, float(g), g_lo)
+        assert _same_outcome(log_ratio_r_array, oracles.summed_log_ratio_r_array, g_hi, g_lo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GS, _DGS, st.lists(_DGS, min_size=1, max_size=5), st.booleans())
+    def test_log_int_log_ratio(self, g_a, dg_ab, dgs_br, with_span):
+        g_b = g_a + dg_ab
+        span = dg_ab if with_span else None
+        g_r = g_b + np.array(dgs_br)
+        for g in g_r:
+            assert _same_outcome(log_int_log_ratio, oracles.summed_log_int_log_ratio,
+                                 float(g), g_a, g_b, span_ba=span)
+        assert _same_outcome(log_int_log_ratio_array, oracles.summed_log_int_log_ratio_array,
+                             g_r, g_a, g_b, span_ba=span)
+
+    def test_fixed_cases(self):
+        dgs = np.array([0.0, 1e-12, 1e-300, 5e-324, 1e-3, 0.7, 25.0])
+        # every 0.25 from 25 to 40 too: a looser threshold changes bits there
+        gs = _THRESHOLD_GS + np.linspace(25.0, 40.0, 61).tolist() + [1.0, 2.0, 700.0, 708.4, 745.2, 800.0]
+        arr = np.array(gs)
+        assert _same_bits(log_r_from_g_array(arr), oracles.summed_log_r_from_g_array(arr))
+        for g in gs:
+            assert _same_bits(log_r_from_g(g), oracles.summed_log_r_from_g(g))
+            g_hi = g + dgs
+            assert _same_bits(log_ratio_r_array(g_hi, g), oracles.summed_log_ratio_r_array(g_hi, g))
+            for gh in g_hi:
+                assert _same_bits(log_ratio_r(float(gh), g), oracles.summed_log_ratio_r(float(gh), g))
+            for dg_ab in dgs[1:]:
+                g_b = g + float(dg_ab)
+                # g_b == g_r first, then w_b/w_a from 1 - 1e-12 down to e^-25
+                g_r = g_b + dgs
+                for span in (None, float(dg_ab)):
+                    want = oracles.summed_log_int_log_ratio_array(g_r, g, g_b, span_ba=span)
+                    assert _same_bits(log_int_log_ratio_array(g_r, g, g_b, span_ba=span), want)
+                    for gr in g_r:
+                        want = oracles.summed_log_int_log_ratio(float(gr), g, g_b, span_ba=span)
+                        assert _same_bits(log_int_log_ratio(float(gr), g, g_b, span_ba=span), want)
+
+    def test_subnormal_and_zero_results(self):
+        # q (1 - e^(-dg)) below 2^-1022 at g_lo >= 700; +0.0 once it underflows
+        got = []
+        for g_lo, g_hi in ((700.0, math.nextafter(700.0, math.inf)), (700.0, 700.0 + 1e-11),
+                           (720.0, 720.0 + 1e-10), (740.0, 740.0 + 1e-6), (745.0, 745.5)):
+            got.append(log_ratio_r(g_hi, g_lo))
+            assert _same_bits(got[-1], oracles.summed_log_ratio_r(g_hi, g_lo))
+            arr = np.array([g_hi])
+            assert _same_bits(log_ratio_r_array(arr, g_lo), oracles.summed_log_ratio_r_array(arr, g_lo))
+        assert all(0.0 <= x < 2.2250738585072014e-308 for x in got)
+        assert got[0] > 0.0 and _same_bits(got[3], 0.0)
+        assert _same_bits(log_r_from_g(746.0), -0.0)
+        assert _same_bits(log_r_from_g(math.inf), -0.0)
+        assert _same_bits(log_r_from_g_array(np.array([math.inf, 746.0])), np.array([-0.0, -0.0]))
+
+    def test_mixed_depths_in_one_array(self):
+        gs = np.array([2.0, 50.0, 5.0, 700.0, 38.0, 39.0])
+        assert _same_bits(log_r_from_g_array(gs), oracles.summed_log_r_from_g_array(gs))
+        # w_a ~ e^(-g_a) (1 - e^(-(g_r - g_a))) spans the exit within one call
+        offsets = np.array([1e-9, 1e-6, 1e-3, 0.5, 5.0])
+        for g_a in (20.0, 30.0, 36.0):
+            g_r = g_a + offsets
+            want = oracles.summed_log_int_log_ratio_array(g_r, g_a, g_a + offsets / 2)
+            assert _same_bits(log_int_log_ratio_array(g_r, g_a, g_a + offsets / 2), want)
+
+    @pytest.mark.parametrize("g", [40.0, 41.5, 100.0, 700.0, 745.0, 800.0])
+    def test_one_term_cap_is_enough_past_the_exit(self, monkeypatch, g):
+        # with SERIES_CAP = 1 no loop may run, and nothing changes
+        arr = g + np.array([0.0, 0.5, 3.0])
+        want = [
+            oracles.summed_log_r_from_g(g),
+            oracles.summed_log_ratio_r(g + 0.5, g),
+            oracles.summed_log_int_log_ratio(g + 3.0, g, g + 0.5),
+            oracles.summed_log_r_from_g_array(arr),
+            oracles.summed_log_ratio_r_array(arr, g),
+            oracles.summed_log_int_log_ratio_array(arr + 1.0, g, g + 0.5),
+        ]
+        monkeypatch.setattr(numerics, "SERIES_CAP", 1)
+        got = [
+            log_r_from_g(g),
+            log_ratio_r(g + 0.5, g),
+            log_int_log_ratio(g + 3.0, g, g + 0.5),
+            log_r_from_g_array(arr),
+            log_ratio_r_array(arr, g),
+            log_int_log_ratio_array(arr + 1.0, g, g + 0.5),
+        ]
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+    @pytest.mark.parametrize("g", [math.nan, -1.0, -5e-324, -math.inf])
+    def test_log_r_rejects_negative_and_nan(self, g):
+        with pytest.raises(NumericsError, match="log_r_from_g needs g >= 0"):
+            log_r_from_g(g)
+        with pytest.raises(NumericsError, match="log_r_from_g_array needs every g >= 0"):
+            log_r_from_g_array(np.array([1.0, g, 50.0]))
 
 
 class TestSeriesCap:

@@ -270,6 +270,14 @@ class TestGrowthMajorant:
             got = O.coefficient_integral_log_bound(lambda gs: np.full(len(gs), math.log(b)), k, LogGap.from_r(0.8).g)
             assert abs(got - math.log(k * b ** (1.0 / k) * 0.8)) <= 1e-12
 
+    @pytest.mark.parametrize("g, step, name", [
+        (math.nan, 0.01, "g"), (math.inf, 0.01, "g"), (-math.inf, 0.01, "g"), (0.0, 0.01, "g"),
+        (5.0, 0.0, "step"), (5.0, math.nan, "step"), (5.0, -1.0, "step"), (5.0, math.inf, "step"),
+    ])
+    def test_bad_grid_arguments_raise(self, g, step, name):
+        with pytest.raises(O.OdeError, match=f"^{name} must be finite and > 0"):
+            O.coefficient_integral_log_bound(lambda gs: 2.0 * gs, 1, g, step=step)
+
     def test_solution_below_majorant(self, exp_solution):
         # |A| = (1-t)^-2 exactly, k = 1
         for g in np.linspace(0.3, 6.0, 30):
