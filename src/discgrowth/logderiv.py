@@ -168,14 +168,15 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
     n(t)/t)."""
     gz = as_g(zeta[0])
     tz = zeta[1]
-    if h >= math.exp(-gz):
-        raise NumericsError("need h < 1 - |zeta|")
+    if not 0.0 < h < math.exp(-gz):
+        raise NumericsError(f"need 0 < h < 1 - |zeta|, got h = {h}")
     n = 0
     big_n = 0.0
     # dist >= the radial gap |e^-g - e^-gz|, and the disc about zeta subtends
     # |theta - tz| <= asin(h/|zeta|) < 2 h/|zeta| unless it holds the origin;
     # the factor 2 also covers numpy's rounding.  Survivors keep cloud order.
-    near = np.flatnonzero(np.abs(cloud.delta - math.exp(-gz)) <= 2.0 * h)
+    dr = cloud.delta - math.exp(-gz)
+    near = np.flatnonzero((dr <= 2.0 * h) & (dr >= -2.0 * h))
     rz = -math.expm1(-gz)
     if h < rz:
         wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
@@ -205,7 +206,8 @@ def circle_counting_integral(
     rz = 1.0 - dz
 
     # prefilter atoms within h of the circle radius
-    keep = np.abs(cloud.delta - d_r) <= h
+    dr = cloud.delta - d_r
+    keep = (dr <= h) & (dr >= -h)
     ag, at, am = cloud.g[keep], cloud.theta[keep], cloud.mult[keep]
     if len(ag) == 0:
         return 0.0
@@ -241,6 +243,8 @@ def sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
     """max over angular offsets of the zero count in the annulus
     r <= |a| <= (1+r)/2 within angular half-width (pi/4)(1-r)."""
     gv = as_g(g)
+    if math.isnan(gv):
+        raise NumericsError("sector_crowding needs a log-gap, got nan")
     gap = math.exp(-gv)
     # annulus [r, (1+r)/2]: gaps in [gap/2, gap]
     sel = (cloud.delta <= gap) & (cloud.delta >= gap / 2.0)

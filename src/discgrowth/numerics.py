@@ -170,7 +170,7 @@ def log_ratio_r(g_hi: float, g_lo: float) -> float:
     g_hi - g_lo; once q <= 2^-56 (g_lo >= 38.82) that is its first term
     q (1 - e^(-dg)) to the last bit.
     """
-    if g_hi < g_lo:
+    if not g_hi >= g_lo:  # also NaN
         raise NumericsError(f"log_ratio_r needs g_hi >= g_lo, got {g_hi} < {g_lo}")
     dg = g_hi - g_lo
     if dg == 0.0:
@@ -198,7 +198,7 @@ def log_ratio_r(g_hi: float, g_lo: float) -> float:
 
 def gap_diff_log(g_lo: float, g_hi: float) -> float:
     """log of (1-r_lo) - (1-r_hi) = e^(-g_lo) - e^(-g_hi), for g_lo < g_hi."""
-    if g_hi <= g_lo:
+    if not g_hi > g_lo:  # also NaN
         raise NumericsError(f"gap_diff_log needs g_hi > g_lo, got {g_hi} <= {g_lo}")
     return -g_lo + math.log(-math.expm1(-(g_hi - g_lo)))
 
@@ -209,7 +209,7 @@ def log_log_ratio_r(g_hi: float, g_lo: float) -> float:
     log(r_hi/r_lo) ~ e^(-g_lo)(1 - e^(-dg)) with a correction series that
     only matters while e^(-g_lo) is representable.
     """
-    if g_hi <= g_lo:
+    if not g_hi > g_lo:  # also NaN
         raise NumericsError(f"log_log_ratio_r needs g_hi > g_lo, got {g_hi} <= {g_lo}")
     if g_lo > LEAD_ONLY_G:
         return gap_diff_log(g_lo, g_hi)
@@ -221,8 +221,8 @@ def log_log_ratio_r(g_hi: float, g_lo: float) -> float:
 
 def log_neg_log_r(g: float) -> float:
     """log(-log r) = log(log(1/r)); -log r ~ e^(-g) so this is ~ -g for large g."""
-    if g <= 0.0:
-        raise NumericsError("log_neg_log_r needs g > 0")
+    if not g > 0.0:  # also NaN
+        raise NumericsError(f"log_neg_log_r needs g > 0, got {g}")
     if g <= 1.0:
         return math.log(-log_r_from_g(g))
     # -log r = q (1 + q/2 + q^2/3 + ...)
@@ -344,8 +344,8 @@ def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     """Array form of :func:`log_ratio_r` for one lower log-gap ``g_lo``; at
     q = e^(-g_lo) <= 2^-56 every element is its first term."""
     g_hi = np.asarray(g_hi, dtype=float)
-    if np.any(g_hi < g_lo):
-        raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo}")
+    if not np.all(g_hi >= g_lo):  # also NaN
+        raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
     dg = g_hi - g_lo
     if g_lo <= 1.0:
         return np.log1p(math.exp(-g_lo) * (-np.expm1(-dg)) / -math.expm1(-g_lo))
@@ -371,6 +371,8 @@ def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
 def log_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     """Array form of :func:`log_log_ratio_r`; -inf where g_hi == g_lo."""
     g_hi = np.asarray(g_hi, dtype=float)
+    if not np.all(g_hi >= g_lo):  # also NaN
+        raise NumericsError(f"log_log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
     with np.errstate(divide="ignore"):
         if g_lo > LEAD_ONLY_G:
             return -g_lo + np.log(-np.expm1(-(g_hi - g_lo)))
@@ -385,7 +387,7 @@ def log_int_log_ratio_array(
     w_a <= 2^-56 keeps its first series term and leaves the loop at once."""
     g_r = np.asarray(g_r, dtype=float)
     g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
-    if np.any((g_a > g_b) | (g_b > g_r)):
+    if not np.all((g_a <= g_b) & (g_b <= g_r)):  # also NaN
         raise NumericsError("log_int_log_ratio_array needs g_a <= g_b <= g_r")
     out = np.full(g_r.shape, NEG_INF)
     sel = g_b > g_a

@@ -10,17 +10,18 @@ equal sectors, advancing the ring radius so each cell holds mass exactly 2;
 the thin mass ring is a single ring split by angle alone.  Region leftovers
 become flagged remainder cells of mass in [2, 4).
 
-Cells are stored as numpy columns (``CellColumns``: g_lo, g_hi, theta_lo,
-theta_hi, mass, kind code, generation, branch), one row per cell, and a
-``ZeroCloud`` keeps the same columns for the cell piece behind each atom.
-All cells of one ring share g_lo, g_hi, generation and branch, so every
-transcendental value (ring boundaries, centroids, the density at the
-Gauss-Legendre radii) is computed once per ring, with the scalar ``math``
-calls of a per-cell loop; a generation has tens of rings against up to
-~1e5 cells.  Per-cell and per-atom values follow by numpy arithmetic in the
-same operation and element order as that loop, so outputs are bit-identical
-to it.  ``PolarCell`` objects are built only when a caller indexes or
-iterates the columns.
+Only ``partition_region`` decides what a ring is.  It keeps what the cells of
+a ring share (g_lo, g_hi, branch) once per ring in a ``RingTable``, with the
+partition's generation, and the cells as numpy columns (``CellColumns``: ring
+index into the table, theta_lo, theta_hi, mass, kind code), one row per cell.
+``atomize`` computes every transcendental value once per ring (the centroid
+g, the density at the Gauss-Legendre radii), with the scalar ``math`` calls
+of a per-cell loop; a generation has tens of rings against up to ~1e5 cells.
+Per-cell and per-atom values follow by numpy arithmetic in the same
+operation and element order as that loop, so outputs are bit-identical to
+it.  A ``ZeroCloud`` keeps the same columns for the cell piece behind each
+atom, and the node values per ring.  ``PolarCell`` objects are built only
+when a caller indexes or iterates the columns.
 
 ``ZeroCloud.to_jsonl`` writes one dumps17 row per atom.  All atoms of a ring
 share their cell kind, centroid g and multiplicity, so the row prefix up to
@@ -53,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -109,79 +110,53 @@ class PolarCell:
 
 
 @dataclass(frozen=True, eq=False)
-class CellColumns(Sequence):
-    """Polar cells as columns, one row per cell; ``kind`` holds codes into
-    KINDS.  An integer index builds the row's PolarCell; a slice, mask or
-    index array selects rows as CellColumns."""
+class RingTable:
+    """The rings of one partition, one row per ring: the log-gaps of its
+    edges and the profile branch carrying its density (1, 3, 4, 5); every
+    ring belongs to ``generation``."""
 
     g_lo: np.ndarray
     g_hi: np.ndarray
+    branch: np.ndarray
+    generation: int
+
+
+@dataclass(frozen=True, eq=False)
+class CellColumns(Sequence):
+    """Polar cells as columns, one row per cell: the index of its ring in
+    ``rings``, its angular edges, its mass and its kind as a code into KINDS.
+    An integer index builds the row's PolarCell; a slice, mask or index array
+    selects rows as CellColumns over the same ring table."""
+
+    ring: np.ndarray
     theta_lo: np.ndarray
     theta_hi: np.ndarray
     mass: np.ndarray
     kind: np.ndarray
-    generation: np.ndarray
-    branch: np.ndarray
-
-    @classmethod
-    def of(cls, cells: Sequence[PolarCell]) -> CellColumns:
-        """Columns of a sequence of PolarCell (CellColumns pass through)."""
-        if isinstance(cells, CellColumns):
-            return cells
-        floats = ("g_lo", "g_hi", "theta_lo", "theta_hi", "mass")
-        return cls(
-            *(np.array([getattr(c, name) for c in cells], dtype=float) for name in floats),
-            np.array([_KIND_CODE[c.kind] for c in cells], dtype=np.int8),
-            np.array([c.generation for c in cells], dtype=np.int32),
-            np.array([c.branch for c in cells], dtype=np.int8),
-        )
-
-    @classmethod
-    def concat(cls, parts: Sequence[CellColumns]) -> CellColumns:
-        if not parts:
-            return cls.of([])
-        return cls(*(np.concatenate(cols) for cols in zip(*(p._columns() for p in parts))))
-
-    def _columns(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)]
+    rings: RingTable
 
     def __len__(self) -> int:
-        return len(self.g_lo)
+        return len(self.ring)
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return _polar_cell(*(col[index].item() for col in self._columns()))
-        return CellColumns(*(col[index] for col in self._columns()))
-
-    def __iter__(self):
-        return (_polar_cell(*row) for row in zip(*(col.tolist() for col in self._columns())))
-
-
-def _polar_cell(g_lo, g_hi, theta_lo, theta_hi, mass, kind, generation, branch) -> PolarCell:
-    return PolarCell(g_lo, g_hi, theta_lo, theta_hi, mass, KINDS[kind], generation, branch)
-
-
-def _per_ring(cells: CellColumns, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """fn(g_lo, g_hi, generation, branch) once per ring, i.e. per run of
-    consecutive rows sharing those four values; returns the results as an
-    array, one row per ring, each cell's ring index into it and the first
-    row of each ring."""
-    keys = (cells.g_lo, cells.g_hi, cells.generation, cells.branch)
-    new_ring = np.ones(len(cells), dtype=bool)
-    new_ring[1:] = np.any([col[1:] != col[:-1] for col in keys], axis=0)
-    starts = np.flatnonzero(new_ring)
-    per_ring = [fn(*key) for key in zip(*(col[starts].tolist() for col in keys))]
-    return np.array(per_ring, dtype=float), np.cumsum(new_ring) - 1, starts
+            k, rings = self.ring[index], self.rings
+            return PolarCell(
+                rings.g_lo[k].item(), rings.g_hi[k].item(), self.theta_lo[index].item(),
+                self.theta_hi[index].item(), self.mass[index].item(), KINDS[self.kind[index]],
+                rings.generation, rings.branch[k].item(),
+            )
+        return CellColumns(
+            self.ring[index], self.theta_lo[index], self.theta_hi[index], self.mass[index],
+            self.kind[index], self.rings,
+        )
 
 
 @dataclass
 class PartitionResult:
-    cells: CellColumns  # a sequence of PolarCell is converted to columns
+    cells: CellColumns
     truncated: dict[str, bool]
     generation: int
-
-    def __post_init__(self):
-        self.cells = CellColumns.of(self.cells)
 
     @property
     def total_mass(self) -> float:
@@ -265,26 +240,19 @@ def _sector_count(g: float) -> int:
     return max(1, int(math.floor(math.exp(g))))
 
 
-def _ring(g_lo, g_hi, theta_lo, theta_hi, mass, kind, generation, branch) -> CellColumns:
-    """The cells of one ring, given their angular edges, masses and kind codes."""
-    n = len(mass)
-    return CellColumns(
-        np.full(n, g_lo), np.full(n, g_hi), theta_lo, theta_hi, mass, kind,
-        np.full(n, generation, dtype=np.int32), np.full(n, branch, dtype=np.int8),
-    )
+# partition_region builds each ring as a row (g_lo, g_hi, branch, theta_lo,
+# theta_hi, mass, kind codes), the last four the columns of its cells
 
 
-def _sector_ring(g_lo, g_hi, m, kind, generation, branch) -> CellColumns:
+def _sector_ring(g_lo, g_hi, m, kind, branch) -> tuple:
     """m equal sectors of mass 2."""
     width = 2.0 * math.pi / m
     j = np.arange(m, dtype=float)
     codes = np.full(m, _KIND_CODE[kind], dtype=np.int8)
-    return _ring(g_lo, g_hi, j * width, (j + 1.0) * width, np.full(m, 2.0), codes, generation, branch)
+    return g_lo, g_hi, branch, j * width, (j + 1.0) * width, np.full(m, 2.0), codes
 
 
-def _split_ring_by_angle(
-    rings: list[CellColumns], density, g_lo, g_hi, kind, generation
-) -> None:
+def _split_ring_by_angle(rings: list[tuple], density, g_lo, g_hi, kind) -> None:
     """Angular split of one full ring into mass-2 cells plus a remainder."""
     total = density.ring_mass(g_lo, g_hi)
     if total < 2.0:
@@ -300,20 +268,19 @@ def _split_ring_by_angle(
     mass[-1] = total - 2.0 * (n_full - 1)
     codes = np.full(n_full, _KIND_CODE[kind], dtype=np.int8)
     codes[-1] = _REMAINDER
-    rings.append(_ring(g_lo, g_hi, theta_lo, theta_hi, mass, codes, generation, density.branch))
+    rings.append((g_lo, g_hi, density.branch, theta_lo, theta_hi, mass, codes))
 
 
-def _cell_count(rings: list[CellColumns]) -> int:
-    return sum(len(ring) for ring in rings)
+def _cell_count(rings: list[tuple]) -> int:
+    return sum(len(ring[-1]) for ring in rings)
 
 
 def _partition_ringed_region(
-    rings: list[CellColumns],
+    rings: list[tuple],
     density: _BranchDensity,
     g_start: float,
     g_end: float,
     kind: str,
-    generation: int,
     g_max: float,
     ceiling: int,
 ) -> bool:
@@ -332,21 +299,20 @@ def _partition_ringed_region(
             # merged back into the previous ring first
             leftover = density.ring_mass(g_k, g_end)
             width = g_end - g_k
-            prev_width = g_k - rings[-1].g_lo[0].item() if len(rings) > first else math.inf
+            prev_width = g_k - rings[-1][0] if len(rings) > first else math.inf
             if leftover >= 2.0 and width >= 0.5 * prev_width:
-                _split_ring_by_angle(rings, density, g_k, g_end, kind, generation)
+                _split_ring_by_angle(rings, density, g_k, g_end, kind)
             elif len(rings) > first:
-                prev_lo = rings.pop().g_lo[0].item()
-                _split_ring_by_angle(rings, density, prev_lo, g_end, kind, generation)
+                _split_ring_by_angle(rings, density, rings.pop()[0], g_end, kind)
             elif leftover >= 2.0:
-                _split_ring_by_angle(rings, density, g_k, g_end, kind, generation)
+                _split_ring_by_angle(rings, density, g_k, g_end, kind)
             else:
                 # whole region holds less than one cell; dropped, flagged
                 return leftover > 0.0
             return False
         if _cell_count(rings) + m > ceiling:
             return True
-        rings.append(_sector_ring(g_k, g_next, m, kind, generation, density.branch))
+        rings.append(_sector_ring(g_k, g_next, m, kind, density.branch))
         g_k = g_next
 
 
@@ -356,13 +322,16 @@ def partition_region(
     g_max: float = 25.0,
     ceiling: int = 200_000,
 ) -> PartitionResult:
-    """All mass-2 cells of one generation up to g_max, per sub-annulus."""
+    """All mass-2 cells of one generation up to a finite g_max, per
+    sub-annulus."""
     sc = profile.scaffold
     if not 1 <= generation <= len(sc.generations):
         raise PartitionError(f"generation {generation} not constructed")
+    if not math.isfinite(g_max):
+        raise PartitionError(f"g_max must be finite, got {g_max}")
     i = generation - 1
     gen = sc.generations[i]
-    rings: list[CellColumns] = []
+    rings: list[tuple] = []
     truncated: dict[str, bool] = {}
 
     regions = [
@@ -376,7 +345,7 @@ def partition_region(
             continue
         density = _density_for(profile, i, branch)
         truncated[kind] = _partition_ringed_region(
-            rings, density, g_lo, g_hi, kind, generation, g_max, ceiling
+            rings, density, g_lo, g_hi, kind, g_max, ceiling
         )
 
     # the thin mass ring: single ring, angular split only
@@ -384,18 +353,24 @@ def partition_region(
         density = _density_for(profile, i, 4)
         total = density.ring_mass(gen.r_hat.g, gen.r_star.g)
         if _cell_count(rings) + total / 2.0 <= ceiling:
-            _split_ring_by_angle(
-                rings, density, gen.r_hat.g, gen.r_star.g, "A-star", generation
-            )
+            _split_ring_by_angle(rings, density, gen.r_hat.g, gen.r_star.g, "A-star")
             truncated["A-star"] = False
         else:
             truncated["A-star"] = True
     else:
         truncated["A-star"] = True
 
-    return PartitionResult(
-        cells=CellColumns.concat(rings), truncated=truncated, generation=generation
+    g_lo, g_hi, branch, theta_lo, theta_hi, mass, kind = zip(*rings) if rings else [()] * 7
+    table = RingTable(
+        np.array(g_lo, dtype=float), np.array(g_hi, dtype=float), np.array(branch, dtype=np.int8),
+        generation,
     )
+    cells = CellColumns(
+        np.repeat(np.arange(len(rings)), [len(codes) for codes in kind]),
+        *(np.concatenate([np.empty(0), *col]) for col in (theta_lo, theta_hi, mass)),
+        np.concatenate([np.empty(0, dtype=np.int8), *kind]), table,
+    )
+    return PartitionResult(cells=cells, truncated=truncated, generation=generation)
 
 
 # -- atomization -------------------------------------------------------------
@@ -411,14 +386,18 @@ class ZeroCloud:
     """Surrogate zeros: one double zero per cell at the density-weighted
     radial centroid and angular midpoint (split_doubles turns each into two
     simple zeros straddling the midpoint).  ``cells`` holds, per atom, the
-    piece of its cell the atom stands for (CellColumns from ``atomize``)."""
+    piece of its cell the atom stands for, and ``nodes`` the node values of
+    each ring of their ring table (both from ``atomize``; the surrogate
+    reads them)."""
 
     g: np.ndarray
     theta: np.ndarray
     mult: np.ndarray
     kind: Sequence[str]
     cells: Sequence[PolarCell]
-    profile: RadialProfile | None = None
+    # (9, rings): 1 - r at the ring's four Gauss-Legendre radii, their radial
+    # weights w rho(r) and the total weight of a cell's 4 x 4 nodes
+    nodes: np.ndarray | None = None
     # the kernel sources and ring index, built on the first surrogate call
     _sources: _Sources | None = field(default=None, repr=False)
 
@@ -490,15 +469,27 @@ def _cell_centroid(density: _BranchDensity, cell_g_lo, cell_g_hi) -> float:
     return -math.log(gap)
 
 
+def _ring_nodes(density: _BranchDensity, g_lo: float, g_hi: float) -> list[float]:
+    """The ring's row of ``ZeroCloud.nodes``."""
+    leg = _LEG_NODES[4]
+    r_lo, r_hi = -math.expm1(-g_lo), -math.expm1(-g_hi)
+    hr = 0.5 * (r_hi - r_lo)
+    cr = 0.5 * (r_hi + r_lo)
+    rw = [(cr + hr * x, w * density.rho(cr + hr * x)) for x, w in leg]
+    total = sum(w for _, w in rw) * sum(w for _, w in leg)
+    return [1.0 - rv for rv, _ in rw] + [wr for _, wr in rw] + [total]
+
+
 def atomize(
     partition: PartitionResult, profile: RadialProfile, split_doubles: bool = False
 ) -> ZeroCloud:
     cells = partition.cells
-
-    def centroid(g_lo, g_hi, generation, branch):
-        return _cell_centroid(_density_for(profile, generation - 1, branch), g_lo, g_hi)
-
-    g_ring, ring_of, _ = _per_ring(cells, centroid)
+    rings = cells.rings
+    per_ring = []  # per ring: the centroid g, then its node values
+    for g_lo, g_hi, branch in zip(rings.g_lo.tolist(), rings.g_hi.tolist(), rings.branch.tolist()):
+        density = _density_for(profile, rings.generation - 1, branch)
+        per_ring.append([_cell_centroid(density, g_lo, g_hi), *_ring_nodes(density, g_lo, g_hi)])
+    per_ring = np.array(per_ring, dtype=float).reshape(-1, 10).T
     # a heavy cell (mass >= 3) becomes two pieces split at its angular midpoint
     n_pieces = np.where(cells.mass < 3.0, 1, 2)
     cell_of = np.repeat(np.arange(len(cells)), n_pieces)
@@ -517,14 +508,12 @@ def atomize(
     else:
         theta, piece_of, mult = mid, np.arange(len(mid)), np.full(len(mid), 2.0)
     atom_cell = cell_of[piece_of]
-    pieces = CellColumns(
-        cells.g_lo[atom_cell], cells.g_hi[atom_cell], lo[piece_of], hi[piece_of],
-        mass[piece_of], cells.kind[atom_cell], cells.generation[atom_cell],
-        cells.branch[atom_cell],
-    )
+    ring = cells.ring[atom_cell]
+    kind = cells.kind[atom_cell]
+    pieces = CellColumns(ring, lo[piece_of], hi[piece_of], mass[piece_of], kind, rings)
     return ZeroCloud(
-        g=g_ring[ring_of[atom_cell]], theta=theta, mult=mult, kind=_KIND_NAMES[pieces.kind],
-        cells=pieces, profile=profile,
+        g=per_ring[0][ring], theta=theta, mult=mult, kind=_KIND_NAMES[kind], cells=pieces,
+        nodes=per_ring[1:],
     )
 
 
@@ -576,48 +565,28 @@ class _Sources:
 
 
 def _sources(cloud: ZeroCloud) -> _Sources:
-    """Built once per cloud; the transcendental values once per ring.  A ring
-    is a run of consecutive atoms whose cells share (g_lo, g_hi, generation,
-    branch).  ``atomize`` emits atoms ring by ring, sorted by theta within a
-    ring, so ``order`` is the identity; a ring given out of theta order
-    (positional ZeroCloud input) is argsorted."""
+    """Built once per cloud, from the ring table of its cells and the node
+    values ``atomize`` computed per ring.  ``order`` is one stable argsort of
+    8 ring + theta mod 2 pi: the identity on an ``atomize`` cloud, whose
+    atoms come ring by ring sorted by theta, and a cloud with a ring out of
+    theta order gives the same values."""
     if cloud._sources is not None:
         return cloud._sources
-    cells = CellColumns.of(cloud.cells)
-    leg = _LEG_NODES[4]
-
-    def ring(g_lo, g_hi, generation, branch):
-        # per ring: 1 - r at the four radii, their radial weights, the total
-        density = _density_for(cloud.profile, generation - 1, branch)
-        r_lo, r_hi = -math.expm1(-g_lo), -math.expm1(-g_hi)
-        hr = 0.5 * (r_hi - r_lo)
-        cr = 0.5 * (r_hi + r_lo)
-        rw = [(cr + hr * x, w * density.rho(cr + hr * x)) for x, w in leg]
-        total = sum(w for _, w in rw) * sum(w for _, w in leg)
-        return [1.0 - rv for rv, _ in rw] + [wr for _, wr in rw] + [total]
-
-    per_ring, ring_of, starts = _per_ring(cells, ring)
-    per_ring = per_ring.reshape(-1, 9)
-    theta = np.mod(cloud.theta, _TWO_PI)
-    order = np.arange(len(cells))
-    ends = np.append(starts[1:], len(cells))
-    descents = (theta[1:] < theta[:-1]) & (ring_of[1:] == ring_of[:-1])
-    unsorted = np.zeros(len(starts), dtype=bool)  # a mask, not np.unique: no numpy.ma import
-    unsorted[ring_of[1:][descents]] = True
-    for k in np.flatnonzero(unsorted):
-        a, b = starts[k], ends[k]
-        order[a:b] = a + np.argsort(theta[a:b], kind="stable")
-    g_lo, g_hi = cells.g_lo[starts], cells.g_hi[starts]
-    r_lo = -np.expm1(-g_lo)
-    width = np.maximum.reduceat(cells.theta_hi - cells.theta_lo, starts)
+    cells = cloud.cells
+    rings, ring = cells.rings, cells.ring
+    keys = 8.0 * ring + np.mod(cloud.theta, _TWO_PI)
+    order = np.argsort(keys, kind="stable")
+    width = np.zeros(len(rings.g_lo))  # per ring: its widest cell piece
+    np.maximum.at(width, ring, cells.theta_hi - cells.theta_lo)
+    r_lo = -np.expm1(-rings.g_lo)
     mult = np.asarray(cloud.mult, dtype=float)
     cloud._sources = _Sources(
         delta=cloud.delta, theta=np.asarray(cloud.theta, dtype=float),
-        mult=mult, ring=ring_of, centre=0.5 * (cells.theta_hi + cells.theta_lo),
-        half_width=0.5 * (cells.theta_hi - cells.theta_lo), scale=mult / per_ring[ring_of, 8],
-        gap=per_ring[:, :4].T.copy(), radial=per_ring[:, 4:8].T.copy(),
-        order=order, keys=8.0 * ring_of + theta[order], r_lo=r_lo, r_hi=-np.expm1(-g_hi),
-        s=np.maximum(np.exp(-g_lo) - np.exp(-g_hi), width * r_lo),
+        mult=mult, ring=ring, centre=0.5 * (cells.theta_hi + cells.theta_lo),
+        half_width=0.5 * (cells.theta_hi - cells.theta_lo), scale=mult / cloud.nodes[8][ring],
+        gap=cloud.nodes[:4], radial=cloud.nodes[4:8], order=order, keys=keys[order],
+        r_lo=r_lo, r_hi=-np.expm1(-rings.g_hi),
+        s=np.maximum(np.exp(-rings.g_lo) - np.exp(-rings.g_hi), width * r_lo),
     )
     return cloud._sources
 
@@ -736,6 +705,8 @@ def eval_log_surrogate_many(
     gs = np.array([as_g(g) for g, _ in zs], dtype=float)
     samp_delta = np.exp(-gs)
     samp_theta = np.array([t for _, t in zs], dtype=float)
+    if not np.all(np.isfinite(samp_theta)):
+        raise NumericsError("eval_log_surrogate_many needs finite sample angles")
     out = profile.phi(gs)
     if len(cloud) == 0:
         return out
@@ -759,15 +730,18 @@ def eval_log_surrogate_many(
 
 def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[float, float]]:
     """Merged arcs of {theta : dist(r e^(i theta), zeros) <= eps (1-r)} on the
-    circle of log-gap g_circle."""
+    circle of log-gap g_circle; eps >= 0."""
+    if not eps >= 0.0:
+        raise NumericsError(f"excluded_arcs needs eps >= 0, got {eps}")
     if eps == 0.0:
         return []
     r = -math.expm1(-g_circle)
     gap = math.exp(-g_circle)
     lim = eps * gap
-    # atoms within eps (1 - r) of the circle radially, then their half-arcs
+    # atoms within eps (1 - r) of the circle radially, then their half-arcs;
+    # |dr| <= lim as two comparisons, so no second N-sized float temporary
     dr = gap - cloud.delta
-    near = np.abs(dr) <= lim
+    near = (dr <= lim) & (dr >= -lim)
     if not near.any():
         return []
     ga, ta, dr = cloud.g[near], cloud.theta[near], dr[near]

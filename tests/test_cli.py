@@ -293,6 +293,16 @@ class TestRieszCmd:
         assert hashlib.sha256(cloud.read_bytes()).hexdigest() == cloud_sha
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
+    @pytest.mark.parametrize("g_max", ["nan", "inf"])
+    def test_non_finite_g_max_is_bad_input(self, small_scaffold_file, tmp_path, capsys, g_max):
+        cloud, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"
+        code = run("riesz", "--scaffold", str(small_scaffold_file), "--g-max", g_max,
+                   "--out", str(cloud), "--summary-out", str(summary))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "PartitionError" and "g_max" in err["message"]
+        assert not cloud.exists() and not summary.exists()
+
     def test_failed_serialisation_leaves_no_files(self, small_scaffold_file, tmp_path, capsys,
                                                   monkeypatch):
         import numpy as np
@@ -301,7 +311,7 @@ class TestRieszCmd:
 
         def nan_cloud(part, prof, split_doubles=False):
             return riesz.ZeroCloud(np.array([1.0, math.nan]), np.array([0.5, 0.5]),
-                                   np.array([2.0, 2.0]), ["A", "A"], [None, None], prof)
+                                   np.array([2.0, 2.0]), ["A", "A"], [None, None])
 
         monkeypatch.setattr(riesz, "atomize", nan_cloud)
         cloud, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"

@@ -8,7 +8,7 @@ import pytest
 
 from discgrowth import logderiv as L
 from discgrowth import riesz as R
-from discgrowth.numerics import LogGap
+from discgrowth.numerics import LogGap, NumericsError
 from discgrowth.profiles import RadialProfile
 
 
@@ -19,11 +19,11 @@ def small_cloud(small_scaffold):
     return R.atomize(part, prof), prof
 
 
-def synthetic_cloud(points, profile=None):
+def synthetic_cloud(points):
     gs = np.array([g for g, _, _ in points], dtype=float)
     ts = np.array([t for _, t, _ in points], dtype=float)
     ms = np.array([m for _, _, m in points], dtype=float)
-    return R.ZeroCloud(gs, ts, ms, ["A"] * len(points), [None] * len(points), profile)
+    return R.ZeroCloud(gs, ts, ms, ["A"] * len(points), [None] * len(points))
 
 
 class TestGrowthIntegral:
@@ -141,6 +141,12 @@ class TestZeroCounts:
         with pytest.raises(Exception):
             L.zero_counts(cloud, (LogGap(2.0), 0.0), 0.5)
 
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan])
+    def test_rejects_radius_not_positive(self, h):
+        cloud = synthetic_cloud([(2.0, 0.5, 1)])
+        with pytest.raises(NumericsError, match="need 0 < h < 1"):
+            L.zero_counts(cloud, (LogGap(2.0), 0.5), h)
+
     def test_n_against_trapezoid_quadrature(self):
         rng = np.random.default_rng(17)
         pts = [(float(g), float(t), 1) for g, t in zip(rng.uniform(2.0, 2.3, 100), rng.uniform(0, 2 * math.pi, 100))]
@@ -211,6 +217,10 @@ class TestCircleCountingIntegral:
 class TestSectorCrowding:
     def test_empty(self):
         assert L.sector_crowding(synthetic_cloud([]), 2.0) == 0
+
+    def test_rejects_nan(self):
+        with pytest.raises(NumericsError, match="sector_crowding needs a log-gap"):
+            L.sector_crowding(synthetic_cloud([(2.3, 1.0, 2)]), math.nan)
 
     def test_single_zero_in_annulus(self):
         g = 2.0
@@ -287,7 +297,7 @@ class TestSectorCrowdingSweep:
                 best, start, _ = _crowding_by_atom(cloud, g)
                 assert L.sector_crowding(cloud, g) == best
                 turned = R.ZeroCloud(cloud.g, cloud.theta - start - (math.pi / 4.0) * gap,
-                                     cloud.mult, cloud.kind, cloud.cells, cloud.profile)
+                                     cloud.mult, cloud.kind, cloud.cells, cloud.nodes)
                 best, _, wraps = _crowding_by_atom(turned, g)
                 assert L.sector_crowding(turned, g) == best
                 checked += 1

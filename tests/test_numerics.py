@@ -351,6 +351,33 @@ class TestLeadingTermExit:
         with pytest.raises(NumericsError, match="log_r_from_g_array needs every g >= 0"):
             log_r_from_g_array(np.array([1.0, g, 50.0]))
 
+    @pytest.mark.parametrize("g_lo", [0.5, 2.0, 50.0])
+    def test_nan_is_bad_input_in_every_log_gap_routine(self, g_lo):
+        # no NaN result and no series loop run to its cap on NaN: each routine
+        # rejects it as it rejects misordered log-gaps
+        nan = math.nan
+        calls = [
+            lambda: log_ratio_r(nan, g_lo), lambda: log_ratio_r(g_lo + 1.0, nan),
+            lambda: log_log_ratio_r(nan, g_lo), lambda: log_log_ratio_r(g_lo + 1.0, nan),
+            lambda: gap_diff_log(g_lo, nan), lambda: gap_diff_log(nan, g_lo),
+            lambda: log_neg_log_r(nan),
+            lambda: log_int_log_ratio(g_lo + 3.0, g_lo, nan),
+            lambda: log_ratio_r_array(np.array([nan, g_lo + 1.0]), g_lo),
+            lambda: log_ratio_r_array(np.array([g_lo + 1.0]), nan),
+            lambda: log_log_ratio_r_array(np.array([g_lo + 1.0, nan]), g_lo),
+            lambda: log_log_ratio_r_array(np.array([g_lo + 1.0]), nan),
+            lambda: log_int_log_ratio_array(np.array([g_lo + 3.0]), g_lo, np.array([nan])),
+            lambda: log_int_log_ratio_array(np.array([g_lo + 3.0]), nan, g_lo + 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(NumericsError) as err:
+                call()
+            assert not isinstance(err.value, SeriesCapError)
+
+    def test_log_log_ratio_array_rejects_misordered_gaps_at_depth(self):
+        with pytest.raises(NumericsError, match="log_log_ratio_r_array needs g_hi >= g_lo"):
+            log_log_ratio_r_array(np.array([51.0, 49.0]), 50.0)
+
 
 class TestSeriesCap:
     def test_every_scalar_series_loop_is_capped(self, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 
 from discgrowth import riesz as R
 from discgrowth._accel import kernel_sums
-from discgrowth.numerics import LogGap, integrate
+from discgrowth.numerics import LogGap, NumericsError, integrate
 from discgrowth.profiles import RadialProfile
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
 from discgrowth.serialize import dumps17, format17_lines
@@ -155,6 +155,11 @@ class TestPartition:
         with pytest.raises(R.PartitionError):
             R.partition_region(small_profile, 7)
 
+    @pytest.mark.parametrize("g_max", [math.nan, math.inf, -math.inf])
+    def test_g_max_must_be_finite(self, small_profile, g_max):
+        with pytest.raises(R.PartitionError, match="g_max must be finite"):
+            R.partition_region(small_profile, 1, g_max=g_max, ceiling=100_000)
+
     def test_hat_region_present_when_p_exceeds_p2(self, wide_scaffold):
         prof = RadialProfile(wide_scaffold)
         part = R.partition_region(prof, 1, g_max=25.0, ceiling=100_000)
@@ -170,23 +175,19 @@ class TestAtomize:
         assert len(gen1_cloud) == len(gen1_partition.cells) + heavy
         assert gen1_cloud.total_multiplicity == 2 * len(gen1_cloud)
 
-    def test_empty_partition(self, small_profile):
-        part = R.PartitionResult(cells=[], truncated={}, generation=1)
+    def test_empty_partition(self, gen1_partition, small_profile):
+        part = R.PartitionResult(cells=gen1_partition.cells[:0], truncated={}, generation=1)
         cloud = R.atomize(part, small_profile)
         assert len(cloud) == 0
 
     def test_single_cell_single_double_zero(self, gen1_partition, small_profile):
-        one = R.PartitionResult(
-            cells=[gen1_partition.regular_cells()[5]], truncated={}, generation=1
-        )
+        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={}, generation=1)
         cloud = R.atomize(one, small_profile)
         assert len(cloud) == 1
         assert cloud.mult[0] == 2
 
     def test_split_doubles_flag(self, gen1_partition, small_profile):
-        one = R.PartitionResult(
-            cells=[gen1_partition.regular_cells()[5]], truncated={}, generation=1
-        )
+        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={}, generation=1)
         cloud = R.atomize(one, small_profile, split_doubles=True)
         assert len(cloud) == 2
         assert all(m == 1 for m in cloud.mult)
@@ -216,9 +217,7 @@ class TestAtomize:
 
 class TestSurrogate:
     def test_no_atoms_returns_phi(self, small_profile):
-        cloud = R.ZeroCloud(
-            np.array([]), np.array([]), np.array([]), [], [], small_profile
-        )
+        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [], [])
         v = R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.7)])[0]
         assert v == small_profile.phi(2.0)
 
@@ -251,6 +250,13 @@ class TestSurrogate:
                 solo = [R.eval_log_surrogate_many(cloud, prof, [z])[0] for z in off]
                 assert np.all(np.isfinite(solo)) and np.array_equal(got[is_off], solo)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, gen1_cloud, small_profile, theta):
+        empty = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [], [])
+        for cloud in (gen1_cloud, empty):
+            with pytest.raises(NumericsError, match="finite sample angles"):
+                R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.5), (LogGap(3.0), theta)])
+
     def test_near_atom_logarithmic_dip(self, gen1_cloud, small_profile):
         g = float(gen1_cloud.g[10])
         t = float(gen1_cloud.theta[10])
@@ -264,7 +270,8 @@ class TestSurrogate:
     def test_far_field_bound(self, small_profile, gen1_partition):
         # atoms far out, sample near the origin: the atom-only correction obeys
         # |corr| <= 4 mult-sum of (1-|zeta|)/(1-|z|)
-        far_cells = [c for c in gen1_partition.cells if c.g_lo >= 5.0][:500]
+        cells = gen1_partition.cells
+        far_cells = cells[cells.rings.g_lo[cells.ring] >= 5.0][:500]
         part = R.PartitionResult(cells=far_cells, truncated={}, generation=1)
         cloud = R.atomize(part, small_profile)
         budget = 4.0 * float(np.sum(cloud.mult * cloud.delta))
@@ -298,6 +305,24 @@ class TestSurrogate:
 
 
 class TestColumns:
+    def test_one_ring_table_for_the_partition_and_its_cloud(self, wide_partition):
+        # the wide cloud's 126,749 cells sit in 15 rings; each cell keeps only
+        # its ring's index, and slices, masks and the cloud share the table
+        part, prof = wide_partition
+        cells, rings = part.cells, part.cells.rings
+        assert len(rings.g_lo) == len(rings.g_hi) == len(rings.branch) == 15
+        assert rings.generation == part.generation == 1
+        assert np.all(np.diff(cells.ring) >= 0) and np.unique(cells.ring).tolist() == list(range(15))
+        assert np.all(rings.g_lo < rings.g_hi)
+        assert cells[10:20].rings is rings and cells[cells.kind == 0].rings is rings
+        cloud = R.atomize(part, prof, split_doubles=True)
+        assert cloud.cells.rings is rings and cloud.nodes.shape == (9, 15)
+        cell = cells[-1]
+        k = cells.ring[-1]
+        assert (cell.g_lo, cell.g_hi, cell.branch, cell.generation) == (
+            rings.g_lo[k], rings.g_hi[k], rings.branch[k], 1)
+        assert list(cells[-3:]) == [cells[len(cells) - 3], cells[len(cells) - 2], cell]
+
     def test_no_cell_objects_on_the_pipeline(self, small_profile, monkeypatch):
         built = []
         monkeypatch.setattr(R, "PolarCell", lambda *a: built.append(a))
@@ -307,18 +332,11 @@ class TestColumns:
         R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.1)])
         assert part.total_mass > 0.0 and not built
 
-    def test_list_of_cells_gives_the_same_cloud(self, gen1_partition, gen1_cloud, small_profile):
-        rows = R.PartitionResult(cells=list(gen1_partition.cells), truncated={}, generation=1)
-        cloud = R.atomize(rows, small_profile)
-        assert cloud.to_jsonl() == gen1_cloud.to_jsonl()
-        assert list(cloud.cells) == list(gen1_cloud.cells)
-        assert gen1_partition.cells[-1] == list(gen1_partition.cells)[-1]
-
     def test_jsonl_rejects_non_finite_like_dumps17(self, small_profile):
         for bad_g, bad_theta, shown in ((math.nan, 0.5, "nan"), (1.0, math.inf, "inf")):
             cloud = R.ZeroCloud(
                 np.array([1.0, bad_g]), np.array([0.5, bad_theta]), np.array([2.0, 2.0]),
-                ["A", "A"], [None, None], small_profile,
+                ["A", "A"], [None, None],
             )
             with pytest.raises(ValueError, match=f"non-finite float {shown}"):
                 cloud.to_jsonl()
@@ -463,6 +481,22 @@ class TestPinnedValues:
         got = R.eval_log_surrogate_many(cloud, prof, zs)
         assert [v.hex() for v in got.tolist()] == ["0x1.596b123e6d67ap+4", "0x1.d90e8505de20dp+3"]
 
+    # sha256 of the cell nodes of the 127k-atom cloud, plain and split_doubles,
+    # and of the generation-2 cloud of the small scaffold, recorded at commit
+    # a9a7c55 (ring values found by runs of equal per-cell ring columns)
+    @pytest.mark.parametrize("scaffold,generation,split,digest", [
+        ("wide", 1, False, "c5c721a4447812d1cbca49750bdff971f408319c8a7c8522c836fee2f51de09e"),
+        ("wide", 1, True, "c917dfb1900111c0fa62d77662ee8abd4023f2f393b8e9774e4e71d61af87d6a"),
+        ("small", 2, False, "0f31e24f46978c77a79aef0884fc0297a549417a22c0f4bd5fcef4dff13dc99f"),
+    ])
+    def test_cell_nodes_pinned(self, wide_partition, small_profile, scaffold, generation, split, digest):
+        if scaffold == "wide":
+            part, prof = wide_partition
+        else:
+            prof = small_profile
+            part = R.partition_region(prof, generation, g_max=25.0, ceiling=200_000)
+        assert _nodes_digest(R.atomize(part, prof, split_doubles=split)) == digest
+
     # sha256 and length of the 127k-atom cloud text, plain and split_doubles,
     # recorded at commit 947e291 (one format of the whole row per atom)
     @pytest.mark.parametrize("split,atoms,chars,digest", [
@@ -524,13 +558,11 @@ class TestNearField:
 
     def test_shuffled_rings_give_the_same_values(self, gen1_cloud, small_profile):
         # a positional cloud with each ring's atoms out of theta order
-        new_ring = np.ones(len(gen1_cloud), dtype=bool)
-        new_ring[1:] = np.diff(gen1_cloud.cells.g_lo) != 0.0
         rng = np.random.default_rng(5)
-        order = np.lexsort((rng.random(len(gen1_cloud)), np.cumsum(new_ring)))
+        order = np.lexsort((rng.random(len(gen1_cloud)), gen1_cloud.cells.ring))
         shuffled = R.ZeroCloud(
             gen1_cloud.g[order], gen1_cloud.theta[order], gen1_cloud.mult[order],
-            gen1_cloud.kind[order], gen1_cloud.cells[order], small_profile,
+            gen1_cloud.kind[order], gen1_cloud.cells[order], gen1_cloud.nodes,
         )
         zs = [(LogGap(g), t) for g, t in ((1.0, 0.3), (3.5, 2.0), (6.15, 1.0), (8.0, 6.2))]
         assert np.array_equal(
@@ -540,7 +572,7 @@ class TestNearField:
 
     def test_shuffled_rings_do_not_import_numpy_ma(self):
         # the first np.unique of a process imports numpy.ma (tens of ms); the
-        # rings out of theta order are found by a mask instead
+        # atoms are put in ring and theta order by one argsort instead
         probe = "\n".join([
             "import sys",
             "from discgrowth import riesz as R",
@@ -551,7 +583,7 @@ class TestNearField:
             "prof = RadialProfile(build_scaffold(params, 2))",
             "c = R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=100_000), prof)",
             "rev = slice(None, None, -1)",
-            "c = R.ZeroCloud(c.g[rev], c.theta[rev], c.mult[rev], c.kind[rev], c.cells[rev], prof)",
+            "c = R.ZeroCloud(c.g[rev], c.theta[rev], c.mult[rev], c.kind[rev], c.cells[rev], c.nodes)",
             "R.eval_log_surrogate_many(c, prof, [(LogGap(1.0), 0.3)])",
             "assert R._sources(c).order.tolist() != list(range(len(c)))",
             "print('numpy.ma' in sys.modules)",
@@ -612,7 +644,8 @@ class TestBatchedKernel:
         # a cloud of deep cells with theta < 0.5 only: a sample on their
         # rings at theta = 3 sees none of them
         cells = gen1_partition.cells
-        part = R.PartitionResult(cells=cells[(cells.g_lo >= 5.5) & (cells.theta_hi <= 0.5)], truncated={}, generation=1)
+        deep = cells.rings.g_lo[cells.ring] >= 5.5
+        part = R.PartitionResult(cells=cells[deep & (cells.theta_hi <= 0.5)], truncated={}, generation=1)
         cloud = R.atomize(part, small_profile)
         assert len(cloud) > 0
         src = R._sources(cloud)
@@ -628,6 +661,11 @@ class TestExcludedArcs:
     def test_zero_eps_empty(self, gen1_cloud):
         assert R.excluded_arcs(gen1_cloud, 3.0, 0.0) == []
         assert R.excluded_measure(gen1_cloud, 3.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("eps", [-0.05, -5e-324, math.nan])
+    def test_rejects_negative_and_nan_eps(self, gen1_cloud, eps):
+        with pytest.raises(NumericsError, match="excluded_arcs needs eps >= 0"):
+            R.excluded_arcs(gen1_cloud, 3.0, eps)
 
     def test_measure_scales_linearly(self, gen1_cloud):
         # circles through atom radii see arcs; the fitted coefficient stays
