@@ -240,12 +240,10 @@ def _sector_count(g: float) -> int:
     return max(1, int(math.floor(math.exp(g))))
 
 
-# partition_region builds each ring as a row (g_lo, g_hi, branch, theta_lo,
-# theta_hi, mass, kind codes), the last four the columns of its cells
-
-
 def _sector_ring(g_lo, g_hi, m, kind, branch) -> tuple:
-    """m equal sectors of mass 2."""
+    """m equal sectors of mass 2, as the row (g_lo, g_hi, branch, theta_lo,
+    theta_hi, mass, kind codes) that partition_region collects per ring; the
+    last four are the columns of its cells."""
     width = 2.0 * math.pi / m
     j = np.arange(m, dtype=float)
     codes = np.full(m, _KIND_CODE[kind], dtype=np.int8)
@@ -485,11 +483,11 @@ def atomize(
 ) -> ZeroCloud:
     cells = partition.cells
     rings = cells.rings
-    per_ring = []  # per ring: the centroid g, then its node values
+    rows = []  # per ring: the centroid g, then its node values
     for g_lo, g_hi, branch in zip(rings.g_lo.tolist(), rings.g_hi.tolist(), rings.branch.tolist()):
         density = _density_for(profile, rings.generation - 1, branch)
-        per_ring.append([_cell_centroid(density, g_lo, g_hi), *_ring_nodes(density, g_lo, g_hi)])
-    per_ring = np.array(per_ring, dtype=float).reshape(-1, 10).T
+        rows.append([_cell_centroid(density, g_lo, g_hi), *_ring_nodes(density, g_lo, g_hi)])
+    per_ring = np.array(rows, dtype=float).reshape(-1, 10).T
     # a heavy cell (mass >= 3) becomes two pieces split at its angular midpoint
     n_pieces = np.where(cells.mass < 3.0, 1, 2)
     cell_of = np.repeat(np.arange(len(cells)), n_pieces)
