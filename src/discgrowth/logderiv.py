@@ -24,7 +24,7 @@ from .numerics import (
     integrate,
     lse_sum_floats,
 )
-from .riesz import ZeroCloud, excluded_arcs
+from .riesz import ZeroCloud, angles_off_arcs, excluded_arcs
 
 LOG2 = math.log(2.0)
 
@@ -166,21 +166,23 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
     """(n, N): multiplicity count in the closed disc of radius h about zeta,
     and N = sum mult * log(h/dist) over those zeros (the exact integral of
     n(t)/t)."""
-    gz = as_g(zeta[0])
-    tz = zeta[1]
-    if not 0.0 < h < math.exp(-gz):
+    gz, tz = LogGap(as_g(zeta[0])).g, zeta[1]
+    if not math.isfinite(tz):
+        raise NumericsError(f"zero_counts needs a finite angle, got {tz}")
+    dz = math.exp(-gz)
+    if not 0.0 < h < dz:
         raise NumericsError(f"need 0 < h < 1 - |zeta|, got h = {h}")
-    n = 0
-    big_n = 0.0
+    n, big_n = 0, 0.0
     # dist >= the radial gap |e^-g - e^-gz|, and the disc about zeta subtends
     # |theta - tz| <= asin(h/|zeta|) < 2 h/|zeta| unless it holds the origin;
-    # the factor 2 also covers numpy's rounding.  Survivors keep cloud order.
-    dr = cloud.delta - math.exp(-gz)
-    near = np.flatnonzero((dr <= 2.0 * h) & (dr >= -2.0 * h))
+    # the factor 2 also covers numpy's rounding; the band is twice that wide.
+    near = cloud.band(dz - 4.0 * h, dz + 4.0 * h)
+    near = near[np.abs(cloud.delta[near] - dz) <= 2.0 * h]
     rz = -math.expm1(-gz)
     if h < rz:
         wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
         near = near[wrapped <= 2.0 * h / rz]
+    near = np.sort(near)  # the sums run in cloud order
     for g, t, m in zip(cloud.g[near], cloud.theta[near], cloud.mult[near]):
         d = _pair_distance(gz, tz, g, t)
         if d <= h:
@@ -194,8 +196,9 @@ def circle_counting_integral(
 ) -> float:
     """int_0^2pi N(R e^(i theta), (1-R)/16)/|R e^(i theta) - z|^2 d theta by
     the periodic trapezoid rule with refinement until stable."""
-    gz = as_g(z[0])
-    tz = z[1]
+    gz, tz = LogGap(as_g(z[0])).g, z[1]
+    if not math.isfinite(tz):
+        raise NumericsError(f"circle_counting_integral needs a finite angle, got {tz}")
     g_r = big_r.g
     if gz == g_r:
         raise NumericsError("|z| = R not allowed")
@@ -205,9 +208,9 @@ def circle_counting_integral(
     dz = math.exp(-gz)
     rz = 1.0 - dz
 
-    # prefilter atoms within h of the circle radius
-    dr = cloud.delta - d_r
-    keep = (dr <= h) & (dr >= -h)
+    # atoms within h of the circle radius (tested on a band twice as wide)
+    keep = cloud.band(d_r - 2.0 * h, d_r + 2.0 * h)
+    keep = np.sort(keep[np.abs(cloud.delta[keep] - d_r) <= h])  # in cloud order
     ag, at, am = cloud.g[keep], cloud.theta[keep], cloud.mult[keep]
     if len(ag) == 0:
         return 0.0
@@ -243,12 +246,12 @@ def sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
     """max over angular offsets of the zero count in the annulus
     r <= |a| <= (1+r)/2 within angular half-width (pi/4)(1-r)."""
     gv = as_g(g)
-    if math.isnan(gv):
-        raise NumericsError("sector_crowding needs a log-gap, got nan")
+    if not (gv >= 0.0 and math.isfinite(gv)):
+        raise NumericsError(f"sector_crowding needs a log-gap, got {gv}")
     gap = math.exp(-gv)
     # annulus [r, (1+r)/2]: gaps in [gap/2, gap]
-    sel = (cloud.delta <= gap) & (cloud.delta >= gap / 2.0)
-    if not np.any(sel):
+    sel = cloud.band(gap / 2.0, gap)
+    if not len(sel):
         return 0
     width = (math.pi / 4.0) * gap
     theta = np.mod(cloud.theta[sel], 2.0 * math.pi)
@@ -325,27 +328,12 @@ def logderiv_certificate(
         for g in np.linspace(g_lo, g_hi, radii_per_window):
             arcs = []
             if fspec.zeros is not None:
-                budget_eps = _radius_budget(g)
-                arcs = excluded_arcs(fspec.zeros, g, budget_eps)
+                arcs = excluded_arcs(fspec.zeros, g, _radius_budget(g))
                 excluded.append((float(g), sum(b - a for a, b in arcs)))
-            count = 0
-            guard = 0
-            while count < thetas_per_radius and guard < 50 * thetas_per_radius:
-                guard += 1
-                t = float(rng.uniform(0.0, 2.0 * math.pi))
-                if any(a <= t <= b for a, b in arcs):
-                    continue
-                count += 1
+            for t in angles_off_arcs(rng, arcs, thetas_per_radius):
                 log_stat = fspec.log_abs_ratio(float(g), t) / (k - j) - expo * g
                 stat_max = max(stat_max, math.exp(log_stat))
-    fitted_radius_coef = 0.0
-    if excluded:
-        coefs = []
-        for g, m in excluded:
-            budget = _radius_budget(g)
-            if budget > 0:
-                coefs.append(m / budget)
-        fitted_radius_coef = max(coefs, default=0.0)
+    fitted_radius_coef = max((m / _radius_budget(g) for g, m in excluded), default=0.0)
     return CertificateReport(
         windows=windows,
         max_statistic=stat_max,

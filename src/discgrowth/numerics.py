@@ -257,6 +257,8 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
         raise NumericsError("log_int_log_ratio needs g_a <= g_b <= g_r")
     if g_a == g_b:
         return NEG_INF
+    if g_a == 0.0:  # from t = 0, where w_a = 1: b (1 + log(r/b))
+        return log_r_from_g(g_b) + math.log1p(log_ratio_r(g_r, g_b))
     log_r = log_r_from_g(g_r)
     # w = (r - t)/r; log(r - t) = gap_diff_log(g_t, g_r) for t < r
     log_wa = gap_diff_log(g_a, g_r) - log_r
@@ -347,6 +349,8 @@ def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     if not np.all(g_hi >= g_lo):  # also NaN
         raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
     dg = g_hi - g_lo
+    if g_lo == 0.0:  # r_lo = 0: log(r_hi/0) = inf, and 0 at g_hi = 0
+        return np.where(dg == 0.0, 0.0, math.inf)
     if g_lo <= 1.0:
         return np.log1p(math.exp(-g_lo) * (-np.expm1(-dg)) / -math.expm1(-g_lo))
     q = math.exp(-g_lo)
@@ -392,6 +396,9 @@ def log_int_log_ratio_array(
     out = np.full(g_r.shape, NEG_INF)
     sel = g_b > g_a
     gr, gb = g_r[sel], g_b[sel]
+    if g_a == 0.0:  # the scalar closed form from t = 0, element by element
+        out[sel] = [log_int_log_ratio(r, 0.0, b) for r, b in zip(gr.tolist(), gb.tolist())]
+        return out
     log_r = log_r_from_g_array(gr)
     with np.errstate(divide="ignore"):
         # log w = gap_diff_log(g_t, g_r) - log r; w_b = 0 where g_b == g_r

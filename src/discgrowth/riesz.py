@@ -29,16 +29,16 @@ theta is formatted once per run of equal (kind, g, mult), and the thetas by
 one exact numpy ``%.17g`` kernel call (``serialize.format17_lines``) per block
 of atoms; the text is byte-identical to per-atom dumps17 rows.
 
-Every query of a cloud reads one table built once per cloud (``_Sources``)
-and the atom gaps exp(-g) (``ZeroCloud.delta``).  The surrogate sums each
-sample over its near field only: the rings within 64 local cell sizes of it
-and, on each, an angular window found by binary search in the table's ring
-index.  One call evaluates all its samples in one batched pass over
-(sample, atom) pairs, reading the cell nodes in compact form (per ring the
-four node radii and radial weights, per atom the angular centre, half-width
-and weight scale); it makes no BLAS call, so its values do not depend on the
-BLAS thread count.  A sample that sits exactly on an atom has that atom in
-its near field, where the kernel's log 0 makes the sum -inf.
+The circle queries take their atoms from one radial band per call
+(``ZeroCloud.band``), the surrogate from one table built once per cloud
+(``_Sources``).  It sums each sample over its near field only: the rings
+within 64 local cell sizes of it and, on each, an angular window found by
+binary search in the table's ring index.  One call evaluates all its samples
+in one batched pass over (sample, atom) pairs, reading the cell nodes in
+compact form (per ring the four node radii and radial weights, per atom the
+angular centre, half-width and weight scale); it makes no BLAS call, so its
+values do not depend on the BLAS thread count.  A sample on an atom has that
+atom in its near field, where the kernel's log 0 makes the sum -inf.
 ``_cell_nodes`` expands the compact nodes one by one for the direct sum
 over all 17 N sources (``_accel.kernel_sums``) that the tests compare the
 surrogate against; the library never calls it.
@@ -407,6 +407,17 @@ class ZeroCloud:
         """exp(-g) = 1 - |zeta| per atom, computed once per cloud."""
         return np.exp(-np.asarray(self.g, dtype=float))
 
+    @cached_property
+    def _by_gap(self) -> np.ndarray:
+        return np.argsort(self.delta, kind="stable")  # the atoms by ascending gap
+
+    def band(self, lo: float, hi: float) -> np.ndarray:
+        """The atoms with lo <= exp(-g) <= hi by ascending gap, cut from one
+        argsort per cloud by two binary searches (a NaN gap is in no band)."""
+        a = np.searchsorted(self.delta, lo, "left", sorter=self._by_gap)
+        b = np.searchsorted(self.delta, hi, "right", sorter=self._by_gap)
+        return self._by_gap[a:b]
+
     @property
     def total_multiplicity(self) -> int:
         return int(np.sum(self.mult))
@@ -728,21 +739,21 @@ def eval_log_surrogate_many(
 
 def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[float, float]]:
     """Merged arcs of {theta : dist(r e^(i theta), zeros) <= eps (1-r)} on the
-    circle of log-gap g_circle; eps >= 0."""
+    circle of log-gap g_circle (finite, >= 0); eps >= 0."""
     if not eps >= 0.0:
         raise NumericsError(f"excluded_arcs needs eps >= 0, got {eps}")
+    r = LogGap(g_circle).r
     if eps == 0.0:
         return []
-    r = -math.expm1(-g_circle)
     gap = math.exp(-g_circle)
     lim = eps * gap
-    # atoms within eps (1 - r) of the circle radially, then their half-arcs;
-    # |dr| <= lim as two comparisons, so no second N-sized float temporary
-    dr = gap - cloud.delta
-    near = (dr <= lim) & (dr >= -lim)
-    if not near.any():
+    # atoms within eps (1 - r) of the circle radially (|dr| <= lim, tested on
+    # a band twice as wide so that its rounded edges cut none), then half-arcs
+    near = cloud.band(gap - 2.0 * lim, gap + 2.0 * lim)
+    near = near[np.abs(gap - cloud.delta[near]) <= lim]
+    if not len(near):
         return []
-    ga, ta, dr = cloud.g[near], cloud.theta[near], dr[near]
+    ga, ta, dr = cloud.g[near], cloud.theta[near], gap - cloud.delta[near]
     sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-ga))
     half = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(sin2, 0.0))))
     lo, hi = (ta - half) % (2.0 * math.pi), (ta + half) % (2.0 * math.pi)
@@ -761,6 +772,18 @@ def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[f
 
 def excluded_measure(cloud: ZeroCloud, g_circle: float, eps: float) -> float:
     return sum(hi - lo for lo, hi in excluded_arcs(cloud, g_circle, eps))
+
+
+def angles_off_arcs(rng: np.random.Generator, arcs: list[tuple[float, float]], n: int) -> list[float]:
+    """Up to n angles off the closed arcs, from at most 50 n draws of rng.uniform(0, 2 pi)."""
+    out = []
+    for _ in range(50 * n):
+        if len(out) == n:
+            break
+        t = float(rng.uniform(0.0, 2.0 * math.pi))
+        if not any(lo <= t <= hi for lo, hi in arcs):
+            out.append(t)
+    return out
 
 
 @dataclass(frozen=True)
@@ -783,22 +806,14 @@ def approximation_report(
     """Surrogate-vs-profile error statistics off the eps-neighborhood of the
     zeros, plus the per-circle excluded-arc measure."""
     rng = np.random.default_rng(seed)
-    zs = []
+    zs, per_circle = [], []
     for g in circle_gs:
-        arcs = excluded_arcs(cloud, g, eps) if eps > 0 else []
-        picked = 0
-        guard = 0
-        while picked < thetas_per_circle and guard < 50 * thetas_per_circle:
-            guard += 1
-            t = float(rng.uniform(0.0, 2.0 * math.pi))
-            if any(lo <= t <= hi for lo, hi in arcs):
-                continue
-            zs.append((LogGap(g), t))
-            picked += 1
+        arcs = excluded_arcs(cloud, g, eps)
+        zs += [(LogGap(g), t) for t in angles_off_arcs(rng, arcs, thetas_per_circle)]
+        per_circle.append((g, sum(hi - lo for lo, hi in arcs)))
     gs = np.array([z[0].g for z in zs])
     vals = eval_log_surrogate_many(cloud, profile, zs)
     errs = np.abs(vals - profile.phi(gs)) / (1.0 + np.log(np.maximum(gs, 1.0)))
-    per_circle = [(g, excluded_measure(cloud, g, eps)) for g in circle_gs]
     c4 = max((m / eps for _, m in per_circle), default=0.0) if eps > 0 else 0.0
     return ApproxReport(
         max_scaled_error=float(np.max(errs)),

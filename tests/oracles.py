@@ -8,17 +8,21 @@ import math
 
 import numpy as np
 
+from discgrowth.logderiv import _pair_distance
 from discgrowth.numerics import (
     NEG_INF,
     SERIES_CAP,
     TINY_GAP,
+    LogGap,
     LogValue,
     NumericsError,
     SeriesCapError,
+    as_g,
     gap_diff_log,
     log_r_from_g,
 )
 from discgrowth.profiles import ProfileRangeError, RadialProfile
+from discgrowth.riesz import ZeroCloud
 
 
 def power_majorant_bound(b: float, s: float, k: int, g: float) -> float:
@@ -265,3 +269,142 @@ def summed_log_int_log_ratio_array(
     res[n] = log_r[n] + log_dw + log_acc
     out[sel] = res
     return out
+
+
+# ---------------------------------------------------------------------------
+# The four circle queries as they were when each selected its atoms with its
+# own mask over every gap in ``cloud.delta``.  The library selects them
+# through ``ZeroCloud.band`` and must return the same values, repr for repr.
+
+
+def masked_excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[float, float]]:
+    """Merged arcs of {theta : dist(r e^(i theta), zeros) <= eps (1-r)} on the
+    circle of log-gap g_circle; eps >= 0."""
+    if not eps >= 0.0:
+        raise NumericsError(f"excluded_arcs needs eps >= 0, got {eps}")
+    if eps == 0.0:
+        return []
+    r = -math.expm1(-g_circle)
+    gap = math.exp(-g_circle)
+    lim = eps * gap
+    # atoms within eps (1 - r) of the circle radially, then their half-arcs;
+    # |dr| <= lim as two comparisons, so no second N-sized float temporary
+    dr = gap - cloud.delta
+    near = (dr <= lim) & (dr >= -lim)
+    if not near.any():
+        return []
+    ga, ta, dr = cloud.g[near], cloud.theta[near], dr[near]
+    sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-ga))
+    half = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(sin2, 0.0))))
+    lo, hi = (ta - half) % (2.0 * math.pi), (ta + half) % (2.0 * math.pi)
+    # unwrap: an arc over theta = 0 splits into [lo, 2 pi) and [0, hi)
+    wrap = hi < lo
+    lo = np.concatenate([lo, np.zeros(np.count_nonzero(wrap))])
+    hi = np.concatenate([np.where(wrap, 2.0 * math.pi, hi), hi[wrap]])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    # an arc opens a new merged arc iff it starts past every end before it
+    reach = np.maximum.accumulate(hi)
+    start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
+    end = np.append(start[1:], len(lo)) - 1
+    return list(zip(lo[start].tolist(), reach[end].tolist()))
+
+
+def masked_zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple[int, float]:
+    """(n, N): multiplicity count in the closed disc of radius h about zeta,
+    and N = sum mult * log(h/dist) over those zeros (the exact integral of
+    n(t)/t)."""
+    gz = as_g(zeta[0])
+    tz = zeta[1]
+    if not 0.0 < h < math.exp(-gz):
+        raise NumericsError(f"need 0 < h < 1 - |zeta|, got h = {h}")
+    n = 0
+    big_n = 0.0
+    # dist >= the radial gap |e^-g - e^-gz|, and the disc about zeta subtends
+    # |theta - tz| <= asin(h/|zeta|) < 2 h/|zeta| unless it holds the origin;
+    # the factor 2 also covers numpy's rounding.  Survivors keep cloud order.
+    dr = cloud.delta - math.exp(-gz)
+    near = np.flatnonzero((dr <= 2.0 * h) & (dr >= -2.0 * h))
+    rz = -math.expm1(-gz)
+    if h < rz:
+        wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
+        near = near[wrapped <= 2.0 * h / rz]
+    for g, t, m in zip(cloud.g[near], cloud.theta[near], cloud.mult[near]):
+        d = _pair_distance(gz, tz, g, t)
+        if d <= h:
+            n += int(m)
+            big_n += m * (math.log(h / d) if d > 0.0 else math.inf)
+    return n, big_n
+
+
+def masked_circle_counting_integral(
+    cloud: ZeroCloud, z: tuple[LogGap, float], big_r: LogGap, n_theta: int = 512
+) -> float:
+    """int_0^2pi N(R e^(i theta), (1-R)/16)/|R e^(i theta) - z|^2 d theta by
+    the periodic trapezoid rule with refinement until stable."""
+    gz = as_g(z[0])
+    tz = z[1]
+    g_r = big_r.g
+    if gz == g_r:
+        raise NumericsError("|z| = R not allowed")
+    h = math.exp(-g_r) / 16.0
+    d_r = math.exp(-g_r)
+    r_r = 1.0 - d_r
+    dz = math.exp(-gz)
+    rz = 1.0 - dz
+
+    # prefilter atoms within h of the circle radius
+    dr = cloud.delta - d_r
+    keep = (dr <= h) & (dr >= -h)
+    ag, at, am = cloud.g[keep], cloud.theta[keep], cloud.mult[keep]
+    if len(ag) == 0:
+        return 0.0
+
+    def value(thetas: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(thetas)
+        for g, t, m in zip(ag, at, am):
+            da = math.exp(-g)
+            ra = 1.0 - da
+            s = np.sin(0.5 * (thetas - t))
+            dist = np.sqrt((da - d_r) ** 2 + 4.0 * ra * r_r * s * s)
+            inside = dist <= h
+            with np.errstate(divide="ignore"):
+                contrib = np.where(inside, m * np.log(h / dist), 0.0)
+            out += contrib
+        s = np.sin(0.5 * (thetas - tz))
+        denom = (d_r - dz) ** 2 + 4.0 * r_r * rz * s * s
+        return out / denom
+
+    prev = None
+    n = n_theta
+    for _ in range(6):
+        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        est = float(np.mean(value(thetas)) * 2.0 * math.pi)
+        if prev is not None and abs(est - prev) <= 1e-6 * max(abs(est), 1e-12):
+            return est
+        prev = est
+        n *= 2
+    return prev
+
+
+def masked_sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
+    """max over angular offsets of the zero count in the annulus
+    r <= |a| <= (1+r)/2 within angular half-width (pi/4)(1-r)."""
+    gv = as_g(g)
+    if math.isnan(gv):
+        raise NumericsError("sector_crowding needs a log-gap, got nan")
+    gap = math.exp(-gv)
+    # annulus [r, (1+r)/2]: gaps in [gap/2, gap]
+    sel = (cloud.delta <= gap) & (cloud.delta >= gap / 2.0)
+    if not np.any(sel):
+        return 0
+    width = (math.pi / 4.0) * gap
+    theta = np.mod(cloud.theta[sel], 2.0 * math.pi)
+    order = np.argsort(theta)
+    angles = theta[order]
+    # windows [angle, angle + 2 width] on the circle unrolled once; the count
+    # in each is a difference of the cumulative doubled multiplicities
+    ext = np.concatenate([angles, angles + 2.0 * math.pi])
+    ends = np.searchsorted(ext, angles + 2.0 * width, "right")
+    csum = np.concatenate([[0.0], np.cumsum(np.tile(cloud.mult[sel][order], 2))])
+    return int(np.max(csum[ends] - csum[: len(angles)]))

@@ -1,0 +1,253 @@
+"""The circle queries select their atoms through ``ZeroCloud.band`` and must
+return exactly what they returned when each filtered every gap with its own
+mask (``oracles.masked_*``), repr for repr, on the test clouds, on a
+hand-built cloud with atoms on every band edge, and on the empty cloud."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import oracles
+import pytest
+
+from discgrowth import logderiv as L
+from discgrowth import riesz as R
+from discgrowth.numerics import LogGap, NumericsError
+from discgrowth.profiles import RadialProfile
+
+
+def _hand_built(g, theta, mult=None):
+    g = np.asarray(g, dtype=float)
+    mult = np.full(len(g), 2.0) if mult is None else np.asarray(mult, dtype=float)
+    return R.ZeroCloud(g, np.asarray(theta, dtype=float), mult, ["A"] * len(g), [None] * len(g))
+
+
+def _neighbours(g, n=8):
+    """g and the n floats on either side of it."""
+    out, lo, hi = [g], g, g
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return sorted(out)
+
+
+def _gaps(gs):
+    # the gaps as ZeroCloud.delta computes them: numpy's exp over an array
+    return np.exp(-np.asarray(gs, dtype=float))
+
+
+@pytest.fixture(scope="module")
+def edge_case():
+    """A hand-built cloud with atoms exactly on the edges of the bands of
+    its queries about the circle g0: at gap = e^-g0 (delta = gap), at gap/2,
+    at |dr| = lim = eps gap, and at |dr| = gap/16 (the counting integral's h).
+    Its rings come out of radial order, each ring holds repeated radii at
+    several angles, and one atom has a NaN g."""
+    # the first radius on a grid where the edges are doubles and atoms hit them
+    for g0 in (2.0 + 1e-3 * np.arange(2000)).tolist():
+        gap = math.exp(-g0)
+        half = _neighbours(g0 + math.log(2.0))
+        ring = _neighbours(-math.log(gap * 17.0 / 16.0))
+        if (_gaps([g0])[0] == gap and np.any(_gaps(half) == gap / 2.0)
+                and np.any(_gaps(ring) - gap == gap / 16.0)):
+            break
+    else:
+        pytest.fail("no radius puts atoms on every band edge")
+    outer = _neighbours(-math.log(gap * 0.9))
+    lim = gap - float(_gaps(outer)[8])  # exact: the two gaps are within a factor 2
+    eps = lim / gap
+    for e in _neighbours(eps, 4):
+        if e * gap == lim:
+            eps = e
+            break
+    assert eps * gap == lim
+    inner = _neighbours(-math.log(gap * 1.1))
+    gs = outer + [g0] + half + ring + inner + [g0 + 0.5, g0 - 0.3, math.nan]
+    rng = np.random.default_rng(4)
+    perm = rng.permutation(3 * len(gs))  # rings out of radial order
+    g = np.repeat(gs, 3)[perm]
+    theta = np.tile([0.1, 2.0, 2.0 * math.pi - 0.05], len(gs))[perm]
+    mult = np.tile([1.0, 2.0, 1.0], len(gs))[perm]
+    return _hand_built(g, theta, mult), g0, eps, lim
+
+
+@pytest.fixture(scope="module")
+def clouds(small_scaffold, wide_scaffold, edge_case):
+    out = {"edge": edge_case[0], "empty": _hand_built([], [])}
+    for name, scaffold, ceiling in (("small", small_scaffold, 100_000), ("wide", wide_scaffold, 200_000)):
+        prof = RadialProfile(scaffold)
+        part = R.partition_region(prof, 1, g_max=25.0, ceiling=ceiling)
+        out[name] = R.atomize(part, prof)
+        out[name + "-split"] = R.atomize(part, prof, split_doubles=True)
+    return out
+
+
+def _circles(cloud, k=16):
+    """Ring radii of the cloud and radii between them."""
+    rings = np.unique(cloud.g[np.isfinite(cloud.g)])
+    if not len(rings):
+        return [0.5, 3.0]
+    picks = rings[:: max(1, len(rings) // k)].tolist()
+    return picks + np.linspace(max(rings[0] - 0.4, 0.05), rings[-1] + 0.4, k).tolist()
+
+
+ALL = ["small", "small-split", "wide", "wide-split", "edge", "empty"]
+
+
+class TestBand:
+    def test_band_is_the_mask_in_gap_order(self, edge_case):
+        cloud, g0, _, _ = edge_case
+        gap = math.exp(-g0)
+        for lo, hi in ((gap / 2.0, gap), (gap, gap), (0.0, 1.0), (gap, gap / 2.0), (0.0, math.inf)):
+            got = cloud.band(lo, hi)
+            assert got.dtype == np.intp
+            assert np.array_equal(np.sort(got), np.flatnonzero((cloud.delta >= lo) & (cloud.delta <= hi)))
+            assert np.all(np.diff(cloud.delta[got]) >= 0.0)
+        assert not np.isnan(cloud.delta[cloud.band(0.0, math.inf)]).any()
+
+    def test_band_keeps_equal_gaps_in_cloud_order(self, edge_case):
+        cloud, g0, _, _ = edge_case
+        got = cloud.band(math.exp(-g0), math.exp(-g0))
+        assert len(got) == 3 and np.all(np.diff(got) > 0)
+
+
+class TestMatchesMaskedQueries:
+    @pytest.mark.parametrize("name", ALL)
+    def test_excluded_arcs_and_sector_crowding(self, clouds, name):
+        cloud = clouds[name]
+        for g in _circles(cloud, 10):
+            for eps in (0.01, 0.05, 0.3):
+                got = R.excluded_arcs(cloud, g, eps)
+                assert repr(got) == repr(oracles.masked_excluded_arcs(cloud, g, eps))
+            assert repr(L.sector_crowding(cloud, g)) == repr(oracles.masked_sector_crowding(cloud, g))
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_zero_counts(self, clouds, name):
+        cloud = clouds[name]
+        rng = np.random.default_rng(11)
+        finite = np.flatnonzero(np.isfinite(cloud.g))
+        points = [(float(cloud.g[i]), float(cloud.theta[i])) for i in rng.choice(finite, 8)] if len(finite) else []
+        points += [(2.0, 1.0), (0.4, 6.0)]
+        for g, t in points:
+            for gz, tz in ((g, t), (g + 0.01, t + 1e-3), (g + 0.2, t - 0.3)):
+                for frac in (0.1, 0.5, 0.9):
+                    zeta, h = (LogGap(gz), tz), frac * math.exp(-gz)
+                    assert repr(L.zero_counts(cloud, zeta, h)) == repr(oracles.masked_zero_counts(cloud, zeta, h))
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_circle_counting_integral(self, clouds, name):
+        cloud = clouds[name]
+        # the inner rings: an atom costs a pass over the nodes here
+        rings = np.unique(cloud.g[np.isfinite(cloud.g)]).tolist()
+        for g_r in rings[:4] + [0.5 * sum(rings[1:3]), rings[-1] + 0.3] if len(rings) > 2 else [0.5, 3.0]:
+            for z in ((LogGap(g_r + 0.7), 0.4), (LogGap(max(g_r - 1.5, 0.0)), 2.0)):
+                got = L.circle_counting_integral(cloud, z, LogGap(g_r), n_theta=64)
+                assert repr(got) == repr(oracles.masked_circle_counting_integral(cloud, z, LogGap(g_r), n_theta=64))
+
+    def test_atoms_on_every_band_edge(self, edge_case):
+        cloud, g0, eps, lim = edge_case
+        gap = math.exp(-g0)
+        # the exact edges are in the cloud, and each query sees them
+        assert np.any(cloud.delta == gap) and np.any(cloud.delta == gap / 2.0)
+        assert np.any(gap - cloud.delta == lim) and np.any(cloud.delta - gap == gap / 16.0)
+        for e in (eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)):
+            got = R.excluded_arcs(cloud, g0, e)
+            assert got and repr(got) == repr(oracles.masked_excluded_arcs(cloud, g0, e))
+        assert L.sector_crowding(cloud, g0) == oracles.masked_sector_crowding(cloud, g0) > 0
+        # |dr| = 2 h exactly for the atoms at gap - lim
+        zeta = (LogGap(g0), 2.0)
+        for h in (lim / 2.0, math.nextafter(lim / 2.0, 0.0)):
+            assert repr(L.zero_counts(cloud, zeta, h)) == repr(oracles.masked_zero_counts(cloud, zeta, h))
+        z = (LogGap(g0 - 1.0), 0.3)
+        got = L.circle_counting_integral(cloud, z, LogGap(g0), n_theta=64)
+        assert got > 0.0 and repr(got) == repr(oracles.masked_circle_counting_integral(cloud, z, LogGap(g0), n_theta=64))
+
+
+def test_empty_band_query_makes_no_cloud_sized_temporary(clouds):
+    # the masks these queries replaced made ~1.4 MB of temporaries per call
+    # on this 127k-atom cloud; an empty band costs a few small arrays
+    cloud = clouds["wide"]
+    g = float(cloud.g.max()) + 3.0
+    assert len(cloud.band(0.0, math.exp(-g) * 2.0)) == 0  # builds delta and the gap order
+    tracemalloc.start()
+    try:
+        assert R.excluded_arcs(cloud, g, 0.1) == []
+        assert L.zero_counts(cloud, (LogGap(g), 1.0), 0.5 * math.exp(-g)) == (0, 0.0)
+        assert L.circle_counting_integral(cloud, (LogGap(1.0), 0.3), LogGap(g)) == 0.0
+        assert L.sector_crowding(cloud, g) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
+
+
+class TestReportsPinned:
+    """Values recorded before the queries read the band and the report and
+    the certificate shared one off-arc sampler."""
+
+    def test_approximation_report(self, small_scaffold, clouds):
+        cloud = clouds["small"]
+        rpt = R.approximation_report(cloud, RadialProfile(small_scaffold),
+                                     circle_gs=[2.0, 3.5, float(np.unique(cloud.g)[6])],
+                                     eps=0.05, thetas_per_circle=8)
+        assert repr(rpt) == (
+            "ApproxReport(max_scaled_error=1.9255208676080262, per_circle_excluded=[(2.0, "
+            "0.06744615814996635), (3.5, 0), (2.857574026617402, 0.04872341386674961)], "
+            "fitted_c4=1.348923162999327, eps=0.05, samples_used=24)"
+        )
+
+    def test_certificate_with_zeros(self, clouds):
+        # the circle at g = 2 is excluded whole, so its sampler gives up
+        # after 50 x 64 draws
+        spec = L.ClosedFormSpec(lambda g, t: 2.0 * g + math.cos(t), lam=2.0, sigma=3.0, zeros=clouds["small"])
+        ws = L.RadialWindowSet(((2.0, 3.0), (5.0, 6.0)))
+        rpt = L.logderiv_certificate(spec, 1, 0, eps=0.1, windows=ws, radii_per_window=4)
+        assert repr(rpt) == (
+            "CertificateReport(windows=RadialWindowSet(intervals=((2.0, 3.0), (5.0, 6.0)), "
+            "tail_to_one=True), max_statistic=0.09589604802944975, excluded_per_circle=[(2.0, "
+            "6.283185307179586), (2.3333333333333335, 2.544489831654731), (2.6666666666666665, "
+            "1.223199968523656), (3.0, 0.40066091017698025), (5.0, 0), (5.333333333333333, 0), "
+            "(5.666666666666667, 0), (6.0, 1.4684858122492317)], fitted_radius_coef=7.3424290612461585, "
+            "eps=0.1, k=1, j=0)"
+        )
+
+
+class TestOffArcSampler:
+    def test_same_draws_as_a_rejection_loop(self):
+        arcs = [(0.5, 2.0), (3.0, 3.1)]
+        want, rng = [], np.random.default_rng(2)
+        while len(want) < 10:
+            t = float(rng.uniform(0.0, 2.0 * math.pi))
+            if not any(lo <= t <= hi for lo, hi in arcs):
+                want.append(t)
+        assert R.angles_off_arcs(np.random.default_rng(2), arcs, 10) == want
+
+    def test_gives_up_after_fifty_draws_per_angle(self):
+        rng = np.random.default_rng(2)
+        assert R.angles_off_arcs(rng, [(0.0, 2.0 * math.pi)], 3) == []
+        assert rng.uniform() == np.random.default_rng(2).uniform(size=151)[-1]
+        assert R.angles_off_arcs(rng, [], 0) == []
+
+
+class TestRejectsBadCircles:
+    cloud = _hand_built([2.3, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -1.0])
+    def test_excluded_arcs(self, g):
+        with pytest.raises(NumericsError, match="log-gap must be finite and >= 0"):
+            R.excluded_arcs(self.cloud, g, 0.1)
+
+    @pytest.mark.parametrize("g", [math.inf, -1.0])
+    def test_sector_crowding(self, g):
+        with pytest.raises(NumericsError, match="sector_crowding needs a log-gap"):
+            L.sector_crowding(self.cloud, g)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_zero_counts_angle(self, theta):
+        with pytest.raises(NumericsError, match="zero_counts needs a finite angle"):
+            L.zero_counts(self.cloud, (LogGap(3.0), theta), 0.01)
+
+    @pytest.mark.parametrize("z", [(math.nan, 0.3), (1.0, math.nan)])
+    def test_circle_counting_integral_point(self, z):
+        with pytest.raises(NumericsError):
+            L.circle_counting_integral(self.cloud, z, LogGap(3.0))

@@ -287,10 +287,15 @@ class TestSectorCrowdingSweep:
 
     def test_matches_per_atom_count(self, sweep_clouds):
         # bands of at most 2500 atoms on a grid of radii, each as given and
-        # turned so that its fullest window straddles theta = 0
+        # turned so that its fullest window straddles theta = 0; a grid radius
+        # below g = 0 lies outside the disc and raises
         checked = wrapped = 0
         for cloud in sweep_clouds:
             for g in np.linspace(cloud.g.min() - 0.5, cloud.g.max(), 12):
+                if g < 0.0:
+                    with pytest.raises(NumericsError, match="sector_crowding needs a log-gap"):
+                        L.sector_crowding(cloud, g)
+                    continue
                 gap = math.exp(-g)
                 if not 0 < np.sum((cloud.delta <= gap) & (cloud.delta >= gap / 2.0)) <= 2500:
                     continue

@@ -129,6 +129,23 @@ class TestIntLogRatio:
         f = lambda w: sum(w ** (k + 1) / (k * (k + 1)) for k in range(1, 8))
         assert got == pytest.approx(math.log(f(wa) - f(wb)), rel=1e-10)
 
+    def test_from_the_origin(self):
+        # int_0^b log(r/t) dt = b (1 + log(r/b)), against mpmath's quadrature;
+        # the array form gives the scalar's bits, with no warning
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            r, b = -mpmath.expm1(-3), -mpmath.expm1(-1)
+            oracle = mpmath.log(mpmath.quad(lambda t: mpmath.log(r / t), [0, b]))
+        got = log_int_log_ratio(3.0, 0.0, 1.0)
+        assert got == pytest.approx(float(oracle), rel=1e-15)
+        arr = log_int_log_ratio_array(np.array([3.0, 1.0, 0.5]), 0.0, np.array([1.0, 1.0, 0.0]))
+        assert _same_bits(arr, np.array([got, log_int_log_ratio(1.0, 0.0, 1.0), -math.inf]))
+
+    def test_log_ratio_from_the_origin(self):
+        # r_lo = 0: the array form gives the scalar's 0 and inf, with no warning
+        assert _same_bits(log_ratio_r_array(np.array([0.0, 1.0]), 0.0), np.array([0.0, math.inf]))
+        assert (log_ratio_r(0.0, 0.0), log_ratio_r(1.0, 0.0)) == (0.0, math.inf)
+
 
 class TestArrayForms:
     # the scalar functions are the reference; only summation order differs
@@ -203,8 +220,7 @@ def _same_bits(got, want):
 
 
 def _same_outcome(f, oracle, *args, **kwargs):
-    """f and its summed oracle give the same bits, or raise the same type
-    (at g_lo = 0 or g_a = 0 both fail alike)."""
+    """f and its summed oracle give the same bits, or raise the same type."""
     outcomes = []
     for fn in (f, oracle):
         try:
@@ -256,6 +272,13 @@ class TestLeadingTermExit:
     @given(_GS, st.lists(_DGS, min_size=1, max_size=6))
     def test_log_ratio_r(self, g_lo, dgs):
         g_hi = g_lo + np.array(dgs)
+        if g_lo == 0.0:
+            # r_lo = 0: log(r_hi / 0) = inf, and 0 at g_hi = 0, in both forms
+            want = np.where(g_hi == 0.0, 0.0, math.inf)
+            assert _same_bits(log_ratio_r_array(g_hi, g_lo), want)
+            for g, w in zip(g_hi.tolist(), want.tolist()):
+                assert _same_bits(log_ratio_r(g, g_lo), w)
+            return
         for g in g_hi:
             assert _same_outcome(log_ratio_r, oracles.summed_log_ratio_r, float(g), g_lo)
         assert _same_outcome(log_ratio_r_array, oracles.summed_log_ratio_r_array, g_hi, g_lo)
@@ -266,6 +289,14 @@ class TestLeadingTermExit:
         g_b = g_a + dg_ab
         span = dg_ab if with_span else None
         g_r = g_b + np.array(dgs_br)
+        if g_a == 0.0:
+            # from t = 0: log of b (1 + log(r/b)), and -inf at b = 0, in both forms
+            want = np.array([-math.inf if g_b == 0.0 else log_r_from_g(g_b) + math.log1p(log_ratio_r(g, g_b))
+                             for g in g_r.tolist()])
+            for g, w in zip(g_r.tolist(), want.tolist()):
+                assert _same_bits(log_int_log_ratio(g, g_a, g_b, span_ba=span), w)
+            assert _same_bits(log_int_log_ratio_array(g_r, g_a, g_b, span_ba=span), want)
+            return
         for g in g_r:
             assert _same_outcome(log_int_log_ratio, oracles.summed_log_int_log_ratio,
                                  float(g), g_a, g_b, span_ba=span)
