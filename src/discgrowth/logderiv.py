@@ -272,9 +272,11 @@ def sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
 @dataclass(frozen=True)
 class ClosedFormSpec:
     """Instance with a closed-form log-derivative: log_abs_ratio(g, theta)
-    returns log|f^(k)(z)/f^(j)(z)|; zeros optional."""
+    returns log|f^(k)(z)/f^(j)(z)| at z = r(g) e^(i theta) for every angle of
+    the ndarray theta (a float where it does not depend on theta); zeros
+    optional."""
 
-    log_abs_ratio: Callable[[float, float], float]
+    log_abs_ratio: Callable[[float, np.ndarray], np.ndarray | float]
     lam: float
     sigma: float
     zeros: ZeroCloud | None = None
@@ -284,11 +286,11 @@ def exp_inverse_power_spec(p: float) -> ClosedFormSpec:
     """f = exp((1-z)^-p): zero-free, log|f'/f| = log p + (p+1) log(1/|1-z|),
     lambda_M = sigma_M = p."""
 
-    def log_ratio(g: float, theta: float) -> float:
+    def log_ratio(g: float, theta: np.ndarray) -> np.ndarray:
         gap = math.exp(-g)
         r = 1.0 - gap
-        one_minus_z2 = gap * gap + 4.0 * r * math.sin(0.5 * theta) ** 2
-        return math.log(p) - 0.5 * (p + 1.0) * math.log(one_minus_z2)
+        one_minus_z2 = gap * gap + 4.0 * r * np.sin(0.5 * theta) ** 2
+        return math.log(p) - 0.5 * (p + 1.0) * np.log(one_minus_z2)
 
     return ClosedFormSpec(log_ratio, lam=p, sigma=p)
 
@@ -330,9 +332,12 @@ def logderiv_certificate(
             if fspec.zeros is not None:
                 arcs = excluded_arcs(fspec.zeros, g, _radius_budget(g))
                 excluded.append((float(g), sum(b - a for a, b in arcs)))
-            for t in angles_off_arcs(rng, arcs, thetas_per_radius):
-                log_stat = fspec.log_abs_ratio(float(g), t) / (k - j) - expo * g
-                stat_max = max(stat_max, math.exp(log_stat))
+            thetas = np.array(angles_off_arcs(rng, arcs, thetas_per_radius))
+            if len(thetas):
+                # exp is increasing, so the largest statistic is exp of the
+                # largest log statistic (fmax skips NaN, as max() did)
+                log_stat = np.asarray(fspec.log_abs_ratio(float(g), thetas)) / (k - j) - expo * g
+                stat_max = max(stat_max, math.exp(float(np.fmax.reduce(log_stat, axis=None))))
     fitted_radius_coef = max((m / _radius_budget(g) for g, m in excluded), default=0.0)
     return CertificateReport(
         windows=windows,

@@ -181,7 +181,10 @@ def log_ratio_r(g_hi: float, g_lo: float) -> float:
         if r_lo == 0.0:
             return log_r_from_g(g_hi) - log_r_from_g(g_lo)
         diff = math.exp(-g_lo) * (-math.expm1(-dg))
-        return math.log1p(diff / r_lo)
+        ratio = diff / r_lo
+        if ratio == math.inf:  # r_lo subnormal: log(r_hi/r_lo) = log diff - log r_lo
+            return math.log(diff) - math.log(r_lo)
+        return math.log1p(ratio)
     q = math.exp(-g_lo)
     if q <= _LEAD_X:
         return q * -math.expm1(-dg)
@@ -322,6 +325,11 @@ def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if not np.all(g >= 0.0):
         raise NumericsError("log_r_from_g_array needs every g >= 0 (no NaN)")
+    return _log_r_from_g_array(g)
+
+
+def _log_r_from_g_array(g: np.ndarray) -> np.ndarray:
+    # the unchecked body of log_r_from_g_array
     out = np.empty_like(g)
     near = g <= 1.0
     with np.errstate(divide="ignore"):
@@ -348,11 +356,20 @@ def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     g_hi = np.asarray(g_hi, dtype=float)
     if not np.all(g_hi >= g_lo):  # also NaN
         raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
+    return _log_ratio_r_array(g_hi, g_lo)
+
+
+def _log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
+    # the unchecked body of log_ratio_r_array
     dg = g_hi - g_lo
     if g_lo == 0.0:  # r_lo = 0: log(r_hi/0) = inf, and 0 at g_hi = 0
         return np.where(dg == 0.0, 0.0, math.inf)
     if g_lo <= 1.0:
-        return np.log1p(math.exp(-g_lo) * (-np.expm1(-dg)) / -math.expm1(-g_lo))
+        r_lo = -math.expm1(-g_lo)
+        diff = math.exp(-g_lo) * (-np.expm1(-dg))
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = diff / r_lo  # inf only for a subnormal r_lo, as in log_ratio_r
+            return np.where(ratio == math.inf, np.log(diff) - math.log(r_lo), np.log1p(ratio))
     q = math.exp(-g_lo)
     if q <= _LEAD_X:
         return q * -np.expm1(-dg)
@@ -377,10 +394,15 @@ def log_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     g_hi = np.asarray(g_hi, dtype=float)
     if not np.all(g_hi >= g_lo):  # also NaN
         raise NumericsError(f"log_log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
+    return _log_log_ratio_r_array(g_hi, g_lo)
+
+
+def _log_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
+    # the unchecked body of log_log_ratio_r_array
     with np.errstate(divide="ignore"):
         if g_lo > LEAD_ONLY_G:
             return -g_lo + np.log(-np.expm1(-(g_hi - g_lo)))
-        return np.log(log_ratio_r_array(g_hi, g_lo))
+        return np.log(_log_ratio_r_array(g_hi, g_lo))
 
 
 def log_int_log_ratio_array(
@@ -393,13 +415,20 @@ def log_int_log_ratio_array(
     g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
     if not np.all((g_a <= g_b) & (g_b <= g_r)):  # also NaN
         raise NumericsError("log_int_log_ratio_array needs g_a <= g_b <= g_r")
+    return _log_int_log_ratio_array(g_r, g_a, g_b, span_ba)
+
+
+def _log_int_log_ratio_array(
+    g_r: np.ndarray, g_a: float, g_b: np.ndarray, span_ba: float | None
+) -> np.ndarray:
+    # the unchecked body of log_int_log_ratio_array, g_b shaped like g_r
     out = np.full(g_r.shape, NEG_INF)
     sel = g_b > g_a
     gr, gb = g_r[sel], g_b[sel]
     if g_a == 0.0:  # the scalar closed form from t = 0, element by element
         out[sel] = [log_int_log_ratio(r, 0.0, b) for r, b in zip(gr.tolist(), gb.tolist())]
         return out
-    log_r = log_r_from_g_array(gr)
+    log_r = _log_r_from_g_array(gr)
     with np.errstate(divide="ignore"):
         # log w = gap_diff_log(g_t, g_r) - log r; w_b = 0 where g_b == g_r
         log_gap_a = np.log(-np.expm1(-(gr - g_a)))

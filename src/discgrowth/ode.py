@@ -4,6 +4,11 @@ coefficients), the coefficient-integral growth bound for a log-domain majorant
 (``coefficient_integral_log_bound``), order/lower-order estimation from
 samples, and the closed-form predictors tying coefficient degrees to
 solution orders.
+
+The majorant integral and ``SolutionSeries.log_abs_sum`` sum a window of
+their terms: blocks whose bounded sums cannot change a bit of the total are
+left out (:func:`_kept_range`), which needs a nondecreasing log M for the
+majorant.
 """
 
 from __future__ import annotations
@@ -77,6 +82,29 @@ def pole_coeffs(p: int, degree: int, scale: float = 1.0) -> DenseCoeffs:
 # power-series solving
 
 
+# Windowed sums of positive terms (the majorant integral and log_abs_sum):
+# the terms come in blocks whose sums are bounded above and below, and a
+# block whose upper bound is below e^-40 / (number of blocks) of the largest
+# lower bound can be left out: all such blocks together hold less than
+# e^-40 < 2^-57 of the sum, under a quarter ulp of it.  Block sizes: pieces
+# of the majorant integral, coefficients of a series.
+_DROP_LOG = -40.0
+_BLOCK = 256
+_SERIES_BLOCK = 64
+
+
+def _kept_range(upper: np.ndarray, lower: np.ndarray) -> tuple[int, int]:
+    """Blocks [a, b) to sum, given bounds e^lower <= block sum <= e^upper:
+    from the first to the last block whose upper bound reaches e^-40 /
+    len(upper) of the largest lower bound.  Every block when the largest
+    lower bound is not finite (also NaN); a NaN upper bound keeps its block."""
+    top = float(np.max(lower))
+    if not math.isfinite(top):
+        return 0, len(upper)
+    kept = np.flatnonzero(~(upper < top + _DROP_LOG - math.log(len(upper))))
+    return int(kept[0]), int(kept[-1]) + 1
+
+
 @dataclass
 class SolutionSeries:
     """Taylor coefficients of f scaled by rho^m, in (sign, log|.|) arrays."""
@@ -85,13 +113,22 @@ class SolutionSeries:
     logmag: np.ndarray
     k: int
     log_rho: float = 0.0
-    # the indices m of the nonzero coefficients (as floats) and their logs
+    # the indices m of the nonzero coefficients (as floats) and their logs;
+    # per block of _SERIES_BLOCK of them, the largest log and the first and
+    # last m
     _live: np.ndarray = field(init=False, repr=False, compare=False)
     _live_log: np.ndarray = field(init=False, repr=False, compare=False)
+    _block_max: np.ndarray = field(init=False, repr=False, compare=False)
+    _block_first: np.ndarray = field(init=False, repr=False, compare=False)
+    _block_last: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         live = np.flatnonzero(self.sign != 0.0)
         self._live, self._live_log = live.astype(float), self.logmag[live]
+        starts = np.arange(0, len(live), _SERIES_BLOCK)
+        self._block_max = np.maximum.reduceat(self._live_log, starts) if len(live) else np.empty(0)
+        self._block_first = self._live[starts]
+        self._block_last = self._live[np.minimum(starts + _SERIES_BLOCK, len(live)) - 1]
 
     def __len__(self) -> int:
         return len(self.sign)
@@ -104,12 +141,26 @@ class SolutionSeries:
     def log_abs_sum(self, g: LogGap | float) -> float:
         """log sum |f_m| r^m over the nonzero coefficients: equals log M(r, f)
         for nonnegative coefficients (an upper proxy otherwise), up to the
-        truncation degree; -inf when every coefficient is zero."""
+        truncation degree; -inf when every coefficient is zero.
+
+        The terms come in blocks of 64 coefficients.  With t = log r -
+        log rho, a block's terms lie between L + m_far t and L + m_near t,
+        L the block's largest log coefficient and m_near, m_far its end
+        indices nearest to and farthest from the larger m t (64 times that
+        above); only the blocks that can change a bit are summed (see
+        :func:`_kept_range`)."""
         t = log_r_from_g(as_g(g)) - self.log_rho
-        if not self._live.size:
+        if not len(self._live):
             return -math.inf
-        vals = self._live * t
-        vals += self._live_log
+        near, far = self._block_first, self._block_last
+        if t >= 0.0:
+            near, far = far, near
+        a, b = _kept_range(
+            self._block_max + near * t + math.log(_SERIES_BLOCK), self._block_max + far * t
+        )
+        window = slice(a * _SERIES_BLOCK, b * _SERIES_BLOCK)
+        vals = self._live[window] * t
+        vals += self._live_log[window]
         m = float(np.max(vals))
         vals -= m
         return m + math.log(float(np.sum(np.exp(vals, out=vals))))
@@ -358,6 +409,13 @@ def paired_radius_limit(c: float, q: float, g_grid: Sequence[float]) -> list[tup
     return out
 
 
+def _edges(g: float, n: int, idx: np.ndarray) -> np.ndarray:
+    """Entries ``idx`` of np.linspace(0, g, n + 1), computed as linspace does."""
+    step = g / n
+    e = idx * step if step != 0.0 else idx / n * g
+    return np.where(idx == n, g, e)
+
+
 def coefficient_integral_log_bound(
     log_m: Callable[[np.ndarray], np.ndarray], k: int, g: float, step: float = 0.01
 ) -> float:
@@ -365,16 +423,33 @@ def coefficient_integral_log_bound(
     log-domain majorant, summed piecewise in the log domain so M beyond
     double range stays usable.  Midpoint accuracy is O(step^2) relative.
 
+    The pieces are the midpoints of the grid linspace(0, g, n+1).
     ``log_m`` maps an ndarray of g's to the ndarray of log M values (e.g.
-    ``RadialProfile.phi``); it is called once, on the midpoints of the grid
-    linspace(0, g, n+1)."""
+    ``RadialProfile.phi``) and must be nondecreasing in g, as log M(t, A)
+    is; a decrease seen between its samples raises :class:`OdeError`.  It is
+    called twice: once on the last midpoint of every block of 256 pieces,
+    and once on the midpoints of the blocks that are summed.  Since log M
+    is nondecreasing, a block's sum lies between its two neighbouring
+    samples times the block's closed-form measure e^-lo - e^-hi; the blocks
+    outside the first and last whose upper bound reaches e^-40 / (number of
+    blocks) of the largest lower bound are left out, so only the pieces
+    near the top of the integrand are evaluated (see :func:`_kept_range`)."""
     if not (math.isfinite(g) and g > 0.0):
         raise OdeError(f"g must be finite and > 0, got {g}")
     if not (math.isfinite(step) and step > 0.0):
         raise OdeError(f"step must be finite and > 0, got {step}")
     n = max(2, int(math.ceil(g / step)))
-    edges = np.linspace(0.0, g, n + 1)
-    lo, hi = edges[:-1], edges[1:]
+    # block j holds the pieces [first_j, last_j]; it is sampled at last_j
+    first = np.arange(0, n, _BLOCK)
+    last = np.minimum(first + _BLOCK, n) - 1
+    lo, hi = _edges(g, n, first), _edges(g, n, last + 1)
+    samples = np.asarray(log_m(0.5 * (_edges(g, n, last) + hi)), dtype=float) / k
+    if np.any(samples[1:] < samples[:-1]):
+        raise OdeError("log_m must be nondecreasing in g; its block samples decrease")
+    log_w = -lo + np.log(-np.expm1(-(hi - lo)))  # log(e^-lo - e^-hi) of each block
+    a, b = _kept_range(samples + log_w, np.append(-math.inf, samples[:-1]) + log_w)
+    idx = np.arange(a * _BLOCK, min(b * _BLOCK, n))
+    lo, hi = _edges(g, n, idx), _edges(g, n, idx + 1)
     log_dr = -lo + np.log(-np.expm1(-(hi - lo)))  # log(e^-lo - e^-hi)
     pieces = np.asarray(log_m(0.5 * (lo + hi)), dtype=float) / k + log_dr
     m = float(np.max(pieces))

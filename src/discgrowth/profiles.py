@@ -15,6 +15,13 @@ Laplacian grow like powers of 1/(1-r) and are returned as LogValues.  The
 slope, compensation and mass terms are the generation's own closed forms
 (the methods of scaffold.GenerationSeed, which the closure equation uses
 too), so junction residuals reflect construction error only.
+
+phi on an ndarray sorts the g's once and evaluates each branch on its slice,
+with each generation's constants computed once per profile.  In a
+generation with e^-g_n <= 2^-56 every series is its first term, and the
+array forms are closed (``_Terms``): within ~1e-13 of the log-domain series
+that the scalar phi and the other generations sum.  The range check runs
+once per call, not once per branch helper.
 """
 
 from __future__ import annotations
@@ -26,13 +33,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numerics import (
+    _LEAD_X,
     LogGap,
     LogValue,
     NumericsError,
+    _log_int_log_ratio_array,
+    _log_log_ratio_r_array,
     as_g,
     gap_diff_log,
-    log_int_log_ratio_array,
-    log_log_ratio_r_array,
     log_r_from_g,
     lse_sum,
 )
@@ -60,10 +68,49 @@ class JunctionJump:
     dphi_rel_jump: float
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """Constants of one generation's branch forms for the array phi."""
+
+    gen: Generation
+    base1: float  # p2 + eps_n
+    base2: float  # (p2 + eps_n)(g_n + log C)
+    base3: float  # p1 (g_n' + log C)
+    span: float  # exact width g* - g_hat of [r_hat, r*]
+    # e^(-g_n) <= 2^-56: every series of the branches is its first term (1/r
+    # and log r round to 1 and -e^(-g)), so in a = e^(-(g - g_hat)),
+    # b = e^(-(g - g*)):  R_n log(r/r_n) = R_n e^(-g_n) (1 - e^(-(g - g_n))),
+    # M_n int_{r_hat}^r log(r/t) dt = m (1 - a)^2 and
+    # M_n int_{r_hat}^{r*} log(r/t) dt = m ((1 - a) - x (1 - b)) ((1 - a) + y (1 - b)),
+    # with m = M_n e^(-2 g_hat)/2, x = e^(-span) and y = e^(-(g* - g_hat))
+    lead: bool
+    slope: float  # -R_n e^(-g_n)
+    mass: float  # m
+    x: float
+    y: float
+
+    @classmethod
+    def of(cls, gen: Generation, p1: float, p2: float, log_c: float) -> "_Terms":
+        span = gen.star_span(log_c)
+        return cls(
+            gen=gen,
+            base1=p2 + gen.eps_n,
+            base2=(p2 + gen.eps_n) * (gen.r_n.g + log_c),
+            base3=p1 * (gen.r_prime.g + log_c),
+            span=span,
+            lead=math.exp(-gen.r_n.g) <= _LEAD_X,
+            slope=-math.exp(gen.log_R - gen.r_n.g),
+            mass=0.5 * math.exp(gen.log_M - 2.0 * gen.r_hat.g),
+            x=math.exp(-span),
+            y=math.exp(-(gen.r_star.g - gen.r_hat.g)),
+        )
+
+
 class RadialProfile:
     def __init__(self, scaffold: IrregularScaffold):
         self.scaffold = scaffold
         self.params = scaffold.params
+        p1, p2, log_c = self.params.p1, self.params.p2, self.params.log_c
         # flat sorted list of (g, generation index, branch starting here)
         self._bounds: list[tuple[float, int, int]] = []
         for i, gen in enumerate(scaffold.generations):
@@ -74,6 +121,7 @@ class RadialProfile:
             self._bounds.append((gen.r_hat.g, i, 4))
             self._bounds.append((gen.r_star.g, i, 5))
         self._starts = np.array([b[0] for b in self._bounds])
+        self._terms = [_Terms.of(gen, p1, p2, log_c) for gen in scaffold.generations]
 
     @property
     def g_end(self) -> float:
@@ -108,20 +156,20 @@ class RadialProfile:
         return self._phi(gv, self.scaffold.generations[i], b)
 
     def _phi_many(self, g: np.ndarray) -> np.ndarray:
-        inside = (g >= 0.0) & (g < self.g_end)
-        if not inside.all():
-            raise ProfileRangeError(
-                f"g = {g[~inside][0]} outside constructed range [0, {self.g_end})"
-            )
         # one stable sort, then branch j is the slice of sorted g's in
-        # [start_j, start_j+1): O(N log N) for any number of branches
+        # [start_j, start_j+1): O(N log N) for any number of branches; NaN
+        # sorts last, so the range check reads the two ends
         order = np.argsort(g, axis=None, kind="stable")
         sorted_g = g.ravel()[order]
+        if sorted_g.size and not (sorted_g[0] >= 0.0 and sorted_g[-1] < self.g_end):
+            flat = g.ravel()
+            bad = flat[~((flat >= 0.0) & (flat < self.g_end))][0]
+            raise ProfileRangeError(f"g = {bad} outside constructed range [0, {self.g_end})")
         cuts = np.searchsorted(sorted_g, self._starts).tolist() + [len(sorted_g)]
         vals = np.empty_like(sorted_g)
         for (_, i, b), lo, hi in zip(self._bounds, cuts, cuts[1:]):
             if lo < hi:
-                vals[lo:hi] = self._phi_array(sorted_g[lo:hi], self.scaffold.generations[i], b)
+                vals[lo:hi] = self._phi_array(sorted_g[lo:hi], self._terms[i], b)
         out = np.empty_like(sorted_g)
         out[order] = vals
         return out.reshape(g.shape)
@@ -144,24 +192,37 @@ class RadialProfile:
             + gen.mass_term(g, log_c, upper)
         )
 
-    def _phi_array(self, g: np.ndarray, gen: Generation, b: int) -> np.ndarray:
-        """Array form of :meth:`_phi` on one branch."""
-        p1, p2, log_c = self.params.p1, self.params.p2, self.params.log_c
-        eps = gen.eps_n
+    def _phi_array(self, g: np.ndarray, terms: _Terms, b: int) -> np.ndarray:
+        """Array form of :meth:`_phi` on one branch of the generation whose
+        constants are ``terms``; g lies inside the branch.  The compensation
+        p1 (1 - e^-(g - g_n')) enters as + p1 expm1(g_n' - g), the same bits."""
+        log_c = self.params.log_c
         if b == 1:
-            return (p2 + eps) * (g + log_c)
-        q1 = np.exp(gen.log_R + log_log_ratio_r_array(g, gen.r_n.g))
-        if b == 2:
-            return (p2 + eps) * (gen.r_n.g + log_c) + q1
-        s = g - gen.r_prime.g
-        if b == 3:
-            return p1 * (gen.r_prime.g + log_c) + q1 + p1 * (s - (-np.expm1(-s)))
-        if b == 4:
-            upper, span = g, None
+            return terms.base1 * (g + log_c)
+        gen = terms.gen
+        if terms.lead:
+            q1 = terms.slope * np.expm1(gen.r_n.g - g)
+            if b >= 4:
+                # -(1 - a) and -(1 - b) in the notation of _Terms
+                gap_a = np.expm1(gen.r_hat.g - g)
+                if b == 4:
+                    mass = terms.mass * np.square(gap_a)
+                else:
+                    gap_b = np.expm1(gen.r_star.g - g)
+                    mass = terms.mass * ((gap_a - terms.x * gap_b) * (gap_a + terms.y * gap_b))
         else:
-            upper, span = gen.r_star.g, gen.star_span(log_c)
-        mass = np.exp(gen.log_M + log_int_log_ratio_array(g, gen.r_hat.g, upper, span_ba=span))
-        return p1 * (g + log_c) + q1 - p1 * (-np.expm1(-s)) + mass
+            q1 = np.exp(gen.log_R + _log_log_ratio_r_array(g, gen.r_n.g))
+            if b >= 4:
+                upper = g if b == 4 else np.full(g.shape, gen.r_star.g)
+                span = None if b == 4 else terms.span
+                mass = np.exp(gen.log_M + _log_int_log_ratio_array(g, gen.r_hat.g, upper, span))
+        if b == 2:
+            return terms.base2 + q1
+        p1 = self.params.p1
+        comp = np.expm1(gen.r_prime.g - g)  # -(1 - e^-s), s = g - g_n'
+        if b == 3:
+            return terms.base3 + q1 + p1 * ((g - gen.r_prime.g) + comp)
+        return p1 * (g + log_c) + q1 + p1 * comp + mass
 
     def _phi_prime(self, g: float, gen: Generation, b: int) -> LogValue:
         p1, p2 = self.params.p1, self.params.p2

@@ -753,6 +753,8 @@ def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[f
     near = near[np.abs(gap - cloud.delta[near]) <= lim]
     if not len(near):
         return []
+    if r == 0.0:  # the circle is the origin, within eps of the atoms kept
+        return [(0.0, 2.0 * math.pi)]
     ga, ta, dr = cloud.g[near], cloud.theta[near], gap - cloud.delta[near]
     sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-ga))
     half = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(sin2, 0.0))))
@@ -775,14 +777,18 @@ def excluded_measure(cloud: ZeroCloud, g_circle: float, eps: float) -> float:
 
 
 def angles_off_arcs(rng: np.random.Generator, arcs: list[tuple[float, float]], n: int) -> list[float]:
-    """Up to n angles off the closed arcs, from at most 50 n draws of rng.uniform(0, 2 pi)."""
-    out = []
-    for _ in range(50 * n):
-        if len(out) == n:
-            break
-        t = float(rng.uniform(0.0, 2.0 * math.pi))
-        if not any(lo <= t <= hi for lo, hi in arcs):
-            out.append(t)
+    """Up to n angles off the closed arcs, from at most 50 n draws of
+    rng.uniform(0, 2 pi).  Each round draws as many angles as are still
+    missing (within the cap), so the draws, the angles kept and the state
+    the generator is left in are those of one draw at a time."""
+    out: list[float] = []
+    lo, hi = np.array([a for a, _ in arcs], dtype=float), np.array([b for _, b in arcs], dtype=float)
+    left = 50 * n
+    while len(out) < n and left > 0:
+        t = rng.uniform(0.0, 2.0 * math.pi, size=min(n - len(out), left))
+        left -= len(t)
+        inside = ((lo <= t[:, None]) & (t[:, None] <= hi)).any(axis=1)
+        out += t[~inside].tolist()
     return out
 
 

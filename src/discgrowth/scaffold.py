@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .numerics import (
+    NEG_INF,
     LogGap,
-    LogValue,
     NumericsError,
     find_root,
     gap_diff_log,
     log_int_log_ratio,
     log_log_ratio_r,
     log_r_from_g,
-    lse_sum,
 )
 
 
@@ -273,26 +273,37 @@ def closure_residuals(r: LogGap, seed: GenerationSeed, params: ScaffoldParams) -
     decreasing, gR = R log(r/r_n) + M int_{r_hat}^{r*} log(r/t) dt
     - p1 (r-r')/(1-r') strictly increasing; their crossing defines r''.
     """
-    p1 = params.p1
-    log_c = params.log_c
-    g = r.g
-    log_r = log_r_from_g(g)
-    w = g + log_c
+    return _closure_evaluator(seed, params)(r.g)
 
-    # bracketed prefactor of gL, assembled in the log domain
-    log_m_span = seed.log_M + gap_diff_log(seed.r_hat.g, seed.r_star.g)
-    pre = lse_sum(
-        [
-            LogValue.pos(seed.log_R),
-            LogValue.pos(log_m_span),
-            LogValue.neg(math.log(p1) + log_r + seed.r_prime.g),
-        ]
-    )
-    g_l = pre.sign * math.exp(pre.logmag - g - log_r + math.log(w))
 
-    mass = seed.mass_term(g, log_c, seed.r_star.g)
-    g_r = seed.slope_term(g) + mass - seed.compensation(g, p1)
-    return g_l, g_r
+def _closure_evaluator(seed: GenerationSeed, params: ScaffoldParams) -> Callable[[float], tuple[float, float]]:
+    """(gL, gR) of :func:`closure_residuals` as a function of g.  The seed's
+    constants of gL are computed once (log R, log M (r* - r_hat) from the
+    stored g's, log p1), and its prefactor is the three-term signed
+    log-sum-exp of :func:`numerics.lse_sum` in plain floats, the same
+    operations in the same order; gR is the sum of the seed's branch terms."""
+    p1, log_c = params.p1, params.log_c
+    log_p1 = math.log(p1)
+    log_R, g_prime, g_star = seed.log_R, seed.r_prime.g, seed.r_star.g
+    log_m_span = seed.log_M + gap_diff_log(seed.r_hat.g, g_star)
+    exp, log = math.exp, math.log
+
+    def residuals(g: float) -> tuple[float, float]:
+        log_r = log_r_from_g(g)
+        w = g + log_c
+        # bracketed prefactor of gL: R + M (r* - r_hat) - p1 r/(1 - r')
+        log_neg = log_p1 + log_r + g_prime
+        m = max(log_R, log_m_span, log_neg)
+        g_l = 0.0
+        if m != NEG_INF:
+            acc = math.fsum((exp(log_R - m), exp(log_m_span - m), -exp(log_neg - m)))
+            if acc != 0.0:
+                sign = 1 if acc > 0 else -1
+                g_l = sign * exp(m + log(abs(acc)) - g - log_r + log(w))
+        mass = seed.mass_term(g, log_c, g_star)
+        return g_l, seed.slope_term(g) + mass - seed.compensation(g, p1)
+
+    return residuals
 
 
 def solve_closure(
@@ -315,8 +326,10 @@ def solve_closure(
             blamed_constant="a",
         )
 
+    residuals = _closure_evaluator(seed, params)
+
     def f(s: float) -> float:
-        g_l, g_r = closure_residuals(LogGap(seed.r_hat.g + s), seed, params)
+        g_l, g_r = residuals(seed.r_hat.g + s)
         return g_l - g_r
 
     f_alpha, f_beta = f(s_alpha), f(s_beta)
@@ -332,7 +345,7 @@ def solve_closure(
         )
     s_root = find_root(f, s_alpha, s_beta, rel_tol=1e-14)
     r_dp = LogGap(seed.r_hat.g + s_root)
-    g_l, g_r = closure_residuals(r_dp, seed, params)
+    g_l, g_r = residuals(r_dp.g)
     w = r_dp.g + params.log_c
     eps_next = g_r / w - (p2 - p1)
     eps_from_deriv = g_l / w - (p2 - p1)

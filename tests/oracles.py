@@ -19,10 +19,14 @@ from discgrowth.numerics import (
     SeriesCapError,
     as_g,
     gap_diff_log,
+    log_int_log_ratio_array,
+    log_log_ratio_r_array,
     log_r_from_g,
+    lse_sum,
 )
 from discgrowth.profiles import ProfileRangeError, RadialProfile
 from discgrowth.riesz import ZeroCloud
+from discgrowth.scaffold import Generation, GenerationSeed, ScaffoldParams
 
 
 def power_majorant_bound(b: float, s: float, k: int, g: float) -> float:
@@ -102,7 +106,10 @@ def summed_log_ratio_r(g_hi: float, g_lo: float) -> float:
         if r_lo == 0.0:
             return summed_log_r_from_g(g_hi) - summed_log_r_from_g(g_lo)
         diff = math.exp(-g_lo) * (-math.expm1(-dg))
-        return math.log1p(diff / r_lo)
+        ratio = diff / r_lo
+        if ratio == math.inf:  # r_lo subnormal, as in the library
+            return math.log(diff) - math.log(r_lo)
+        return math.log1p(ratio)
     q = math.exp(-g_lo)
     qk = q
     acc = 0.0
@@ -198,7 +205,11 @@ def summed_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
         raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo}")
     dg = g_hi - g_lo
     if g_lo <= 1.0:
-        return np.log1p(math.exp(-g_lo) * (-np.expm1(-dg)) / -math.expm1(-g_lo))
+        r_lo = -math.expm1(-g_lo)
+        diff = math.exp(-g_lo) * (-np.expm1(-dg))
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = diff / r_lo  # inf only for a subnormal r_lo, as in the library
+            return np.where(ratio == math.inf, np.log(diff) - math.log(r_lo), np.log1p(ratio))
     q = math.exp(-g_lo)
     qk = q
     acc = np.zeros_like(dg)
@@ -408,3 +419,89 @@ def masked_sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
     ends = np.searchsorted(ext, angles + 2.0 * width, "right")
     csum = np.concatenate([[0.0], np.cumsum(np.tile(cloud.mult[sel][order], 2))])
     return int(np.max(csum[ends] - csum[: len(angles)]))
+
+
+# ---------------------------------------------------------------------------
+# The sums of the growth_orders path as they were before they skipped the
+# work that cannot change their numbers: every majorant piece and every
+# series term summed, the closure through LogValue objects, one draw per
+# angle, and the array phi in the log domain on every branch.
+
+
+def summed_coefficient_integral_log_bound(log_m, k: int, g: float, step: float = 0.01) -> float:
+    """log k int_0^r M(t,A)^(1/k) dt over every midpoint of linspace(0, g, n+1)."""
+    n = max(2, int(math.ceil(g / step)))
+    edges = np.linspace(0.0, g, n + 1)
+    lo, hi = edges[:-1], edges[1:]
+    log_dr = -lo + np.log(-np.expm1(-(hi - lo)))  # log(e^-lo - e^-hi)
+    pieces = np.asarray(log_m(0.5 * (lo + hi)), dtype=float) / k + log_dr
+    m = float(np.max(pieces))
+    return math.log(k) + m + math.log(float(np.sum(np.exp(pieces - m))))
+
+
+def summed_log_abs_sum(series, g: LogGap | float) -> float:
+    """log sum |f_m| r^m over every nonzero coefficient of a SolutionSeries."""
+    t = log_r_from_g(as_g(g)) - series.log_rho
+    if not series._live.size:
+        return -math.inf
+    vals = series._live * t
+    vals += series._live_log
+    m = float(np.max(vals))
+    vals -= m
+    return m + math.log(float(np.sum(np.exp(vals, out=vals))))
+
+
+def lse_closure_residuals(r: LogGap, seed: GenerationSeed, params: ScaffoldParams) -> tuple[float, float]:
+    """(gL, gR) of the closure equation, gL's prefactor through lse_sum."""
+    p1 = params.p1
+    log_c = params.log_c
+    g = r.g
+    log_r = log_r_from_g(g)
+    w = g + log_c
+
+    # bracketed prefactor of gL, assembled in the log domain
+    log_m_span = seed.log_M + gap_diff_log(seed.r_hat.g, seed.r_star.g)
+    pre = lse_sum(
+        [
+            LogValue.pos(seed.log_R),
+            LogValue.pos(log_m_span),
+            LogValue.neg(math.log(p1) + log_r + seed.r_prime.g),
+        ]
+    )
+    g_l = pre.sign * math.exp(pre.logmag - g - log_r + math.log(w))
+
+    mass = seed.mass_term(g, log_c, seed.r_star.g)
+    g_r = seed.slope_term(g) + mass - seed.compensation(g, p1)
+    return g_l, g_r
+
+
+def scalar_angles_off_arcs(rng: np.random.Generator, arcs: list[tuple[float, float]], n: int) -> list[float]:
+    """Up to n angles off the closed arcs, from at most 50 n draws of rng.uniform(0, 2 pi)."""
+    out = []
+    for _ in range(50 * n):
+        if len(out) == n:
+            break
+        t = float(rng.uniform(0.0, 2.0 * math.pi))
+        if not any(lo <= t <= hi for lo, hi in arcs):
+            out.append(t)
+    return out
+
+
+def log_domain_phi_array(prof: RadialProfile, g: np.ndarray, gen: Generation, b: int) -> np.ndarray:
+    """phi on one branch through the log-domain array series on every branch."""
+    p1, p2, log_c = prof.params.p1, prof.params.p2, prof.params.log_c
+    eps = gen.eps_n
+    if b == 1:
+        return (p2 + eps) * (g + log_c)
+    q1 = np.exp(gen.log_R + log_log_ratio_r_array(g, gen.r_n.g))
+    if b == 2:
+        return (p2 + eps) * (gen.r_n.g + log_c) + q1
+    s = g - gen.r_prime.g
+    if b == 3:
+        return p1 * (gen.r_prime.g + log_c) + q1 + p1 * (s - (-np.expm1(-s)))
+    if b == 4:
+        upper, span = g, None
+    else:
+        upper, span = gen.r_star.g, gen.star_span(log_c)
+    mass = np.exp(gen.log_M + log_int_log_ratio_array(g, gen.r_hat.g, upper, span_ba=span))
+    return p1 * (g + log_c) + q1 - p1 * (-np.expm1(-s)) + mass

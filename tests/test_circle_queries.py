@@ -199,7 +199,7 @@ class TestReportsPinned:
     def test_certificate_with_zeros(self, clouds):
         # the circle at g = 2 is excluded whole, so its sampler gives up
         # after 50 x 64 draws
-        spec = L.ClosedFormSpec(lambda g, t: 2.0 * g + math.cos(t), lam=2.0, sigma=3.0, zeros=clouds["small"])
+        spec = L.ClosedFormSpec(lambda g, t: 2.0 * g + np.cos(t), lam=2.0, sigma=3.0, zeros=clouds["small"])
         ws = L.RadialWindowSet(((2.0, 3.0), (5.0, 6.0)))
         rpt = L.logderiv_certificate(spec, 1, 0, eps=0.1, windows=ws, radii_per_window=4)
         assert repr(rpt) == (
@@ -222,11 +222,51 @@ class TestOffArcSampler:
                 want.append(t)
         assert R.angles_off_arcs(np.random.default_rng(2), arcs, 10) == want
 
+    @pytest.mark.parametrize("name", ["small", "wide"])
+    def test_bit_equal_to_the_scalar_loop_on_cloud_arcs(self, clouds, name):
+        # the arcs the certificate and the approximation report exclude, the
+        # same angles and the same generator state afterwards
+        cloud = clouds[name]
+        circles = np.unique(cloud.g)[[0, 5, -1]].tolist() + [2.0, 3.5]
+        for g in circles:
+            for eps, n in ((0.05, 64), (0.5, 16), (3.0, 8)):
+                arcs = R.excluded_arcs(cloud, g, eps)
+                rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+                assert R.angles_off_arcs(rng, arcs, n) == oracles.scalar_angles_off_arcs(ref, arcs, n)
+                assert rng.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_bit_equal_to_the_scalar_loop_up_to_the_cap(self, n):
+        # 1.3% of the circle is free: about 0.66 angles per 50 draws, so most
+        # runs end at the cap of 50 n draws with fewer than n angles
+        arcs = [(0.0, 3.0), (2.5, 6.2)]
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        got = R.angles_off_arcs(rng, arcs, n)
+        assert got == oracles.scalar_angles_off_arcs(ref, arcs, n)
+        assert rng.uniform() == ref.uniform()
+        assert n == 1 or len(got) < n
+
     def test_gives_up_after_fifty_draws_per_angle(self):
         rng = np.random.default_rng(2)
         assert R.angles_off_arcs(rng, [(0.0, 2.0 * math.pi)], 3) == []
         assert rng.uniform() == np.random.default_rng(2).uniform(size=151)[-1]
         assert R.angles_off_arcs(rng, [], 0) == []
+
+
+class TestOriginCircle:
+    """The circle g = 0 is the origin: every angle lies within eps of an
+    atom with |zeta| <= eps, and none otherwise."""
+
+    cloud = _hand_built([0.3, 2.0], [1.0, 4.0])
+
+    def test_whole_circle_within_eps(self):
+        # |zeta| = 1 - e^-0.3 = 0.259
+        assert R.excluded_arcs(self.cloud, 0.0, 0.3) == [(0.0, 2.0 * math.pi)]
+        assert R.excluded_measure(self.cloud, 0.0, 0.3) == 2.0 * math.pi
+
+    def test_empty_beyond_eps(self):
+        assert R.excluded_arcs(self.cloud, 0.0, 0.25) == []
+        assert R.excluded_arcs(_hand_built([], []), 0.0, 0.3) == []
 
 
 class TestRejectsBadCircles:

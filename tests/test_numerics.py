@@ -147,6 +147,37 @@ class TestIntLogRatio:
         assert (log_ratio_r(0.0, 0.0), log_ratio_r(1.0, 0.0)) == (0.0, math.inf)
 
 
+class TestSubnormalLowerGap:
+    """log(r_hi/r_lo) for a subnormal g_lo, where r_lo ~ g_lo and the gap
+    difference over r_lo overflows, against mpmath."""
+
+    @pytest.mark.parametrize("g_lo", [5e-324, 1e-320, 1e-300])
+    def test_against_mpmath(self, g_lo):
+        mp = pytest.importorskip("mpmath")
+        g_his = [3.0, 0.5, 40.0]
+        with mp.workdps(40):
+            r = lambda g: -mp.expm1(-mp.mpf(g))
+            want = [float(mp.log(r(g) / r(g_lo))) for g in g_his]
+            # int_0^b log(r/t) dt = b (1 + log(r/b)) with b = r(g_lo)
+            want_int = float(mp.log(r(g_lo) * (1 + mp.log(r(3.0) / r(g_lo)))))
+        for g, w in zip(g_his, want):
+            assert log_ratio_r(g, g_lo) == pytest.approx(w, rel=1e-15)
+        assert log_ratio_r_array(np.array(g_his + [g_lo]), g_lo) == pytest.approx(want + [0.0], rel=1e-15)
+        assert log_log_ratio_r(3.0, g_lo) == pytest.approx(math.log(want[0]), rel=1e-15)
+        assert log_int_log_ratio(3.0, 0.0, g_lo) == pytest.approx(want_int, rel=1e-15)
+        assert log_int_log_ratio_array(np.array([3.0]), 0.0, g_lo)[0] == pytest.approx(want_int, rel=1e-15)
+
+    @pytest.mark.parametrize("g_lo", [1e-300, 1e-200, 1e-20, 0.3, 1.0])
+    def test_bits_kept_from_1e_300_on(self, g_lo):
+        # the closed form log1p((e^-g_lo (1 - e^-dg)) / r_lo), as before
+        g_his = np.array([g_lo, g_lo * 1.5, 0.5 + g_lo, 3.0, 40.0])
+        want = [math.log1p(math.exp(-g_lo) * (-math.expm1(-(g - g_lo))) / -math.expm1(-g_lo))
+                for g in g_his.tolist()]
+        assert [log_ratio_r(g, g_lo) for g in g_his.tolist()] == want
+        assert _same_bits(log_ratio_r_array(g_his, g_lo),
+                          np.log1p(math.exp(-g_lo) * (-np.expm1(-(g_his - g_lo))) / -math.expm1(-g_lo)))
+
+
 class TestArrayForms:
     # the scalar functions are the reference; only summation order differs
     def test_log_r_from_g_array(self):

@@ -5,10 +5,15 @@ import math
 import warnings
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discgrowth import ode as O
 from discgrowth.numerics import LogGap, LogValue, log_r_from_g
+from discgrowth.profiles import RadialProfile
+from discgrowth.scaffold import ScaffoldParams, build_scaffold
 from oracles import power_majorant_bound
 
 
@@ -283,6 +288,138 @@ class TestGrowthMajorant:
         for g in np.linspace(0.3, 6.0, 30):
             bound = power_majorant_bound(1.0, 2.0, 1, float(g))
             assert exp_solution.log_abs_sum(float(g)) <= bound * (1.0 + 1e-12) + 1e-9
+
+
+def _within_2ulp(got: float, want: float) -> bool:
+    return abs(got - want) <= 2.0 * math.ulp(want)
+
+
+class _Counted:
+    """A log M that records how many g's each call asks for."""
+
+    def __init__(self, log_m):
+        self.log_m, self.sizes = log_m, []
+
+    def __call__(self, gs):
+        self.sizes.append(len(gs))
+        return self.log_m(gs)
+
+
+@pytest.fixture(scope="module")
+def majorant_profiles(ref_scaffold, ref_params):
+    """phi of the reference scaffold, of eight generations of it (e^-g
+    underflows from generation 6 on) and of the (3,4,4) study scaffold."""
+    study = build_scaffold(ScaffoldParams.with_defaults(k=1, p1=3.0, p2=4.0, p=4.0), 5)
+    return {
+        "ref": RadialProfile(ref_scaffold),
+        "deep": RadialProfile(build_scaffold(ref_params, 8)),
+        "study": RadialProfile(study),
+    }
+
+
+class TestWindowedMajorant:
+    """coefficient_integral_log_bound sums only the blocks of pieces that can
+    change its value; the sum over every piece (``oracles``) agrees within
+    2 ulp, given the same log M."""
+
+    @pytest.mark.parametrize("name", ["ref", "deep", "study"])
+    @pytest.mark.parametrize("step", [0.01, 0.02])
+    def test_profiles_match_every_piece(self, majorant_profiles, name, step):
+        prof = majorant_profiles[name]
+        for g in np.linspace(1.0, prof.g_end - 1.0, 12).tolist():
+            want = oracles.summed_coefficient_integral_log_bound(prof.phi, 1, g, step=step)
+            assert _within_2ulp(O.coefficient_integral_log_bound(prof.phi, 1, g, step=step), want)
+
+    def test_only_the_top_of_the_integrand_is_evaluated(self, majorant_profiles):
+        # near its end the study profile's integrand spans hundreds in log M:
+        # one sample per 256 pieces, then the kept blocks
+        prof = majorant_profiles["study"]
+        g = prof.g_end - 1.0
+        log_m = _Counted(prof.phi)
+        O.coefficient_integral_log_bound(log_m, 1, g, step=0.02)
+        n = math.ceil(g / 0.02)
+        assert log_m.sizes[0] == math.ceil(n / 256)
+        assert log_m.sizes[1] < n / 5
+
+    @pytest.mark.parametrize("g", [0.5, 3.0, 6.0, 20.0])
+    @pytest.mark.parametrize("b,s,k", [
+        (1.0, 0.5, 1), (3.0, 3.0, 4),  # e < 1
+        (1.0, 2.0, 2),  # e = 1
+        (1.0, 6.0, 2), (2.0, 4.0, 1), (1.0, 9.0, 3),  # e > 2
+    ])
+    def test_closed_form_majorants_match_every_piece(self, b, s, k, g):
+        log_m = _Counted(lambda gs: math.log(b) + s * gs)
+        got = O.coefficient_integral_log_bound(log_m, k, g, step=0.01)
+        want = oracles.summed_coefficient_integral_log_bound(log_m, k, g, step=0.01)
+        assert _within_2ulp(got, want)
+        if s / k <= 1.0:  # the integrand does not grow: every block is summed
+            assert log_m.sizes[1] == max(2, math.ceil(g / 0.01))
+
+    @pytest.mark.parametrize("g", [0.3, 5.0, 20.0])
+    def test_constant_majorant_sums_every_block(self, g):
+        log_m = _Counted(lambda gs: np.full(len(gs), math.log(7.0)))
+        got = O.coefficient_integral_log_bound(log_m, 2, g, step=0.01)
+        assert _within_2ulp(got, oracles.summed_coefficient_integral_log_bound(log_m, 2, g, step=0.01))
+        assert log_m.sizes[1] == max(2, math.ceil(g / 0.01))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=0.05, max_value=360.0), st.sampled_from([0.01, 0.02, 0.05]))
+    def test_sweep_over_g(self, majorant_profiles, g, step):
+        prof = majorant_profiles["study"]
+        want = oracles.summed_coefficient_integral_log_bound(prof.phi, 1, g, step=step)
+        assert _within_2ulp(O.coefficient_integral_log_bound(prof.phi, 1, g, step=step), want)
+
+    def test_decreasing_log_m_raises(self):
+        with pytest.raises(O.OdeError, match="nondecreasing"):
+            O.coefficient_integral_log_bound(lambda gs: -gs, 1, 10.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(min_value=5e-324, max_value=1e-300), st.floats(min_value=1e-300, max_value=1e4)),
+           st.integers(min_value=2, max_value=3000))
+    def test_edges_are_linspace(self, g, n):
+        want = np.linspace(0.0, g, n + 1)
+        assert O._edges(g, n, np.arange(n + 1)).tobytes() == want.tobytes()
+        picks = np.array([0, n // 3, n - 1, n])
+        assert O._edges(g, n, picks).tobytes() == want[picks].tobytes()
+
+
+class TestWindowedLogAbsSum:
+    """SolutionSeries.log_abs_sum sums only the blocks of coefficients that
+    can change its value; the sum over every coefficient (``oracles``)
+    agrees within 2 ulp."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [-1.0, -0.5, -2.0])
+    def test_pole_series(self, p, scale):
+        degree = 6000
+        sol = O.taylor_solve(O.pole_coeffs(p, degree, scale=scale), 1, [LogValue.from_float(1.0)], degree)
+        for g in np.linspace(0.3, 2.6, 24).tolist():
+            assert _within_2ulp(sol.log_abs_sum(g), oracles.summed_log_abs_sum(sol, g))
+
+    def test_growing_terms_and_zero_coefficients(self):
+        # rho = 0.5 below r: t = log r - log rho > 0; every other coefficient is 0
+        sol = O.taylor_solve(O.DenseCoeffs.from_floats([1.0]), 2,
+                             [LogValue.from_float(1.0), LogValue.zero()], 3000, rho=0.5)
+        assert np.count_nonzero(sol.sign == 0.0) > 1000
+        for g in (0.2, 0.69, 1.0, 3.0):
+            assert _within_2ulp(sol.log_abs_sum(g), oracles.summed_log_abs_sum(sol, g))
+
+    def test_only_the_top_terms_are_summed(self, monkeypatch):
+        kept = []
+        real = O._kept_range
+
+        def spy(upper, lower):
+            a, b = real(upper, lower)
+            kept.append((b - a, len(upper)))
+            return a, b
+
+        sol = O.taylor_solve(O.pole_coeffs(3, 18000, scale=-1.0), 1, [LogValue.from_float(1.0)], 18000)
+        monkeypatch.setattr(O, "_kept_range", spy)
+        for g in (0.8, 1.4, 1.95):
+            assert _within_2ulp(sol.log_abs_sum(g), oracles.summed_log_abs_sum(sol, g))
+        # 18001 coefficients in 282 blocks, of which a window is summed
+        assert [n for _, n in kept] == [math.ceil(18001 / 64)] * 3
+        assert sum(k for k, _ in kept) < 3 * 282 / 4
 
 
 class TestPredictors:

@@ -11,7 +11,7 @@ from discgrowth import ode as O
 from discgrowth.numerics import LogGap
 from discgrowth.profiles import ProfileRangeError, RadialProfile, branch_samples
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
-from oracles import laplacian_fd
+from oracles import laplacian_fd, log_domain_phi_array
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,50 @@ class TestArrayPhi:
         want = math.log(k) + m + math.log(sum(math.exp(x - m) for x in pieces))
         got = O.coefficient_integral_log_bound(ref_profile.phi, k, g, step=step)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def _branch_points(prof: RadialProfile, per_branch: int = 40):
+    """(generation, branch, g's) of every branch: its start, interior points
+    and the double below its end."""
+    ends = list(prof._starts[1:]) + [prof.g_end]
+    for (g_lo, i, b), g_hi in zip(prof._bounds, ends):
+        if g_hi > g_lo:
+            gs = np.append(np.linspace(g_lo, g_hi, per_branch, endpoint=False), math.nextafter(g_hi, 0.0))
+            yield prof.scaffold.generations[i], b, gs
+
+
+class TestLeadOnlyBranches:
+    """Past e^-g_n <= 2^-56 every series of a generation's branches is its
+    first term, and the array phi takes those first terms in closed form;
+    elsewhere it keeps the log-domain series of ``oracles`` bit for bit."""
+
+    @pytest.mark.parametrize("fixture", ["small", "wide"])
+    def test_other_branches_keep_their_bits(self, fixture, small_scaffold, wide_scaffold):
+        prof = RadialProfile(small_scaffold if fixture == "small" else wide_scaffold)
+        assert not any(t.lead for t in prof._terms)
+        for gen, b, gs in _branch_points(prof):
+            assert prof.phi(gs).tobytes() == log_domain_phi_array(prof, gs, gen, b).tobytes()
+
+    @pytest.mark.parametrize("triple,generations,tol", [
+        ((2.0, 3.0, 3.0), 4, 1e-13), ((3.0, 4.0, 4.0), 5, 1e-13),  # the benchmark's studies
+        ((2.0, 3.0, 3.0), 8, 1e-12),  # e^-g underflows from generation 6 on
+    ])
+    def test_lead_only_branches_near_the_log_domain_series(self, triple, generations, tol):
+        # the log-domain sums carry a few ulp of g_hat in the exponent of the
+        # mass term, so at depth they differ from the closed form by more
+        prof = RadialProfile(build_scaffold(ScaffoldParams.with_defaults(k=1, p1=triple[0], p2=triple[1], p=triple[2]),
+                                            generations))
+        assert all(t.lead for t in prof._terms)
+        worst = 0.0
+        for gen, b, gs in _branch_points(prof):
+            want = log_domain_phi_array(prof, gs, gen, b)
+            got = prof.phi(gs)
+            if b == 1:
+                assert got.tobytes() == want.tobytes()
+            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+            scalar = np.array([prof.phi(float(g)) for g in gs])
+            assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-12
+        assert worst <= tol
 
 
 class TestJunctions:

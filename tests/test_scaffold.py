@@ -6,12 +6,14 @@ import math
 import time
 
 import numpy as np
+import oracles
 import pytest
 
 from discgrowth.numerics import LogGap
 from discgrowth.scaffold import (
     ConstructionError,
     ScaffoldParams,
+    _closure_evaluator,
     build_scaffold,
     closure_residuals,
     derive_intermediates,
@@ -133,6 +135,36 @@ class TestClosure:
                 a = m
         oracle_g = seed.r_hat.g + 0.5 * (a + b)
         assert r_dp.g == pytest.approx(oracle_g, rel=1e-10)
+
+
+# the (p1, p2, p) triples of the benchmark's construction grid
+_CONSTRUCT_TRIPLES = (
+    (2.0, 3.0, 3.0), (2.0, 4.0, 4.0), (1.5, 3.0, 3.0), (3.0, 4.0, 4.0),
+    (2.5, 3.0, 3.0), (3.5, 4.0, 4.0), (4.0, 5.0, 5.0), (2.0, 2.5, 2.5),
+)
+
+
+class TestClosureEvaluator:
+    """The per-seed closure evaluator gives the bits of the closure built
+    through LogValue objects and lse_sum (``oracles``)."""
+
+    @pytest.mark.parametrize("triple", _CONSTRUCT_TRIPLES)
+    def test_bit_equal_to_the_log_value_closure(self, triple):
+        params = ScaffoldParams.with_defaults(k=1, p1=triple[0], p2=triple[1], p=triple[2])
+        scaffold = build_scaffold(params, 5)
+        params = scaffold.params  # after any retry
+        for gen in scaffold.generations:
+            seed = seed_generation(gen.index, gen.r_n, gen.eps_n, params)
+            evaluate = _closure_evaluator(seed, params)
+            # across the root bracket, the root itself and just past r*
+            u_hat = seed.r_hat.g + params.log_c
+            s_lo = seed.star_span(params.log_c)
+            s_hi = 2.0 * math.log(u_hat) - math.log(params.b)
+            gs = (seed.r_hat.g + np.linspace(s_lo, s_hi, 5)).tolist() + [gen.r_dprime.g]
+            for g in gs:
+                want = oracles.lse_closure_residuals(LogGap(g), seed, params)
+                assert evaluate(g) == want
+                assert closure_residuals(LogGap(g), seed, params) == want
 
 
 class TestBuild:
