@@ -30,16 +30,9 @@ from . import logderiv as L
 from . import ode as O
 from . import riesz as R
 from . import wiman as W
-from .numerics import (
-    BracketError,
-    LogValue,
-    NumericsError,
-    QuadratureError,
-    RootConvergenceError,
-    SeriesCapError,
-)
+from .numerics import LogValue, NumericalFailure, NumericsError
 from .profiles import RadialProfile, branch_samples
-from .scaffold import RetriesExhaustedError, ScaffoldParams, build_scaffold, scaffold_from_json_dict
+from .scaffold import ScaffoldParams, build_scaffold, scaffold_from_json_dict
 from .serialize import dumps17, read_records, write_records
 
 
@@ -106,9 +99,15 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _require(args, command: str, *dests: str) -> None:
+    """Bad input unless every flag named in ``dests`` has a value."""
+    missing = [f"--{d}" for d in dests if getattr(args, d) is None]
+    if missing:
+        raise CliValidationError(f"{command} needs {', '.join(missing)} (flags or config)")
+
+
 def _cmd_scaffold(args) -> list[Output]:
-    if args.p1 is None or args.p2 is None:
-        raise CliValidationError("scaffold needs --p1 and --p2 (flags or config)")
+    _require(args, "scaffold", "p1", "p2")
     params = ScaffoldParams.with_defaults(
         k=args.k, p1=args.p1, p2=args.p2, p=args.p,
         eta_offset=args.eta_offset,
@@ -193,9 +192,8 @@ def _cmd_series(args) -> list[Output]:
 
 
 def _cmd_logderiv(args) -> list[Output]:
-    g_seq = [float(x) for x in args.g_n.split(",")]
     if args.action == "windows":
-        ws = L.loworder_windows(args.lam, args.eta, g_seq)
+        ws = L.loworder_windows(args.lam, args.eta, args.g_n)
         dens = L.upper_density(ws)
         recs = [
             {
@@ -209,7 +207,7 @@ def _cmd_logderiv(args) -> list[Output]:
         return [(args.out, recs)]
     if args.action == "certificate":
         spec = L.exp_inverse_power_spec(args.power)
-        ws = L.loworder_windows(spec.lam, args.eta, g_seq)
+        ws = L.loworder_windows(spec.lam, args.eta, args.g_n)
         rpt = L.logderiv_certificate(spec, args.k, args.j, args.eps, ws)
         recs = [
             {
@@ -227,11 +225,13 @@ def _cmd_logderiv(args) -> list[Output]:
 
 def _cmd_ode(args) -> list[Output]:
     if args.action == "predict":
+        _require(args, "ode predict", "p1", "p2", "p")
         sigma, lam, alpha = O.predict_orders(args.p1, args.p2, args.k, args.p)
         rec = {"kind": "prediction", "sigma": sigma, "lambda": lam, "alpha": alpha,
                "k": args.k, "p1": args.p1, "p2": args.p2, "p": args.p}
         return [(args.out or "-", [rec])]
     if args.action == "exponents":
+        _require(args, "ode exponents", "p1", "p2")
         xi, beta, res = O.quadratic_growth_exponents(args.k, args.p1, args.p2, args.eps)
         rec = {"kind": "xi-beta", "xi": xi, "beta": beta, "identity_residual": res}
         chk = _check("growth-exponent-identity-residual", res, 1e-12, res <= 1e-12)
@@ -341,6 +341,14 @@ def _estimate_grid(text: str) -> tuple[float, float, int]:
     return g_lo, g_hi, n
 
 
+def _g_sequence(text: str) -> list[float]:
+    """``g_1,g_2,...`` of ``logderiv --g-n``: comma-separated floats."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+
+
 @contextlib.contextmanager
 def _config_defaults(parser: argparse.ArgumentParser, section: str, config_path: str):
     """Install INI-section values as subparser defaults (flags still win)
@@ -426,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["windows", "certificate"])
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--g-n", dest="g_n", default="2,4,8,16,32")
+    p.add_argument("--g-n", dest="g_n", type=_g_sequence, default="2,4,8,16,32")
     p.add_argument("--power", type=float, default=2.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--j", type=int, default=0)
@@ -510,8 +518,7 @@ def main(argv=None) -> int:
 
 def _is_validation(err: Exception) -> bool:
     """Bad input (exit 2) as opposed to a numerical or unforeseen failure (3)."""
-    if isinstance(err, (BracketError, O.OdeOverflowError, QuadratureError,
-                        RetriesExhaustedError, RootConvergenceError, SeriesCapError)):
+    if isinstance(err, NumericalFailure):
         return False
     return isinstance(err, (CliValidationError, NumericsError, OSError))
 

@@ -49,10 +49,15 @@ SERIES_CAP = 1000
 
 
 class NumericsError(ValueError):
-    """Base class for numeric failures in this package."""
+    """Base class of this package's errors: bad input, unless it is also a
+    NumericalFailure."""
 
 
-class BracketError(NumericsError):
+class NumericalFailure(NumericsError):
+    """Valid input on which the numerics failed (the command line's exit 3)."""
+
+
+class BracketError(NumericalFailure):
     """No sign change over the supplied bracket."""
 
     def __init__(self, msg, lo, hi, f_lo, f_hi):
@@ -60,7 +65,7 @@ class BracketError(NumericsError):
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
 
 
-class RootConvergenceError(NumericsError):
+class RootConvergenceError(NumericalFailure):
     """Root iteration ran out of iterations; carries the last bracket."""
 
     def __init__(self, msg, lo, hi, f_lo, f_hi):
@@ -68,14 +73,14 @@ class RootConvergenceError(NumericsError):
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
 
 
-class SeriesCapError(NumericsError):
+class SeriesCapError(NumericalFailure):
     """A log-gap series ran SERIES_CAP terms without converging."""
 
     def __init__(self, name):
         super().__init__(f"{name}: series did not converge in {SERIES_CAP} terms")
 
 
-class QuadratureError(NumericsError):
+class QuadratureError(NumericalFailure):
     """Adaptive refinement did not converge; carries the last two estimates."""
 
     def __init__(self, msg, previous, last):
@@ -311,7 +316,8 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
 
 # ---------------------------------------------------------------------------
 # array forms of the log-gap series, elementwise on float ndarrays; the
-# scalar functions above are their reference
+# scalar functions above are their reference.  Each checks its own inputs
+# and raises NumericsError.
 
 
 def _check_cap(k: int, name: str) -> None:
@@ -325,11 +331,6 @@ def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if not np.all(g >= 0.0):
         raise NumericsError("log_r_from_g_array needs every g >= 0 (no NaN)")
-    return _log_r_from_g_array(g)
-
-
-def _log_r_from_g_array(g: np.ndarray) -> np.ndarray:
-    # the unchecked body of log_r_from_g_array
     out = np.empty_like(g)
     near = g <= 1.0
     with np.errstate(divide="ignore"):
@@ -356,11 +357,6 @@ def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     g_hi = np.asarray(g_hi, dtype=float)
     if not np.all(g_hi >= g_lo):  # also NaN
         raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
-    return _log_ratio_r_array(g_hi, g_lo)
-
-
-def _log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
-    # the unchecked body of log_ratio_r_array
     dg = g_hi - g_lo
     if g_lo == 0.0:  # r_lo = 0: log(r_hi/0) = inf, and 0 at g_hi = 0
         return np.where(dg == 0.0, 0.0, math.inf)
@@ -394,15 +390,10 @@ def log_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
     g_hi = np.asarray(g_hi, dtype=float)
     if not np.all(g_hi >= g_lo):  # also NaN
         raise NumericsError(f"log_log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
-    return _log_log_ratio_r_array(g_hi, g_lo)
-
-
-def _log_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
-    # the unchecked body of log_log_ratio_r_array
     with np.errstate(divide="ignore"):
         if g_lo > LEAD_ONLY_G:
             return -g_lo + np.log(-np.expm1(-(g_hi - g_lo)))
-        return np.log(_log_ratio_r_array(g_hi, g_lo))
+        return np.log(log_ratio_r_array(g_hi, g_lo))
 
 
 def log_int_log_ratio_array(
@@ -415,20 +406,13 @@ def log_int_log_ratio_array(
     g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
     if not np.all((g_a <= g_b) & (g_b <= g_r)):  # also NaN
         raise NumericsError("log_int_log_ratio_array needs g_a <= g_b <= g_r")
-    return _log_int_log_ratio_array(g_r, g_a, g_b, span_ba)
-
-
-def _log_int_log_ratio_array(
-    g_r: np.ndarray, g_a: float, g_b: np.ndarray, span_ba: float | None
-) -> np.ndarray:
-    # the unchecked body of log_int_log_ratio_array, g_b shaped like g_r
     out = np.full(g_r.shape, NEG_INF)
     sel = g_b > g_a
     gr, gb = g_r[sel], g_b[sel]
     if g_a == 0.0:  # the scalar closed form from t = 0, element by element
         out[sel] = [log_int_log_ratio(r, 0.0, b) for r, b in zip(gr.tolist(), gb.tolist())]
         return out
-    log_r = _log_r_from_g_array(gr)
+    log_r = log_r_from_g_array(gr)
     with np.errstate(divide="ignore"):
         # log w = gap_diff_log(g_t, g_r) - log r; w_b = 0 where g_b == g_r
         log_gap_a = np.log(-np.expm1(-(gr - g_a)))
@@ -524,9 +508,6 @@ class LogValue:
     def __neg__(self) -> "LogValue":
         return LogValue(-self.sign, self.logmag, self.cancelled)
 
-    def __abs__(self) -> "LogValue":
-        return LogValue(abs(self.sign), self.logmag, self.cancelled)
-
     def __mul__(self, other: "LogValue") -> "LogValue":
         s = self.sign * other.sign
         if s == 0:
@@ -545,15 +526,6 @@ class LogValue:
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return lse_sum((self, -other))
-
-    def _cmp_key(self):
-        return (self.sign, self.sign * self.logmag if self.sign != 0 else 0.0)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self._cmp_key() <= other._cmp_key()
 
 
 def lse_sum(terms: Iterable[LogValue]) -> LogValue:

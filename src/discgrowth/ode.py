@@ -22,14 +22,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._accel import taylor_recursion
-from .numerics import LogGap, LogValue, NumericsError, as_g, integrate, log_r_from_g
+from .numerics import LogGap, LogValue, NumericalFailure, NumericsError, as_g, integrate, log_r_from_g
 
 
 class OdeError(NumericsError):
     pass
 
 
-class OdeOverflowError(OdeError):
+class OdeOverflowError(OdeError, NumericalFailure):
     """The scaled recursion overflowed: a numerical failure, not bad input."""
 
 
@@ -68,6 +68,8 @@ def pole_coeffs(p: int, degree: int, scale: float = 1.0) -> DenseCoeffs:
     sum of log1p(p/i) over i <= j."""
     if p < 1:
         raise OdeError(f"pole order must be >= 1, got {p}")
+    if degree < 0:
+        raise OdeError(f"degree must be >= 0, got {degree}")
     if not (math.isfinite(scale) and scale != 0.0):
         raise OdeError(f"scale must be finite and nonzero, got {scale}")
     logs = np.arange(degree + 1, dtype=float)

@@ -20,8 +20,9 @@ phi on an ndarray sorts the g's once and evaluates each branch on its slice,
 with each generation's constants computed once per profile.  In a
 generation with e^-g_n <= 2^-56 every series is its first term, and the
 array forms are closed (``_Terms``): within ~1e-13 of the log-domain series
-that the scalar phi and the other generations sum.  The range check runs
-once per call, not once per branch helper.
+that the scalar phi and the other generations sum.  phi checks its range
+once per call, on the two ends of the sorted g's; the numerics array forms
+that the other generations call check their own inputs.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .numerics import (
     LogGap,
     LogValue,
     NumericsError,
-    _log_int_log_ratio_array,
-    _log_log_ratio_r_array,
     as_g,
     gap_diff_log,
+    log_int_log_ratio_array,
+    log_log_ratio_r_array,
     log_r_from_g,
     lse_sum,
 )
@@ -211,11 +212,11 @@ class RadialProfile:
                     gap_b = np.expm1(gen.r_star.g - g)
                     mass = terms.mass * ((gap_a - terms.x * gap_b) * (gap_a + terms.y * gap_b))
         else:
-            q1 = np.exp(gen.log_R + _log_log_ratio_r_array(g, gen.r_n.g))
+            q1 = np.exp(gen.log_R + log_log_ratio_r_array(g, gen.r_n.g))
             if b >= 4:
-                upper = g if b == 4 else np.full(g.shape, gen.r_star.g)
+                upper = g if b == 4 else gen.r_star.g
                 span = None if b == 4 else terms.span
-                mass = np.exp(gen.log_M + _log_int_log_ratio_array(g, gen.r_hat.g, upper, span))
+                mass = np.exp(gen.log_M + log_int_log_ratio_array(g, gen.r_hat.g, upper, span))
         if b == 2:
             return terms.base2 + q1
         p1 = self.params.p1
@@ -324,8 +325,10 @@ class RadialProfile:
 
 
 def branch_samples(profile: RadialProfile, per_branch: int, margin: float = 0.01) -> list[float]:
-    """Interior sample points per branch, away from junctions by a fraction
-    of the branch width."""
+    """Interior sample points per branch (``per_branch`` >= 1), away from
+    junctions by a fraction of the branch width."""
+    if per_branch < 1:
+        raise NumericsError(f"per_branch must be >= 1, got {per_branch}")
     out = []
     bounds = profile._bounds
     for j, (g_lo, i, b) in enumerate(bounds):

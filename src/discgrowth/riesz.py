@@ -154,9 +154,11 @@ class CellColumns(Sequence):
 
 @dataclass
 class PartitionResult:
+    """The cells of one partition and, per region, whether g_max or the
+    ceiling cut it short; the generation is ``cells.rings.generation``."""
+
     cells: CellColumns
     truncated: dict[str, bool]
-    generation: int
 
     @property
     def total_mass(self) -> float:
@@ -321,12 +323,14 @@ def partition_region(
     ceiling: int = 200_000,
 ) -> PartitionResult:
     """All mass-2 cells of one generation up to a finite g_max, per
-    sub-annulus."""
+    sub-annulus; the cell ``ceiling`` must be >= 1."""
     sc = profile.scaffold
     if not 1 <= generation <= len(sc.generations):
         raise PartitionError(f"generation {generation} not constructed")
     if not math.isfinite(g_max):
         raise PartitionError(f"g_max must be finite, got {g_max}")
+    if ceiling < 1:
+        raise PartitionError(f"ceiling must be >= 1, got {ceiling}")
     i = generation - 1
     gen = sc.generations[i]
     rings: list[tuple] = []
@@ -368,7 +372,7 @@ def partition_region(
         *(np.concatenate([np.empty(0), *col]) for col in (theta_lo, theta_hi, mass)),
         np.concatenate([np.empty(0, dtype=np.int8), *kind]), table,
     )
-    return PartitionResult(cells=cells, truncated=truncated, generation=generation)
+    return PartitionResult(cells=cells, truncated=truncated)
 
 
 # -- atomization -------------------------------------------------------------

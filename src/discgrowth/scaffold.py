@@ -22,6 +22,7 @@ from typing import Callable
 from .numerics import (
     NEG_INF,
     LogGap,
+    NumericalFailure,
     NumericsError,
     find_root,
     gap_diff_log,
@@ -39,7 +40,7 @@ class ConstructionError(NumericsError):
         self.blamed_constant = blamed_constant
 
 
-class RetriesExhaustedError(ConstructionError):
+class RetriesExhaustedError(ConstructionError, NumericalFailure):
     """Every retry of the construction failed: the numerics, not the input."""
 
 
@@ -193,12 +194,11 @@ class IrregularScaffold:
     params: ScaffoldParams
     generations: tuple[Generation, ...]
     retries: int = 0
-    # r_0'' = 0 seeds the first generation
-    g_origin: float = 0.0
 
     def generation_start(self, i: int) -> float:
-        """g of the left end of generation i's range (previous r'')."""
-        return self.g_origin if i == 0 else self.generations[i - 1].r_dprime.g
+        """g of the left end of generation i's range (previous r''); r_0'' = 0
+        seeds the first generation."""
+        return 0.0 if i == 0 else self.generations[i - 1].r_dprime.g
 
     def count_radii_below(self, g: float) -> int:
         """Counting function of the seed radii: #{n : r_n <= r(g)}; grows

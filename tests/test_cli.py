@@ -577,3 +577,69 @@ class TestFailedRunLeavesNoFiles:
         assert run("ode", "solve", "--degree", "50", "--samples-csv", str(samples)) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "CliValidationError"
         assert not samples.exists()
+
+
+class TestBadValuesExit2:
+    """Malformed or out-of-range values are bad input: exit 2, one error on
+    stderr, and no output file."""
+
+    @pytest.mark.parametrize("argv,error,message", [
+        ("ode solve --degree -5 --out o.json --samples-csv o.csv", "OdeError", "degree must be >= 0"),
+        ("ode predict --k 1 --out o.json", "CliValidationError", "needs --p1, --p2, --p "),
+        ("ode predict --k 1 --p1 2 --p2 4 --out o.json", "CliValidationError", "needs --p "),
+        ("ode exponents --k 1 --p1 2 --out o.json", "CliValidationError", "needs --p2 "),
+        ("profile --scaffold {scaffold} --samples-per-branch 0 --out p.csv", "NumericsError", "per_branch"),
+        ("profile --scaffold {scaffold} --samples-per-branch -2 --out p.csv", "NumericsError", "per_branch"),
+        ("riesz --scaffold {scaffold} --ceiling 0 --out c.jsonl --summary-out s.json",
+         "PartitionError", "ceiling must be >= 1"),
+        ("riesz --scaffold {scaffold} --ceiling -3 --out c.jsonl --summary-out s.json",
+         "PartitionError", "ceiling must be >= 1"),
+    ])
+    def test_one_json_error(self, small_scaffold_file, tmp_path, monkeypatch, capsys, argv, error, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv.format(scaffold=small_scaffold_file).split()) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == error
+        assert message in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("action", ["windows", "certificate"])
+    @pytest.mark.parametrize("value", ["2,x", ",", "", "2,,4"])
+    def test_bad_g_n(self, tmp_path, monkeypatch, capsys, action, value):
+        monkeypatch.chdir(tmp_path)
+        assert run("logderiv", action, "--g-n", value, "--out", "w.json") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --g-n" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_g_n_in_a_config(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "run.ini").write_text("[logderiv]\ng-n = 2,x\n")
+        monkeypatch.chdir(tmp_path)
+        assert run("--config", "run.ini", "logderiv", "windows", "--out", "w.json") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliValidationError" and "g-n" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+    def test_g_n_from_a_config(self, tmp_path, monkeypatch):
+        (tmp_path / "run.ini").write_text("[logderiv]\ng-n = 6,9,12\n")
+        monkeypatch.chdir(tmp_path)
+        assert run("--config", "run.ini", "logderiv", "certificate", "--out", "c.json") == 0
+        assert run("logderiv", "certificate", "--g-n", "6,9,12", "--out", "d.json") == 0
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "d.json").read_bytes()
+
+
+def test_numerical_failures_share_one_base():
+    from discgrowth import ode as O
+    from discgrowth import numerics as N
+    from discgrowth import scaffold as S
+    from discgrowth.cli import _is_validation
+
+    for cls in (N.BracketError, N.RootConvergenceError, N.QuadratureError, N.SeriesCapError,
+                O.OdeOverflowError, S.RetriesExhaustedError):
+        assert issubclass(cls, N.NumericalFailure)
+    assert not _is_validation(N.SeriesCapError("log_r_from_g"))
+    assert not _is_validation(S.RetriesExhaustedError("radius ordering violated"))
+    assert _is_validation(S.ConstructionError("|eps_n| >= (p2-p1)/2"))
+    assert _is_validation(N.NumericsError("g < 0"))

@@ -512,11 +512,6 @@ class TestLogValueArithmetic:
         assert (a * b).to_float() == pytest.approx(-12.0)
         assert (a / b).to_float() == pytest.approx(-3.0)
 
-    def test_ordering(self):
-        xs = [0.25, -3.0, 7.0, 0.0, -0.5]
-        vals = sorted((LogValue.from_float(x) for x in xs), key=lambda v: v._cmp_key())
-        assert [v.to_float() for v in vals] == pytest.approx(sorted(xs), rel=1e-14)
-
 
 class TestFindRoot:
     def test_sqrt2(self):

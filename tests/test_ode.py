@@ -87,6 +87,10 @@ class TestTaylorSolve:
             O.taylor_solve(coeffs, 2, [LogValue.from_float(1.0)] * 2, 1)
         with pytest.raises(O.OdeError):
             O.pole_coeffs(0, 5)
+        for degree in (-1, -5):
+            with pytest.raises(O.OdeError, match="degree must be >= 0"):
+                O.pole_coeffs(2, degree)
+        assert len(O.pole_coeffs(2, 0).logmag) == 1
         for scale in (0.0, -math.inf, math.nan):
             with pytest.raises(O.OdeError, match="scale must be finite and nonzero"):
                 O.pole_coeffs(2, 5, scale=scale)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from discgrowth import ode as O
-from discgrowth.numerics import LogGap
+from discgrowth.numerics import LogGap, NumericsError
 from discgrowth.profiles import ProfileRangeError, RadialProfile, branch_samples
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
 from oracles import laplacian_fd, log_domain_phi_array
@@ -283,6 +283,11 @@ class TestRatios:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("per_branch", [0, -2])
+    def test_per_branch_must_be_positive(self, ref_profile, per_branch):
+        with pytest.raises(NumericsError, match="per_branch must be >= 1"):
+            branch_samples(ref_profile, per_branch)
+
     def test_schema_and_determinism(self, ref_profile):
         gs = branch_samples(ref_profile, 3)
         rows = ref_profile.sample_rows(gs)

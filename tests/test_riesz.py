@@ -160,6 +160,11 @@ class TestPartition:
         with pytest.raises(R.PartitionError, match="g_max must be finite"):
             R.partition_region(small_profile, 1, g_max=g_max, ceiling=100_000)
 
+    @pytest.mark.parametrize("ceiling", [0, -3])
+    def test_ceiling_must_be_positive(self, small_profile, ceiling):
+        with pytest.raises(R.PartitionError, match="ceiling must be >= 1"):
+            R.partition_region(small_profile, 1, ceiling=ceiling)
+
     def test_hat_region_present_when_p_exceeds_p2(self, wide_scaffold):
         prof = RadialProfile(wide_scaffold)
         part = R.partition_region(prof, 1, g_max=25.0, ceiling=100_000)
@@ -176,18 +181,18 @@ class TestAtomize:
         assert gen1_cloud.total_multiplicity == 2 * len(gen1_cloud)
 
     def test_empty_partition(self, gen1_partition, small_profile):
-        part = R.PartitionResult(cells=gen1_partition.cells[:0], truncated={}, generation=1)
+        part = R.PartitionResult(cells=gen1_partition.cells[:0], truncated={})
         cloud = R.atomize(part, small_profile)
         assert len(cloud) == 0
 
     def test_single_cell_single_double_zero(self, gen1_partition, small_profile):
-        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={}, generation=1)
+        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={})
         cloud = R.atomize(one, small_profile)
         assert len(cloud) == 1
         assert cloud.mult[0] == 2
 
     def test_split_doubles_flag(self, gen1_partition, small_profile):
-        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={}, generation=1)
+        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={})
         cloud = R.atomize(one, small_profile, split_doubles=True)
         assert len(cloud) == 2
         assert all(m == 1 for m in cloud.mult)
@@ -272,7 +277,7 @@ class TestSurrogate:
         # |corr| <= 4 mult-sum of (1-|zeta|)/(1-|z|)
         cells = gen1_partition.cells
         far_cells = cells[cells.rings.g_lo[cells.ring] >= 5.0][:500]
-        part = R.PartitionResult(cells=far_cells, truncated={}, generation=1)
+        part = R.PartitionResult(cells=far_cells, truncated={})
         cloud = R.atomize(part, small_profile)
         budget = 4.0 * float(np.sum(cloud.mult * cloud.delta))
         for (g, t) in ((0.2, 0.0), (0.5, 2.1), (0.69, 4.0)):
@@ -311,7 +316,7 @@ class TestColumns:
         part, prof = wide_partition
         cells, rings = part.cells, part.cells.rings
         assert len(rings.g_lo) == len(rings.g_hi) == len(rings.branch) == 15
-        assert rings.generation == part.generation == 1
+        assert rings.generation == 1
         assert np.all(np.diff(cells.ring) >= 0) and np.unique(cells.ring).tolist() == list(range(15))
         assert np.all(rings.g_lo < rings.g_hi)
         assert cells[10:20].rings is rings and cells[cells.kind == 0].rings is rings
@@ -645,7 +650,7 @@ class TestBatchedKernel:
         # rings at theta = 3 sees none of them
         cells = gen1_partition.cells
         deep = cells.rings.g_lo[cells.ring] >= 5.5
-        part = R.PartitionResult(cells=cells[deep & (cells.theta_hi <= 0.5)], truncated={}, generation=1)
+        part = R.PartitionResult(cells=cells[deep & (cells.theta_hi <= 0.5)], truncated={})
         cloud = R.atomize(part, small_profile)
         assert len(cloud) > 0
         src = R._sources(cloud)

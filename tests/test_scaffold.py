@@ -171,7 +171,7 @@ class TestBuild:
     def test_reference_four_generations(self, ref_scaffold):
         assert len(ref_scaffold.generations) == 4
         assert ref_scaffold.generations[0].eps_n == 0.0
-        assert ref_scaffold.g_origin == 0.0  # r_0'' = 0 convention
+        assert ref_scaffold.generation_start(0) == 0.0  # r_0'' = 0 convention
         for g in ref_scaffold.generations:
             assert abs(g.eps_n) < 0.5
             assert g.residual <= 1e-9
@@ -181,7 +181,7 @@ class TestBuild:
         sc = build_scaffold(ref_params, 1)
         assert len(sc.generations) == 1
         assert sc.generations[0].eps_n == 0.0
-        assert sc.g_origin == 0.0
+        assert sc.generation_start(0) == 0.0
 
     def test_generations_strictly_increase(self, ref_scaffold):
         gens = ref_scaffold.generations
