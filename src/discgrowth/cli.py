@@ -163,6 +163,10 @@ def _cmd_series(args) -> list[Output]:
         raise CliValidationError(f"unknown series action {args.action!r}")
     series = W.build_reference_series(args.variant, sigma=args.sigma, lam=args.lam, delta=args.delta)
     if args.trace and args.variant == "doubling":
+        if args.trace_k_hi < args.trace_k_lo:
+            raise CliValidationError(
+                f"--trace-k-hi {args.trace_k_hi} is below --trace-k-lo {args.trace_k_lo}"
+            )
         k_inside = series.first_inside_k()
         if args.trace_k_lo < k_inside:
             raise CliValidationError(

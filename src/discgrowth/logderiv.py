@@ -322,6 +322,8 @@ def logderiv_certificate(
     against the (1-R)/(-log(1-R)-1) radius budget."""
     if not k > j >= 0:
         raise NumericsError("need k > j >= 0")
+    if not eps > 0.0:  # the estimate holds for every eps > 0; also NaN
+        raise NumericsError(f"need eps > 0, got {eps}")
     rng = np.random.default_rng(seed)
     expo = 2.0 + max(fspec.lam - (fspec.lam / fspec.sigma if fspec.sigma > 0 else 0.0), 0.0) + eps
     stat_max = 0.0

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 NEG_INF = float("-inf")
 
 # relative size under which a signed sum is flagged as catastrophically
@@ -312,150 +310,6 @@ def log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float | None 
         if inc < acc * 1e-18:
             return log_r + log_dw + math.log(acc)
     raise SeriesCapError("log_int_log_ratio")
-
-
-# ---------------------------------------------------------------------------
-# array forms of the log-gap series, elementwise on float ndarrays; the
-# scalar functions above are their reference.  Each checks its own inputs
-# and raises NumericsError.
-
-
-def _check_cap(k: int, name: str) -> None:
-    if k > SERIES_CAP:
-        raise SeriesCapError(name)
-
-
-def log_r_from_g_array(g: np.ndarray) -> np.ndarray:
-    """Array form of :func:`log_r_from_g`; an element with q <= 2^-56 takes
-    -q without entering the series loop."""
-    g = np.asarray(g, dtype=float)
-    if not np.all(g >= 0.0):
-        raise NumericsError("log_r_from_g_array needs every g >= 0 (no NaN)")
-    out = np.empty_like(g)
-    near = g <= 1.0
-    with np.errstate(divide="ignore"):
-        out[near] = np.log(-np.expm1(-g[near]))
-    q = np.exp(-g[~near])
-    term = q.copy()
-    acc = q.copy()
-    live = q > _LEAD_X
-    k = 1
-    while live.any():
-        k += 1
-        _check_cap(k, "log_r_from_g_array")
-        term *= q
-        inc = term / k
-        acc[live] += inc[live]
-        live &= inc >= acc * 1e-18
-    out[~near] = -acc
-    return out
-
-
-def log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
-    """Array form of :func:`log_ratio_r` for one lower log-gap ``g_lo``; at
-    q = e^(-g_lo) <= 2^-56 every element is its first term."""
-    g_hi = np.asarray(g_hi, dtype=float)
-    if not np.all(g_hi >= g_lo):  # also NaN
-        raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
-    dg = g_hi - g_lo
-    if g_lo == 0.0:  # r_lo = 0: log(r_hi/0) = inf, and 0 at g_hi = 0
-        return np.where(dg == 0.0, 0.0, math.inf)
-    if g_lo <= 1.0:
-        r_lo = -math.expm1(-g_lo)
-        diff = math.exp(-g_lo) * (-np.expm1(-dg))
-        with np.errstate(over="ignore", divide="ignore"):
-            ratio = diff / r_lo  # inf only for a subnormal r_lo, as in log_ratio_r
-            return np.where(ratio == math.inf, np.log(diff) - math.log(r_lo), np.log1p(ratio))
-    q = math.exp(-g_lo)
-    if q <= _LEAD_X:
-        return q * -np.expm1(-dg)
-    qk = q
-    acc = np.zeros_like(dg)
-    live = dg != 0.0
-    k = 1
-    while live.any():
-        _check_cap(k, "log_ratio_r_array")
-        inc = qk / k * (-np.expm1(-k * dg))
-        acc[live] += inc[live]
-        live &= inc > acc * 1e-18
-        if qk < 1e-320:
-            break
-        k += 1
-        qk *= q
-    return acc
-
-
-def log_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
-    """Array form of :func:`log_log_ratio_r`; -inf where g_hi == g_lo."""
-    g_hi = np.asarray(g_hi, dtype=float)
-    if not np.all(g_hi >= g_lo):  # also NaN
-        raise NumericsError(f"log_log_ratio_r_array needs g_hi >= g_lo = {g_lo} (no NaN)")
-    with np.errstate(divide="ignore"):
-        if g_lo > LEAD_ONLY_G:
-            return -g_lo + np.log(-np.expm1(-(g_hi - g_lo)))
-        return np.log(log_ratio_r_array(g_hi, g_lo))
-
-
-def log_int_log_ratio_array(
-    g_r: np.ndarray, g_a: float, g_b: float | np.ndarray, span_ba: float | None = None
-) -> np.ndarray:
-    """Array form of :func:`log_int_log_ratio` over upper log-gaps ``g_r``;
-    ``g_b`` is a float or an array shaped like ``g_r``.  An element with
-    w_a <= 2^-56 keeps its first series term and leaves the loop at once."""
-    g_r = np.asarray(g_r, dtype=float)
-    g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
-    if not np.all((g_a <= g_b) & (g_b <= g_r)):  # also NaN
-        raise NumericsError("log_int_log_ratio_array needs g_a <= g_b <= g_r")
-    out = np.full(g_r.shape, NEG_INF)
-    sel = g_b > g_a
-    gr, gb = g_r[sel], g_b[sel]
-    if g_a == 0.0:  # the scalar closed form from t = 0, element by element
-        out[sel] = [log_int_log_ratio(r, 0.0, b) for r, b in zip(gr.tolist(), gb.tolist())]
-        return out
-    log_r = log_r_from_g_array(gr)
-    with np.errstate(divide="ignore"):
-        # log w = gap_diff_log(g_t, g_r) - log r; w_b = 0 where g_b == g_r
-        log_gap_a = np.log(-np.expm1(-(gr - g_a)))
-        log_gap_b = np.log(-np.expm1(-(gr - gb)))
-    log_wa = -g_a + log_gap_a - log_r
-    log_wb = -gb + log_gap_b - log_r
-    wa, wb = np.exp(log_wa), np.exp(log_wb)
-    res = np.empty_like(gr)
-    # wide geometry (possible only at tiny g): F(w_a) - F(w_b) directly
-    wide = wa > 0.1
-    f = lambda w: np.where(w > 0.0, (1.0 - w) * np.log1p(-w) + w, 0.0)
-    res[wide] = log_r[wide] + np.log(f(wa[wide]) - f(wb[wide]))
-    # log(w_a - w_b) without cancellation, then the series
-    # sum_k (sum_i w_a^i w_b^(k-i))/(k(k+1)) with inner sums by recurrence
-    n = ~wide
-    if span_ba is not None:
-        t = -span_ba + log_gap_b[n] - log_gap_a[n]
-    else:
-        t = log_wb[n] - log_wa[n]
-    log_dw = log_wa[n] + np.log(-np.expm1(t))
-    wa, wb = wa[n], wb[n]
-    # the k = 1 term everywhere; it is the sum where w_a <= 2^-56, and
-    # w_a < TINY_GAP takes the closed form of the scalar early-out below
-    wa_k = wa.copy()
-    inner = wb + wa
-    acc = inner / 2
-    live = wa > _LEAD_X
-    k = 1
-    while live.any():
-        k += 1
-        _check_cap(k, "log_int_log_ratio_array")
-        wa_k *= wa
-        inner = wb * inner + wa_k
-        inc = inner / (k * (k + 1))
-        acc[live] += inc[live]
-        live &= inc >= acc * 1e-18
-    with np.errstate(divide="ignore"):
-        log_acc = np.log(acc)
-    tiny = wa < TINY_GAP
-    log_acc[tiny] = log_wa[n][tiny] + np.log1p(np.exp(t[tiny])) - math.log(2.0)
-    res[n] = log_r[n] + log_dw + log_acc
-    out[sel] = res
-    return out
 
 
 # ---------------------------------------------------------------------------

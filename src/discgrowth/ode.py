@@ -344,6 +344,8 @@ def predict_orders(p1: float, p2: float, k: int, p: float) -> tuple[float, float
     """(sigma_f, lambda_f, alpha): order p2/k - 1, the tuning exponent
     alpha(p) = p1/k - (p1/p)(p2/k - 1) clipped to [p1/p2, 1], and the lower
     order p1/k - alpha."""
+    if not k >= 1:
+        raise OdeError(f"need k >= 1, got k={k}")
     if not (k <= p1 <= p2 <= p):
         raise OdeError(f"need k <= p1 <= p2 <= p, got k={k}, p1={p1}, p2={p2}, p={p}")
     if not p2 > 2 * k:

@@ -16,13 +16,12 @@ slope, compensation and mass terms are the generation's own closed forms
 (the methods of scaffold.GenerationSeed, which the closure equation uses
 too), so junction residuals reflect construction error only.
 
-phi on an ndarray sorts the g's once and evaluates each branch on its slice,
-with each generation's constants computed once per profile.  In a
-generation with e^-g_n <= 2^-56 every series is its first term, and the
-array forms are closed (``_Terms``): within ~1e-13 of the log-domain series
-that the scalar phi and the other generations sum.  phi checks its range
-once per call, on the two ends of the sorted g's; the numerics array forms
-that the other generations call check their own inputs.
+phi on an ndarray sorts the g's once, checks its range on the two ends and
+evaluates each branch on its slice.  Branch 1 is closed in every generation.
+In a "lead" generation, e^-g_n <= 2^-56, every series is its first term and
+the other branches are closed too (``_Terms``): within 4e-14 of scalar phi on
+the study profiles.  Elsewhere each point goes through the scalar branch
+terms, so array phi equals scalar phi bit for bit there.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from .numerics import (
     NumericsError,
     as_g,
     gap_diff_log,
-    log_int_log_ratio_array,
-    log_log_ratio_r_array,
     log_r_from_g,
     lse_sum,
 )
@@ -71,19 +68,19 @@ class JunctionJump:
 
 @dataclass(frozen=True)
 class _Terms:
-    """Constants of one generation's branch forms for the array phi."""
+    """Constants of one generation's closed branch forms for the array phi."""
 
     gen: Generation
     base1: float  # p2 + eps_n
     base2: float  # (p2 + eps_n)(g_n + log C)
     base3: float  # p1 (g_n' + log C)
-    span: float  # exact width g* - g_hat of [r_hat, r*]
     # e^(-g_n) <= 2^-56: every series of the branches is its first term (1/r
     # and log r round to 1 and -e^(-g)), so in a = e^(-(g - g_hat)),
     # b = e^(-(g - g*)):  R_n log(r/r_n) = R_n e^(-g_n) (1 - e^(-(g - g_n))),
     # M_n int_{r_hat}^r log(r/t) dt = m (1 - a)^2 and
     # M_n int_{r_hat}^{r*} log(r/t) dt = m ((1 - a) - x (1 - b)) ((1 - a) + y (1 - b)),
-    # with m = M_n e^(-2 g_hat)/2, x = e^(-span) and y = e^(-(g* - g_hat))
+    # with m = M_n e^(-2 g_hat)/2, x = e^(-span), span the exact width of
+    # [r_hat, r*] (GenerationSeed.star_span), and y = e^(-(g* - g_hat))
     lead: bool
     slope: float  # -R_n e^(-g_n)
     mass: float  # m
@@ -92,17 +89,15 @@ class _Terms:
 
     @classmethod
     def of(cls, gen: Generation, p1: float, p2: float, log_c: float) -> "_Terms":
-        span = gen.star_span(log_c)
         return cls(
             gen=gen,
             base1=p2 + gen.eps_n,
             base2=(p2 + gen.eps_n) * (gen.r_n.g + log_c),
             base3=p1 * (gen.r_prime.g + log_c),
-            span=span,
             lead=math.exp(-gen.r_n.g) <= _LEAD_X,
             slope=-math.exp(gen.log_R - gen.r_n.g),
             mass=0.5 * math.exp(gen.log_M - 2.0 * gen.r_hat.g),
-            x=math.exp(-span),
+            x=math.exp(-gen.star_span(log_c)),
             y=math.exp(-(gen.r_star.g - gen.r_hat.g)),
         )
 
@@ -169,8 +164,13 @@ class RadialProfile:
         cuts = np.searchsorted(sorted_g, self._starts).tolist() + [len(sorted_g)]
         vals = np.empty_like(sorted_g)
         for (_, i, b), lo, hi in zip(self._bounds, cuts, cuts[1:]):
-            if lo < hi:
-                vals[lo:hi] = self._phi_array(sorted_g[lo:hi], self._terms[i], b)
+            if lo == hi:
+                continue
+            terms = self._terms[i]
+            if b == 1 or terms.lead:
+                vals[lo:hi] = self._phi_array(sorted_g[lo:hi], terms, b)
+            else:
+                vals[lo:hi] = [self._phi(x, terms.gen, b) for x in sorted_g[lo:hi].tolist()]
         out = np.empty_like(sorted_g)
         out[order] = vals
         return out.reshape(g.shape)
@@ -194,35 +194,28 @@ class RadialProfile:
         )
 
     def _phi_array(self, g: np.ndarray, terms: _Terms, b: int) -> np.ndarray:
-        """Array form of :meth:`_phi` on one branch of the generation whose
-        constants are ``terms``; g lies inside the branch.  The compensation
-        p1 (1 - e^-(g - g_n')) enters as + p1 expm1(g_n' - g), the same bits."""
+        """Closed form of :meth:`_phi` on branch 1, or on any branch of a lead
+        generation, whose constants are ``terms``; g lies inside the branch.
+        The compensation p1 (1 - e^-(g - g_n')) enters as + p1 expm1(g_n' - g),
+        the same bits."""
         log_c = self.params.log_c
         if b == 1:
             return terms.base1 * (g + log_c)
         gen = terms.gen
-        if terms.lead:
-            q1 = terms.slope * np.expm1(gen.r_n.g - g)
-            if b >= 4:
-                # -(1 - a) and -(1 - b) in the notation of _Terms
-                gap_a = np.expm1(gen.r_hat.g - g)
-                if b == 4:
-                    mass = terms.mass * np.square(gap_a)
-                else:
-                    gap_b = np.expm1(gen.r_star.g - g)
-                    mass = terms.mass * ((gap_a - terms.x * gap_b) * (gap_a + terms.y * gap_b))
-        else:
-            q1 = np.exp(gen.log_R + log_log_ratio_r_array(g, gen.r_n.g))
-            if b >= 4:
-                upper = g if b == 4 else gen.r_star.g
-                span = None if b == 4 else terms.span
-                mass = np.exp(gen.log_M + log_int_log_ratio_array(g, gen.r_hat.g, upper, span))
+        q1 = terms.slope * np.expm1(gen.r_n.g - g)
         if b == 2:
             return terms.base2 + q1
         p1 = self.params.p1
         comp = np.expm1(gen.r_prime.g - g)  # -(1 - e^-s), s = g - g_n'
         if b == 3:
             return terms.base3 + q1 + p1 * ((g - gen.r_prime.g) + comp)
+        # -(1 - a) and -(1 - b) in the notation of _Terms
+        gap_a = np.expm1(gen.r_hat.g - g)
+        if b == 4:
+            mass = terms.mass * np.square(gap_a)
+        else:
+            gap_b = np.expm1(gen.r_star.g - g)
+            mass = terms.mass * ((gap_a - terms.x * gap_b) * (gap_a + terms.y * gap_b))
         return p1 * (g + log_c) + q1 + p1 * comp + mass
 
     def _phi_prime(self, g: float, gen: Generation, b: int) -> LogValue:

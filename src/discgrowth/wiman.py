@@ -257,6 +257,8 @@ class PowerLawSeries:
         raise SeriesError("log_max_term needs a materialized or doubling series")
 
     def materialize(self, terms: int, log_a0: float = 0.0) -> SparseSeries:
+        if terms < 1:
+            raise SeriesError(f"terms must be >= 1, got {terms}")
         return build_ladder_series(list(range(terms)), list(self.break_g(np.arange(terms - 1))), log_a0)
 
     def window(self, g: float) -> tuple[float, _Blocks]:
@@ -355,6 +357,8 @@ class DoublingSeries:
         return k
 
     def materialize(self, terms: int, log_a0: float = 0.0) -> SparseSeries:
+        if terms < 1:
+            raise SeriesError(f"terms must be >= 1, got {terms}")
         ns = []
         for j in range(terms):
             t = self.term(j)

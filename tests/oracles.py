@@ -19,14 +19,12 @@ from discgrowth.numerics import (
     SeriesCapError,
     as_g,
     gap_diff_log,
-    log_int_log_ratio_array,
-    log_log_ratio_r_array,
     log_r_from_g,
     lse_sum,
 )
 from discgrowth.profiles import ProfileRangeError, RadialProfile
 from discgrowth.riesz import ZeroCloud
-from discgrowth.scaffold import Generation, GenerationSeed, ScaffoldParams
+from discgrowth.scaffold import GenerationSeed, ScaffoldParams
 
 
 def power_majorant_bound(b: float, s: float, k: int, g: float) -> float:
@@ -70,7 +68,7 @@ def laplacian_fd(prof: RadialProfile, g: float, h: float | None = None) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# The six log-gap series of ``discgrowth.numerics`` as they were before the
+# The three log-gap series of ``discgrowth.numerics`` as they were before the
 # leading-term exits: every loop sums until its relative stopping test fires.
 # The library must agree with them bit for bit.
 
@@ -170,116 +168,6 @@ def summed_log_int_log_ratio(g_r: float, g_a: float, g_b: float, span_ba: float 
         if inc < acc * 1e-18:
             return log_r + log_dw + math.log(acc)
     raise SeriesCapError("log_int_log_ratio")
-
-
-def _check_cap(k: int, name: str) -> None:
-    if k > SERIES_CAP:
-        raise SeriesCapError(name)
-
-
-def summed_log_r_from_g_array(g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    out = np.empty_like(g)
-    near = g <= 1.0
-    with np.errstate(divide="ignore"):
-        out[near] = np.log(-np.expm1(-g[near]))
-    q = np.exp(-g[~near])
-    term = q.copy()
-    acc = q.copy()
-    live = q >= TINY_GAP
-    k = 1
-    while live.any():
-        k += 1
-        _check_cap(k, "log_r_from_g_array")
-        term *= q
-        inc = term / k
-        acc[live] += inc[live]
-        live &= inc >= acc * 1e-18
-    out[~near] = -acc
-    return out
-
-
-def summed_log_ratio_r_array(g_hi: np.ndarray, g_lo: float) -> np.ndarray:
-    g_hi = np.asarray(g_hi, dtype=float)
-    if np.any(g_hi < g_lo):
-        raise NumericsError(f"log_ratio_r_array needs g_hi >= g_lo = {g_lo}")
-    dg = g_hi - g_lo
-    if g_lo <= 1.0:
-        r_lo = -math.expm1(-g_lo)
-        diff = math.exp(-g_lo) * (-np.expm1(-dg))
-        with np.errstate(over="ignore", divide="ignore"):
-            ratio = diff / r_lo  # inf only for a subnormal r_lo, as in the library
-            return np.where(ratio == math.inf, np.log(diff) - math.log(r_lo), np.log1p(ratio))
-    q = math.exp(-g_lo)
-    qk = q
-    acc = np.zeros_like(dg)
-    live = dg != 0.0
-    k = 1
-    while live.any():
-        _check_cap(k, "log_ratio_r_array")
-        inc = qk / k * (-np.expm1(-k * dg))
-        acc[live] += inc[live]
-        live &= inc > acc * 1e-18
-        if qk < 1e-320:
-            break
-        k += 1
-        qk *= q
-    return acc
-
-
-def summed_log_int_log_ratio_array(
-    g_r: np.ndarray, g_a: float, g_b: float | np.ndarray, span_ba: float | None = None
-) -> np.ndarray:
-    g_r = np.asarray(g_r, dtype=float)
-    g_b = np.broadcast_to(np.asarray(g_b, dtype=float), g_r.shape)
-    if np.any((g_a > g_b) | (g_b > g_r)):
-        raise NumericsError("log_int_log_ratio_array needs g_a <= g_b <= g_r")
-    out = np.full(g_r.shape, NEG_INF)
-    sel = g_b > g_a
-    gr, gb = g_r[sel], g_b[sel]
-    log_r = summed_log_r_from_g_array(gr)
-    with np.errstate(divide="ignore"):
-        # log w = gap_diff_log(g_t, g_r) - log r; w_b = 0 where g_b == g_r
-        log_gap_a = np.log(-np.expm1(-(gr - g_a)))
-        log_gap_b = np.log(-np.expm1(-(gr - gb)))
-    log_wa = -g_a + log_gap_a - log_r
-    log_wb = -gb + log_gap_b - log_r
-    wa, wb = np.exp(log_wa), np.exp(log_wb)
-    res = np.empty_like(gr)
-    # wide geometry (possible only at tiny g): F(w_a) - F(w_b) directly
-    wide = wa > 0.1
-    f = lambda w: np.where(w > 0.0, (1.0 - w) * np.log1p(-w) + w, 0.0)
-    res[wide] = log_r[wide] + np.log(f(wa[wide]) - f(wb[wide]))
-    # log(w_a - w_b) without cancellation, then the series
-    # sum_k (sum_i w_a^i w_b^(k-i))/(k(k+1)) with inner sums by recurrence
-    n = ~wide
-    if span_ba is not None:
-        t = -span_ba + log_gap_b[n] - log_gap_a[n]
-    else:
-        t = log_wb[n] - log_wa[n]
-    log_dw = log_wa[n] + np.log(-np.expm1(t))
-    wa, wb = wa[n], wb[n]
-    wa_k = np.ones_like(wa)
-    inner = np.ones_like(wa)
-    acc = np.zeros_like(wa)
-    # w_a < TINY_GAP: the closed form of the scalar early-out
-    live = wa >= TINY_GAP
-    k = 0
-    while live.any():
-        k += 1
-        _check_cap(k, "log_int_log_ratio_array")
-        wa_k *= wa
-        inner = wb * inner + wa_k
-        inc = inner / (k * (k + 1))
-        acc[live] += inc[live]
-        live &= inc >= acc * 1e-18
-    with np.errstate(divide="ignore"):
-        log_acc = np.log(acc)
-    tiny = wa < TINY_GAP
-    log_acc[tiny] = log_wa[n][tiny] + np.log1p(np.exp(t[tiny])) - math.log(2.0)
-    res[n] = log_r[n] + log_dw + log_acc
-    out[sel] = res
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +312,8 @@ def masked_sector_crowding(cloud: ZeroCloud, g: LogGap | float) -> int:
 # ---------------------------------------------------------------------------
 # The sums of the growth_orders path as they were before they skipped the
 # work that cannot change their numbers: every majorant piece and every
-# series term summed, the closure through LogValue objects, one draw per
-# angle, and the array phi in the log domain on every branch.
+# series term summed, the closure through LogValue objects and one draw per
+# angle.
 
 
 def summed_coefficient_integral_log_bound(log_m, k: int, g: float, step: float = 0.01) -> float:
@@ -485,23 +373,3 @@ def scalar_angles_off_arcs(rng: np.random.Generator, arcs: list[tuple[float, flo
         if not any(lo <= t <= hi for lo, hi in arcs):
             out.append(t)
     return out
-
-
-def log_domain_phi_array(prof: RadialProfile, g: np.ndarray, gen: Generation, b: int) -> np.ndarray:
-    """phi on one branch through the log-domain array series on every branch."""
-    p1, p2, log_c = prof.params.p1, prof.params.p2, prof.params.log_c
-    eps = gen.eps_n
-    if b == 1:
-        return (p2 + eps) * (g + log_c)
-    q1 = np.exp(gen.log_R + log_log_ratio_r_array(g, gen.r_n.g))
-    if b == 2:
-        return (p2 + eps) * (gen.r_n.g + log_c) + q1
-    s = g - gen.r_prime.g
-    if b == 3:
-        return p1 * (gen.r_prime.g + log_c) + q1 + p1 * (s - (-np.expm1(-s)))
-    if b == 4:
-        upper, span = g, None
-    else:
-        upper, span = gen.r_star.g, gen.star_span(log_c)
-    mass = np.exp(gen.log_M + log_int_log_ratio_array(g, gen.r_hat.g, upper, span_ba=span))
-    return p1 * (g + log_c) + q1 - p1 * (-np.expm1(-s)) + mass

@@ -594,6 +594,18 @@ class TestBadValuesExit2:
          "PartitionError", "ceiling must be >= 1"),
         ("riesz --scaffold {scaffold} --ceiling -3 --out c.jsonl --summary-out s.json",
          "PartitionError", "ceiling must be >= 1"),
+        ("ode predict --k 0 --p1 2 --p2 3 --p 3 --out o.json", "OdeError", "need k >= 1, got k=0"),
+        ("ode predict --k -1 --p1 2 --p2 3 --p 3 --out o.json", "OdeError", "need k >= 1, got k=-1"),
+        ("logderiv certificate --eps -5 --out cert.json", "NumericsError", "need eps > 0, got -5"),
+        ("logderiv certificate --eps 0 --out cert.json", "NumericsError", "need eps > 0, got 0"),
+        ("series reference --variant doubling --lambda 1 --sigma 2 --out ser.json --trace tr.csv "
+         "--trace-k-hi 5 --trace-k-lo 9", "CliValidationError", "--trace-k-hi 5 is below --trace-k-lo 9"),
+        ("series reference --variant power-law --sigma 2 --terms 0 --out ser.json",
+         "SeriesError", "terms must be >= 1, got 0"),
+        ("series reference --variant power-law --sigma 2 --terms -3 --out ser.json",
+         "SeriesError", "terms must be >= 1, got -3"),
+        ("series reference --variant doubling --lambda 1 --sigma 2 --terms 0 --out ser.json",
+         "SeriesError", "terms must be >= 1, got 0"),
     ])
     def test_one_json_error(self, small_scaffold_file, tmp_path, monkeypatch, capsys, argv, error, message):
         monkeypatch.chdir(tmp_path)

@@ -341,6 +341,13 @@ class TestCertificate:
         with pytest.raises(Exception):
             L.logderiv_certificate(spec, 1, 1, 0.1, L.RadialWindowSet(((1.0, 2.0),)))
 
+    @pytest.mark.parametrize("eps", [0.0, -5.0, math.nan])
+    def test_eps_must_be_positive(self, eps):
+        # the estimate holds for every eps > 0, not below the theorem's exponent
+        spec = L.exp_inverse_power_spec(2.0)
+        with pytest.raises(NumericsError, match="need eps > 0"):
+            L.logderiv_certificate(spec, 1, 0, eps, L.RadialWindowSet(((1.0, 2.0),)))
+
 
 class TestZeroCountsBandEdge:
     def test_atoms_straddling_the_radial_band(self):

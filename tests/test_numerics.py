@@ -24,14 +24,10 @@ from discgrowth.numerics import (
     gap_diff_log,
     integrate,
     log_int_log_ratio,
-    log_int_log_ratio_array,
     log_log_ratio_r,
-    log_log_ratio_r_array,
     log_neg_log_r,
     log_r_from_g,
-    log_r_from_g_array,
     log_ratio_r,
-    log_ratio_r_array,
     lse_sum,
 )
 
@@ -86,9 +82,9 @@ class TestLogGap:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
         want = float(mp.log1p(-mp.exp(-mp.mpf(g))))
-        for got in (log_r_from_g(g), float(log_r_from_g_array(np.array([g]))[0])):
-            assert got == pytest.approx(want, rel=1e-15, abs=1e-323)
-            assert got <= 0.0
+        got = log_r_from_g(g)
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-323)
+        assert got <= 0.0
 
     def test_log_ratio_r_no_cancellation(self):
         # nearly identical huge radii: ratio ~ delta_lo - delta_hi, exactly
@@ -130,91 +126,17 @@ class TestIntLogRatio:
         assert got == pytest.approx(math.log(f(wa) - f(wb)), rel=1e-10)
 
     def test_from_the_origin(self):
-        # int_0^b log(r/t) dt = b (1 + log(r/b)), against mpmath's quadrature;
-        # the array form gives the scalar's bits, with no warning
+        # int_0^b log(r/t) dt = b (1 + log(r/b)), against mpmath's quadrature
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             r, b = -mpmath.expm1(-3), -mpmath.expm1(-1)
             oracle = mpmath.log(mpmath.quad(lambda t: mpmath.log(r / t), [0, b]))
         got = log_int_log_ratio(3.0, 0.0, 1.0)
         assert got == pytest.approx(float(oracle), rel=1e-15)
-        arr = log_int_log_ratio_array(np.array([3.0, 1.0, 0.5]), 0.0, np.array([1.0, 1.0, 0.0]))
-        assert _same_bits(arr, np.array([got, log_int_log_ratio(1.0, 0.0, 1.0), -math.inf]))
 
     def test_log_ratio_from_the_origin(self):
-        # r_lo = 0: the array form gives the scalar's 0 and inf, with no warning
-        assert _same_bits(log_ratio_r_array(np.array([0.0, 1.0]), 0.0), np.array([0.0, math.inf]))
+        # r_lo = 0: log(r_hi/0) = inf, and 0 at r_hi = 0
         assert (log_ratio_r(0.0, 0.0), log_ratio_r(1.0, 0.0)) == (0.0, math.inf)
-
-
-class TestSubnormalLowerGap:
-    """log(r_hi/r_lo) for a subnormal g_lo, where r_lo ~ g_lo and the gap
-    difference over r_lo overflows, against mpmath."""
-
-    @pytest.mark.parametrize("g_lo", [5e-324, 1e-320, 1e-300])
-    def test_against_mpmath(self, g_lo):
-        mp = pytest.importorskip("mpmath")
-        g_his = [3.0, 0.5, 40.0]
-        with mp.workdps(40):
-            r = lambda g: -mp.expm1(-mp.mpf(g))
-            want = [float(mp.log(r(g) / r(g_lo))) for g in g_his]
-            # int_0^b log(r/t) dt = b (1 + log(r/b)) with b = r(g_lo)
-            want_int = float(mp.log(r(g_lo) * (1 + mp.log(r(3.0) / r(g_lo)))))
-        for g, w in zip(g_his, want):
-            assert log_ratio_r(g, g_lo) == pytest.approx(w, rel=1e-15)
-        assert log_ratio_r_array(np.array(g_his + [g_lo]), g_lo) == pytest.approx(want + [0.0], rel=1e-15)
-        assert log_log_ratio_r(3.0, g_lo) == pytest.approx(math.log(want[0]), rel=1e-15)
-        assert log_int_log_ratio(3.0, 0.0, g_lo) == pytest.approx(want_int, rel=1e-15)
-        assert log_int_log_ratio_array(np.array([3.0]), 0.0, g_lo)[0] == pytest.approx(want_int, rel=1e-15)
-
-    @pytest.mark.parametrize("g_lo", [1e-300, 1e-200, 1e-20, 0.3, 1.0])
-    def test_bits_kept_from_1e_300_on(self, g_lo):
-        # the closed form log1p((e^-g_lo (1 - e^-dg)) / r_lo), as before
-        g_his = np.array([g_lo, g_lo * 1.5, 0.5 + g_lo, 3.0, 40.0])
-        want = [math.log1p(math.exp(-g_lo) * (-math.expm1(-(g - g_lo))) / -math.expm1(-g_lo))
-                for g in g_his.tolist()]
-        assert [log_ratio_r(g, g_lo) for g in g_his.tolist()] == want
-        assert _same_bits(log_ratio_r_array(g_his, g_lo),
-                          np.log1p(math.exp(-g_lo) * (-np.expm1(-(g_his - g_lo))) / -math.expm1(-g_lo)))
-
-
-class TestArrayForms:
-    # the scalar functions are the reference; only summation order differs
-    def test_log_r_from_g_array(self):
-        gs = np.array([0.0, 1e-8, 0.5, 1.0, 1.0 + 1e-12, 2.0, 40.0, 690.0, 700.0, 800.0])
-        want = [log_r_from_g(float(g)) for g in gs]
-        assert log_r_from_g_array(gs).tolist() == pytest.approx(want, rel=1e-15, abs=1e-323)
-
-    @pytest.mark.parametrize("g_lo", [0.3, 1.0, 3.0, 50.0])
-    def test_log_ratio_r_array(self, g_lo):
-        g_hi = g_lo + np.array([0.0, 1e-12, 1e-3, 0.5, 4.0, 60.0])
-        want = [log_ratio_r(float(g), g_lo) for g in g_hi]
-        assert log_ratio_r_array(g_hi, g_lo).tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
-        with pytest.raises(NumericsError):
-            log_ratio_r_array(np.array([g_lo - 0.1]), g_lo)
-
-    @pytest.mark.parametrize("g_lo", [0.3, 3.0, 50.0, 690.0, 750.0, 3e3])
-    def test_log_log_ratio_r_array(self, g_lo):
-        # past e^(-g) underflow only the leading term is left, on both sides
-        g_hi = g_lo + np.array([1e-12, 1e-3, 0.5, 4.0, 60.0])
-        want = [log_log_ratio_r(float(g), g_lo) for g in g_hi]
-        assert log_log_ratio_r_array(g_hi, g_lo).tolist() == pytest.approx(want, rel=1e-13)
-        assert log_log_ratio_r_array(np.array([g_lo]), g_lo).tolist() == [-math.inf]
-
-    @pytest.mark.parametrize("g_a,g_b,span", [
-        (0.2, 0.9, None), (3.0, 3.5, None), (40.0, 40.5, None), (10.0, 10.0 + 1e-9, 1e-9),
-    ])
-    def test_log_int_log_ratio_array(self, g_a, g_b, span):
-        g_r = g_b + np.array([0.0, 1e-6, 0.3, 2.0, 25.0])
-        want = [log_int_log_ratio(float(g), g_a, g_b, span_ba=span) for g in g_r]
-        got = log_int_log_ratio_array(g_r, g_a, g_b, span_ba=span)
-        assert got.tolist() == pytest.approx(want, rel=1e-12)
-        # g_b may vary with g_r; g_b == g_a gives an empty integral
-        got = log_int_log_ratio_array(g_r, g_a, g_r)
-        assert got.tolist() == pytest.approx([log_int_log_ratio(float(g), g_a, float(g)) for g in g_r], rel=1e-12)
-        assert log_int_log_ratio_array(g_r, g_a, g_a).tolist() == [-math.inf] * len(g_r)
-        with pytest.raises(NumericsError):
-            log_int_log_ratio_array(g_r, g_b, g_a)
 
     def test_log_int_log_ratio_agrees_with_mpmath_at_depth(self):
         # past w_a < TINY_GAP the series is its closed form (1 + w_b/w_a)/2;
@@ -238,9 +160,34 @@ class TestArrayForms:
             want = float(mp.log(antider(b) - antider(a)))
             got = log_int_log_ratio(g_r, g_a, g_b, span_ba=span)
             assert got == pytest.approx(want, rel=1e-14)
-            got = log_int_log_ratio_array(np.array([g_r]), g_a, g_b, span_ba=span)
-            assert got.tolist() == pytest.approx([want], rel=1e-14)
         assert 0.0 < math.exp(-720.0) < 2.2250738585072014e-308
+
+
+class TestSubnormalLowerGap:
+    """log(r_hi/r_lo) for a subnormal g_lo, where r_lo ~ g_lo and the gap
+    difference over r_lo overflows, against mpmath."""
+
+    @pytest.mark.parametrize("g_lo", [5e-324, 1e-320, 1e-300])
+    def test_against_mpmath(self, g_lo):
+        mp = pytest.importorskip("mpmath")
+        g_his = [3.0, 0.5, 40.0]
+        with mp.workdps(40):
+            r = lambda g: -mp.expm1(-mp.mpf(g))
+            want = [float(mp.log(r(g) / r(g_lo))) for g in g_his]
+            # int_0^b log(r/t) dt = b (1 + log(r/b)) with b = r(g_lo)
+            want_int = float(mp.log(r(g_lo) * (1 + mp.log(r(3.0) / r(g_lo)))))
+        for g, w in zip(g_his, want):
+            assert log_ratio_r(g, g_lo) == pytest.approx(w, rel=1e-15)
+        assert log_log_ratio_r(3.0, g_lo) == pytest.approx(math.log(want[0]), rel=1e-15)
+        assert log_int_log_ratio(3.0, 0.0, g_lo) == pytest.approx(want_int, rel=1e-15)
+
+    @pytest.mark.parametrize("g_lo", [1e-300, 1e-200, 1e-20, 0.3, 1.0])
+    def test_bits_kept_from_1e_300_on(self, g_lo):
+        # the closed form log1p((e^-g_lo (1 - e^-dg)) / r_lo), as before
+        g_his = np.array([g_lo, g_lo * 1.5, 0.5 + g_lo, 3.0, 40.0])
+        want = [math.log1p(math.exp(-g_lo) * (-math.expm1(-(g - g_lo))) / -math.expm1(-g_lo))
+                for g in g_his.tolist()]
+        assert [log_ratio_r(g, g_lo) for g in g_his.tolist()] == want
 
 
 def _same_bits(got, want):
@@ -296,23 +243,19 @@ class TestLeadingTermExit:
     def test_log_r_from_g(self, gs):
         for g in gs:
             assert _same_outcome(log_r_from_g, oracles.summed_log_r_from_g, g)
-        arr = np.array(gs)
-        assert _same_outcome(log_r_from_g_array, oracles.summed_log_r_from_g_array, arr)
 
     @settings(max_examples=300, deadline=None)
     @given(_GS, st.lists(_DGS, min_size=1, max_size=6))
     def test_log_ratio_r(self, g_lo, dgs):
         g_hi = g_lo + np.array(dgs)
         if g_lo == 0.0:
-            # r_lo = 0: log(r_hi / 0) = inf, and 0 at g_hi = 0, in both forms
+            # r_lo = 0: log(r_hi / 0) = inf, and 0 at g_hi = 0
             want = np.where(g_hi == 0.0, 0.0, math.inf)
-            assert _same_bits(log_ratio_r_array(g_hi, g_lo), want)
             for g, w in zip(g_hi.tolist(), want.tolist()):
                 assert _same_bits(log_ratio_r(g, g_lo), w)
             return
         for g in g_hi:
             assert _same_outcome(log_ratio_r, oracles.summed_log_ratio_r, float(g), g_lo)
-        assert _same_outcome(log_ratio_r_array, oracles.summed_log_ratio_r_array, g_hi, g_lo)
 
     @settings(max_examples=300, deadline=None)
     @given(_GS, _DGS, st.lists(_DGS, min_size=1, max_size=5), st.booleans())
@@ -321,29 +264,23 @@ class TestLeadingTermExit:
         span = dg_ab if with_span else None
         g_r = g_b + np.array(dgs_br)
         if g_a == 0.0:
-            # from t = 0: log of b (1 + log(r/b)), and -inf at b = 0, in both forms
+            # from t = 0: log of b (1 + log(r/b)), and -inf at b = 0
             want = np.array([-math.inf if g_b == 0.0 else log_r_from_g(g_b) + math.log1p(log_ratio_r(g, g_b))
                              for g in g_r.tolist()])
             for g, w in zip(g_r.tolist(), want.tolist()):
                 assert _same_bits(log_int_log_ratio(g, g_a, g_b, span_ba=span), w)
-            assert _same_bits(log_int_log_ratio_array(g_r, g_a, g_b, span_ba=span), want)
             return
         for g in g_r:
             assert _same_outcome(log_int_log_ratio, oracles.summed_log_int_log_ratio,
                                  float(g), g_a, g_b, span_ba=span)
-        assert _same_outcome(log_int_log_ratio_array, oracles.summed_log_int_log_ratio_array,
-                             g_r, g_a, g_b, span_ba=span)
 
     def test_fixed_cases(self):
         dgs = np.array([0.0, 1e-12, 1e-300, 5e-324, 1e-3, 0.7, 25.0])
         # every 0.25 from 25 to 40 too: a looser threshold changes bits there
         gs = _THRESHOLD_GS + np.linspace(25.0, 40.0, 61).tolist() + [1.0, 2.0, 700.0, 708.4, 745.2, 800.0]
-        arr = np.array(gs)
-        assert _same_bits(log_r_from_g_array(arr), oracles.summed_log_r_from_g_array(arr))
         for g in gs:
             assert _same_bits(log_r_from_g(g), oracles.summed_log_r_from_g(g))
             g_hi = g + dgs
-            assert _same_bits(log_ratio_r_array(g_hi, g), oracles.summed_log_ratio_r_array(g_hi, g))
             for gh in g_hi:
                 assert _same_bits(log_ratio_r(float(gh), g), oracles.summed_log_ratio_r(float(gh), g))
             for dg_ab in dgs[1:]:
@@ -351,8 +288,6 @@ class TestLeadingTermExit:
                 # g_b == g_r first, then w_b/w_a from 1 - 1e-12 down to e^-25
                 g_r = g_b + dgs
                 for span in (None, float(dg_ab)):
-                    want = oracles.summed_log_int_log_ratio_array(g_r, g, g_b, span_ba=span)
-                    assert _same_bits(log_int_log_ratio_array(g_r, g, g_b, span_ba=span), want)
                     for gr in g_r:
                         want = oracles.summed_log_int_log_ratio(float(gr), g, g_b, span_ba=span)
                         assert _same_bits(log_int_log_ratio(float(gr), g, g_b, span_ba=span), want)
@@ -364,44 +299,24 @@ class TestLeadingTermExit:
                            (720.0, 720.0 + 1e-10), (740.0, 740.0 + 1e-6), (745.0, 745.5)):
             got.append(log_ratio_r(g_hi, g_lo))
             assert _same_bits(got[-1], oracles.summed_log_ratio_r(g_hi, g_lo))
-            arr = np.array([g_hi])
-            assert _same_bits(log_ratio_r_array(arr, g_lo), oracles.summed_log_ratio_r_array(arr, g_lo))
         assert all(0.0 <= x < 2.2250738585072014e-308 for x in got)
         assert got[0] > 0.0 and _same_bits(got[3], 0.0)
         assert _same_bits(log_r_from_g(746.0), -0.0)
         assert _same_bits(log_r_from_g(math.inf), -0.0)
-        assert _same_bits(log_r_from_g_array(np.array([math.inf, 746.0])), np.array([-0.0, -0.0]))
-
-    def test_mixed_depths_in_one_array(self):
-        gs = np.array([2.0, 50.0, 5.0, 700.0, 38.0, 39.0])
-        assert _same_bits(log_r_from_g_array(gs), oracles.summed_log_r_from_g_array(gs))
-        # w_a ~ e^(-g_a) (1 - e^(-(g_r - g_a))) spans the exit within one call
-        offsets = np.array([1e-9, 1e-6, 1e-3, 0.5, 5.0])
-        for g_a in (20.0, 30.0, 36.0):
-            g_r = g_a + offsets
-            want = oracles.summed_log_int_log_ratio_array(g_r, g_a, g_a + offsets / 2)
-            assert _same_bits(log_int_log_ratio_array(g_r, g_a, g_a + offsets / 2), want)
 
     @pytest.mark.parametrize("g", [40.0, 41.5, 100.0, 700.0, 745.0, 800.0])
     def test_one_term_cap_is_enough_past_the_exit(self, monkeypatch, g):
         # with SERIES_CAP = 1 no loop may run, and nothing changes
-        arr = g + np.array([0.0, 0.5, 3.0])
         want = [
             oracles.summed_log_r_from_g(g),
             oracles.summed_log_ratio_r(g + 0.5, g),
             oracles.summed_log_int_log_ratio(g + 3.0, g, g + 0.5),
-            oracles.summed_log_r_from_g_array(arr),
-            oracles.summed_log_ratio_r_array(arr, g),
-            oracles.summed_log_int_log_ratio_array(arr + 1.0, g, g + 0.5),
         ]
         monkeypatch.setattr(numerics, "SERIES_CAP", 1)
         got = [
             log_r_from_g(g),
             log_ratio_r(g + 0.5, g),
             log_int_log_ratio(g + 3.0, g, g + 0.5),
-            log_r_from_g_array(arr),
-            log_ratio_r_array(arr, g),
-            log_int_log_ratio_array(arr + 1.0, g, g + 0.5),
         ]
         for a, b in zip(got, want):
             assert _same_bits(a, b)
@@ -410,8 +325,6 @@ class TestLeadingTermExit:
     def test_log_r_rejects_negative_and_nan(self, g):
         with pytest.raises(NumericsError, match="log_r_from_g needs g >= 0"):
             log_r_from_g(g)
-        with pytest.raises(NumericsError, match="log_r_from_g_array needs every g >= 0"):
-            log_r_from_g_array(np.array([1.0, g, 50.0]))
 
     @pytest.mark.parametrize("g_lo", [0.5, 2.0, 50.0])
     def test_nan_is_bad_input_in_every_log_gap_routine(self, g_lo):
@@ -424,21 +337,11 @@ class TestLeadingTermExit:
             lambda: gap_diff_log(g_lo, nan), lambda: gap_diff_log(nan, g_lo),
             lambda: log_neg_log_r(nan),
             lambda: log_int_log_ratio(g_lo + 3.0, g_lo, nan),
-            lambda: log_ratio_r_array(np.array([nan, g_lo + 1.0]), g_lo),
-            lambda: log_ratio_r_array(np.array([g_lo + 1.0]), nan),
-            lambda: log_log_ratio_r_array(np.array([g_lo + 1.0, nan]), g_lo),
-            lambda: log_log_ratio_r_array(np.array([g_lo + 1.0]), nan),
-            lambda: log_int_log_ratio_array(np.array([g_lo + 3.0]), g_lo, np.array([nan])),
-            lambda: log_int_log_ratio_array(np.array([g_lo + 3.0]), nan, g_lo + 1.0),
         ]
         for call in calls:
             with pytest.raises(NumericsError) as err:
                 call()
             assert not isinstance(err.value, SeriesCapError)
-
-    def test_log_log_ratio_array_rejects_misordered_gaps_at_depth(self):
-        with pytest.raises(NumericsError, match="log_log_ratio_r_array needs g_hi >= g_lo"):
-            log_log_ratio_r_array(np.array([51.0, 49.0]), 50.0)
 
 
 class TestSeriesCap:

@@ -448,6 +448,12 @@ class TestPredictors:
         with pytest.raises(O.OdeError):
             O.predict_orders(1.0, 2.0, 1, 2.0)  # p2 = 2k
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        # k = 0 divided by zero; k = -1 gave sigma = -4
+        with pytest.raises(O.OdeError, match=f"need k >= 1, got k={k}"):
+            O.predict_orders(2.0, 3.0, k, 3.0)
+
     def test_xi_reference_value(self):
         xi, beta, res = O.quadratic_growth_exponents(2, 5.0, 6.0, 0.0)
         assert xi == pytest.approx(1.0 + math.sqrt(21.0), rel=1e-13)

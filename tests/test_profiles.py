@@ -11,7 +11,7 @@ from discgrowth import ode as O
 from discgrowth.numerics import LogGap, NumericsError
 from discgrowth.profiles import ProfileRangeError, RadialProfile, branch_samples
 from discgrowth.scaffold import ScaffoldParams, build_scaffold
-from oracles import laplacian_fd, log_domain_phi_array
+from oracles import laplacian_fd
 
 
 @pytest.fixture(scope="module")
@@ -129,47 +129,63 @@ class TestArrayPhi:
 
 
 def _branch_points(prof: RadialProfile, per_branch: int = 40):
-    """(generation, branch, g's) of every branch: its start, interior points
-    and the double below its end."""
+    """(branch, g's) of every branch: its start, interior points and the
+    double below its end."""
     ends = list(prof._starts[1:]) + [prof.g_end]
-    for (g_lo, i, b), g_hi in zip(prof._bounds, ends):
+    for (g_lo, _, b), g_hi in zip(prof._bounds, ends):
         if g_hi > g_lo:
             gs = np.append(np.linspace(g_lo, g_hi, per_branch, endpoint=False), math.nextafter(g_hi, 0.0))
-            yield prof.scaffold.generations[i], b, gs
+            yield b, gs
+
+
+def _scalar_phi(prof: RadialProfile, gs: np.ndarray) -> np.ndarray:
+    return np.array([prof.phi(g) for g in gs.tolist()])
 
 
 class TestLeadOnlyBranches:
     """Past e^-g_n <= 2^-56 every series of a generation's branches is its
     first term, and the array phi takes those first terms in closed form;
-    elsewhere it keeps the log-domain series of ``oracles`` bit for bit."""
+    on every other generation it is the scalar phi bit for bit."""
 
     @pytest.mark.parametrize("fixture", ["small", "wide"])
     def test_other_branches_keep_their_bits(self, fixture, small_scaffold, wide_scaffold):
         prof = RadialProfile(small_scaffold if fixture == "small" else wide_scaffold)
         assert not any(t.lead for t in prof._terms)
-        for gen, b, gs in _branch_points(prof):
-            assert prof.phi(gs).tobytes() == log_domain_phi_array(prof, gs, gen, b).tobytes()
+        for _, gs in _branch_points(prof):
+            assert prof.phi(gs).tobytes() == _scalar_phi(prof, gs).tobytes()
 
     @pytest.mark.parametrize("triple,generations,tol", [
         ((2.0, 3.0, 3.0), 4, 1e-13), ((3.0, 4.0, 4.0), 5, 1e-13),  # the benchmark's studies
         ((2.0, 3.0, 3.0), 8, 1e-12),  # e^-g underflows from generation 6 on
     ])
     def test_lead_only_branches_near_the_log_domain_series(self, triple, generations, tol):
-        # the log-domain sums carry a few ulp of g_hat in the exponent of the
-        # mass term, so at depth they differ from the closed form by more
+        # the log-domain sums of the scalar phi carry a few ulp of g_hat in
+        # the exponent of the mass term, so at depth they differ from the
+        # closed form by more
         prof = RadialProfile(build_scaffold(ScaffoldParams.with_defaults(k=1, p1=triple[0], p2=triple[1], p=triple[2]),
                                             generations))
         assert all(t.lead for t in prof._terms)
         worst = 0.0
-        for gen, b, gs in _branch_points(prof):
-            want = log_domain_phi_array(prof, gs, gen, b)
+        for b, gs in _branch_points(prof):
+            want = _scalar_phi(prof, gs)
             got = prof.phi(gs)
             if b == 1:
                 assert got.tobytes() == want.tobytes()
             worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-            scalar = np.array([prof.phi(float(g)) for g in gs])
-            assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-12
         assert worst <= tol
+
+    def test_one_call_over_lead_and_other_generations(self):
+        # the wide parameters to generation 4: g_n = 3, 12.1, 29.3 and 64.05,
+        # so only the last generation is lead
+        prof = RadialProfile(build_scaffold(ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=4.0, log_c=4.0, g1=3.0),
+                                            4))
+        assert [t.lead for t in prof._terms] == [False, False, False, True]
+        gs = np.random.default_rng(11).permutation(np.concatenate([gs for _, gs in _branch_points(prof)]))
+        got, want = prof.phi(gs), _scalar_phi(prof, gs)
+        lead = np.array([prof._terms[prof.branch_at(g)[0]].lead for g in gs.tolist()])
+        assert 0 < np.count_nonzero(lead) < len(gs)
+        assert got[~lead].tobytes() == want[~lead].tobytes()
+        assert np.max(np.abs(got[lead] - want[lead]) / np.abs(want[lead])) <= 1e-13
 
 
 class TestJunctions:

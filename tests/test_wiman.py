@@ -58,6 +58,14 @@ class TestBuildLadderSeries:
         with pytest.raises(W.SeriesError):
             W.build_ladder_series([0, 1], [1.0, 2.0])
 
+    @pytest.mark.parametrize("variant,lam", [("power-law", None), ("doubling", 1.0)])
+    def test_materialize_needs_a_term(self, variant, lam):
+        series = W.build_reference_series(variant, sigma=2.0, lam=lam)
+        for terms in (0, -3):
+            with pytest.raises(W.SeriesError, match=f"terms must be >= 1, got {terms}"):
+                series.materialize(terms)
+        assert series.materialize(1).n_seq == [0]
+
 
 class TestCentralIndex:
     def test_closed_form_exact_on_random_radii(self):
