@@ -6,10 +6,13 @@ writer then puts them on disk: outputs are written only after the whole
 command succeeded, and a run that exits non-zero leaves behind no file it
 created.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  Errors go to
-stderr as one JSON object.  An INI config file supplies defaults per section
-(section name = subcommand); explicit flags override it, unknown keys are
-rejected.
+Each action (``scaffold``, ``ode predict``, ...) has its own parser that
+accepts only the flags the action reads; a float flag must be finite.  Exit
+codes: 0 success, 2 validation error, 3 numerical failure.  Errors go to
+stderr as one JSON object (a malformed flag: argparse's usage error).  An INI
+config file supplies defaults per section (section name = subcommand) to the
+action being run; explicit flags override it, and a key that is not a flag of
+that action is rejected.
 """
 
 from __future__ import annotations
@@ -64,12 +67,17 @@ def _scaffold_records(scaffold) -> list[dict]:
     return recs + checks
 
 
-def _load_scaffold(path: str):
+def _read_input(flag: str, path: str) -> list[dict]:
+    """The records of the file ``path`` given to ``flag``; not JSONL is bad input."""
     try:
         recs = read_records(path)
     except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
-        raise CliValidationError(f"--scaffold {path} is not a JSONL file: {err}") from None
-    recs = [r for r in recs if isinstance(r, dict)]
+        raise CliValidationError(f"{flag} {path} is not a JSONL file: {err}") from None
+    return [r for r in recs if isinstance(r, dict)]
+
+
+def _load_scaffold(path: str):
+    recs = _read_input("--scaffold", path)
     params = next((r for r in recs if r.get("kind") == "scaffold-params"), None)
     if params is None:
         raise CliValidationError(f"--scaffold {path} has no scaffold-params record")
@@ -101,7 +109,7 @@ def _csv_text(rows) -> str:
 
 def _require(args, command: str, *dests: str) -> None:
     """Bad input unless every flag named in ``dests`` has a value."""
-    missing = [f"--{d}" for d in dests if getattr(args, d) is None]
+    missing = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is None]
     if missing:
         raise CliValidationError(f"{command} needs {', '.join(missing)} (flags or config)")
 
@@ -159,8 +167,6 @@ def _cmd_riesz(args) -> list[Output]:
 
 
 def _cmd_series(args) -> list[Output]:
-    if args.action != "reference":
-        raise CliValidationError(f"unknown series action {args.action!r}")
     series = W.build_reference_series(args.variant, sigma=args.sigma, lam=args.lam, delta=args.delta)
     if args.trace and args.variant == "doubling":
         if args.trace_k_hi < args.trace_k_lo:
@@ -195,91 +201,66 @@ def _cmd_series(args) -> list[Output]:
     return outputs
 
 
-def _cmd_logderiv(args) -> list[Output]:
-    if args.action == "windows":
-        ws = L.loworder_windows(args.lam, args.eta, args.g_n)
-        dens = L.upper_density(ws)
-        recs = [
-            {
-                "kind": "windows",
-                "intervals": [[a, b] for a, b in ws.intervals],
-                "upper_density": dens.value,
-                "flagged": dens.flagged,
-            },
-            _check("window-density", dens.value, 1.0, dens.value >= 0.0),
-        ]
-        return [(args.out, recs)]
-    if args.action == "certificate":
-        spec = L.exp_inverse_power_spec(args.power)
-        ws = L.loworder_windows(spec.lam, args.eta, args.g_n)
-        rpt = L.logderiv_certificate(spec, args.k, args.j, args.eps, ws)
-        recs = [
-            {
-                "kind": "certificate",
-                "k": rpt.k,
-                "j": rpt.j,
-                "eps": rpt.eps,
-                "max_statistic": rpt.max_statistic,
-            },
-            _check("certificate-statistic-bounded", rpt.max_statistic, args.power, rpt.max_statistic <= args.power),
-        ]
-        return [(args.out, recs)]
-    raise CliValidationError(f"unknown logderiv action {args.action!r}")
+def _cmd_windows(args) -> list[Output]:
+    ws = L.loworder_windows(args.lam, args.eta, args.g_n)
+    dens = L.upper_density(ws)
+    rec = {"kind": "windows", "intervals": [[a, b] for a, b in ws.intervals],
+           "upper_density": dens.value, "flagged": dens.flagged}
+    return [(args.out, [rec, _check("window-density", dens.value, 1.0, dens.value >= 0.0)])]
 
 
-def _cmd_ode(args) -> list[Output]:
-    if args.action == "predict":
-        _require(args, "ode predict", "p1", "p2", "p")
-        sigma, lam, alpha = O.predict_orders(args.p1, args.p2, args.k, args.p)
-        rec = {"kind": "prediction", "sigma": sigma, "lambda": lam, "alpha": alpha,
-               "k": args.k, "p1": args.p1, "p2": args.p2, "p": args.p}
-        return [(args.out or "-", [rec])]
-    if args.action == "exponents":
-        _require(args, "ode exponents", "p1", "p2")
-        xi, beta, res = O.quadratic_growth_exponents(args.k, args.p1, args.p2, args.eps)
-        rec = {"kind": "xi-beta", "xi": xi, "beta": beta, "identity_residual": res}
-        chk = _check("growth-exponent-identity-residual", res, 1e-12, res <= 1e-12)
-        return [(args.out, [rec, chk])] if args.out else [("-", [rec])]
-    if args.action == "solve":
-        if not args.out:
-            raise CliValidationError("ode solve needs --out")
-        coeffs = O.pole_coeffs(args.pole_order, args.degree, scale=args.scale)
-        init = [LogValue.from_float(1.0)] + [LogValue.zero()] * (args.k - 1)
-        sol = O.taylor_solve(coeffs, args.k, init, args.degree)
-        gs = np.linspace(*args.estimate)
-        samples = [(float(g), math.log(max(sol.log_abs_sum(float(g)), 1e-300))) for g in gs]
-        ind = O.estimate_orders(samples, window=0.4, min_span=args.min_span)
-        recs = [
-            {
-                "kind": "ode-orders",
-                "k": args.k,
-                "pole_order": args.pole_order,
-                "degree": args.degree,
-                "sigma_hat_tail": ind.sigma_M.tail,
-                "lambda_hat_tail": ind.lambda_M.tail,
-                "slope": ind.sigma_M.slope,
-                "window": list(ind.window),
-            }
-        ]
-        if args.audit_p1 is not None:
-            rows = O.audit_inequalities(ind, args.audit_p1, args.audit_p2, args.k)
-            for row in rows:
-                recs.append({**_check(row.name, row.margin, 0.0, row.passed), "detail": row.detail})
-        sample_rows = [[f"{g:.17g}", f"{v:.17g}", f"{v / g:.17g}"] for g, v in samples]
-        return [(args.out, recs), (args.samples_csv, _csv_text([["g", "log_logM", "ratio"], *sample_rows]))]
-    raise CliValidationError(f"unknown ode action {args.action!r}")
+def _cmd_certificate(args) -> list[Output]:
+    spec = L.exp_inverse_power_spec(args.power)
+    ws = L.loworder_windows(spec.lam, args.eta, args.g_n)
+    rpt = L.logderiv_certificate(spec, args.k, args.j, args.eps, ws)
+    rec = {"kind": "certificate", "k": rpt.k, "j": rpt.j, "eps": rpt.eps, "max_statistic": rpt.max_statistic}
+    chk = _check("certificate-statistic-bounded", rpt.max_statistic, args.power, rpt.max_statistic <= args.power)
+    return [(args.out, [rec, chk])]
+
+
+def _cmd_predict(args) -> list[Output]:
+    _require(args, "ode predict", "p1", "p2", "p")
+    sigma, lam, alpha = O.predict_orders(args.p1, args.p2, args.k, args.p)
+    rec = {"kind": "prediction", "sigma": sigma, "lambda": lam, "alpha": alpha,
+           "k": args.k, "p1": args.p1, "p2": args.p2, "p": args.p}
+    return [(args.out, [rec])]
+
+
+def _cmd_exponents(args) -> list[Output]:
+    _require(args, "ode exponents", "p1", "p2")
+    xi, beta, res = O.quadratic_growth_exponents(args.k, args.p1, args.p2, args.eps)
+    rec = {"kind": "xi-beta", "xi": xi, "beta": beta, "identity_residual": res}
+    chk = _check("growth-exponent-identity-residual", res, 1e-12, res <= 1e-12)
+    return [(args.out, [rec, chk])] if args.out else [("-", [rec])]
+
+
+def _cmd_solve(args) -> list[Output]:
+    _require(args, "ode solve", "out")
+    if args.audit_p1 is not None or args.audit_p2 is not None:
+        _require(args, "ode solve", "audit_p1", "audit_p2")
+    coeffs = O.pole_coeffs(args.pole_order, args.degree, scale=args.scale)
+    init = [LogValue.from_float(1.0)] + [LogValue.zero()] * (args.k - 1)
+    sol = O.taylor_solve(coeffs, args.k, init, args.degree)
+    gs = np.linspace(*args.estimate)
+    samples = [(float(g), math.log(max(sol.log_abs_sum(float(g)), 1e-300))) for g in gs]
+    ind = O.estimate_orders(samples, window=0.4, min_span=args.min_span)
+    recs = [{"kind": "ode-orders", "k": args.k, "pole_order": args.pole_order, "degree": args.degree,
+             "sigma_hat_tail": ind.sigma_M.tail, "lambda_hat_tail": ind.lambda_M.tail,
+             "slope": ind.sigma_M.slope, "window": list(ind.window)}]
+    if args.audit_p1 is not None:
+        for row in O.audit_inequalities(ind, args.audit_p1, args.audit_p2, args.k):
+            recs.append({**_check(row.name, row.margin, 0.0, row.passed), "detail": row.detail})
+    sample_rows = [[f"{g:.17g}", f"{v:.17g}", f"{v / g:.17g}"] for g, v in samples]
+    return [(args.out, recs), (args.samples_csv, _csv_text([["g", "log_logM", "ratio"], *sample_rows]))]
 
 
 def _cmd_report(args) -> list[Output]:
     rows = []
     for path in args.inputs:
-        try:
-            recs = read_records(path)
-        except FileNotFoundError:
-            raise CliValidationError(f"missing input {path}")
-        for rec in recs:
-            if rec.get("kind") == "check":
-                rows.append((path, rec))
+        checks = [r for r in _read_input("--inputs", path) if r.get("kind") == "check"]
+        if any("name" not in r or not isinstance(r.get("value"), (int, float)) for r in checks):
+            raise CliValidationError(f"--inputs {path} has a check record without a name or a numeric value")
+        rows += [(path, r) for r in checks]
     lines = ["| check | source | value | threshold | status |",
              "|---|---|---|---|---|"]
     for path, rec in rows:
@@ -332,33 +313,40 @@ def _write_outputs(outputs: list[Output]) -> None:
 # argument wiring
 
 
+def _finite(text: str) -> float:
+    """The value of a float flag: a finite float."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(x := float(text)):
+            return x
+    raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+
+
 def _estimate_grid(text: str) -> tuple[float, float, int]:
     """``g_lo:g_hi:n`` of ``ode solve --estimate``: finite g_lo < g_hi and a
     positive integer count of samples."""
     try:
         lo, hi, count = text.split(":")
-        g_lo, g_hi, n = float(lo), float(hi), int(count)
+        n = int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected g_lo:g_hi:n (two floats and an integer), got {text!r}")
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi and n >= 1):
-        raise argparse.ArgumentTypeError(f"need finite g_lo < g_hi and n >= 1, got {text!r}")
+    g_lo, g_hi = _finite(lo), _finite(hi)
+    if not (g_lo < g_hi and n >= 1):
+        raise argparse.ArgumentTypeError(f"need g_lo < g_hi and n >= 1, got {text!r}")
     return g_lo, g_hi, n
 
 
 def _g_sequence(text: str) -> list[float]:
-    """``g_1,g_2,...`` of ``logderiv --g-n``: comma-separated floats."""
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+    """``g_1,g_2,...`` of ``logderiv --g-n``: comma-separated finite floats."""
+    return [_finite(x) for x in text.split(",")]
 
 
 @contextlib.contextmanager
 def _config_defaults(parser: argparse.ArgumentParser, section: str, config_path: str):
-    """Install INI-section values as subparser defaults (flags still win)
-    for the duration of the block.  The parser is shared by every ``main``
-    call of the process, so the old defaults come back on exit, also when a
-    value fails to parse."""
+    """Install INI-section values as defaults of the action parser ``parser``
+    (flags still win) for the duration of the block; a key that is not one of
+    its flags is bad input.  The parser is shared by every ``main`` call of
+    the process, so the old defaults come back on exit, also when a value
+    fails to parse."""
     cp = configparser.ConfigParser()
     if not cp.read(config_path):
         raise CliValidationError(f"config file {config_path} not readable")
@@ -366,10 +354,9 @@ def _config_defaults(parser: argparse.ArgumentParser, section: str, config_path:
     try:
         by_dest = {a.dest: a for a in parser._actions}
         for key, raw in cp.items(section) if cp.has_section(section) else ():
-            dest = key.replace("-", "_")
-            action = by_dest.get(dest)
+            action = by_dest.get(key.replace("-", "_"))
             if action is None:
-                raise CliValidationError(f"unknown config key [{section}] {key}")
+                raise CliValidationError(f"config key [{section}] {key} is not a flag of {parser.prog}")
             saved.append((action, action.default))
             if isinstance(action, argparse._StoreTrueAction):
                 action.default = raw.strip().lower() in ("1", "true", "yes", "on")
@@ -386,19 +373,28 @@ def _config_defaults(parser: argparse.ArgumentParser, section: str, config_path:
             action.default = default
 
 
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated flags: ``ode solve --p 3`` must not pass for ``--pole-order``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="discgrowth", description=__doc__)
+    """One parser per action (subparsers take the class of their parent),
+    each with only the flags its ``_cmd_*`` reads."""
+    top = _Parser(prog="discgrowth", description=__doc__)
     top.add_argument("--config", default=None, help="INI file with per-subcommand sections")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scaffold", help="build the thinning-radii construction")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p1", type=float, default=None)
-    p.add_argument("--p2", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--p1", type=_finite, default=None)
+    p.add_argument("--p2", type=_finite, default=None)
+    p.add_argument("--p", type=_finite, default=None)
     p.add_argument("--generations", type=int, default=4)
-    p.add_argument("--g1", type=float, default=None)
-    p.add_argument("--log-c", dest="log_c", type=float, default=None)
+    p.add_argument("--g1", type=_finite, default=None)
+    p.add_argument("--log-c", dest="log_c", type=_finite, default=None)
     p.add_argument("--eta-offset", dest="eta_offset", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out", dest="csv_out", default=None)
@@ -414,19 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riesz", help="equal-mass cells and surrogate zeros")
     p.add_argument("--scaffold", required=True)
     p.add_argument("--generation", type=int, default=1)
-    p.add_argument("--g-max", dest="g_max", type=float, default=25.0)
+    p.add_argument("--g-max", dest="g_max", type=_finite, default=25.0)
     p.add_argument("--ceiling", type=int, default=200_000)
     p.add_argument("--split-doubles", dest="split_doubles", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out", dest="summary_out", default=None)
     p.set_defaults(func=_cmd_riesz)
 
-    p = sub.add_parser("series", help="reference sparse-series constructions")
-    p.add_argument("action", choices=["reference"])
+    actions = sub.add_parser("series", help="reference sparse-series constructions").add_subparsers(
+        dest="action", required=True)
+    p = actions.add_parser("reference")
     p.add_argument("--variant", choices=["power-law", "doubling"], required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--sigma", type=_finite, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=None)
+    p.add_argument("--delta", type=_finite, default=None)
     p.add_argument("--terms", type=int, default=12)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None)
@@ -434,35 +431,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-k-hi", dest="trace_k_hi", type=int, default=14)
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("logderiv", help="windows, densities and certificates")
-    p.add_argument("action", choices=["windows", "certificate"])
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--g-n", dest="g_n", type=_g_sequence, default="2,4,8,16,32")
-    p.add_argument("--power", type=float, default=2.0)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_logderiv)
+    actions = sub.add_parser("logderiv", help="windows, densities and certificates").add_subparsers(
+        dest="action", required=True)
+    windows, cert = actions.add_parser("windows"), actions.add_parser("certificate")
+    windows.add_argument("--lambda", dest="lam", type=_finite, default=1.0)
+    cert.add_argument("--power", type=_finite, default=2.0)
+    cert.add_argument("--k", type=int, default=1)
+    cert.add_argument("--j", type=int, default=0)
+    cert.add_argument("--eps", type=_finite, default=0.1)
+    for p, func in ((windows, _cmd_windows), (cert, _cmd_certificate)):
+        p.add_argument("--eta", type=_finite, default=0.5)
+        p.add_argument("--g-n", dest="g_n", type=_g_sequence, default="2,4,8,16,32")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("ode", help="solve, predict and audit")
-    p.add_argument("action", choices=["predict", "solve", "exponents"])
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p1", type=float, default=None)
-    p.add_argument("--p2", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--pole-order", dest="pole_order", type=int, default=2)
-    p.add_argument("--scale", type=float, default=-1.0)
-    p.add_argument("--degree", type=int, default=2000)
-    p.add_argument("--estimate", type=_estimate_grid, default="0.8:2.2:48", metavar="G_LO:G_HI:N")
-    p.add_argument("--min-span", dest="min_span", type=float, default=1.0)
-    p.add_argument("--audit-p1", dest="audit_p1", type=float, default=None)
-    p.add_argument("--audit-p2", dest="audit_p2", type=float, default=None)
-    p.add_argument("--samples-csv", dest="samples_csv", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ode)
+    actions = sub.add_parser("ode", help="solve, predict and audit").add_subparsers(dest="action", required=True)
+    predict, exponents, solve = (actions.add_parser(a) for a in ("predict", "exponents", "solve"))
+    for p in (predict, exponents, solve):
+        p.add_argument("--k", type=int, default=1)
+    for p in (predict, exponents):
+        p.add_argument("--p1", type=_finite, default=None)
+        p.add_argument("--p2", type=_finite, default=None)
+    predict.add_argument("--p", type=_finite, default=None)
+    predict.add_argument("--out", default="-")
+    predict.set_defaults(func=_cmd_predict)
+    exponents.add_argument("--eps", type=_finite, default=0.0)
+    exponents.add_argument("--out", default=None)
+    exponents.set_defaults(func=_cmd_exponents)
+    solve.add_argument("--pole-order", dest="pole_order", type=int, default=2)
+    solve.add_argument("--scale", type=_finite, default=-1.0)
+    solve.add_argument("--degree", type=int, default=2000)
+    solve.add_argument("--estimate", type=_estimate_grid, default="0.8:2.2:48", metavar="G_LO:G_HI:N")
+    solve.add_argument("--min-span", dest="min_span", type=_finite, default=1.0)
+    solve.add_argument("--audit-p1", dest="audit_p1", type=_finite, default=None)
+    solve.add_argument("--audit-p2", dest="audit_p2", type=_finite, default=None)
+    solve.add_argument("--samples-csv", dest="samples_csv", default=None)
+    solve.add_argument("--out", default=None)
+    solve.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("report", help="collate check rows from prior outputs")
     p.add_argument("--inputs", nargs="*", default=[])
@@ -473,23 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _prescan(argv):
-    """(config path, subcommand token) without triggering required-flag checks."""
-    config = None
-    command = None
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a == "--config" and i + 1 < len(argv):
-            config = argv[i + 1]
-            i += 2
-            continue
-        if a.startswith("--config="):
-            config = a.split("=", 1)[1]
-        elif command is None and not a.startswith("-"):
-            command = a
-        i += 1
-    return config, command
+def _action_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The parser of the action ``args`` were parsed for."""
+    for name in (args.command, getattr(args, "action", None)):
+        if name is not None:
+            parser = parser._subparsers._group_actions[0].choices[name]
+    return parser
 
 
 @functools.cache
@@ -503,16 +497,14 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = _parser()
     try:
-        config, command = _prescan(argv)
-        name_map = parser._subparsers._group_actions[0]._name_parser_map
-        with (
-            _config_defaults(name_map[command], command, config)
-            if config and command in name_map else contextlib.nullcontext()
-        ):
-            try:
-                args = parser.parse_args(argv)
-            except SystemExit as e:
-                return int(e.code or 0)
+        try:
+            args = parser.parse_args(argv)
+            if args.config:
+                # again with the config section installed on the action's parser
+                with _config_defaults(_action_parser(parser, args), args.command, args.config):
+                    args = parser.parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
         _write_outputs(args.func(args))
         return 0
     except Exception as err:

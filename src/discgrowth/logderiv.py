@@ -285,6 +285,8 @@ class ClosedFormSpec:
 def exp_inverse_power_spec(p: float) -> ClosedFormSpec:
     """f = exp((1-z)^-p): zero-free, log|f'/f| = log p + (p+1) log(1/|1-z|),
     lambda_M = sigma_M = p."""
+    if not (math.isfinite(p) and p > 0.0):
+        raise NumericsError(f"need a finite power p > 0, got power {p}")
 
     def log_ratio(g: float, theta: np.ndarray) -> np.ndarray:
         gap = math.exp(-g)

@@ -598,6 +598,8 @@ def audit_inequalities(
     takes the larger of the tail/slope estimates (finite range biases them
     downward), the band takes the tail-extremum liminf estimator.
     """
+    if not 0.0 < p1 <= p2:
+        raise OdeError(f"need 0 < p1 <= p2, got p1={p1}, p2={p2}")
     lam_hi = max(indicators.lambda_M.tail, indicators.lambda_M.slope)
     sig_hi = max(indicators.sigma_M.tail, indicators.sigma_M.slope)
     plus = max(lam_hi - (lam_hi / sig_hi if sig_hi > 0 else 0.0), 0.0)

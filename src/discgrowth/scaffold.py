@@ -64,6 +64,10 @@ class ScaffoldParams:
     eta_offset: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p1, self.p2, self.p, self.log_c, self.g1))):
+            raise ConstructionError(f"need finite p1, p2, p, log C and g1, got {self}")
+        if self.eta_offset < 1:
+            raise ConstructionError(f"need eta_offset >= 1 so that eta_n > 1, got {self.eta_offset}")
         if self.k < 1:
             raise ConstructionError(f"k must be a positive integer, got {self.k}")
         if not 0.0 < self.p1 < self.p2 <= self.p:
@@ -101,7 +105,7 @@ class ScaffoldParams:
         if p is None:
             p = p2
         if log_c is None:
-            log_c = max(10.0, 4.0 * p2 / (p2 - p1))
+            log_c = max(10.0, 4.0 * p2 / (p2 - p1)) if p1 < p2 else 10.0  # p1 >= p2 is rejected below
         if g1 is None:
             g1 = 4.0 * log_c
         a = log_c**0.45
@@ -393,10 +397,7 @@ def _build_once(params: ScaffoldParams, n_generations: int) -> list[Generation]:
         if not gen.ordered():
             raise ConstructionError(f"generation {idx} radii not strictly increasing")
         gens.append(gen)
-        eta_n = params.eta(idx)
-        if eta_n <= 1.0:
-            raise ConstructionError(f"eta({idx}) = {eta_n} must exceed 1")
-        r_n = LogGap(r_dp.g + math.log(eta_n))
+        r_n = LogGap(r_dp.g + math.log(params.eta(idx)))
         eps_n = eps_next
     return gens
 

@@ -468,6 +468,8 @@ def build_reference_series(variant: str, sigma: float, lam: float | None = None,
     if variant == "power-law":
         if lam is not None and lam != sigma:
             raise SeriesError("the power-law ladder has lambda = sigma by construction")
+        if delta is not None:
+            raise SeriesError("the power-law ladder takes no delta; only the doubling ladder has one")
         return PowerLawSeries(sigma)
     if variant == "doubling":
         if lam is None:

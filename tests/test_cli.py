@@ -299,8 +299,9 @@ class TestRieszCmd:
         code = run("riesz", "--scaffold", str(small_scaffold_file), "--g-max", g_max,
                    "--out", str(cloud), "--summary-out", str(summary))
         assert code == 2
-        err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["error"] == "PartitionError" and "g_max" in err["message"]
+        # a usage error, before any work
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert f"error: argument --g-max: expected a finite float, got '{g_max}'" in err
         assert not cloud.exists() and not summary.exists()
 
     def test_failed_serialisation_leaves_no_files(self, small_scaffold_file, tmp_path, capsys,
@@ -374,6 +375,51 @@ class TestConfigFile:
         assert ks == [2, 1, 1] and not outs[2].exists()
 
 
+class TestPerActionFlags:
+    """Each action accepts only the flags it reads, from the command line and
+    from its config section alike."""
+
+    @pytest.mark.parametrize("argv,extra", [
+        ("ode predict --p1 2 --p2 4 --p 4", "--eps 0.1"),
+        ("ode exponents --k 2 --p1 5 --p2 6", "--p 6"),
+        ("ode solve --degree 50 --out o.json", "--p1 2"),
+        ("ode solve --degree 50 --out o.json", "--p 3"),  # not an abbreviation of --pole-order
+        ("logderiv windows --out w.json", "--power 2"),
+        ("logderiv certificate --out c.json", "--lambda 1"),
+    ])
+    def test_a_flag_of_another_action_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, extra):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv.split(), *extra.split()) == 2
+        assert f"error: unrecognized arguments: {extra}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_section_applies_to_the_action_being_run(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "run.ini").write_text("[ode]\neps = 0.1\n")
+        monkeypatch.chdir(tmp_path)
+        assert run("--config", "run.ini", "ode", "exponents", "--k", "2", "--p1", "5", "--p2", "6",
+                   "--out", "a.json") == 0
+        assert run("ode", "exponents", "--k", "2", "--p1", "5", "--p2", "6", "--eps", "0.1",
+                   "--out", "b.json") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        # ode predict has no --eps
+        assert run("--config", "run.ini", "ode", "predict", "--p1", "2", "--p2", "4", "--p", "4",
+                   "--out", "c.json") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "CliValidationError",
+                       "message": "config key [ode] eps is not a flag of discgrowth ode predict"}
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_float_in_a_config(self, small_scaffold_file, tmp_path, monkeypatch, capsys, value):
+        (tmp_path / "run.ini").write_text(f"[riesz]\ng-max = {value}\n")
+        monkeypatch.chdir(tmp_path)
+        assert run("--config", "run.ini", "riesz", "--scaffold", str(small_scaffold_file),
+                   "--out", "c.jsonl") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"config key [riesz] g-max: expected a finite float, got '{value}'"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
 def test_parser_built_once_per_process(tmp_path, monkeypatch):
     from discgrowth import cli
 
@@ -415,6 +461,23 @@ class TestReportCmd:
 
     def test_missing_input(self, tmp_path):
         assert run("report", "--inputs", "nope.json", "--out", str(tmp_path / "r.md")) == 2
+
+    @pytest.mark.parametrize("content", [
+        "# report\n\nnot JSON\n",
+        '{"kind":"check","value":1.0}\n',  # no name
+        '{"kind":"check","name":"x"}\n',  # no value
+        '{"kind":"check","name":"x","value":"high"}\n',  # not a number
+    ])
+    def test_bad_input_file_is_a_validation_error(self, tmp_path, monkeypatch, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.chdir(out_dir)
+        assert run("report", "--inputs", str(bad), "--out", "r.md") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliValidationError" and f"--inputs {bad}" in err["message"]
+        assert list(out_dir.iterdir()) == []
 
     def test_collates_across_sources(self, small_scaffold_file, tmp_path):
         xi = tmp_path / "xi.json"
@@ -606,6 +669,15 @@ class TestBadValuesExit2:
          "SeriesError", "terms must be >= 1, got -3"),
         ("series reference --variant doubling --lambda 1 --sigma 2 --terms 0 --out ser.json",
          "SeriesError", "terms must be >= 1, got 0"),
+        ("series reference --variant power-law --sigma 2 --delta 0.1 --out ser.json",
+         "SeriesError", "the power-law ladder takes no delta"),
+        ("ode solve --degree 50 --audit-p1 3 --out o.json", "CliValidationError", "ode solve needs --audit-p2 "),
+        ("ode solve --degree 50 --audit-p2 3 --out o.json", "CliValidationError", "ode solve needs --audit-p1 "),
+        ("ode solve --degree 50 --audit-p1 3 --audit-p2 0 --out o.json", "OdeError", "need 0 < p1 <= p2"),
+        ("scaffold --p1 2 --p2 3 --eta-offset 0 --out s.json", "ConstructionError", "need eta_offset >= 1"),
+        ("scaffold --p1 3 --p2 3 --out s.json", "ConstructionError", "need 0 < p1 < p2 <= p"),
+        ("logderiv certificate --power -1 --out c.json", "NumericsError", "need a finite power p > 0, got power -1.0"),
+        ("logderiv certificate --power 0 --out c.json", "NumericsError", "need a finite power p > 0, got power 0.0"),
     ])
     def test_one_json_error(self, small_scaffold_file, tmp_path, monkeypatch, capsys, argv, error, message):
         monkeypatch.chdir(tmp_path)

@@ -341,6 +341,12 @@ class TestCertificate:
         with pytest.raises(Exception):
             L.logderiv_certificate(spec, 1, 1, 0.1, L.RadialWindowSet(((1.0, 2.0),)))
 
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+    def test_power_must_be_finite_and_positive(self, power):
+        # -1 and 0 failed later, in loworder_windows, with messages naming neither
+        with pytest.raises(NumericsError, match=f"need a finite power p > 0, got power {power}"):
+            L.exp_inverse_power_spec(power)
+
     @pytest.mark.parametrize("eps", [0.0, -5.0, math.nan])
     def test_eps_must_be_positive(self, eps):
         # the estimate holds for every eps > 0, not below the theorem's exponent

@@ -612,3 +612,10 @@ class TestOrderRecovery:
         rows = O.audit_inequalities(ind, p1=3.0, p2=3.0, k=1)
         assert all(r.passed for r in rows)
         assert rows[0].margin >= 0.0
+
+    @pytest.mark.parametrize("p1, p2", [(3.0, 0.0), (0.0, 3.0), (-1.0, 3.0), (3.0, 2.0), (math.nan, 3.0)])
+    def test_audit_needs_ordered_positive_degrees(self, p1, p2):
+        # p2 = 0 divided by zero in the regular band before this check
+        ind = O.GrowthIndicators(lambda_M=O.Estimate(2.0, 2.0), sigma_M=O.Estimate(2.0, 2.0))
+        with pytest.raises(O.OdeError, match="need 0 < p1 <= p2"):
+            O.audit_inequalities(ind, p1=p1, p2=p2, k=1)

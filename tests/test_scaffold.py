@@ -33,6 +33,28 @@ class TestParams:
             # log C below p2/(p2-p1)
             ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, log_c=2.0)
 
+    @pytest.mark.parametrize("field", ["p1", "p2", "p", "log_c", "g1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, ref_params, field, value):
+        # p2 = p = inf passed every other check
+        kw = {**vars(ref_params), field: value}
+        if field == "p2":
+            kw["p"] = value
+        with pytest.raises(ConstructionError, match="need finite p1, p2, p, log C and g1"):
+            ScaffoldParams(**kw)
+
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_eta_offset_rejected_before_any_retry(self, offset):
+        # it used to fail inside the retry loop: C bumped 8 times, then
+        # RetriesExhaustedError (a numerical failure)
+        with pytest.raises(ConstructionError, match=f"need eta_offset >= 1 so that eta_n > 1, got {offset}"):
+            ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, eta_offset=offset)
+
+    def test_equal_degrees_rejected(self):
+        # the default log C divided by p2 - p1 = 0
+        with pytest.raises(ConstructionError, match="need 0 < p1 < p2 <= p"):
+            ScaffoldParams.with_defaults(k=1, p1=3.0, p2=3.0)
+
     def test_bumped_rescales(self, ref_params):
         b = ref_params.bumped()
         assert b.log_c == pytest.approx(ref_params.log_c + math.log(10.0))

@@ -291,6 +291,10 @@ class TestReferenceConstructions:
         with pytest.raises(W.SeriesError):
             W.build_reference_series("power-law", sigma=2.0, lam=1.0)
 
+    def test_variant_a_rejects_delta(self):
+        with pytest.raises(W.SeriesError, match="takes no delta"):
+            W.build_reference_series("power-law", sigma=2.0, delta=0.1)
+
     def test_unknown_variant(self):
         with pytest.raises(W.SeriesError):
             W.build_reference_series("mystery", sigma=2.0)
