@@ -3,9 +3,10 @@
 ``taylor_recursion`` is the dense O(degree^2) log-domain Taylor convolution
 for f^(k) = -A f, the general path of ``ode.taylor_solve`` and the oracle its
 pole recursion is tested against.  ``kernel_sums`` is the direct disc-kernel
-sum the tests compare the surrogate's batched near-field kernel
-(``riesz._pair_terms``) against, over the 17 N sources of a cloud (its atoms
-and ``riesz._cell_nodes``); the library never calls it.  Both add their
+sum the tests compare the surrogate's closed-form ring sums
+(``riesz._ring_sums``) and batched near-field kernel (``riesz._pair_terms``)
+against, over the 17 N sources of a cloud (its atoms and
+``riesz._cell_nodes``); the library never calls it.  Both add their
 terms with numpy, not BLAS dot products, so they do not depend on the BLAS
 thread count.
 

@@ -201,8 +201,18 @@ def _cmd_series(args) -> list[Output]:
     return outputs
 
 
+def _windows(args, lam: float, lam_flag: str) -> L.RadialWindowSet:
+    """The action's low-order windows; a rejection names the flags that
+    set them (``lam_flag``: the one that set lam, with its value)."""
+    try:
+        return L.loworder_windows(lam, args.eta, args.g_n)
+    except NumericsError as err:
+        g_n = ",".join(f"{g:g}" for g in args.g_n)
+        raise CliValidationError(f"{lam_flag} --eta {args.eta:g} --g-n {g_n}: {err}") from err
+
+
 def _cmd_windows(args) -> list[Output]:
-    ws = L.loworder_windows(args.lam, args.eta, args.g_n)
+    ws = _windows(args, args.lam, f"--lambda {args.lam:g}")
     dens = L.upper_density(ws)
     rec = {"kind": "windows", "intervals": [[a, b] for a, b in ws.intervals],
            "upper_density": dens.value, "flagged": dens.flagged}
@@ -211,7 +221,7 @@ def _cmd_windows(args) -> list[Output]:
 
 def _cmd_certificate(args) -> list[Output]:
     spec = L.exp_inverse_power_spec(args.power)
-    ws = L.loworder_windows(spec.lam, args.eta, args.g_n)
+    ws = _windows(args, spec.lam, f"--power {args.power:g}")
     rpt = L.logderiv_certificate(spec, args.k, args.j, args.eps, ws)
     rec = {"kind": "certificate", "k": rpt.k, "j": rpt.j, "eps": rpt.eps, "max_statistic": rpt.max_statistic}
     chk = _check("certificate-statistic-bounded", rpt.max_statistic, args.power, rpt.max_statistic <= args.power)
@@ -260,6 +270,8 @@ def _cmd_report(args) -> list[Output]:
         checks = [r for r in _read_input("--inputs", path) if r.get("kind") == "check"]
         if any("name" not in r or not isinstance(r.get("value"), (int, float)) for r in checks):
             raise CliValidationError(f"--inputs {path} has a check record without a name or a numeric value")
+        if any(not isinstance(r.get("threshold", 0.0), (int, float)) for r in checks):
+            raise CliValidationError(f"--inputs {path} has a check record with a non-numeric threshold")
         rows += [(path, r) for r in checks]
     lines = ["| check | source | value | threshold | status |",
              "|---|---|---|---|---|"]

@@ -170,7 +170,12 @@ class RadialProfile:
             if b == 1 or terms.lead:
                 vals[lo:hi] = self._phi_array(sorted_g[lo:hi], terms, b)
             else:
-                vals[lo:hi] = [self._phi(x, terms.gen, b) for x in sorted_g[lo:hi].tolist()]
+                # one scalar call per run of equal g's (a circle's samples
+                # share one); a diff mask, as np.unique imports numpy.ma
+                run = sorted_g[lo:hi]
+                starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+                once = [self._phi(x, terms.gen, b) for x in run[starts].tolist()]
+                vals[lo:hi] = np.repeat(once, np.diff(np.append(starts, len(run))))
         out = np.empty_like(sorted_g)
         out[order] = vals
         return out.reshape(g.shape)

@@ -334,6 +334,19 @@ class TestLogderivCmd:
         doc = read_records(str(out))[0]
         assert doc["upper_density"] == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("argv,flags", [
+        # lam = 0 halves every g, so 2, 4, 8, 16 give windows that touch
+        ("windows --lambda 0 --g-n 2,4,8,16", "--lambda 0 --eta 0.5 --g-n 2,4,8,16"),
+        ("certificate --power 0.01 --g-n 2,2.5", "--power 0.01 --eta 0.5 --g-n 2,2.5"),
+    ])
+    def test_overlapping_windows_name_their_flags(self, tmp_path, capsys, argv, flags):
+        out = tmp_path / "w.json"
+        assert run("logderiv", *argv.split(), "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliValidationError"
+        assert flags in err["message"] and "overlaps" in err["message"]
+        assert not out.exists()
+
     def test_certificate_bounded(self, tmp_path):
         out = tmp_path / "c.json"
         assert run("logderiv", "certificate", "--power", "2", "--k", "1", "--j", "0",
@@ -467,6 +480,7 @@ class TestReportCmd:
         '{"kind":"check","value":1.0}\n',  # no name
         '{"kind":"check","name":"x"}\n',  # no value
         '{"kind":"check","name":"x","value":"high"}\n',  # not a number
+        '{"kind":"check","name":"x","value":1.0,"threshold":"high","passed":true}\n',  # threshold not a number
     ])
     def test_bad_input_file_is_a_validation_error(self, tmp_path, monkeypatch, capsys, content):
         bad = tmp_path / "bad.json"

@@ -84,6 +84,20 @@ class TestArrayPhi:
         assert prof.phi(gs[:1]).tobytes() == one_by_one[:1].tobytes()
         assert prof.phi(gs[:0]).shape == (0,)
 
+    def test_equal_g_share_one_scalar_call(self, small_scaffold, monkeypatch):
+        # a surrogate circle's 16 samples share one g: one _phi call for the
+        # run, values equal to the per-point loop
+        prof = RadialProfile(small_scaffold)
+        (g_lo, _, b), g_hi = next((row, end) for row, end in zip(prof._bounds, prof._starts[1:])
+                                  if row[2] != 1 and not prof._terms[row[1]].lead)
+        g = 0.5 * (g_lo + g_hi)
+        want = np.array([prof.phi(g)] * 16 + [prof.phi(g_lo)])
+        phi, calls = prof._phi, []
+        monkeypatch.setattr(prof, "_phi", lambda x, gen, branch: calls.append(x) or phi(x, gen, branch))
+        got = prof.phi(np.array([g] * 8 + [g_lo] + [g] * 8))
+        assert sorted(calls) == [g_lo, g] and prof.branch_at(g)[1] == b
+        assert np.array_equal(got, want[[*range(8), 16, *range(8, 16)]])
+
     def test_matches_scalar_phi_past_the_underflow_depth(self, deep_profile):
         gs = np.array(branch_samples(deep_profile, 16) + [b[0] for b in deep_profile._bounds])
         assert gs.max() > 1.5e3

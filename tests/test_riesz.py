@@ -2,6 +2,7 @@
 The cell-mass and centroid oracles run independent adaptive quadrature
 through the profile's pointwise Laplacian."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -455,9 +456,10 @@ class TestPinnedValues:
     """The cell nodes are pinned bit for bit by the sha256 of their
     (delta, theta, weight) bytes, recorded at commit 8d59609 (the 17 N source
     triple built once per cloud).  The direct sums over every source and the
-    near-field values of eval_log_surrogate_many are pinned beside them; the
-    two differ by at most 1.3e-4.  Neither sum calls BLAS, so the values do
-    not depend on its thread count."""
+    values of eval_log_surrogate_many (closed-form lattice rings, the near
+    field at split-ring seams) are pinned beside them; the two differ by at
+    most 1.3e-6 here.  Neither sum calls BLAS, so the values do not depend
+    on its thread count."""
 
     def test_surrogate_values(self, gen1_cloud, small_profile):
         assert _nodes_digest(gen1_cloud) == "3c7fa41c7006074cf9ab3ce0ab55ec19e40ad057d1d19c305d5842f904885ac5"
@@ -466,8 +468,8 @@ class TestPinnedValues:
         assert [v.hex() for v in direct] == ["0x1.e0455c12d7426p+3", "0x1.33942de12a137p+4",
                                              "0x1.9c4c91dcccfb3p+3", "0x1.03662bc3253d4p+5"]
         got = R.eval_log_surrogate_many(gen1_cloud, small_profile, zs)
-        assert [v.hex() for v in got.tolist()] == ["0x1.e0448459e04c1p+3", "0x1.33940c1c7fdf7p+4",
-                                                   "0x1.9c4c8d22af155p+3", "0x1.03662b939cc1dp+5"]
+        assert [v.hex() for v in got.tolist()] == ["0x1.e0455c0efb6b8p+3", "0x1.33942de1268b3p+4",
+                                                   "0x1.9c4c91dccbcc0p+3", "0x1.03662bc325373p+5"]
 
     def test_hat_region_cloud_and_surrogate(self):
         # p > p2 opens the A-hat region; the ceiling stops inside A-dprime
@@ -484,7 +486,7 @@ class TestPinnedValues:
         direct = _direct_sum(cloud, prof, zs)
         assert [v.hex() for v in direct] == ["0x1.596b141685cdbp+4", "0x1.d90f88e561303p+3"]
         got = R.eval_log_surrogate_many(cloud, prof, zs)
-        assert [v.hex() for v in got.tolist()] == ["0x1.596b123e6d67ap+4", "0x1.d90e8505de20dp+3"]
+        assert [v.hex() for v in got.tolist()] == ["0x1.596b12bba2c83p+4", "0x1.d90f88e1193cep+3"]
 
     # sha256 of the cell nodes of the 127k-atom cloud, plain and split_doubles,
     # and of the generation-2 cloud of the small scaffold, recorded at commit
@@ -559,7 +561,8 @@ class TestNearField:
         delta = math.exp(-g)
         for theta in (1e-12, 0.02, 2.0, 2.0 * math.pi - 0.02, -0.3, 2.0 * math.pi + 0.3):
             want = _near_atoms_loop(gen1_cloud, delta, theta)
-            assert want and sorted(R._near_pairs(src, np.array([delta]), np.array([theta]))[0].tolist()) == want
+            windows = R._near_windows(src, np.array([delta]), np.array([theta]))
+            assert want and sorted(R._near_pairs(src, *windows)[0].tolist()) == want
 
     def test_shuffled_rings_give_the_same_values(self, gen1_cloud, small_profile):
         # a positional cloud with each ring's atoms out of theta order
@@ -655,8 +658,10 @@ class TestBatchedKernel:
         assert len(cloud) > 0
         src = R._sources(cloud)
         empty, near = (LogGap(6.0), 3.0), (LogGap(6.0), 0.25)
-        assert len(R._near_pairs(src, np.array([math.exp(-6.0)]), np.array([3.0]))[0]) == 0
-        assert len(R._near_pairs(src, np.array([math.exp(-6.0)]), np.array([0.25]))[0]) > 0
+        assert len(src.lattice.ring) == 0  # partial rings are no lattice
+        for theta, atoms in ((3.0, 0), (0.25, 1)):
+            windows = R._near_windows(src, np.array([math.exp(-6.0)]), np.array([theta]))
+            assert min(len(R._near_pairs(src, *windows)[0]), 1) == atoms
         got = R.eval_log_surrogate_many(cloud, small_profile, [empty, near, empty])
         assert got[0] == got[2] == small_profile.phi(6.0)
         assert got[1] == R.eval_log_surrogate_many(cloud, small_profile, [near])[0] != small_profile.phi(6.0)
@@ -777,3 +782,133 @@ class TestExcludedArcsBandEdge:
                     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
                 seen += len(want)
         assert seen > 1000
+
+
+@pytest.fixture(scope="module")
+def hat_cloud():
+    """The A-hat instance of TestPinnedValues: p > p2, split doubles, a
+    ceiling that stops the partition inside A-dprime."""
+    prof = RadialProfile(build_scaffold(ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=3.5, log_c=3.2, g1=3.0), 2))
+    return R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=3000), prof, split_doubles=True), prof
+
+
+@pytest.fixture(scope="module")
+def clouds(gen1_cloud, gen1_partition, small_profile, wide_cloud, hat_cloud):
+    return {
+        "small": (gen1_cloud, small_profile),
+        "split": (R.atomize(gen1_partition, small_profile, split_doubles=True), small_profile),
+        "wide": wide_cloud,
+        "hat": hat_cloud,
+    }
+
+
+def _ring_errors(cloud, src):
+    """Per lattice ring q, the largest distance between its closed form and
+    kernel_sums over every atom of the ring and the atom's cell nodes (the
+    remainder cell of a split ring included).  On a full ring the samples
+    sweep g and theta, with theta < 0 and > 2 pi; on a split ring they keep
+    theta at least 64 cells from the seam arc [seam, 2 pi], and their
+    copies shifted by -+ 2 pi."""
+    lat = src.lattice
+    delta, theta, weight = (col.reshape(len(cloud), 16) for col in R._cell_nodes(cloud))
+    gs = np.linspace(0.05, float(np.max(cloud.g)) + 0.3, 9)
+    full, split = [], []
+    for q, k in enumerate(lat.ring.tolist()):
+        atoms = np.flatnonzero(src.ring == k)
+        sources = [np.concatenate([col[atoms], nodes[atoms].ravel()])
+                   for col, nodes in ((src.delta, delta), (src.theta, theta), (src.mult, weight))]
+        if lat.full[k]:
+            thetas = np.array([-2.0, 0.7, 3.9, 2.0 * math.pi + 1.3, 4.0 * math.pi - 0.2])
+        else:
+            margin = 64.0 * lat.w[q]
+            if lat.seam[k] < 3.0 * margin:
+                continue  # no angle is 64 cells from the seam
+            inside = np.array([margin, 0.5 * lat.seam[k] + 0.1 * margin, lat.seam[k] - margin])
+            thetas = np.concatenate([inside, inside - 2.0 * math.pi, inside + 2.0 * math.pi])
+        g, t = (a.ravel() for a in np.meshgrid(gs, thetas))
+        dz = np.exp(-g)
+        got = 0.5 * R._ring_sums(src, np.log1p(-dz), np.mod(t, 2.0 * math.pi))[:, q]
+        want = kernel_sums(dz, t, *sources)
+        (full if lat.full[k] else split).append(float(np.max(np.abs(got - want))))
+    return full, split
+
+
+class TestClosedForm:
+    """Every ring of an atomize cloud is a lattice ring and sums in closed form."""
+
+    @pytest.mark.parametrize("name,rings,full,split", [
+        ("small", 11, 8, 3), ("split", 11, 8, 3), ("wide", 15, 11, 4), ("hat", 9, 7, 2),
+    ])
+    def test_every_ring_is_a_lattice(self, clouds, name, rings, full, split):
+        # the wide cloud's split rings drift up to 4.9e-12 rad from k w, so
+        # the check's tolerance must grow with k
+        lat = R._sources(clouds[name][0]).lattice
+        assert len(lat.ring) == rings and lat.ring.tolist() == list(range(rings))
+        assert (int(np.sum(lat.full)), int(np.sum(lat.seam >= 0.0))) == (full, split)
+        assert lat.per_cell == (2 if name in ("split", "hat") else 1)
+
+    @pytest.mark.parametrize("name", ["small", "split", "wide", "hat"])
+    def test_each_ring_matches_its_direct_sum(self, clouds, name):
+        # a full ring is exact to rounding (<= 3.4e-11 measured); a split
+        # ring misses its seam by at most 2.0e-7 at 64 cells (wide, hat)
+        cloud = clouds[name][0]
+        full, split = _ring_errors(cloud, R._sources(cloud))
+        assert len(full) >= 7 and max(full) <= 1e-9
+        assert split and max(split) <= 5e-7
+
+    def test_a_shifted_split_ring_fails_the_ring_check(self, clouds):
+        cloud = clouds["small"][0]
+        src = R._sources(cloud)
+        lat = src.lattice
+        q = int(np.flatnonzero(lat.seam[lat.ring] >= 0.0)[-1])
+        phase = lat.phase.copy()
+        phase[q] += 0.5 * lat.w[q]
+        full, split = _ring_errors(cloud, dataclasses.replace(src, lattice=dataclasses.replace(lat, phase=phase)))
+        assert max(full) <= 1e-9 and max(split) > 1e-2
+
+    def test_seam_samples_take_the_near_field(self, clouds, monkeypatch):
+        # samples 1-5 cells either side of a split ring's seam arc, and inside
+        # it, sum that ring explicitly; the whole sum stays within 2e-4
+        pair_terms, seen = R._pair_terms, []
+        monkeypatch.setattr(R, "_pair_terms", lambda src, dz, tz, atom: seen.append(src.ring[atom]) or
+                            pair_terms(src, dz, tz, atom))
+        for name in ("small", "wide"):
+            cloud, prof = clouds[name]
+            src = R._sources(cloud)
+            lat = src.lattice
+            zs = []
+            for q, k in enumerate(lat.ring.tolist()):
+                seam, w = lat.seam[k], lat.w[q]
+                if seam < 0.0:
+                    continue
+                g = float(-math.log(lat.delta[q]))
+                angles = [seam - j * w for j in (1, 3, 5)] + [j * w for j in (1, 5)] + [0.5 * (seam + 2.0 * math.pi)]
+                for t in angles:
+                    seen.clear()
+                    R.eval_log_surrogate_many(cloud, prof, [(LogGap(g), t)])
+                    assert k in np.concatenate(seen).tolist(), (name, k, t)
+                zs += [(LogGap(g), t) for t in angles[::2]]
+            got = R.eval_log_surrogate_many(cloud, prof, zs)
+            assert np.max(np.abs(got - _direct_sum(cloud, prof, zs))) <= 2e-4
+
+    def test_whole_window_samples_are_within_1e6(self, clouds, monkeypatch):
+        # a sample whose explicit rings all have whole windows (every atom of
+        # the ring in its near field) carries only the closed-form error
+        pair_terms, seen = R._pair_terms, []
+        monkeypatch.setattr(R, "_pair_terms", lambda src, dz, tz, atom: seen.append(src.ring[atom]) or
+                            pair_terms(src, dz, tz, atom))
+        rng = np.random.default_rng(17)
+        for name, m in (("small", 48), ("wide", 12), ("hat", 24)):
+            cloud, prof = clouds[name]
+            size = np.bincount(R._sources(cloud).ring)
+            g_top = float(np.max(cloud.g)) + 0.3
+            kept = []
+            for g, t in zip(rng.uniform(0.0, g_top, m), rng.uniform(-1.0, 7.0, m)):
+                seen.clear()
+                R.eval_log_surrogate_many(cloud, prof, [(LogGap(float(g)), float(t))])
+                rings = np.concatenate(seen) if seen else np.empty(0, dtype=int)
+                if np.array_equal(np.bincount(rings, minlength=len(size)) % np.maximum(size, 1), np.zeros(len(size))):
+                    kept.append((LogGap(float(g)), float(t)))
+            assert len(kept) >= m // 2
+            got = R.eval_log_surrogate_many(cloud, prof, kept)
+            assert np.max(np.abs(got - _direct_sum(cloud, prof, kept))) <= 1e-6
