@@ -165,7 +165,13 @@ def _pair_distance(g1: float, t1: float, g2: float, t2: float) -> float:
 def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple[int, float]:
     """(n, N): multiplicity count in the closed disc of radius h about zeta,
     and N = sum mult * log(h/dist) over those zeros (the exact integral of
-    n(t)/t)."""
+    n(t)/t).
+
+    The candidates come from the cloud's ring index: the rings whose gap
+    passes the radial test below and, on each, the atoms in the angular
+    window tz -+ 2 h/|zeta| (wrapped at 2 pi, padded for rounding), found by
+    binary search.  The exact tests then run on those atoms alone, so a
+    query costs O(rings log N + k) for k atoms in the windows."""
     gz, tz = LogGap(as_g(zeta[0])).g, zeta[1]
     if not math.isfinite(tz):
         raise NumericsError(f"zero_counts needs a finite angle, got {tz}")
@@ -175,13 +181,19 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
     n, big_n = 0, 0.0
     # dist >= the radial gap |e^-g - e^-gz|, and the disc about zeta subtends
     # |theta - tz| <= asin(h/|zeta|) < 2 h/|zeta| unless it holds the origin;
-    # the factor 2 also covers numpy's rounding; the band is twice that wide.
-    near = cloud.band(dz - 4.0 * h, dz + 4.0 * h)
-    near = near[np.abs(cloud.delta[near] - dz) <= 2.0 * h]
+    # the factor 2 also covers numpy's rounding; the rings are taken from a
+    # band twice that wide.
+    idx = cloud.ring_index
+    a, b = idx.runs(dz - 4.0 * h, dz + 4.0 * h)
+    runs = a + np.flatnonzero(np.abs(idx.gap[a:b] - dz) <= 2.0 * h)
     rz = -math.expm1(-gz)
     if h < rz:
+        half = 2.0 * h / rz
+        near = idx.window(runs, tz, half)
         wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
-        near = near[wrapped <= 2.0 * h / rz]
+        near = near[wrapped <= half]
+    else:
+        near = idx.atoms(runs)[0]
     near = np.sort(near)  # the sums run in cloud order
     for g, t, m in zip(cloud.g[near], cloud.theta[near], cloud.mult[near]):
         d = _pair_distance(gz, tz, g, t)

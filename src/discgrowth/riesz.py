@@ -29,10 +29,10 @@ theta is formatted once per run of equal (kind, g, mult), and the thetas by
 one exact numpy ``%.17g`` kernel call (``serialize.format17_lines``) per block
 of atoms; the text is byte-identical to per-atom dumps17 rows.
 
-The circle queries take their atoms from one radial band per call
-(``ZeroCloud.band``), the surrogate from one table built once per cloud
-(``_Sources``).  The zeros of a ring are equally spaced, so the ring's
-correction sums in closed form, prod_k (z - rho e^(i(phi + 2 pi k/M))) =
+The circle queries take their atoms from one ring index per cloud
+(``_RingIndex``: the atoms by gap, each ring by angle), the surrogate from
+one table built once per cloud (``_Sources``).  The zeros of a ring are
+equally spaced, so the ring's correction sums in closed form, prod_k (z - rho e^(i(phi + 2 pi k/M))) =
 z^M - rho^M e^(i M phi), for each of the 17 sources of a cell (its atom and
 4 x 4 nodes; 18 with split doubles): the table keeps one row per lattice
 ring (M, the seam of a split ring, and per source M log rho, phase and
@@ -42,7 +42,7 @@ split ring (n - 1 cells of width w and a remainder cell closing it at
 for samples far from its seam.  The other (sample, ring) pairs, on rings
 that are no lattice and at split-ring seams, are summed over the near
 field only: the atoms within 64 local cell sizes of the sample and their
-cell nodes, found by binary search in the table's ring index and evaluated
+cell nodes, found by binary search in the table's ring listing and evaluated
 in one batched pass over (sample, atom) pairs.  No BLAS call is made, so
 the values do not depend on the BLAS thread count.  A sample on an atom
 gets -inf.  ``_cell_nodes`` expands the compact nodes one by one for the
@@ -82,6 +82,7 @@ KINDS = ("A", "A-hat", "A-star", "A-dprime", "remainder")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 _KIND_NAMES = np.array(KINDS, dtype=object)
 _REMAINDER = _KIND_CODE["remainder"]
+_TWO_PI = 2.0 * math.pi
 
 
 class PartitionError(NumericsError):
@@ -389,6 +390,96 @@ def partition_region(
 _JSONL_CHUNK = 1024
 
 
+# an angular window of the ring index is widened by _WINDOW_PAD times the
+# scale of its angles (see ``_RingIndex.window``), far above their rounding
+_WINDOW_PAD = 2.0**-40
+
+
+@dataclass(frozen=True)
+class _RingIndex:
+    """The atoms of a cloud by (gap, theta mod 2 pi), in runs of one g: a
+    "ring" of the circle queries.  ``atomize`` gives every atom of a cell
+    ring one g, and a hand-built cloud needs no cell table.  Runs break
+    wherever the bits of g change, so a run's atoms share g and gap, and
+    atoms of one gap with different g (or 0.0 and -0.0) split into several
+    runs, each still in angle order.  ``keys`` = 8 run + theta mod 2 pi in
+    index order (7 for a non-finite theta), so one binary search finds an
+    angular window on every run (2 pi < 7 < 8)."""
+
+    order: np.ndarray  # atom indices by ascending gap, each run by ascending theta mod 2 pi
+    keys: np.ndarray
+    start: np.ndarray  # (runs + 1,) where each run begins in order, then len(order)
+    gap: np.ndarray  # per run: exp(-g) of its atoms, ascending (a NaN g last)
+    g: np.ndarray  # per run: the g of its atoms
+    scale: float  # 8 runs + 8 + the largest finite |theta|: the size of keys and angles
+
+    @classmethod
+    def build(cls, g: np.ndarray, theta: np.ndarray, delta: np.ndarray) -> _RingIndex:
+        # each N-sized temporary is dropped once used: the index is built
+        # inside the first circle query
+        by_gap = np.argsort(delta, kind="stable")
+        gs = g[by_gap]
+        bits = gs.view(np.int64)
+        new = np.ones(len(gs), dtype=bool)
+        new[1:] = bits[1:] != bits[:-1]
+        start = np.append(np.flatnonzero(new), len(gs))
+        run_g = gs[start[:-1]]
+        del gs, bits
+        theta = theta[by_gap]
+        finite = np.isfinite(theta)
+        reach = float(np.max(np.abs(theta), where=finite, initial=0.0))
+        keys = np.full(len(theta), 7.0)
+        np.mod(theta, _TWO_PI, out=keys, where=finite)
+        del theta, finite
+        keys += 8.0 * (np.cumsum(new, dtype=float) - 1.0)
+        # runs keep their place: only the atoms within a run move
+        perm = np.argsort(keys, kind="stable")
+        order = by_gap[perm]
+        del by_gap
+        return cls(order, keys[perm], start, delta[order[start[:-1]]], run_g, 8.0 * len(run_g) + 8.0 + reach)
+
+    def runs(self, lo: float, hi: float) -> tuple[int, int]:
+        """The runs a..b-1 with lo <= gap <= hi (a NaN gap is in none)."""
+        return int(np.searchsorted(self.gap, lo, "left")), int(np.searchsorted(self.gap, hi, "right"))
+
+    def atoms(self, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms of the given runs, run by run, and the count of each."""
+        pos, count = _ranges(self.start[runs], self.start[runs + 1])
+        return self.order[pos], count
+
+    def window(self, runs: np.ndarray, theta: float, half: float) -> np.ndarray:
+        """The atoms of the given runs within half of theta (mod 2 pi), and
+        more: the window is widened by _WINDOW_PAD scale (|theta| + the size
+        of the cloud's angles and keys), which covers the rounding of the
+        keys and of a caller's wrapped-difference test by orders of
+        magnitude.  A window of 6 rad or more takes its whole runs, so the
+        two pieces of a window across 2 pi never overlap."""
+        reach = half + _WINDOW_PAD * (self.scale + abs(theta))
+        if reach >= 3.0:
+            return self.atoms(runs)[0]
+        t = theta % _TWO_PI
+        lo, hi = t - reach, t + reach
+        # the window clipped to [0, 2 pi] and the piece wrapping round, which
+        # is empty when nothing wraps
+        if lo < 0.0:
+            wrap_lo, wrap_hi = lo + _TWO_PI, _TWO_PI
+        else:
+            wrap_lo, wrap_hi = 0.0, hi - _TWO_PI if hi > _TWO_PI else -1.0
+        base = 8.0 * runs
+        first = np.searchsorted(self.keys, np.concatenate([base + max(lo, 0.0), base + wrap_lo]), "left")
+        last = np.searchsorted(self.keys, np.concatenate([base + min(hi, _TWO_PI), base + wrap_hi]), "right")
+        return self.order[_ranges(first, last)[0]]
+
+
+def _ranges(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions first[k] .. last[k] - 1 of every k, concatenated in
+    order (empty where last <= first), and the length of each range, shaped
+    as first."""
+    count = np.maximum(last - first, 0)
+    flat = count.ravel()
+    return np.arange(flat.sum()) + np.repeat(first.ravel() - np.cumsum(flat) + flat, flat), count
+
+
 @dataclass
 class ZeroCloud:
     """Surrogate zeros: one double zero per cell at the density-weighted
@@ -396,7 +487,9 @@ class ZeroCloud:
     simple zeros straddling the midpoint).  ``cells`` holds, per atom, the
     piece of its cell the atom stands for, and ``nodes`` the node values of
     each ring of their ring table (both from ``atomize``; the surrogate
-    reads them)."""
+    reads them).  The circle queries read the ring index (``_RingIndex``),
+    built on the first of them; the surrogate reads ``_sources``, built on
+    its first call."""
 
     g: np.ndarray
     theta: np.ndarray
@@ -406,7 +499,7 @@ class ZeroCloud:
     # (9, rings): 1 - r at the ring's four Gauss-Legendre radii, their radial
     # weights w rho(r) and the total weight of a cell's 4 x 4 nodes
     nodes: np.ndarray | None = None
-    # the kernel sources, ring index and closed-form ring rows, built on the
+    # the kernel sources, ring listing and closed-form ring rows, built on the
     # first surrogate call
     _sources: _Sources | None = field(default=None, repr=False)
 
@@ -419,15 +512,16 @@ class ZeroCloud:
         return np.exp(-np.asarray(self.g, dtype=float))
 
     @cached_property
-    def _by_gap(self) -> np.ndarray:
-        return np.argsort(self.delta, kind="stable")  # the atoms by ascending gap
+    def ring_index(self) -> _RingIndex:
+        return _RingIndex.build(np.asarray(self.g, dtype=float), np.asarray(self.theta, dtype=float), self.delta)
 
     def band(self, lo: float, hi: float) -> np.ndarray:
-        """The atoms with lo <= exp(-g) <= hi by ascending gap, cut from one
-        argsort per cloud by two binary searches (a NaN gap is in no band)."""
-        a = np.searchsorted(self.delta, lo, "left", sorter=self._by_gap)
-        b = np.searchsorted(self.delta, hi, "right", sorter=self._by_gap)
-        return self._by_gap[a:b]
+        """The atoms with lo <= exp(-g) <= hi by ascending gap, and atoms of
+        one g by ascending theta mod 2 pi: a slice of the ring index found
+        by two binary searches over its runs (a NaN gap is in no band)."""
+        idx = self.ring_index
+        a, b = idx.runs(lo, hi)
+        return idx.order[idx.start[a]:idx.start[b]]
 
     @property
     def total_multiplicity(self) -> int:
@@ -546,7 +640,6 @@ assert np.array_equal(_LEG_W, _LEG_W[::-1])  # the kernel pairs mirrored nodes
 
 # near field of a sample: the rings within _NEAR_CUT local cell sizes of it
 _NEAR_CUT = 64.0
-_TWO_PI = 2.0 * math.pi
 # (sample, atom) pairs per block of the near-field kernel, so that its
 # (4, 4, block) temporaries stay in a 1-2 MB L2 cache
 _PAIR_BLOCK = 4096
@@ -575,7 +668,7 @@ class _Lattice:
     ring: np.ndarray  # (Q,) the qualified rings' rows in the ring table
     m: np.ndarray  # (Q,) M = 2 pi / w
     w: np.ndarray  # (Q,) cell width
-    first: np.ndarray  # (Q,) the position in the ring index of the ring's first atom
+    first: np.ndarray  # (Q,) the position in the ring listing of the ring's first atom
     cells: np.ndarray  # (Q,) its lattice cells n
     per_cell: int  # atoms per cell
     delta: np.ndarray  # (Q,) the atoms' gap, for the on-atom lookup
@@ -599,7 +692,7 @@ class _Sources:
     with weight radial_i w_j scale, where scale = mult / (the ring's total
     weight), so a cell's node weights sum to the mass its atom carries.
 
-    Ring index: a ring's atoms are listed by ascending theta mod 2 pi, and
+    Ring listing: a ring's atoms are listed by ascending theta mod 2 pi, and
     ``keys`` = 8 ring + theta mod 2 pi in that order, so one binary search
     finds an angular window on every ring (2 pi < 8)."""
 
@@ -748,9 +841,7 @@ def _near_pairs(src: _Sources, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     base = 8.0 * np.arange(len(src.s))
     first = np.searchsorted(src.keys, np.hstack([base + np.maximum(lo, 0.0), base + wrap_lo]), "left")
     last = np.searchsorted(src.keys, np.hstack([base + np.minimum(hi, _TWO_PI), base + wrap_hi]), "right")
-    count = np.maximum(last - first, 0)
-    flat = count.ravel()
-    pos = np.arange(flat.sum()) + np.repeat(first.ravel() - np.cumsum(flat) + flat, flat)
+    pos, count = _ranges(first, last)
     return src.order[pos], count.sum(axis=1)
 
 
@@ -821,8 +912,17 @@ def eval_log_surrogate_many(
 ) -> np.ndarray:
     """phi(|z|) plus the atomization correction
     sum_atoms mult [log|(z-zeta)/(1-conj(z) zeta)| - cell average of the same
-    kernel]; -inf at a point that sits exactly on an atom (equal g and
-    theta).
+    kernel].
+
+    A sample's angle enters only as t = np.mod(theta, 2 pi): the windows,
+    the ring sums, the near-field kernel and the on-atom lookup all read t,
+    so theta + 2 pi k gives the value at np.mod(theta + 2 pi k, 2 pi) bit
+    for bit.  The value is -inf at a sample on an atom: equal g, and t equal
+    to the atom's stored theta (every theta of an ``atomize`` cloud lies in
+    [0, 2 pi)).  theta + 2 pi k is itself rounded, so its t can miss the
+    atom's theta by an ulp and the value stays finite: atom 5900 of the
+    small test scaffold's generation-1 cloud gives -inf at theta and at
+    theta - 2 pi, but -32.26 at theta + 2 pi.
 
     The correction is summed ring by ring.  A lattice ring (``_Lattice``)
     takes its closed form (``_ring_sums``), O(rings) per sample whatever the
@@ -857,7 +957,7 @@ def eval_log_surrogate_many(
     samples, by up to 51x).
 
     A sample exactly on an atom of a ring summed in closed form is found by
-    a lookup in the ring index, because the closed form is finite there; an
+    a lookup in the ring listing, because the closed form is finite there; an
     explicit pair gives -inf by itself (the kernel's log 0).
 
     One batched pass per call: the windows of all samples come from one
@@ -889,7 +989,7 @@ def eval_log_surrogate_many(
         for start in range(0, len(atoms), _PAIR_BLOCK):
             block = slice(start, start + _PAIR_BLOCK)
             at = sample[block]
-            terms[block] = _pair_terms(src, samp_delta[at], samp_theta[at], atoms[block])
+            terms[block] = _pair_terms(src, samp_delta[at], t[at], atoms[block])
     some = count > 0  # np.add.reduceat would give an empty run its next term
     if some.any():
         out[some] += 0.5 * np.add.reduceat(terms, (np.cumsum(count) - count)[some])
@@ -899,7 +999,7 @@ def eval_log_surrogate_many(
     if len(i):
         key = 8.0 * lat.ring[q] + t[i]
         pos = np.minimum(np.searchsorted(src.keys, key), len(src.keys) - 1)
-        on = (src.keys[pos] == key) & (src.theta[src.order[pos]] == samp_theta[i])
+        on = (src.keys[pos] == key) & (src.theta[src.order[pos]] == t[i])
         out[i[on]] = -math.inf
     return out
 
@@ -907,43 +1007,66 @@ def eval_log_surrogate_many(
 # -- excluded arcs and the approximation report -------------------------------
 
 
-def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[float, float]]:
-    """Merged arcs of {theta : dist(r e^(i theta), zeros) <= eps (1-r)} on the
-    circle of log-gap g_circle (finite, >= 0); eps >= 0."""
+def _merged_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The merged arcs of ``excluded_arcs`` as arrays of starts and ends.
+
+    The atoms within eps (1 - r) of the circle radially are whole rings of
+    the ring index (|dr| <= lim, tested on the runs of a band twice as wide
+    so that its rounded edges cut none).  An atom's half-arc depends on its
+    ring alone, so it is computed once per ring, and % 2 pi is applied only
+    to the arc ends outside (0, 2 pi), where it changes them."""
     if not eps >= 0.0:
         raise NumericsError(f"excluded_arcs needs eps >= 0, got {eps}")
     r = LogGap(g_circle).r
+    none = np.empty(0)
     if eps == 0.0:
-        return []
+        return none, none
     gap = math.exp(-g_circle)
     lim = eps * gap
-    # atoms within eps (1 - r) of the circle radially (|dr| <= lim, tested on
-    # a band twice as wide so that its rounded edges cut none), then half-arcs
-    near = cloud.band(gap - 2.0 * lim, gap + 2.0 * lim)
-    near = near[np.abs(gap - cloud.delta[near]) <= lim]
-    if not len(near):
-        return []
+    idx = cloud.ring_index
+    a, b = idx.runs(gap - 2.0 * lim, gap + 2.0 * lim)
+    runs = a + np.flatnonzero(np.abs(gap - idx.gap[a:b]) <= lim)
+    if not len(runs):
+        return none, none
     if r == 0.0:  # the circle is the origin, within eps of the atoms kept
-        return [(0.0, 2.0 * math.pi)]
-    ga, ta, dr = cloud.g[near], cloud.theta[near], gap - cloud.delta[near]
-    sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-ga))
+        return np.array([0.0]), np.array([_TWO_PI])
+    dr = gap - idx.gap[runs]
+    sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-idx.g[runs]))
     half = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(sin2, 0.0))))
-    lo, hi = (ta - half) % (2.0 * math.pi), (ta + half) % (2.0 * math.pi)
+    atoms, count = idx.atoms(runs)
+    ta, half = cloud.theta[atoms], np.repeat(half, count)
+    lo, hi = ta - half, ta + half
+    for x in (lo, hi):
+        np.mod(x, _TWO_PI, out=x, where=~((x > 0.0) & (x < _TWO_PI)))
     # unwrap: an arc over theta = 0 splits into [lo, 2 pi) and [0, hi)
     wrap = hi < lo
     lo = np.concatenate([lo, np.zeros(np.count_nonzero(wrap))])
-    hi = np.concatenate([np.where(wrap, 2.0 * math.pi, hi), hi[wrap]])
+    hi = np.concatenate([np.where(wrap, _TWO_PI, hi), hi[wrap]])
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     # an arc opens a new merged arc iff it starts past every end before it
     reach = np.maximum.accumulate(hi)
     start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
     end = np.append(start[1:], len(lo)) - 1
-    return list(zip(lo[start].tolist(), reach[end].tolist()))
+    return lo[start], reach[end]
+
+
+def excluded_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> list[tuple[float, float]]:
+    """Merged arcs of {theta : dist(r e^(i theta), zeros) <= eps (1-r)} on the
+    circle of log-gap g_circle (finite, >= 0); eps >= 0.  The arcs lie in
+    [0, 2 pi] by ascending start; an arc over theta = 0 is two arcs.  The
+    rings within eps (1 - r) of the circle come from a binary search over
+    the cloud's rings; the cost is then one sort and merge of an arc per
+    atom on them."""
+    lo, hi = _merged_arcs(cloud, g_circle, eps)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def excluded_measure(cloud: ZeroCloud, g_circle: float, eps: float) -> float:
-    return sum(hi - lo for lo, hi in excluded_arcs(cloud, g_circle, eps))
+    """The total length of ``excluded_arcs``, summed from the merged arrays
+    with no list of arcs built; 0.0 when there are none."""
+    lo, hi = _merged_arcs(cloud, g_circle, eps)
+    return float(np.sum(hi - lo))
 
 
 def angles_off_arcs(rng: np.random.Generator, arcs: list[tuple[float, float]], n: int) -> list[float]:

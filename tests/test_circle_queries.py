@@ -1,7 +1,9 @@
-"""The circle queries select their atoms through ``ZeroCloud.band`` and must
-return exactly what they returned when each filtered every gap with its own
-mask (``oracles.masked_*``), repr for repr, on the test clouds, on a
-hand-built cloud with atoms on every band edge, and on the empty cloud."""
+"""The circle queries select their atoms through the cloud's ring index
+(``ZeroCloud.band`` and the rings and angular windows of ``_RingIndex``) and
+must return exactly what they returned when each filtered every gap with
+its own mask (``oracles.masked_*``), repr for repr, on the test clouds, on
+hand-built clouds with atoms on every band edge and angles outside one
+turn, and on the empty cloud."""
 
 import math
 import tracemalloc
@@ -105,10 +107,16 @@ class TestBand:
             assert np.all(np.diff(cloud.delta[got]) >= 0.0)
         assert not np.isnan(cloud.delta[cloud.band(0.0, math.inf)]).any()
 
-    def test_band_keeps_equal_gaps_in_cloud_order(self, edge_case):
+    def test_band_keeps_equal_gaps_in_angle_order(self, edge_case):
+        # the edge cloud lists its rings' atoms out of angle order
         cloud, g0, _, _ = edge_case
         got = cloud.band(math.exp(-g0), math.exp(-g0))
-        assert len(got) == 3 and np.all(np.diff(got) > 0)
+        assert len(got) == 3 and np.all(np.diff(np.mod(cloud.theta[got], 2.0 * math.pi)) > 0)
+        rings = cloud.band(0.0, math.inf)
+        runs = np.flatnonzero(np.diff(cloud.g[rings]) != 0.0) + 1
+        assert any(np.any(np.diff(ring) < 0) for ring in np.split(rings, runs))
+        for ring in np.split(rings, runs):
+            assert np.all(np.diff(np.mod(cloud.theta[ring], 2.0 * math.pi)) >= 0.0)
 
 
 class TestMatchesMaskedQueries:
@@ -120,6 +128,21 @@ class TestMatchesMaskedQueries:
                 got = R.excluded_arcs(cloud, g, eps)
                 assert repr(got) == repr(oracles.masked_excluded_arcs(cloud, g, eps))
             assert repr(L.sector_crowding(cloud, g)) == repr(oracles.masked_sector_crowding(cloud, g))
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_excluded_measure_sums_the_arcs(self, clouds, name):
+        # summed from the merged arrays, in another order than the list's sum
+        cloud = clouds[name]
+        for g in _circles(cloud, 10):
+            for eps in (0.01, 0.05, 0.3):
+                arcs = oracles.masked_excluded_arcs(cloud, g, eps)
+                got = R.excluded_measure(cloud, g, eps)
+                assert type(got) is float
+                if arcs:
+                    want = sum(hi - lo for lo, hi in arcs)
+                    assert abs(got - want) <= 1e-13 * want
+                else:
+                    assert repr(got) == "0.0"
 
     @pytest.mark.parametrize("name", ALL)
     def test_zero_counts(self, clouds, name):
@@ -143,6 +166,30 @@ class TestMatchesMaskedQueries:
             for z in ((LogGap(g_r + 0.7), 0.4), (LogGap(max(g_r - 1.5, 0.0)), 2.0)):
                 got = L.circle_counting_integral(cloud, z, LogGap(g_r), n_theta=64)
                 assert repr(got) == repr(oracles.masked_circle_counting_integral(cloud, z, LogGap(g_r), n_theta=64))
+
+    def test_angles_stored_outside_one_turn(self):
+        # hand-built rings with angles anywhere in [-30, 30], on and next to
+        # 0 and 2 pi, and a NaN angle; two rings one ulp apart in g.  The
+        # angular windows wrap, and their padding covers the rounding of the
+        # queries' own wrapped differences
+        rng = np.random.default_rng(8)
+        g = np.repeat([1.2, 2.5, math.nextafter(2.5, 3.0), 4.0], 40)
+        theta = rng.uniform(-30.0, 30.0, len(g))
+        turn = 2.0 * math.pi
+        theta[:8] = [0.0, -0.0, turn, -turn, 1e-17, -1e-17, math.nextafter(turn, 0.0), math.nan]
+        theta[40:44] = theta[80:84] = [0.5, -0.5, 0.5 + turn, 0.5 - 2.0 * turn]
+        cloud = _hand_built(g, theta, rng.choice([1.0, 2.0], len(g)))
+        points = [(float(a), float(b)) for a, b in zip(g[::7], theta[::7]) if math.isfinite(b)]
+        points += [(2.5, 0.0), (2.5, turn), (2.5, -1e-12), (4.0, 6.2831853), (1.2, 30.0)]
+        for gz, tz in points:
+            for dg, dt in ((0.0, 0.0), (0.01, 1e-3), (-0.05, -0.02), (0.2, turn)):
+                for frac in (0.05, 0.5, 0.9):
+                    zeta, h = (LogGap(gz + dg), tz + dt), frac * math.exp(-(gz + dg))
+                    assert repr(L.zero_counts(cloud, zeta, h)) == repr(oracles.masked_zero_counts(cloud, zeta, h))
+        for gc in (1.2, 2.45, 2.5, 3.9, 4.0):
+            for eps in (0.01, 0.3, 2.0):
+                got = R.excluded_arcs(cloud, gc, eps)
+                assert repr(got) == repr(oracles.masked_excluded_arcs(cloud, gc, eps))
 
     def test_atoms_on_every_band_edge(self, edge_case):
         cloud, g0, eps, lim = edge_case
@@ -179,6 +226,24 @@ def test_empty_band_query_makes_no_cloud_sized_temporary(clouds):
     finally:
         tracemalloc.stop()
     assert peak < 16_000
+
+
+def test_zero_counts_touch_only_their_window(clouds):
+    # with h = gap/2 the radial test keeps every ring deeper than the point
+    # (tens of thousands of atoms on this cloud); the angular windows keep
+    # a few atoms of each
+    cloud = clouds["wide"]
+    g = float(cloud.g[np.argmin(np.abs(cloud.g - 8.7))])
+    zeta, h = (LogGap(g), 1.0), 0.5 * math.exp(-g)
+    assert len(cloud.band(0.0, 2.0 * math.exp(-g))) > 30_000  # also builds the ring index
+    tracemalloc.start()
+    try:
+        got = L.zero_counts(cloud, zeta, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(got) == repr(oracles.masked_zero_counts(cloud, zeta, h))
+    assert peak < 64_000
 
 
 class TestReportsPinned:

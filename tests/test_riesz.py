@@ -263,6 +263,34 @@ class TestSurrogate:
             with pytest.raises(NumericsError, match="finite sample angles"):
                 R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.5), (LogGap(3.0), theta)])
 
+    @pytest.mark.parametrize("which", ["small", "wide"])
+    def test_angle_enters_mod_two_pi(self, gen1_cloud, small_profile, wide_cloud, which):
+        # theta + 2 pi k is the point at np.mod(theta + 2 pi k, 2 pi), and
+        # gives its value bit for bit, near-field pairs and ring sums alike
+        cloud, prof = (gen1_cloud, small_profile) if which == "small" else wide_cloud
+        rng = np.random.default_rng(29)
+        gs = rng.uniform(0.0, float(np.max(cloud.g)) + 0.3, 300)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, 300)
+        for k in (1, -1, 3):
+            moved = thetas + 2.0 * math.pi * k
+            got = R.eval_log_surrogate_many(cloud, prof, [(LogGap(g), t) for g, t in zip(gs, moved)])
+            reduced = np.mod(moved, 2.0 * math.pi)
+            want = R.eval_log_surrogate_many(cloud, prof, [(LogGap(g), t) for g, t in zip(gs, reduced)])
+            assert np.array_equal(got, want)
+
+    def test_on_atom_a_turn_away(self, gen1_cloud, small_profile):
+        # np.mod gives back atom 3000's theta from theta -+ 2 pi; at atom
+        # 5900, theta + 2 pi rounds to another angle mod 2 pi
+        def value(a, shift):
+            z = (LogGap(float(gen1_cloud.g[a])), float(gen1_cloud.theta[a]) + shift)
+            return R.eval_log_surrogate_many(gen1_cloud, small_profile, [z])[0]
+
+        for shift in (2.0 * math.pi, -2.0 * math.pi):
+            assert value(3000, shift) == -math.inf
+        assert value(5900, -2.0 * math.pi) == -math.inf
+        assert np.mod(gen1_cloud.theta[5900] + 2.0 * math.pi, 2.0 * math.pi) != gen1_cloud.theta[5900]
+        assert math.isfinite(value(5900, 2.0 * math.pi))
+
     def test_near_atom_logarithmic_dip(self, gen1_cloud, small_profile):
         g = float(gen1_cloud.g[10])
         t = float(gen1_cloud.theta[10])
