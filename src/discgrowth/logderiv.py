@@ -153,6 +153,10 @@ def upper_density(ws: RadialWindowSet) -> DensityResult:
 # ---------------------------------------------------------------------------
 # zero counting
 
+# zero_counts pads its angular window by _WINDOW_PAD times the size of its
+# angles and of the ring index's keys, far above the rounding of either
+_WINDOW_PAD = 2.0**-40
+
 
 def _pair_distance(g1: float, t1: float, g2: float, t2: float) -> float:
     """|z1 - z2| for points given as (log-gap, angle); stable near the circle."""
@@ -187,14 +191,14 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
     a, b = idx.runs(dz - 4.0 * h, dz + 4.0 * h)
     runs = a + np.flatnonzero(np.abs(idx.gap[a:b] - dz) <= 2.0 * h)
     rz = -math.expm1(-gz)
-    if h < rz:
-        half = 2.0 * h / rz
-        near = idx.window(runs, tz, half)
-        wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
-        near = near[wrapped <= half]
-    else:
-        near = idx.atoms(runs)[0]
-    near = np.sort(near)  # the sums run in cloud order
+    # whole rings for a disc about the origin or a window of 3 rad or more
+    half = 2.0 * h / rz if h < rz else math.inf
+    reach = half + _WINDOW_PAD * (idx.scale + abs(tz))
+    mid = tz % (2.0 * math.pi)
+    lo, hi = (mid - reach, mid + reach) if reach < 3.0 else (0.0, 2.0 * math.pi)
+    near = idx.window(runs, np.array([[lo]]), np.array([[hi]]))[0]
+    wrapped = np.abs((cloud.theta[near] - tz + math.pi) % (2.0 * math.pi) - math.pi)
+    near = np.sort(near[wrapped <= half])  # the sums run in cloud order
     for g, t, m in zip(cloud.g[near], cloud.theta[near], cloud.mult[near]):
         d = _pair_distance(gz, tz, g, t)
         if d <= h:

@@ -29,10 +29,11 @@ theta is formatted once per run of equal (kind, g, mult), and the thetas by
 one exact numpy ``%.17g`` kernel call (``serialize.format17_lines``) per block
 of atoms; the text is byte-identical to per-atom dumps17 rows.
 
-The circle queries take their atoms from one ring index per cloud
-(``_RingIndex``: the atoms by gap, each ring by angle), the surrogate from
-one table built once per cloud (``_Sources``).  The zeros of a ring are
-equally spaced, so the ring's correction sums in closed form, prod_k (z - rho e^(i(phi + 2 pi k/M))) =
+Every query of a cloud reads one ring index (``_RingIndex``: the atoms by
+gap, in runs of one g, each by angle); the surrogate reads each ring of the
+cell table as one of its runs, through one more table per cloud
+(``_Sources``).  The zeros of a ring are equally spaced, so the ring's
+correction sums in closed form, prod_k (z - rho e^(i(phi + 2 pi k/M))) =
 z^M - rho^M e^(i M phi), for each of the 17 sources of a cell (its atom and
 4 x 4 nodes; 18 with split doubles): the table keeps one row per lattice
 ring (M, the seam of a split ring, and per source M log rho, phase and
@@ -42,10 +43,10 @@ split ring (n - 1 cells of width w and a remainder cell closing it at
 for samples far from its seam.  The other (sample, ring) pairs, on rings
 that are no lattice and at split-ring seams, are summed over the near
 field only: the atoms within 64 local cell sizes of the sample and their
-cell nodes, found by binary search in the table's ring listing and evaluated
-in one batched pass over (sample, atom) pairs.  No BLAS call is made, so
-the values do not depend on the BLAS thread count.  A sample on an atom
-gets -inf.  ``_cell_nodes`` expands the compact nodes one by one for the
+cell nodes, found by the ring index's window search and evaluated in one
+batched pass over (sample, atom) pairs.  No BLAS call is made, so the
+values do not depend on the BLAS thread count.  A sample on an atom gets
+-inf.  ``_cell_nodes`` expands the compact nodes one by one for the
 direct sum over all 17 N sources (``_accel.kernel_sums``) that the tests
 compare the surrogate against; the library never calls it.
 
@@ -60,7 +61,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -390,21 +391,17 @@ def partition_region(
 _JSONL_CHUNK = 1024
 
 
-# an angular window of the ring index is widened by _WINDOW_PAD times the
-# scale of its angles (see ``_RingIndex.window``), far above their rounding
-_WINDOW_PAD = 2.0**-40
-
-
 @dataclass(frozen=True)
 class _RingIndex:
-    """The atoms of a cloud by (gap, theta mod 2 pi), in runs of one g: a
-    "ring" of the circle queries.  ``atomize`` gives every atom of a cell
-    ring one g, and a hand-built cloud needs no cell table.  Runs break
-    wherever the bits of g change, so a run's atoms share g and gap, and
-    atoms of one gap with different g (or 0.0 and -0.0) split into several
-    runs, each still in angle order.  ``keys`` = 8 run + theta mod 2 pi in
-    index order (7 for a non-finite theta), so one binary search finds an
-    angular window on every run (2 pi < 7 < 8)."""
+    """The atoms of a cloud by (gap, theta mod 2 pi), in runs of one g: the
+    rings of every query.  ``atomize`` gives every atom of a cell ring one g
+    and each cell ring its own, so there a run is one ring of the cell
+    table; a hand-built cloud needs no cell table.  Runs break wherever the
+    bits of g change, so a run's atoms share g and gap, and atoms of one gap
+    with different g (or 0.0 and -0.0) split into several runs, each still
+    in angle order.  ``keys`` = 8 run + theta mod 2 pi in index order (7 for
+    a non-finite theta), so one binary search finds an angular window on
+    every run (2 pi < 7 < 8)."""
 
     order: np.ndarray  # atom indices by ascending gap, each run by ascending theta mod 2 pi
     keys: np.ndarray
@@ -416,7 +413,7 @@ class _RingIndex:
     @classmethod
     def build(cls, g: np.ndarray, theta: np.ndarray, delta: np.ndarray) -> _RingIndex:
         # each N-sized temporary is dropped once used: the index is built
-        # inside the first circle query
+        # inside the first query
         by_gap = np.argsort(delta, kind="stable")
         gs = g[by_gap]
         bits = gs.view(np.int64)
@@ -428,8 +425,7 @@ class _RingIndex:
         theta = theta[by_gap]
         finite = np.isfinite(theta)
         reach = float(np.max(np.abs(theta), where=finite, initial=0.0))
-        keys = np.full(len(theta), 7.0)
-        np.mod(theta, _TWO_PI, out=keys, where=finite)
+        keys = np.where(finite, _mod_turn(theta), 7.0)
         del theta, finite
         keys += 8.0 * (np.cumsum(new, dtype=float) - 1.0)
         # runs keep their place: only the atoms within a run move
@@ -447,28 +443,33 @@ class _RingIndex:
         pos, count = _ranges(self.start[runs], self.start[runs + 1])
         return self.order[pos], count
 
-    def window(self, runs: np.ndarray, theta: float, half: float) -> np.ndarray:
-        """The atoms of the given runs within half of theta (mod 2 pi), and
-        more: the window is widened by _WINDOW_PAD scale (|theta| + the size
-        of the cloud's angles and keys), which covers the rounding of the
-        keys and of a caller's wrapped-difference test by orders of
-        magnitude.  A window of 6 rad or more takes its whole runs, so the
-        two pieces of a window across 2 pi never overlap."""
-        reach = half + _WINDOW_PAD * (self.scale + abs(theta))
-        if reach >= 3.0:
-            return self.atoms(runs)[0]
-        t = theta % _TWO_PI
-        lo, hi = t - reach, t + reach
-        # the window clipped to [0, 2 pi] and the piece wrapping round, which
-        # is empty when nothing wraps
-        if lo < 0.0:
-            wrap_lo, wrap_hi = lo + _TWO_PI, _TWO_PI
-        else:
-            wrap_lo, wrap_hi = 0.0, hi - _TWO_PI if hi > _TWO_PI else -1.0
+    def window(self, runs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms with theta mod 2 pi in [lo, hi] (points, columns), wrapped
+        at 2 pi, on run runs[j] of column j (run -1 has none), from one pair
+        of binary searches, unpadded.  A window is [1, 0] (empty), inside
+        [0, 2 pi], or shorter than 2 pi within [-2 pi, 4 pi].  Returns the
+        atoms point-major (the clipped pieces column by column, then the
+        wrapped ones) and the count of each point."""
+        # per (point, column), the window clipped to [0, 2 pi] and the piece
+        # wrapping round; an empty window gives two empty pieces
+        wrap_lo = np.where(lo < 0.0, lo + _TWO_PI, 0.0)
+        wrap_hi = np.where(lo < 0.0, _TWO_PI, np.where(hi > _TWO_PI, hi - _TWO_PI, -1.0))
         base = 8.0 * runs
-        first = np.searchsorted(self.keys, np.concatenate([base + max(lo, 0.0), base + wrap_lo]), "left")
-        last = np.searchsorted(self.keys, np.concatenate([base + min(hi, _TWO_PI), base + wrap_hi]), "right")
-        return self.order[_ranges(first, last)[0]]
+        first = np.searchsorted(self.keys, np.hstack([base + np.maximum(lo, 0.0), base + wrap_lo]), "left")
+        last = np.searchsorted(self.keys, np.hstack([base + np.minimum(hi, _TWO_PI), base + wrap_hi]), "right")
+        pos, count = _ranges(first, last)
+        return self.order[pos], count.sum(axis=1)
+
+
+def _mod_turn(theta: np.ndarray) -> np.ndarray:
+    """np.mod(theta, 2 pi) at the finite angles, computed (slowly) only
+    outside [0, 2 pi), where it changes them (-0.0 stays, equal to 0.0);
+    theta itself when there are none, as on every ``atomize`` cloud."""
+    off = np.flatnonzero(np.isfinite(theta) & ((theta < 0.0) | (theta >= _TWO_PI)))
+    if len(off):
+        theta = theta.copy()
+        theta[off] = np.mod(theta[off], _TWO_PI)
+    return theta
 
 
 def _ranges(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -487,9 +488,9 @@ class ZeroCloud:
     simple zeros straddling the midpoint).  ``cells`` holds, per atom, the
     piece of its cell the atom stands for, and ``nodes`` the node values of
     each ring of their ring table (both from ``atomize``; the surrogate
-    reads them).  The circle queries read the ring index (``_RingIndex``),
-    built on the first of them; the surrogate reads ``_sources``, built on
-    its first call."""
+    reads them).  Every query reads the ring index (``_RingIndex``), built
+    on the first of them; the surrogate also reads ``sources``, built on its
+    first call."""
 
     g: np.ndarray
     theta: np.ndarray
@@ -499,9 +500,6 @@ class ZeroCloud:
     # (9, rings): 1 - r at the ring's four Gauss-Legendre radii, their radial
     # weights w rho(r) and the total weight of a cell's 4 x 4 nodes
     nodes: np.ndarray | None = None
-    # the kernel sources, ring listing and closed-form ring rows, built on the
-    # first surrogate call
-    _sources: _Sources | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.g)
@@ -514,6 +512,11 @@ class ZeroCloud:
     @cached_property
     def ring_index(self) -> _RingIndex:
         return _RingIndex.build(np.asarray(self.g, dtype=float), np.asarray(self.theta, dtype=float), self.delta)
+
+    @cached_property
+    def sources(self) -> _Sources:
+        """The surrogate's kernel sources and closed-form ring rows."""
+        return _Sources.build(self)
 
     def band(self, lo: float, hi: float) -> np.ndarray:
         """The atoms with lo <= exp(-g) <= hi by ascending gap, and atoms of
@@ -668,7 +671,7 @@ class _Lattice:
     ring: np.ndarray  # (Q,) the qualified rings' rows in the ring table
     m: np.ndarray  # (Q,) M = 2 pi / w
     w: np.ndarray  # (Q,) cell width
-    first: np.ndarray  # (Q,) the position in the ring listing of the ring's first atom
+    first: np.ndarray  # (Q,) the position in the ring index's order of the ring's first atom
     cells: np.ndarray  # (Q,) its lattice cells n
     per_cell: int  # atoms per cell
     delta: np.ndarray  # (Q,) the atoms' gap, for the on-atom lookup
@@ -682,8 +685,8 @@ class _Lattice:
 @dataclass(frozen=True)
 class _Sources:
     """The table every surrogate query of a cloud reads: its kernel sources
-    in compact form, its atoms grouped by ring and the closed-form rows of
-    its lattice rings.
+    in compact form, the run of the ring index that holds each ring of its
+    cell table, and the closed-form rows of its lattice rings.
 
     Kernel sources: the atoms and the 4 x 4 density-weighted Gauss-Legendre
     nodes of every atom's source cell.  A ring's cells share the node radii,
@@ -692,12 +695,12 @@ class _Sources:
     with weight radial_i w_j scale, where scale = mult / (the ring's total
     weight), so a cell's node weights sum to the mass its atom carries.
 
-    Ring listing: a ring's atoms are listed by ascending theta mod 2 pi, and
-    ``keys`` = 8 ring + theta mod 2 pi in that order, so one binary search
-    finds an angular window on every ring (2 pi < 8)."""
+    Rings: those of the cell table, in its order; ring k's atoms, by theta
+    mod 2 pi, are run ``run[k]`` of the cloud's ring ``index``, and ``build``
+    raises PartitionError for a ring with atoms that is not one run."""
 
     delta: np.ndarray  # per atom: exp(-g)
-    theta: np.ndarray
+    theta: np.ndarray  # per atom: theta mod 2 pi
     mult: np.ndarray
     ring: np.ndarray  # per atom: its ring's column in gap and radial
     centre: np.ndarray  # per atom: angular centre of its cell piece
@@ -705,56 +708,61 @@ class _Sources:
     scale: np.ndarray
     gap: np.ndarray  # (4, rings)
     radial: np.ndarray  # (4, rings)
-    order: np.ndarray  # atom indices, ring-major, theta-ascending
-    keys: np.ndarray
+    index: _RingIndex
+    run: np.ndarray  # per ring: its run in index, -1 for a ring without atoms
     r_lo: np.ndarray  # per ring
     r_hi: np.ndarray
     s: np.ndarray  # per ring: max(radial extent, widest cell width x r_lo)
     lattice: _Lattice
 
+    @classmethod
+    def build(cls, cloud: ZeroCloud) -> _Sources:
+        """From the ring table of the cloud's cells, the node values
+        ``atomize`` computed per ring and the cloud's ring index."""
+        cells, index = cloud.cells, cloud.ring_index
+        rings, ring = cells.rings, cells.ring
+        n_rings = len(rings.g_lo)
+        # each ring with atoms must be exactly one run: no run holds atoms of
+        # two rings and no ring spans two runs
+        of_run = ring[index.order[index.start[:-1]]]
+        mixed = np.flatnonzero(ring[index.order] != np.repeat(of_run, np.diff(index.start)))
+        several = np.flatnonzero(np.bincount(of_run, minlength=n_rings) > 1)
+        if len(mixed) or len(several):
+            k = ring[index.order[mixed[0]]] if len(mixed) else several[0]
+            raise PartitionError(f"ring {k} of the cell table is not one run of the ring index: it shares its g "
+                                 "with another ring, or its atoms have several g")
+        run = np.full(n_rings, -1)
+        run[of_run] = np.arange(len(of_run))
+        width = np.zeros(n_rings)  # per ring: its widest cell piece
+        np.maximum.at(width, ring, cells.theta_hi - cells.theta_lo)
+        r_lo = -np.expm1(-rings.g_lo)
+        mult = np.asarray(cloud.mult, dtype=float)
+        theta = _mod_turn(np.asarray(cloud.theta, dtype=float))
+        return cls(
+            delta=cloud.delta, theta=theta, mult=mult, ring=ring, centre=0.5 * (cells.theta_hi + cells.theta_lo),
+            half_width=0.5 * (cells.theta_hi - cells.theta_lo), scale=mult / cloud.nodes[8][ring],
+            gap=cloud.nodes[:4], radial=cloud.nodes[4:8], index=index, run=run,
+            r_lo=r_lo, r_hi=-np.expm1(-rings.g_hi),
+            s=np.maximum(np.exp(-rings.g_lo) - np.exp(-rings.g_hi), width * r_lo),
+            lattice=_lattice(cloud, theta, mult, index, run),
+        )
 
-def _sources(cloud: ZeroCloud) -> _Sources:
-    """Built once per cloud, from the ring table of its cells and the node
-    values ``atomize`` computed per ring.  ``order`` is one stable argsort of
-    8 ring + theta mod 2 pi: the identity on an ``atomize`` cloud, whose
-    atoms come ring by ring sorted by theta, and a cloud with a ring out of
-    theta order gives the same values."""
-    if cloud._sources is not None:
-        return cloud._sources
-    cells = cloud.cells
-    rings, ring = cells.rings, cells.ring
-    keys = 8.0 * ring + np.mod(cloud.theta, _TWO_PI)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    width = np.zeros(len(rings.g_lo))  # per ring: its widest cell piece
-    np.maximum.at(width, ring, cells.theta_hi - cells.theta_lo)
-    r_lo = -np.expm1(-rings.g_lo)
-    mult = np.asarray(cloud.mult, dtype=float)
-    theta = np.asarray(cloud.theta, dtype=float)
-    cloud._sources = _Sources(
-        delta=cloud.delta, theta=theta, mult=mult, ring=ring, centre=0.5 * (cells.theta_hi + cells.theta_lo),
-        half_width=0.5 * (cells.theta_hi - cells.theta_lo), scale=mult / cloud.nodes[8][ring],
-        gap=cloud.nodes[:4], radial=cloud.nodes[4:8], order=order, keys=keys,
-        r_lo=r_lo, r_hi=-np.expm1(-rings.g_hi),
-        s=np.maximum(np.exp(-rings.g_lo) - np.exp(-rings.g_hi), width * r_lo),
-        lattice=_lattice(cloud, theta, mult, order, np.searchsorted(keys, 8.0 * np.arange(len(r_lo) + 1))),
-    )
-    return cloud._sources
 
-
-def _lattice(cloud: ZeroCloud, theta, mult, order, bounds) -> _Lattice:
+def _lattice(cloud: ZeroCloud, theta, mult, index: _RingIndex, run: np.ndarray) -> _Lattice:
     """The closed-form rows of the cloud's lattice rings (see ``_Lattice``);
-    ring k's atoms are order[bounds[k]:bounds[k + 1]], by ascending theta.
+    ring k's atoms are run run[k] of the ring index, by ascending theta.
     Every ring's cells are checked with array arithmetic; one cloud has one
     number of atoms per cell, that of its first ring."""
     cells, nodes = cloud.cells, cloud.nodes
-    n_rings = len(bounds) - 1
+    n_rings = len(run)
     full, seam = np.zeros(n_rings, dtype=bool), np.full(n_rings, -1.0)
     rows, per_cell = [], None
-    for k, (start, stop) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
-        if start == stop:
+    starts = index.start.tolist()
+    for k, j in enumerate(run.tolist()):
+        if j < 0:
             continue
-        idx = order[start:stop]
+        start = starts[j]
+        idx = index.order[start:starts[j + 1]]
         lo, hi, th = cells.theta_lo[idx], cells.theta_hi[idx], theta[idx]
         w, mult0, delta0 = hi[0] - lo[0], mult[idx[0]], cloud.delta[idx[0]]
         if per_cell is None:
@@ -801,8 +809,8 @@ def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cell nodes laid out one by one as (delta, theta, weight), atom-major,
     r-major, theta-minor, the weights negated as ``kernel_sums`` takes cell
     averages: the direct-sum reference.  The surrogate reads the compact
-    ``_sources`` and never builds this 16 N triple."""
-    src = _sources(cloud)
+    ``sources`` and never builds this 16 N triple."""
+    src = cloud.sources
     delta = np.repeat(src.gap.T[src.ring], 4, axis=1)
     theta = np.tile(src.centre[:, None] + src.half_width[:, None] * _LEG_X, 4)
     weight = -(src.radial.T[src.ring][:, :, None] * _LEG_W * src.scale[:, None, None])
@@ -827,22 +835,6 @@ def _near_windows(src: _Sources, delta: np.ndarray, theta: np.ndarray) -> tuple[
     lo = np.where(part, t - half, np.where(whole, 0.0, 1.0))
     hi = np.where(part, t + half, np.where(whole, _TWO_PI, 0.0))
     return lo, hi
-
-
-def _near_pairs(src: _Sources, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms in the windows [lo, hi] of ``_near_windows`` (points, rings),
-    wrapped at 2 pi; the windows of all points and rings come from one pair
-    of binary searches.  Returns the atoms, point-major (a point's atoms ring
-    by ring), and the count of each point."""
-    # per (point, ring), the window clipped to [0, 2 pi] and the piece
-    # wrapping round; an empty window gives two empty pieces
-    wrap_lo = np.where(lo < 0.0, lo + _TWO_PI, 0.0)
-    wrap_hi = np.where(lo < 0.0, _TWO_PI, np.where(hi > _TWO_PI, hi - _TWO_PI, -1.0))
-    base = 8.0 * np.arange(len(src.s))
-    first = np.searchsorted(src.keys, np.hstack([base + np.maximum(lo, 0.0), base + wrap_lo]), "left")
-    last = np.searchsorted(src.keys, np.hstack([base + np.minimum(hi, _TWO_PI), base + wrap_hi]), "right")
-    pos, count = _ranges(first, last)
-    return src.order[pos], count.sum(axis=1)
 
 
 def _pair_terms(src: _Sources, dz: np.ndarray, tz: np.ndarray, atom: np.ndarray) -> np.ndarray:
@@ -889,10 +881,10 @@ def _ring_sums(src: _Sources, log_r: np.ndarray, t: np.ndarray) -> np.ndarray:
     moved by the drift of the cell under the sample (its first atom's stored
     theta minus the first cell's, minus k w), so the drift of a split ring's
     stored angles from k w cancels near the sample."""
-    lat = src.lattice
+    lat, order = src.lattice, src.index.order
     cell = np.clip(np.floor(t[:, None] / lat.w), 0, lat.cells - 1).astype(np.intp)
-    first = src.theta[src.order[lat.first]]
-    drift = src.theta[src.order[lat.first + cell * lat.per_cell]] - first - cell * lat.w
+    first = src.theta[order[lat.first]]
+    drift = src.theta[order[lat.first + cell * lat.per_cell]] - first - cell * lat.w
     a = (log_r[:, None] * lat.m)[:, :, None]
     x = ((t[:, None] - drift)[:, :, None] - lat.phase) / lat.w[:, None]
     x -= np.rint(x)
@@ -918,11 +910,12 @@ def eval_log_surrogate_many(
     the ring sums, the near-field kernel and the on-atom lookup all read t,
     so theta + 2 pi k gives the value at np.mod(theta + 2 pi k, 2 pi) bit
     for bit.  The value is -inf at a sample on an atom: equal g, and t equal
-    to the atom's stored theta (every theta of an ``atomize`` cloud lies in
-    [0, 2 pi)).  theta + 2 pi k is itself rounded, so its t can miss the
-    atom's theta by an ulp and the value stays finite: atom 5900 of the
-    small test scaffold's generation-1 cloud gives -inf at theta and at
-    theta - 2 pi, but -32.26 at theta + 2 pi.
+    to the atom's theta mod 2 pi, which the source table keeps (every theta
+    of an ``atomize`` cloud lies in [0, 2 pi) already).  theta + 2 pi k is
+    itself rounded, so its t can miss the atom's theta by an ulp and the
+    value stays finite: atom 5900 of the small test scaffold's
+    generation-1 cloud gives -inf at theta and at theta - 2 pi, but -32.26
+    at theta + 2 pi.
 
     The correction is summed ring by ring.  A lattice ring (``_Lattice``)
     takes its closed form (``_ring_sums``), O(rings) per sample whatever the
@@ -957,7 +950,7 @@ def eval_log_surrogate_many(
     samples, by up to 51x).
 
     A sample exactly on an atom of a ring summed in closed form is found by
-    a lookup in the ring listing, because the closed form is finite there; an
+    a lookup in the ring index, because the closed form is finite there; an
     explicit pair gives -inf by itself (the kernel's log 0).
 
     One batched pass per call: the windows of all samples come from one
@@ -975,15 +968,15 @@ def eval_log_surrogate_many(
     out = profile.phi(gs)
     if len(cloud) == 0:
         return out
-    src = _sources(cloud)
-    lat = src.lattice
+    src = cloud.sources
+    lat, index = src.lattice, src.index
     lo, hi = _near_windows(src, samp_delta, samp_theta)
     explicit = (lo <= hi) & ~lat.full & ~((lo >= 0.0) & (hi <= lat.seam))
     closed = ~explicit[:, lat.ring]
     t = np.mod(samp_theta, _TWO_PI)
     with np.errstate(divide="ignore"):  # log 0 = -inf on an atom
         out += 0.5 * np.where(closed, _ring_sums(src, np.log1p(-samp_delta), t), 0.0).sum(axis=1)
-        atoms, count = _near_pairs(src, np.where(explicit, lo, 1.0), np.where(explicit, hi, 0.0))
+        atoms, count = index.window(src.run, np.where(explicit, lo, 1.0), np.where(explicit, hi, 0.0))
         sample = np.repeat(np.arange(len(gs)), count)
         terms = np.empty(len(atoms))
         for start in range(0, len(atoms), _PAIR_BLOCK):
@@ -993,13 +986,13 @@ def eval_log_surrogate_many(
     some = count > 0  # np.add.reduceat would give an empty run its next term
     if some.any():
         out[some] += 0.5 * np.add.reduceat(terms, (np.cumsum(count) - count)[some])
-    # on an atom of a ring summed in closed form: the atom whose key the
-    # sample's key finds, if its gap and theta are the sample's
+    # on an atom of a ring summed in closed form: the atom whose key in the
+    # ring index the sample's key finds, if its gap and theta are the sample's
     i, q = np.nonzero(closed & (samp_delta[:, None] == lat.delta))
     if len(i):
-        key = 8.0 * lat.ring[q] + t[i]
-        pos = np.minimum(np.searchsorted(src.keys, key), len(src.keys) - 1)
-        on = (src.keys[pos] == key) & (src.theta[src.order[pos]] == t[i])
+        key = 8.0 * src.run[lat.ring[q]] + t[i]
+        pos = np.minimum(np.searchsorted(index.keys, key), len(index.keys) - 1)
+        on = (index.keys[pos] == key) & (src.theta[index.order[pos]] == t[i])
         out[i[on]] = -math.inf
     return out
 

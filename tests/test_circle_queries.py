@@ -246,6 +246,27 @@ def test_zero_counts_touch_only_their_window(clouds):
     assert peak < 64_000
 
 
+def test_queries_after_the_surrogate_build_nothing(wide_scaffold):
+    # the surrogate's first call builds the ring index that the circle
+    # queries read, so their first calls on a fresh 127k-atom cloud make no
+    # cloud-sized array (the index alone is ~4 MB)
+    prof = RadialProfile(wide_scaffold)
+    cloud = R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=200_000), prof)
+    deep, inner = (float(cloud.g[np.argmin(np.abs(cloud.g - g))]) for g in (8.7, 3.0))
+    R.eval_log_surrogate_many(cloud, prof, [(LogGap(deep + 0.1), 0.0)])
+    # zero counts whose radial test keeps tens of thousands of atoms, and
+    # the arcs of a ring of a few dozen atoms
+    for query in (lambda: L.zero_counts(cloud, (LogGap(deep), 1.0), 0.5 * math.exp(-deep))[0],
+                  lambda: R.excluded_measure(cloud, inner, 0.05)):
+        tracemalloc.start()
+        try:
+            got = query()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got > 0 and peak < 64_000
+
+
 class TestReportsPinned:
     """Values recorded before the queries read the band and the report and
     the certificate shared one off-arc sampler; the report's

@@ -291,6 +291,17 @@ class TestSurrogate:
         assert np.mod(gen1_cloud.theta[5900] + 2.0 * math.pi, 2.0 * math.pi) != gen1_cloud.theta[5900]
         assert math.isfinite(value(5900, 2.0 * math.pi))
 
+    def test_on_an_atom_stored_a_turn_away(self, gen1_cloud, small_profile):
+        # atom 3000 stored at theta + 2 pi is the same point: the source
+        # table keeps its theta mod 2 pi, so both angles hit it
+        theta = gen1_cloud.theta.copy()
+        old = float(theta[3000])
+        theta[3000] += 2.0 * math.pi
+        moved = R.ZeroCloud(gen1_cloud.g, theta, gen1_cloud.mult, gen1_cloud.kind, gen1_cloud.cells, gen1_cloud.nodes)
+        g = LogGap(float(gen1_cloud.g[3000]))
+        got = R.eval_log_surrogate_many(moved, small_profile, [(g, old), (g, float(theta[3000]))])
+        assert got.tolist() == [-math.inf, -math.inf]
+
     def test_near_atom_logarithmic_dip(self, gen1_cloud, small_profile):
         g = float(gen1_cloud.g[10])
         t = float(gen1_cloud.theta[10])
@@ -585,12 +596,13 @@ class TestNearField:
     def test_window_matches_the_per_atom_rule(self, gen1_cloud, small_profile, g):
         # the ring index gives the same atoms as the rule applied atom by atom,
         # also for windows across theta = 0 and angles outside [0, 2 pi)
-        src = R._sources(gen1_cloud)
+        src = gen1_cloud.sources
         delta = math.exp(-g)
         for theta in (1e-12, 0.02, 2.0, 2.0 * math.pi - 0.02, -0.3, 2.0 * math.pi + 0.3):
             want = _near_atoms_loop(gen1_cloud, delta, theta)
             windows = R._near_windows(src, np.array([delta]), np.array([theta]))
-            assert want and sorted(R._near_pairs(src, *windows)[0].tolist()) == want
+            atoms, count = src.index.window(src.run, *windows)
+            assert want and sorted(atoms.tolist()) == want and count.tolist() == [len(want)]
 
     def test_shuffled_rings_give_the_same_values(self, gen1_cloud, small_profile):
         # a positional cloud with each ring's atoms out of theta order
@@ -606,11 +618,26 @@ class TestNearField:
             R.eval_log_surrogate_many(gen1_cloud, small_profile, zs),
         )
 
+    @pytest.mark.parametrize("ring,message", [(1, "ring [01] of the cell table"), (2, "ring 2 of the cell table")])
+    def test_a_ring_that_is_not_one_run_is_an_error(self, gen1_cloud, small_profile, ring, message):
+        # the surrogate reads each ring of the cell table as one run of the
+        # ring index: ring 1 given ring 0's g, or half of ring 2 one ulp off
+        g, of = gen1_cloud.g.copy(), gen1_cloud.cells.ring
+        if ring == 1:
+            g[of == 1] = g[of == 0][0]
+        else:
+            half = np.flatnonzero(of == 2)[::2]
+            g[half] = np.nextafter(g[half], math.inf)
+        cloud = R.ZeroCloud(g, gen1_cloud.theta, gen1_cloud.mult, gen1_cloud.kind, gen1_cloud.cells, gen1_cloud.nodes)
+        with pytest.raises(R.PartitionError, match=message):
+            R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.5)])
+
     def test_shuffled_rings_do_not_import_numpy_ma(self):
         # the first np.unique of a process imports numpy.ma (tens of ms); the
-        # atoms are put in ring and theta order by one argsort instead
+        # ring index puts the atoms in gap and theta order by argsorts instead
         probe = "\n".join([
             "import sys",
+            "import numpy as np",
             "from discgrowth import riesz as R",
             "from discgrowth.numerics import LogGap",
             "from discgrowth.profiles import RadialProfile",
@@ -621,7 +648,9 @@ class TestNearField:
             "rev = slice(None, None, -1)",
             "c = R.ZeroCloud(c.g[rev], c.theta[rev], c.mult[rev], c.kind[rev], c.cells[rev], c.nodes)",
             "R.eval_log_surrogate_many(c, prof, [(LogGap(1.0), 0.3)])",
-            "assert R._sources(c).order.tolist() != list(range(len(c)))",
+            "order = c.ring_index.order",
+            "assert order.tolist() != list(range(len(c)))",
+            "assert order.tolist() != np.argsort(c.delta, kind='stable').tolist()  # a ring's atoms moved",
             "print('numpy.ma' in sys.modules)",
         ])
         src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
@@ -653,7 +682,7 @@ class TestBatchedKernel:
     def test_pair_terms_match_the_expanded_nodes(self, gen1_cloud):
         # the kernel reads the compact node parameters; kernel_sums over each
         # atom's 17 expanded sources (the atom, then its 16 nodes) agrees
-        src = R._sources(gen1_cloud)
+        src = gen1_cloud.sources
         delta, theta, weight = (col.reshape(-1, 16) for col in R._cell_nodes(gen1_cloud))
         atoms = np.arange(0, len(gen1_cloud), 37)
         for g, t in ((0.4, 1.0), (3.5, 2.0), (6.1, 0.01)):
@@ -684,12 +713,13 @@ class TestBatchedKernel:
         part = R.PartitionResult(cells=cells[deep & (cells.theta_hi <= 0.5)], truncated={})
         cloud = R.atomize(part, small_profile)
         assert len(cloud) > 0
-        src = R._sources(cloud)
+        src = cloud.sources
         empty, near = (LogGap(6.0), 3.0), (LogGap(6.0), 0.25)
         assert len(src.lattice.ring) == 0  # partial rings are no lattice
         for theta, atoms in ((3.0, 0), (0.25, 1)):
             windows = R._near_windows(src, np.array([math.exp(-6.0)]), np.array([theta]))
-            assert min(len(R._near_pairs(src, *windows)[0]), 1) == atoms
+            found, count = src.index.window(src.run, *windows)
+            assert min(len(found), 1) == atoms and count.tolist() == [len(found)]
         got = R.eval_log_surrogate_many(cloud, small_profile, [empty, near, empty])
         assert got[0] == got[2] == small_profile.phi(6.0)
         assert got[1] == R.eval_log_surrogate_many(cloud, small_profile, [near])[0] != small_profile.phi(6.0)
@@ -870,7 +900,7 @@ class TestClosedForm:
     def test_every_ring_is_a_lattice(self, clouds, name, rings, full, split):
         # the wide cloud's split rings drift up to 4.9e-12 rad from k w, so
         # the check's tolerance must grow with k
-        lat = R._sources(clouds[name][0]).lattice
+        lat = clouds[name][0].sources.lattice
         assert len(lat.ring) == rings and lat.ring.tolist() == list(range(rings))
         assert (int(np.sum(lat.full)), int(np.sum(lat.seam >= 0.0))) == (full, split)
         assert lat.per_cell == (2 if name in ("split", "hat") else 1)
@@ -880,13 +910,13 @@ class TestClosedForm:
         # a full ring is exact to rounding (<= 3.4e-11 measured); a split
         # ring misses its seam by at most 2.0e-7 at 64 cells (wide, hat)
         cloud = clouds[name][0]
-        full, split = _ring_errors(cloud, R._sources(cloud))
+        full, split = _ring_errors(cloud, cloud.sources)
         assert len(full) >= 7 and max(full) <= 1e-9
         assert split and max(split) <= 5e-7
 
     def test_a_shifted_split_ring_fails_the_ring_check(self, clouds):
         cloud = clouds["small"][0]
-        src = R._sources(cloud)
+        src = cloud.sources
         lat = src.lattice
         q = int(np.flatnonzero(lat.seam[lat.ring] >= 0.0)[-1])
         phase = lat.phase.copy()
@@ -902,7 +932,7 @@ class TestClosedForm:
                             pair_terms(src, dz, tz, atom))
         for name in ("small", "wide"):
             cloud, prof = clouds[name]
-            src = R._sources(cloud)
+            src = cloud.sources
             lat = src.lattice
             zs = []
             for q, k in enumerate(lat.ring.tolist()):
@@ -928,7 +958,7 @@ class TestClosedForm:
         rng = np.random.default_rng(17)
         for name, m in (("small", 48), ("wide", 12), ("hat", 24)):
             cloud, prof = clouds[name]
-            size = np.bincount(R._sources(cloud).ring)
+            size = np.bincount(cloud.sources.ring)
             g_top = float(np.max(cloud.g)) + 0.3
             kept = []
             for g, t in zip(rng.uniform(0.0, g_top, m), rng.uniform(-1.0, 7.0, m)):
