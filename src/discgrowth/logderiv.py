@@ -185,11 +185,9 @@ def zero_counts(cloud: ZeroCloud, zeta: tuple[LogGap, float], h: float) -> tuple
     n, big_n = 0, 0.0
     # dist >= the radial gap |e^-g - e^-gz|, and the disc about zeta subtends
     # |theta - tz| <= asin(h/|zeta|) < 2 h/|zeta| unless it holds the origin;
-    # the factor 2 also covers numpy's rounding; the rings are taken from a
-    # band twice that wide.
+    # the factor 2 also covers numpy's rounding
     idx = cloud.ring_index
-    a, b = idx.runs(dz - 4.0 * h, dz + 4.0 * h)
-    runs = a + np.flatnonzero(np.abs(idx.gap[a:b] - dz) <= 2.0 * h)
+    runs = idx.near(dz, 2.0 * h)
     rz = -math.expm1(-gz)
     # whole rings for a disc about the origin or a window of 3 rad or more
     half = 2.0 * h / rz if h < rz else math.inf
@@ -211,10 +209,12 @@ def circle_counting_integral(
     cloud: ZeroCloud, z: tuple[LogGap, float], big_r: LogGap, n_theta: int = 512
 ) -> float:
     """int_0^2pi N(R e^(i theta), (1-R)/16)/|R e^(i theta) - z|^2 d theta by
-    the periodic trapezoid rule with refinement until stable."""
+    the periodic trapezoid rule from n_theta >= 1 nodes, refined until stable."""
     gz, tz = LogGap(as_g(z[0])).g, z[1]
     if not math.isfinite(tz):
         raise NumericsError(f"circle_counting_integral needs a finite angle, got {tz}")
+    if not n_theta >= 1:
+        raise NumericsError(f"circle_counting_integral needs n_theta >= 1, got n_theta = {n_theta}")
     g_r = big_r.g
     if gz == g_r:
         raise NumericsError("|z| = R not allowed")
@@ -224,9 +224,9 @@ def circle_counting_integral(
     dz = math.exp(-gz)
     rz = 1.0 - dz
 
-    # atoms within h of the circle radius (tested on a band twice as wide)
-    keep = cloud.band(d_r - 2.0 * h, d_r + 2.0 * h)
-    keep = np.sort(keep[np.abs(cloud.delta[keep] - d_r) <= h])  # in cloud order
+    # atoms within h of the circle radius: whole rings of the ring index
+    idx = cloud.ring_index
+    keep = np.sort(idx.atoms(idx.near(d_r, h))[0])  # in cloud order
     ag, at, am = cloud.g[keep], cloud.theta[keep], cloud.mult[keep]
     if len(ag) == 0:
         return 0.0

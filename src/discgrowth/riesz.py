@@ -32,23 +32,24 @@ of atoms; the text is byte-identical to per-atom dumps17 rows.
 Every query of a cloud reads one ring index (``_RingIndex``: the atoms by
 gap, in runs of one g, each by angle); the surrogate reads each ring of the
 cell table as one of its runs, through one more table per cloud
-(``_Sources``).  The zeros of a ring are equally spaced, so the ring's
-correction sums in closed form, prod_k (z - rho e^(i(phi + 2 pi k/M))) =
-z^M - rho^M e^(i M phi), for each of the 17 sources of a cell (its atom and
-4 x 4 nodes; 18 with split doubles): the table keeps one row per lattice
-ring (M, the seam of a split ring, and per source M log rho, phase and
-weight), and a sample costs O(rings).  A full sector ring is exact; a
-split ring (n - 1 cells of width w and a remainder cell closing it at
-2 pi) sums by the same form with the non-integer M = 2 pi / w, used only
-for samples far from its seam.  The other (sample, ring) pairs, on rings
-that are no lattice and at split-ring seams, are summed over the near
-field only: the atoms within 64 local cell sizes of the sample and their
-cell nodes, found by the ring index's window search and evaluated in one
-batched pass over (sample, atom) pairs.  No BLAS call is made, so the
-values do not depend on the BLAS thread count.  A sample on an atom gets
--inf.  ``_cell_nodes`` expands the compact nodes one by one for the
-direct sum over all 17 N sources (``_accel.kernel_sums``) that the tests
-compare the surrogate against; the library never calls it.
+(``_Sources``, rows per ring only: it reads each atom's cell piece and node
+values from the cloud's ``cells`` and ``nodes``).  The zeros of a ring are
+equally spaced, so its correction sums in closed form,
+prod_k (z - rho e^(i(phi + 2 pi k/M))) = z^M - rho^M e^(i M phi), for each
+of the 17 sources of a cell (its atom and 4 x 4 nodes; 18 with split
+doubles): the table keeps one row per lattice ring (M, the seam of a split
+ring, and per source M log rho, phase and weight), and a sample costs
+O(rings).  A full sector ring is exact; a split ring (n - 1 cells of width
+w and a remainder cell closing it at 2 pi) sums by the same form with the
+non-integer M = 2 pi / w, used only for samples far from its seam.  The
+other (sample, ring) pairs, on rings that are no lattice and at split-ring
+seams, are summed over the near field only: the atoms within 64 local cell
+sizes of the sample and their cell nodes, found by the ring index's window
+search and evaluated in one batched pass over (sample, atom) pairs.  No
+BLAS call is made, so the values do not depend on the BLAS thread count.
+A sample on an atom gets -inf.  ``_cell_nodes`` expands the compact nodes
+one by one for the direct sum over all 17 N sources (``_accel.kernel_sums``)
+that the tests compare the surrogate against; the library never calls it.
 
 Enumeration happens in plain double arithmetic and is therefore capped at
 moderate g (cells per ring grow like e^g); the cap and the cell-count
@@ -438,6 +439,11 @@ class _RingIndex:
         """The runs a..b-1 with lo <= gap <= hi (a NaN gap is in none)."""
         return int(np.searchsorted(self.gap, lo, "left")), int(np.searchsorted(self.gap, hi, "right"))
 
+    def near(self, gap: float, reach: float) -> np.ndarray:
+        """The runs with |gap_run - gap| <= reach, tested on a band 2 reach wide."""
+        a, b = self.runs(gap - 2.0 * reach, gap + 2.0 * reach)
+        return a + np.flatnonzero(np.abs(self.gap[a:b] - gap) <= reach)
+
     def atoms(self, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The atoms of the given runs, run by run, and the count of each."""
         pos, count = _ranges(self.start[runs], self.start[runs + 1])
@@ -690,10 +696,10 @@ class _Sources:
 
     Kernel sources: the atoms and the 4 x 4 density-weighted Gauss-Legendre
     nodes of every atom's source cell.  A ring's cells share the node radii,
-    so the node gaps 1 - r_i and radial weights w_i rho(r_i) are kept once
-    per ring; node (i, j) of an atom sits at angle centre + half_width x_j
-    with weight radial_i w_j scale, where scale = mult / (the ring's total
-    weight), so a cell's node weights sum to the mass its atom carries.
+    so their gaps 1 - r_i and radial weights w_i rho(r_i) are the cloud's
+    ``nodes``; node (i, j) of an atom on ring k with cell piece [lo, hi] sits
+    at angle (hi + lo) / 2 + x_j (hi - lo) / 2 with weight radial_i w_j mult
+    / nodes[8][k], so a cell's node weights sum to the mass its atom carries.
 
     Rings: those of the cell table, in its order; ring k's atoms, by theta
     mod 2 pi, are run ``run[k]`` of the cloud's ring ``index``, and ``build``
@@ -702,12 +708,8 @@ class _Sources:
     delta: np.ndarray  # per atom: exp(-g)
     theta: np.ndarray  # per atom: theta mod 2 pi
     mult: np.ndarray
-    ring: np.ndarray  # per atom: its ring's column in gap and radial
-    centre: np.ndarray  # per atom: angular centre of its cell piece
-    half_width: np.ndarray
-    scale: np.ndarray
-    gap: np.ndarray  # (4, rings)
-    radial: np.ndarray  # (4, rings)
+    cells: CellColumns  # per atom: its cell piece and ring
+    nodes: np.ndarray  # (9, rings): the cloud's node values
     index: _RingIndex
     run: np.ndarray  # per ring: its run in index, -1 for a ring without atoms
     r_lo: np.ndarray  # per ring
@@ -739,9 +741,7 @@ class _Sources:
         mult = np.asarray(cloud.mult, dtype=float)
         theta = _mod_turn(np.asarray(cloud.theta, dtype=float))
         return cls(
-            delta=cloud.delta, theta=theta, mult=mult, ring=ring, centre=0.5 * (cells.theta_hi + cells.theta_lo),
-            half_width=0.5 * (cells.theta_hi - cells.theta_lo), scale=mult / cloud.nodes[8][ring],
-            gap=cloud.nodes[:4], radial=cloud.nodes[4:8], index=index, run=run,
+            delta=cloud.delta, theta=theta, mult=mult, cells=cells, nodes=cloud.nodes, index=index, run=run,
             r_lo=r_lo, r_hi=-np.expm1(-rings.g_hi),
             s=np.maximum(np.exp(-rings.g_lo) - np.exp(-rings.g_hi), width * r_lo),
             lattice=_lattice(cloud, theta, mult, index, run),
@@ -805,15 +805,23 @@ def _lattice(cloud: ZeroCloud, theta, mult, index: _RingIndex, run: np.ndarray) 
     )
 
 
+def _piece(src: _Sources, atom) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of the given atoms: the ring, the node angles (4, atoms) of the cell
+    piece and the node scale mult / nodes[8][ring] (see ``_Sources``)."""
+    ring, lo, hi = src.cells.ring[atom], src.cells.theta_lo[atom], src.cells.theta_hi[atom]
+    return ring, 0.5 * (hi + lo) + 0.5 * (hi - lo) * _LEG_X[:, None], src.mult[atom] / src.nodes[8][ring]
+
+
 def _cell_nodes(cloud: ZeroCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cell nodes laid out one by one as (delta, theta, weight), atom-major,
     r-major, theta-minor, the weights negated as ``kernel_sums`` takes cell
     averages: the direct-sum reference.  The surrogate reads the compact
     ``sources`` and never builds this 16 N triple."""
     src = cloud.sources
-    delta = np.repeat(src.gap.T[src.ring], 4, axis=1)
-    theta = np.tile(src.centre[:, None] + src.half_width[:, None] * _LEG_X, 4)
-    weight = -(src.radial.T[src.ring][:, :, None] * _LEG_W * src.scale[:, None, None])
+    ring, angle, scale = _piece(src, slice(None))
+    delta = np.repeat(src.nodes[:4].T[ring], 4, axis=1)
+    theta = np.tile(angle.T, 4)
+    weight = -(src.nodes[4:8].T[ring][:, :, None] * _LEG_W * scale[:, None, None])
     return delta.ravel(), theta.ravel(), weight.ravel()
 
 
@@ -851,9 +859,9 @@ def _pair_terms(src: _Sources, dz: np.ndarray, tz: np.ndarray, atom: np.ndarray)
     dd, om = d - dz, dz + d - dz * d
     atom_l = np.log((dd * dd + cross) / (om * om + cross))
     # the nodes: sines once per angle j, radial terms once per radius i
-    ring = src.ring[atom]
-    gap = np.take(src.gap, ring, axis=1)
-    s = np.sin(0.5 * (tz - (src.centre[atom] + src.half_width[atom] * _LEG_X[:, None])))
+    ring, angle, scale = _piece(src, atom)
+    gap = np.take(src.nodes[:4], ring, axis=1)
+    s = np.sin(0.5 * (tz - angle))
     s *= s
     dd, om = gap - dz, dz + gap - dz * gap
     dd *= dd
@@ -866,8 +874,8 @@ def _pair_terms(src: _Sources, dz: np.ndarray, tz: np.ndarray, atom: np.ndarray)
     cross[:, :2] *= cross[:, :1:-1]
     ratio = np.log(num[:, :2] / cross[:, :2])
     node = ratio[:, 0] * _LEG_W[0] + ratio[:, 1] * _LEG_W[1]
-    node *= np.take(src.radial, ring, axis=1)
-    return src.mult[atom] * atom_l - src.scale[atom] * node.sum(axis=0)
+    node *= np.take(src.nodes[4:8], ring, axis=1)
+    return src.mult[atom] * atom_l - scale * node.sum(axis=0)
 
 
 def _ring_sums(src: _Sources, log_r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1004,10 +1012,9 @@ def _merged_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> tuple[np.ndar
     """The merged arcs of ``excluded_arcs`` as arrays of starts and ends.
 
     The atoms within eps (1 - r) of the circle radially are whole rings of
-    the ring index (|dr| <= lim, tested on the runs of a band twice as wide
-    so that its rounded edges cut none).  An atom's half-arc depends on its
-    ring alone, so it is computed once per ring, and % 2 pi is applied only
-    to the arc ends outside (0, 2 pi), where it changes them."""
+    the ring index (|dr| <= lim).  An atom's half-arc depends on its ring
+    alone, so it is computed once per ring, and % 2 pi is applied only to
+    the arc ends outside (0, 2 pi), where it changes them."""
     if not eps >= 0.0:
         raise NumericsError(f"excluded_arcs needs eps >= 0, got {eps}")
     r = LogGap(g_circle).r
@@ -1017,8 +1024,7 @@ def _merged_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> tuple[np.ndar
     gap = math.exp(-g_circle)
     lim = eps * gap
     idx = cloud.ring_index
-    a, b = idx.runs(gap - 2.0 * lim, gap + 2.0 * lim)
-    runs = a + np.flatnonzero(np.abs(gap - idx.gap[a:b]) <= lim)
+    runs = idx.near(gap, lim)
     if not len(runs):
         return none, none
     if r == 0.0:  # the circle is the origin, within eps of the atoms kept
@@ -1096,13 +1102,15 @@ def approximation_report(
     seed: int = 0,
 ) -> ApproxReport:
     """Surrogate-vs-profile error statistics off the eps-neighborhood of the
-    zeros, plus the per-circle excluded-arc measure."""
+    zeros, plus the per-circle excluded-arc measure; at least one sample."""
     rng = np.random.default_rng(seed)
     zs, per_circle = [], []
     for g in circle_gs:
         arcs = excluded_arcs(cloud, g, eps)
         zs += [(LogGap(g), t) for t in angles_off_arcs(rng, arcs, thetas_per_circle)]
         per_circle.append((g, sum(hi - lo for lo, hi in arcs)))
+    if not zs:
+        raise NumericsError(f"no sample was left off the excluded arcs ({len(per_circle)} circles, eps = {eps})")
     gs = np.array([z[0].g for z in zs])
     vals = eval_log_surrogate_many(cloud, profile, zs)
     errs = np.abs(vals - profile.phi(gs)) / (1.0 + np.log(np.maximum(gs, 1.0)))

@@ -301,6 +301,13 @@ class TestReportsPinned:
         )
 
 
+@pytest.mark.parametrize("circles,eps", [([], 0.05), ([2.0, 3.5], math.inf), ([2.0, 3.5], 1e6)])
+def test_approximation_report_without_samples(small_scaffold, clouds, circles, eps):
+    # no circle, or arcs that cover every circle, leave no sample
+    with pytest.raises(NumericsError, match="no sample was left off the excluded arcs"):
+        R.approximation_report(clouds["small"], RadialProfile(small_scaffold), circles, eps, thetas_per_circle=8)
+
+
 class TestOffArcSampler:
     def test_same_draws_as_a_rejection_loop(self):
         arcs = [(0.5, 2.0), (3.0, 3.1)]
@@ -380,3 +387,9 @@ class TestRejectsBadCircles:
     def test_circle_counting_integral_point(self, z):
         with pytest.raises(NumericsError):
             L.circle_counting_integral(self.cloud, z, LogGap(3.0))
+
+    @pytest.mark.parametrize("n_theta", [0, -3])
+    def test_circle_counting_integral_nodes(self, n_theta):
+        # the atom at g = 3 lies on the circle, so the quadrature would run
+        with pytest.raises(NumericsError, match=f"n_theta >= 1, got n_theta = {n_theta}"):
+            L.circle_counting_integral(self.cloud, (LogGap(1.0), 0.3), LogGap(3.0), n_theta=n_theta)

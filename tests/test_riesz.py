@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -677,6 +678,23 @@ class TestNearField:
         assert sum(pairs) > 0 and max(pairs) <= R._PAIR_BLOCK
         assert 17 * sum(pairs) < 0.02 * 17 * len(cloud) * len(zs)
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_source_table_keeps_no_atom_column(self, wide_partition, split):
+        # the table reads each atom's cell piece, its ring's node values, its
+        # gap, angle and multiplicity from the cloud (127k atoms, 253k with
+        # split doubles); what it keeps of its own is per ring
+        part, prof = wide_partition
+        cloud = R.atomize(part, prof, split_doubles=split)
+        assert len(cloud.ring_index.order) == len(cloud) > 100_000
+        tracemalloc.start()
+        try:
+            src = cloud.sources
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64_000
+        assert src.cells is cloud.cells and src.nodes is cloud.nodes
+
 
 class TestBatchedKernel:
     def test_pair_terms_match_the_expanded_nodes(self, gen1_cloud):
@@ -872,7 +890,7 @@ def _ring_errors(cloud, src):
     gs = np.linspace(0.05, float(np.max(cloud.g)) + 0.3, 9)
     full, split = [], []
     for q, k in enumerate(lat.ring.tolist()):
-        atoms = np.flatnonzero(src.ring == k)
+        atoms = np.flatnonzero(src.cells.ring == k)
         sources = [np.concatenate([col[atoms], nodes[atoms].ravel()])
                    for col, nodes in ((src.delta, delta), (src.theta, theta), (src.mult, weight))]
         if lat.full[k]:
@@ -928,7 +946,7 @@ class TestClosedForm:
         # samples 1-5 cells either side of a split ring's seam arc, and inside
         # it, sum that ring explicitly; the whole sum stays within 2e-4
         pair_terms, seen = R._pair_terms, []
-        monkeypatch.setattr(R, "_pair_terms", lambda src, dz, tz, atom: seen.append(src.ring[atom]) or
+        monkeypatch.setattr(R, "_pair_terms", lambda src, dz, tz, atom: seen.append(src.cells.ring[atom]) or
                             pair_terms(src, dz, tz, atom))
         for name in ("small", "wide"):
             cloud, prof = clouds[name]
@@ -953,12 +971,12 @@ class TestClosedForm:
         # a sample whose explicit rings all have whole windows (every atom of
         # the ring in its near field) carries only the closed-form error
         pair_terms, seen = R._pair_terms, []
-        monkeypatch.setattr(R, "_pair_terms", lambda src, dz, tz, atom: seen.append(src.ring[atom]) or
+        monkeypatch.setattr(R, "_pair_terms", lambda src, dz, tz, atom: seen.append(src.cells.ring[atom]) or
                             pair_terms(src, dz, tz, atom))
         rng = np.random.default_rng(17)
         for name, m in (("small", 48), ("wide", 12), ("hat", 24)):
             cloud, prof = clouds[name]
-            size = np.bincount(cloud.sources.ring)
+            size = np.bincount(cloud.sources.cells.ring)
             g_top = float(np.max(cloud.g)) + 0.3
             kept = []
             for g, t in zip(rng.uniform(0.0, g_top, m), rng.uniform(-1.0, 7.0, m)):
