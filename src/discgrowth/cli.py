@@ -162,7 +162,7 @@ def _cmd_riesz(args) -> list[Output]:
     # the text and its pieces take twice its size at their peak; the cell
     # columns of the partition and of the cloud are not needed for it
     del part
-    cloud.cells = ()
+    cloud.cells = None
     return [(args.out, cloud.to_jsonl()), (args.summary_out, [summary])]
 
 
@@ -251,8 +251,11 @@ def _cmd_solve(args) -> list[Output]:
     coeffs = O.pole_coeffs(args.pole_order, args.degree, scale=args.scale)
     init = [LogValue.from_float(1.0)] + [LogValue.zero()] * (args.k - 1)
     sol = O.taylor_solve(coeffs, args.k, init, args.degree)
-    gs = np.linspace(*args.estimate)
-    samples = [(float(g), math.log(max(sol.log_abs_sum(float(g)), 1e-300))) for g in gs]
+    log_m = [(float(g), sol.log_abs_sum(float(g))) for g in np.linspace(*args.estimate)]
+    for g, v in log_m:
+        if v <= 0.0:  # log log M needs log M > 0
+            raise CliValidationError(f"--estimate: log M(r, f) = {v:.17g} <= 0 at g = {g:.17g}; raise G_LO")
+    samples = [(g, math.log(v)) for g, v in log_m]
     ind = O.estimate_orders(samples, window=0.4, min_span=args.min_span)
     recs = [{"kind": "ode-orders", "k": args.k, "pole_order": args.pole_order, "degree": args.degree,
              "sigma_hat_tail": ind.sigma_M.tail, "lambda_hat_tail": ind.lambda_M.tail,
@@ -334,16 +337,16 @@ def _finite(text: str) -> float:
 
 
 def _estimate_grid(text: str) -> tuple[float, float, int]:
-    """``g_lo:g_hi:n`` of ``ode solve --estimate``: finite g_lo < g_hi and a
-    positive integer count of samples."""
+    """``g_lo:g_hi:n`` of ``ode solve --estimate``: finite 0 < g_lo < g_hi and
+    a positive integer count of samples."""
     try:
         lo, hi, count = text.split(":")
         n = int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected g_lo:g_hi:n (two floats and an integer), got {text!r}")
     g_lo, g_hi = _finite(lo), _finite(hi)
-    if not (g_lo < g_hi and n >= 1):
-        raise argparse.ArgumentTypeError(f"need g_lo < g_hi and n >= 1, got {text!r}")
+    if not (0.0 < g_lo < g_hi and n >= 1):
+        raise argparse.ArgumentTypeError(f"need 0 < g_lo < g_hi and n >= 1, got {text!r}")
     return g_lo, g_hi, n
 
 

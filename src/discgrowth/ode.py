@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +29,7 @@ class OdeError(NumericsError):
 
 
 class OdeOverflowError(OdeError, NumericalFailure):
-    """The scaled recursion overflowed: a numerical failure, not bad input."""
+    """The recursion overflowed: a numerical failure, not bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +108,10 @@ def _kept_range(upper: np.ndarray, lower: np.ndarray) -> tuple[int, int]:
 
 @dataclass
 class SolutionSeries:
-    """Taylor coefficients of f scaled by rho^m, in (sign, log|.|) arrays."""
+    """Taylor coefficients of f, in (sign, log|.|) arrays."""
 
     sign: np.ndarray
     logmag: np.ndarray
-    k: int
-    log_rho: float = 0.0
     # the indices m of the nonzero coefficients (as floats) and their logs;
     # per block of _SERIES_BLOCK of them, the largest log and the first and
     # last m
@@ -138,28 +135,25 @@ class SolutionSeries:
     def coeff(self, m: int) -> LogValue:
         if self.sign[m] == 0.0:
             return LogValue.zero()
-        return LogValue(int(self.sign[m]), float(self.logmag[m] - m * self.log_rho))
+        return LogValue(int(self.sign[m]), float(self.logmag[m]))
 
     def log_abs_sum(self, g: LogGap | float) -> float:
         """log sum |f_m| r^m over the nonzero coefficients: equals log M(r, f)
         for nonnegative coefficients (an upper proxy otherwise), up to the
-        truncation degree; -inf when every coefficient is zero.
+        truncation degree; log|f_0| at r = 0, and -inf when that sum is zero.
 
-        The terms come in blocks of 64 coefficients.  With t = log r -
-        log rho, a block's terms lie between L + m_far t and L + m_near t,
-        L the block's largest log coefficient and m_near, m_far its end
-        indices nearest to and farthest from the larger m t (64 times that
-        above); only the blocks that can change a bit are summed (see
-        :func:`_kept_range`)."""
-        t = log_r_from_g(as_g(g)) - self.log_rho
+        The terms come in blocks of 64 coefficients.  With t = log r <= 0, a
+        block's terms lie between L + m_last t and L + m_first t, L the
+        block's largest log coefficient and m_first, m_last its end indices
+        (64 times that above); only the blocks that can change a bit are
+        summed (see :func:`_kept_range`)."""
+        t = log_r_from_g(as_g(g))
         if not len(self._live):
             return -math.inf
-        near, far = self._block_first, self._block_last
-        if t >= 0.0:
-            near, far = far, near
-        a, b = _kept_range(
-            self._block_max + near * t + math.log(_SERIES_BLOCK), self._block_max + far * t
-        )
+        if t == -math.inf:  # r = 0: the sum is |f_0|
+            return float(self.logmag[0]) if self.sign[0] != 0.0 else -math.inf
+        top = self._block_max
+        a, b = _kept_range(top + self._block_first * t + math.log(_SERIES_BLOCK), top + self._block_last * t)
         window = slice(a * _SERIES_BLOCK, b * _SERIES_BLOCK)
         vals = self._live[window] * t
         vals += self._live_log[window]
@@ -173,11 +167,9 @@ def taylor_solve(
     k: int,
     init: Sequence[LogValue],
     degree: int,
-    rho: float = 1.0,
 ) -> SolutionSeries:
     """Solve f^(k) = -A f by the exact coefficient recursion
-    f_{m+k} = -(m!/(m+k)!) sum_j A_j f_{m-j}; the result holds the scaled
-    coefficients c_m = f_m rho^m.
+    f_{m+k} = -(m!/(m+k)!) sum_j A_j f_{m-j}.
 
     ``init`` supplies f(0), f'(0), ..., f^(k-1)(0)/(k-1)! as the first k
     Taylor coefficients.
@@ -186,9 +178,9 @@ def taylor_solve(
     nonnegative ``init`` with log magnitudes below 1e15 and no truncation
     (``len(coeffs) > degree - k``) go through :func:`_pole_recursion`,
     O(degree * (p+1)) plain-float multiply-adds on one shared power-of-two
-    exponent; every coefficient stays positive there, so nothing cancels, and
-    rho only shifts the logs by m log(rho) at the end.  Any other input takes
-    the dense O(degree^2) log-domain convolution ``_accel.taylor_recursion``.
+    exponent; every coefficient stays positive there, so nothing cancels.
+    Any other input takes the dense O(degree^2) log-domain convolution
+    ``_accel.taylor_recursion``.
     """
     if k < 1:
         raise OdeError("k must be >= 1")
@@ -196,49 +188,27 @@ def taylor_solve(
         raise OdeError(f"need exactly k={k} initial coefficients, got {len(init)}")
     if degree < k:
         raise OdeError("degree must be at least k")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise OdeError(f"rho must be positive and finite, got {rho}")
-    log_rho = math.log(rho)
+    init_log = np.array([v.logmag for v in init])
     if (
         coeffs.pole is not None
         and coeffs.pole[1] < 0.0
         and all(v.sign == 0 or (v.sign > 0 and abs(v.logmag) < 1e15) for v in init)
         and len(coeffs) > degree - k
     ):
-        init_log = np.array([v.logmag for v in init])
-        sign, logmag = _pole_recursion(*coeffs.pole, k, degree, log_rho, init_log)
+        sign, logmag = _pole_recursion(*coeffs.pole, k, degree, init_log)
     else:
-        # scaled variables c_m = f_m rho^m satisfy the same recursion with
-        # A_j replaced by A_j rho^(j+k)
-        a_log = coeffs.logmag + (np.arange(len(coeffs)) + k) * log_rho
         init_sign = np.array([float(v.sign) for v in init])
-        init_log = np.array([v.logmag + m * log_rho for m, v in enumerate(init)])
-        sign, logmag = taylor_recursion(coeffs.sign.copy(), a_log, k, degree, init_sign, init_log)
+        sign, logmag = taylor_recursion(coeffs.sign, coeffs.logmag, k, degree, init_sign, init_log)
     if np.any(np.isnan(logmag)):
-        raise OdeOverflowError(_overflow_message(logmag, coeffs, init))
-    return SolutionSeries(sign, logmag, k=k, log_rho=log_rho)
-
-
-def _overflow_message(logmag: np.ndarray, coeffs: DenseCoeffs, init: Sequence[LogValue]) -> str:
-    """Why the recursion overflowed, naming the first NaN coefficient m.
-
-    At rho = 1 each step adds at most max(log|A_j|, 0) + log(m + 1) to the
-    largest log magnitude so far, which bounds log|f_m|.  When that bound is
-    a finite double, rho > 1 caused the overflow and a smaller rho helps.
-    Otherwise the inputs' log magnitudes are near the double limit; rho moves
-    the log magnitude at index m by m log(rho), |log(rho)| < 745, which
-    cannot offset them."""
-    m = int(np.flatnonzero(np.isnan(logmag))[0])
-    log_a = float(np.max(coeffs.logmag[coeffs.sign != 0.0], initial=0.0))
-    log_init = max([0.0] + [v.logmag for v in init if v.sign != 0])
-    bound = log_init + m * (log_a + math.log(m + 1))
-    if bound < sys.float_info.max:
-        return f"overflow in scaled recursion at coefficient {m}; use a smaller rho"
-    return (
-        f"overflow in scaled recursion at coefficient {m}: the log magnitudes of the "
-        f"coefficients and initial values (up to {max(log_a, log_init):.3g}) are near the "
-        "double limit, and no rho offsets them"
-    )
+        m = int(np.flatnonzero(np.isnan(logmag))[0])
+        log_a = float(np.max(coeffs.logmag[coeffs.sign != 0.0], initial=0.0))
+        log_init = max([0.0] + [v.logmag for v in init if v.sign != 0])
+        raise OdeOverflowError(
+            f"overflow in the recursion at coefficient {m}: the log magnitudes of the "
+            f"coefficients and initial values (up to {max(log_a, log_init):.3g}) are near the "
+            "double limit"
+        )
+    return SolutionSeries(sign, logmag)
 
 
 # the ceiling of the running sum S^(p), which stays >= 1/2 once nonzero, and
@@ -267,12 +237,10 @@ def _pole_alpha(p: int, scale: float, k: int, n: int) -> tuple[np.ndarray, np.nd
     return a_mant, a_exp
 
 
-def _pole_recursion(
-    p: int, scale: float, k: int, degree: int, log_rho: float, init_log: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _pole_recursion(p: int, scale: float, k: int, degree: int, init_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The recursion of :func:`taylor_solve` for A_j = scale p binom(j+p, p),
     scale < 0, and nonnegative initial values f_0..f_{k-1} with log
-    magnitudes ``init_log``; returns (sign, log c_m) with c_m = f_m rho^m.
+    magnitudes ``init_log``; returns (sign, log f_m).
 
     sum_j binom(j+p, p) f_{m-j} is the (p+1)-fold prefix sum of f (the series
     of (1 - z)^-(p+1) F(z)): s^(i)_m = s^(i)_{m-1} + s^(i-1)_m with s^(0) = f,
@@ -283,10 +251,9 @@ def _pole_recursion(
     exponent is not ``shared`` enters the sums by ldexp, or rebases them on
     its own exponent when it starts them or lies more than 2^300 above them,
     so S stays >= 1/2.  With alpha_m split as in :func:`_pole_alpha`, no
-    product overflows or underflows for any finite scale or rho.  The
-    exponent of f_{m+k} is ``shared`` after step m (logged only when it
-    changes) plus that of alpha_m.  rho enters only at the end as m log(rho),
-    and the logs are taken once, vectorised.
+    product overflows or underflows for any finite scale.  The exponent of
+    f_{m+k} is ``shared`` after step m (logged only when it changes) plus
+    that of alpha_m, and the logs are taken once, vectorised.
     """
     n = degree + 1 - k
     alpha, alpha_exp = _pole_alpha(p, scale, k, n)
@@ -330,8 +297,6 @@ def _pole_recursion(
         np.log(logmag, out=logmag)
     logmag[k:] += exps * _LN2
     logmag[:k] = init_log
-    if log_rho:
-        logmag += np.arange(degree + 1) * log_rho
     sign = np.where(logmag == -np.inf, 0.0, 1.0)
     return sign, logmag
 
@@ -398,16 +363,16 @@ def two_scale_orders(alpha: float, kappa1: float, kappa2: float) -> tuple[float,
 
 
 def paired_radius_limit(c: float, q: float, g_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Deviations |(rho/r)^(1/(1-r)) - e| with 1-rho = C(1-r)^q, computed in
-    the log domain as exp(e^g (log rho - log r))."""
+    """Deviations |(s/r)^(1/(1-r)) - e| for the paired radius s with
+    1-s = C(1-r)^q, computed in the log domain as exp(e^g (log s - log r))."""
     if c <= 0.0 or q <= 1.0:
         raise OdeError("need C > 0 and q > 1")
     out = []
     for g in g_grid:
-        g_rho = q * g - math.log(c)
-        if g_rho <= g:
-            raise OdeError(f"rho <= r at g = {g}; enlarge g or shrink C")
-        diff = log_r_from_g(g_rho) - log_r_from_g(g)
+        g_s = q * g - math.log(c)
+        if g_s <= g:
+            raise OdeError(f"s <= r at g = {g}; enlarge g or shrink C")
+        diff = log_r_from_g(g_s) - log_r_from_g(g)
         val = math.exp(math.exp(g) * diff)
         out.append((g, abs(val - math.e)))
     return out

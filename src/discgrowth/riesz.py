@@ -20,8 +20,7 @@ of a per-cell loop; a generation has tens of rings against up to ~1e5 cells.
 Per-cell and per-atom values follow by numpy arithmetic in the same
 operation and element order as that loop, so outputs are bit-identical to
 it.  A ``ZeroCloud`` keeps the same columns for the cell piece behind each
-atom, and the node values per ring.  ``PolarCell`` objects are built only
-when a caller indexes or iterates the columns.
+atom, and the node values per ring.
 
 ``ZeroCloud.to_jsonl`` writes one dumps17 row per atom.  All atoms of a ring
 share their cell kind, centroid g and multiplicity, so the row prefix up to
@@ -91,33 +90,6 @@ class PartitionError(NumericsError):
     pass
 
 
-@dataclass(frozen=True)
-class PolarCell:
-    g_lo: float
-    g_hi: float
-    theta_lo: float
-    theta_hi: float
-    mass: float
-    kind: str  # A | A-hat | A-star | A-dprime | remainder
-    generation: int
-    branch: int  # profile branch carrying the density (1, 3, 4, 5)
-
-    @property
-    def r_lo(self) -> float:
-        return -math.expm1(-self.g_lo)
-
-    @property
-    def r_hi(self) -> float:
-        return -math.expm1(-self.g_hi)
-
-    def side_ratio(self) -> float:
-        """max/min of (angular width, radial width); radii near 1 so the arc
-        length is the plain angle."""
-        dr = math.exp(-self.g_lo) - math.exp(-self.g_hi)
-        dth = self.theta_hi - self.theta_lo
-        return max(dth, dr) / min(dth, dr)
-
-
 @dataclass(frozen=True, eq=False)
 class RingTable:
     """The rings of one partition, one row per ring: the log-gaps of its
@@ -131,11 +103,11 @@ class RingTable:
 
 
 @dataclass(frozen=True, eq=False)
-class CellColumns(Sequence):
+class CellColumns:
     """Polar cells as columns, one row per cell: the index of its ring in
     ``rings``, its angular edges, its mass and its kind as a code into KINDS.
-    An integer index builds the row's PolarCell; a slice, mask or index array
-    selects rows as CellColumns over the same ring table."""
+    A slice, mask or index array selects rows as CellColumns over the same
+    ring table."""
 
     ring: np.ndarray
     theta_lo: np.ndarray
@@ -147,14 +119,7 @@ class CellColumns(Sequence):
     def __len__(self) -> int:
         return len(self.ring)
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            k, rings = self.ring[index], self.rings
-            return PolarCell(
-                rings.g_lo[k].item(), rings.g_hi[k].item(), self.theta_lo[index].item(),
-                self.theta_hi[index].item(), self.mass[index].item(), KINDS[self.kind[index]],
-                rings.generation, rings.branch[k].item(),
-            )
+    def __getitem__(self, index) -> CellColumns:
         return CellColumns(
             self.ring[index], self.theta_lo[index], self.theta_hi[index], self.mass[index],
             self.kind[index], self.rings,
@@ -172,9 +137,6 @@ class PartitionResult:
     @property
     def total_mass(self) -> float:
         return math.fsum(self.cells.mass.tolist())
-
-    def regular_cells(self) -> CellColumns:
-        return self.cells[self.cells.kind != _REMAINDER]
 
 
 # -- per-branch densities (full-circle ring masses and first moments) -------
@@ -494,15 +456,15 @@ class ZeroCloud:
     simple zeros straddling the midpoint).  ``cells`` holds, per atom, the
     piece of its cell the atom stands for, and ``nodes`` the node values of
     each ring of their ring table (both from ``atomize``; the surrogate
-    reads them).  Every query reads the ring index (``_RingIndex``), built
-    on the first of them; the surrogate also reads ``sources``, built on its
-    first call."""
+    reads them, and refuses a hand-built cloud without them).  Every query
+    reads the ring index (``_RingIndex``), built on the first of them; the
+    surrogate also reads ``sources``, built on its first call."""
 
     g: np.ndarray
     theta: np.ndarray
     mult: np.ndarray
     kind: Sequence[str]
-    cells: Sequence[PolarCell]
+    cells: CellColumns | None = None
     # (9, rings): 1 - r at the ring's four Gauss-Legendre radii, their radial
     # weights w rho(r) and the total weight of a cell's 4 x 4 nodes
     nodes: np.ndarray | None = None
@@ -531,10 +493,6 @@ class ZeroCloud:
         idx = self.ring_index
         a, b = idx.runs(lo, hi)
         return idx.order[idx.start[a]:idx.start[b]]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return int(np.sum(self.mult))
 
     def to_jsonl(self) -> str:
         """One dumps17 record per atom with keys cell_kind, g, mult, theta;
@@ -721,6 +679,8 @@ class _Sources:
     def build(cls, cloud: ZeroCloud) -> _Sources:
         """From the ring table of the cloud's cells, the node values
         ``atomize`` computed per ring and the cloud's ring index."""
+        if cloud.cells is None or cloud.nodes is None:
+            raise PartitionError("the surrogate needs the cloud's cells and nodes from atomize")
         cells, index = cloud.cells, cloud.ring_index
         rings, ring = cells.rings, cells.ring
         n_rings = len(rings.g_lo)

@@ -329,7 +329,7 @@ def summed_coefficient_integral_log_bound(log_m, k: int, g: float, step: float =
 
 def summed_log_abs_sum(series, g: LogGap | float) -> float:
     """log sum |f_m| r^m over every nonzero coefficient of a SolutionSeries."""
-    t = log_r_from_g(as_g(g)) - series.log_rho
+    t = log_r_from_g(as_g(g))
     if not series._live.size:
         return -math.inf
     vals = series._live * t

@@ -89,18 +89,19 @@ def test_criterion_2_profile_regularity(reference):
 def test_criterion_3_riesz_cell_mass(small):
     prof, part, cloud = small
     rng = np.random.default_rng(2024)
-    idx = rng.choice(len(part.cells), size=50, replace=False)
+    cells = part.cells
+    idx = rng.choice(len(cells), size=50, replace=False)
     worst = 0.0
     for i in idx:
-        cell = part.cells[int(i)]
+        k = cells.ring[i]
         inner = integrate(
             lambda r: prof.eval(-math.log1p(-r)).laplacian.to_float() * r,
-            cell.r_lo,
-            cell.r_hi,
+            -math.expm1(-cells.rings.g_lo[k]),
+            -math.expm1(-cells.rings.g_hi[k]),
             rel_tol=1e-9,
         )
-        mass = inner * (cell.theta_hi - cell.theta_lo) / (2.0 * math.pi)
-        worst = max(worst, abs(mass - cell.mass))
+        mass = inner * (cells.theta_hi[i] - cells.theta_lo[i]) / (2.0 * math.pi)
+        worst = max(worst, abs(mass - float(cells.mass[i])))
 
     ring_gs = sorted(set(float(g) for g in cloud.g))
     circles = [ring_gs[1], ring_gs[len(ring_gs) // 3], ring_gs[2 * len(ring_gs) // 3]]

@@ -21,7 +21,7 @@ from discgrowth.profiles import RadialProfile
 def _hand_built(g, theta, mult=None):
     g = np.asarray(g, dtype=float)
     mult = np.full(len(g), 2.0) if mult is None else np.asarray(mult, dtype=float)
-    return R.ZeroCloud(g, np.asarray(theta, dtype=float), mult, ["A"] * len(g), [None] * len(g))
+    return R.ZeroCloud(g, np.asarray(theta, dtype=float), mult, ["A"] * len(g))
 
 
 def _neighbours(g, n=8):

@@ -164,14 +164,14 @@ class TestOdeSolveCmd:
         from discgrowth import ode as O
         from discgrowth.cli import _is_validation
 
-        assert _is_validation(O.OdeError("rho must be positive and finite, got inf"))
-        assert not _is_validation(O.OdeOverflowError("overflow in scaled recursion"))
+        assert _is_validation(O.OdeError("degree must be at least k"))
+        assert not _is_validation(O.OdeOverflowError("overflow in the recursion"))
 
     def test_recursion_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
         from discgrowth import ode as O
 
         def overflow(*args, **kwargs):
-            raise O.OdeOverflowError("overflow in scaled recursion; use a smaller rho")
+            raise O.OdeOverflowError("overflow in the recursion")
 
         monkeypatch.setattr(O, "taylor_solve", overflow)
         out = tmp_path / "o.json"
@@ -186,6 +186,7 @@ class TestOdeSolveCmd:
         "2:1:48", "1:1:48",  # g_lo >= g_hi
         "1:2:48.5", "1:2:0",  # count not a positive integer
         "nan:2:48", "1:inf:48",  # non-finite g
+        "0:2:48", "-1:2:48",  # g_lo <= 0: r = 0 has no log log M
     ])
     def test_bad_estimate_is_a_validation_error(self, tmp_path, capsys, value):
         out = tmp_path / "o.json"
@@ -207,6 +208,31 @@ class TestOdeSolveCmd:
                    "--out", str(out), "--samples-csv", str(samples)) == 0
         gs = [float(row.split(",")[0]) for row in samples.read_text().splitlines()[1:]]
         assert gs == np.linspace(0.5, 1.5, 40).tolist()
+
+    def test_non_positive_log_m_is_a_validation_error(self, tmp_path, capsys):
+        # log M(r, f) = log(1 + r^2 + ...) rounds to 0 at g = 1e-9, where
+        # log log M is undefined
+        out, samples = tmp_path / "o.json", tmp_path / "s.csv"
+        assert run("ode", "solve", "--k", "2", "--pole-order", "2", "--degree", "400",
+                   "--estimate", "1e-9:2:48", "--out", str(out), "--samples-csv", str(samples)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliValidationError"
+        assert err["message"].startswith("--estimate:") and "at g = 1.0000000000000001e-09" in err["message"]
+        assert not out.exists() and not samples.exists()
+
+    def test_dense_path_samples(self, tmp_path):
+        # scale > 0 takes the dense log-domain recursion
+        from discgrowth import ode as O
+        from discgrowth.numerics import LogValue
+
+        out, samples = tmp_path / "o.json", tmp_path / "s.csv"
+        assert run("ode", "solve", "--scale", "0.5", "--degree", "400", "--estimate", "1.0:2.6:48",
+                   "--out", str(out), "--samples-csv", str(samples)) == 0
+        c = O.pole_coeffs(2, 400, scale=0.5)
+        sol = O.taylor_solve(O.DenseCoeffs(c.sign, c.logmag), 1, [LogValue.from_float(1.0)], 400)
+        rows = [row.split(",") for row in samples.read_text().splitlines()[1:]]
+        assert [float(g) for g, _, _ in rows] == np.linspace(1.0, 2.6, 48).tolist()
+        assert [float(v) for _, v, _ in rows] == [math.log(sol.log_abs_sum(float(g))) for g, _, _ in rows]
 
 
 class TestSeriesCmd:
@@ -272,9 +298,9 @@ class TestRieszCmd:
         assert hashlib.sha256(cloud.read_bytes()).hexdigest() == (
             "03689a36ae0c978687a41125c28e79630a68e163ab06e41e3522dbe619685174")
 
-    # sha256 of the cloud and summary bytes, recorded at commit dc95d27 (one
-    # PolarCell per cell); plain and split runs take the merge-back of a thin
-    # leftover ring, the ceiling of 2000 stops inside the A-dprime region
+    # sha256 of the cloud and summary bytes, recorded at commit dc95d27; plain
+    # and split runs take the merge-back of a thin leftover ring, the ceiling
+    # of 2000 stops inside the A-dprime region
     @pytest.mark.parametrize("extra,cloud_sha,summary_sha", [
         ((), "3e29869b0a6aea0ba31931ac2dacc21e3fb28d908334c155099d2ab740c861b2",
          "2b6e52399c7b2022d7adc08473ae2b36ba5835b312a89fd8e46782b7776c7504"),
@@ -312,7 +338,7 @@ class TestRieszCmd:
 
         def nan_cloud(part, prof, split_doubles=False):
             return riesz.ZeroCloud(np.array([1.0, math.nan]), np.array([0.5, 0.5]),
-                                   np.array([2.0, 2.0]), ["A", "A"], [None, None])
+                                   np.array([2.0, 2.0]), ["A", "A"])
 
         monkeypatch.setattr(riesz, "atomize", nan_cloud)
         cloud, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"

@@ -23,7 +23,7 @@ def synthetic_cloud(points):
     gs = np.array([g for g, _, _ in points], dtype=float)
     ts = np.array([t for _, t, _ in points], dtype=float)
     ms = np.array([m for _, _, m in points], dtype=float)
-    return R.ZeroCloud(gs, ts, ms, ["A"] * len(points), [None] * len(points))
+    return R.ZeroCloud(gs, ts, ms, ["A"] * len(points))
 
 
 class TestGrowthIntegral:

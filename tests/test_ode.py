@@ -63,19 +63,24 @@ class TestTaylorSolve:
     def test_log_abs_sum_over_the_nonzero_coefficients(self):
         # the cached live set gives the bytes of the sum over np.nonzero
         sol = O.taylor_solve(O.DenseCoeffs.from_floats([1.0]), 2,
-                             [LogValue.from_float(1.0), LogValue.zero()], 30, rho=0.5)
+                             [LogValue.from_float(1.0), LogValue.zero()], 30)
         for g in (0.3, 2.0):
-            t = log_r_from_g(g) - sol.log_rho
+            t = log_r_from_g(g)
             live = np.nonzero(sol.sign != 0.0)[0]
             vals = sol.logmag[live] + live * t
             m = float(np.max(vals))
             assert sol.log_abs_sum(g) == m + math.log(float(np.sum(np.exp(vals - m))))
 
-    def test_rho_scaling_consistent(self):
-        want = exp_frac_coeffs(100)
-        sol = O.taylor_solve(O.pole_coeffs(1, 100, scale=-1.0), 1,
-                             [LogValue.from_float(1.0)], 100, rho=0.5)
-        assert sol.coeff(60).to_float() == pytest.approx(want[60], rel=1e-12)
+    @pytest.mark.parametrize("init,want", [
+        ([LogValue.from_float(3.0)], math.log(3.0)),  # the pole path
+        ([LogValue.zero(), LogValue.from_float(1.0)], -math.inf),
+    ])
+    def test_log_abs_sum_at_the_centre_is_log_f0(self, init, want):
+        # r = 0 (g = 0): the sum is |f_0|, without the 0 * -inf of m log r
+        sol = O.taylor_solve(O.pole_coeffs(2, 200, scale=-1.0), len(init), init, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sol.log_abs_sum(0.0) == want
 
     def test_validation(self):
         coeffs = O.DenseCoeffs.from_floats([1.0])
@@ -95,56 +100,41 @@ class TestTaylorSolve:
             with pytest.raises(O.OdeError, match="scale must be finite and nonzero"):
                 O.pole_coeffs(2, 5, scale=scale)
 
-    @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
-    def test_bad_rho_is_bad_input(self, rho):
-        with pytest.raises(O.OdeError, match="rho must be positive and finite") as info:
-            O.taylor_solve(O.DenseCoeffs.from_floats([1.0]), 1, [LogValue.from_float(1.0)], 5,
-                           rho=rho)
-        assert not isinstance(info.value, O.OdeOverflowError)
-
     def test_overflow_is_a_numerical_failure(self):
         # finite inputs whose log magnitudes overflow in the recursion
         coeffs = O.DenseCoeffs(np.array([1.0, 1.0]), np.array([1e308, 1e308]))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(O.OdeOverflowError, match="overflow in scaled recursion"):
+            with pytest.raises(O.OdeOverflowError, match="overflow in the recursion"):
                 O.taylor_solve(coeffs, 1, [LogValue.from_float(1.0)], 5)
 
-    def test_overflow_message_names_the_cause(self, monkeypatch):
-        # log magnitudes near the double limit: no rho helps, and the message
-        # says so instead of suggesting one
+    def test_overflow_message_names_the_cause(self):
+        # log magnitudes near the double limit, the one way to overflow
         coeffs = O.DenseCoeffs(np.array([1.0, 1.0]), np.array([1e308, 1e308]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(O.OdeOverflowError) as info:
                 O.taylor_solve(coeffs, 1, [LogValue.from_float(1.0)], 5)
         msg = str(info.value)
         assert "at coefficient 2:" in msg and "near the double limit" in msg
-        assert "smaller rho" not in msg
-
-        # moderate inputs whose rho = 1 recursion stays finite: an overflow
-        # there comes from rho > 1 (stubbed, since double log magnitudes
-        # cannot get there), and a smaller rho is the advice
-        def nan_at_3(a_sign, a_log, k, degree, init_sign, init_log):
-            logmag = np.zeros(degree + 1)
-            logmag[3:] = np.nan
-            return np.ones(degree + 1), logmag
-
-        monkeypatch.setattr(O, "taylor_recursion", nan_at_3)
-        with pytest.raises(O.OdeOverflowError,
-                           match=r"^overflow in scaled recursion at coefficient 3; use a smaller rho$"):
-            O.taylor_solve(O.DenseCoeffs.from_floats([1.0, 2.0]), 1, [LogValue.from_float(1.0)], 8, rho=2.0)
 
 
 def dense_oracle(coeffs, k, init, degree, rho=1.0):
-    # the same coefficients without the pole tag take the dense convolution
-    return O.taylor_solve(O.DenseCoeffs(coeffs.sign, coeffs.logmag), k, init, degree, rho=rho)
+    # the same coefficients without the pole tag take the dense convolution;
+    # for rho != 1 it solves for the coefficients f_m rho^m of f(rho z),
+    # whose equation has the coefficients A_j rho^(j+k)
+    log_rho = math.log(rho)
+    a_log = coeffs.logmag + (np.arange(len(coeffs)) + k) * log_rho
+    init = [LogValue(v.sign, v.logmag + m * log_rho) for m, v in enumerate(init)]
+    return O.taylor_solve(O.DenseCoeffs(coeffs.sign, a_log), k, init, degree)
 
 
-def log_deviation(got, want):
-    # relative deviation in log|f_m|, floored at 1 where log|f_m| is near 0
+def log_deviation(got, want, rho=1.0):
+    # relative deviation in log|f_m rho^m| (``want`` from dense_oracle at
+    # rho), floored at 1 where that log is near 0
     assert np.array_equal(got.sign, want.sign)
     live = want.sign != 0.0
-    assert np.array_equal(np.isfinite(got.logmag), live)
-    return float(np.max(np.abs(got.logmag[live] - want.logmag[live])
+    got_log = got.logmag + np.arange(len(got)) * math.log(rho)
+    assert np.array_equal(np.isfinite(got_log), live)
+    return float(np.max(np.abs(got_log[live] - want.logmag[live])
                         / np.maximum(1.0, np.abs(want.logmag[live]))))
 
 
@@ -170,9 +160,9 @@ class TestPolePath:
         degree = 240
         coeffs = O.pole_coeffs(p, degree, scale=-1.5)
         init = [LogValue.from_float(v) for v in (1.0, 0.0, 0.25)[:k]]
-        got = O.taylor_solve(coeffs, k, init, degree, rho=rho)
+        got = O.taylor_solve(coeffs, k, init, degree)
         assert dense_calls == []
-        assert log_deviation(got, dense_oracle(coeffs, k, init, degree, rho)) <= 1e-12
+        assert log_deviation(got, dense_oracle(coeffs, k, init, degree, rho), rho) <= 1e-12
 
     @pytest.mark.parametrize("p,degree", [(2, 12000), (3, 18000)])
     def test_matches_dense_kernel_c5_pair(self, p, degree, dense_calls):
@@ -194,9 +184,9 @@ class TestPolePath:
         init = [LogValue.from_float(v) for v in (1.0, 0.0, 0.25)[:k]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = O.taylor_solve(coeffs, k, init, degree, rho=rho)
+            got = O.taylor_solve(coeffs, k, init, degree)
         assert dense_calls == []
-        assert log_deviation(got, dense_oracle(coeffs, k, init, degree, rho)) <= 1e-12
+        assert log_deviation(got, dense_oracle(coeffs, k, init, degree, rho), rho) <= 1e-12
 
     @pytest.mark.parametrize("logs", [
         (1000.0, -1000.0, 5.0),  # an input far below the running sums
@@ -212,7 +202,7 @@ class TestPolePath:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_zero_initial_values_give_zero_coefficients(self, k, dense_calls):
-        sol = O.taylor_solve(O.pole_coeffs(2, 50, scale=-1.0), k, [LogValue.zero()] * k, 50, rho=0.5)
+        sol = O.taylor_solve(O.pole_coeffs(2, 50, scale=-1.0), k, [LogValue.zero()] * k, 50)
         assert dense_calls == []
         assert np.all(sol.sign == 0.0) and np.all(sol.logmag == -np.inf)
         assert sol.log_abs_sum(1.0) == -math.inf
@@ -401,9 +391,10 @@ class TestWindowedLogAbsSum:
             assert _within_2ulp(sol.log_abs_sum(g), oracles.summed_log_abs_sum(sol, g))
 
     def test_growing_terms_and_zero_coefficients(self):
-        # rho = 0.5 below r: t = log r - log rho > 0; every other coefficient is 0
-        sol = O.taylor_solve(O.DenseCoeffs.from_floats([1.0]), 2,
-                             [LogValue.from_float(1.0), LogValue.zero()], 3000, rho=0.5)
+        # cosh(1000 z): the terms (1000 r)^m / m! grow up to m ~ 1000 r, over
+        # many blocks; every other coefficient is 0
+        sol = O.taylor_solve(O.DenseCoeffs.from_floats([-1e6]), 2,
+                             [LogValue.from_float(1.0), LogValue.zero()], 3000)
         assert np.count_nonzero(sol.sign == 0.0) > 1000
         for g in (0.2, 0.69, 1.0, 3.0):
             assert _within_2ulp(sol.log_abs_sum(g), oracles.summed_log_abs_sum(sol, g))

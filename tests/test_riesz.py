@@ -49,13 +49,24 @@ def wide_cloud(wide_partition):
     return R.atomize(part, prof), prof
 
 
-def quad_mass(profile, cell):
+_A, _HAT, _STAR, _DPRIME, _REMAINDER = map(R.KINDS.index, ("A", "A-hat", "A-star", "A-dprime", "remainder"))
+
+
+def ring_edges(cells):
+    """Per cell: the log-gaps g_lo, g_hi of its ring."""
+    return cells.rings.g_lo[cells.ring], cells.rings.g_hi[cells.ring]
+
+
+def quad_mass(profile, cells, i):
+    """The mass of cell i by quadrature of the Laplacian over its radii."""
     def integrand(r):
         lap = profile.eval(-math.log1p(-r)).laplacian.to_float()
         return lap * r
 
-    inner = integrate(integrand, cell.r_lo, cell.r_hi, rel_tol=1e-10)
-    return inner * (cell.theta_hi - cell.theta_lo) / (2.0 * math.pi)
+    k = cells.ring[i]
+    r_lo, r_hi = -math.expm1(-cells.rings.g_lo[k]), -math.expm1(-cells.rings.g_hi[k])
+    inner = integrate(integrand, r_lo, r_hi, rel_tol=1e-10)
+    return inner * (cells.theta_hi[i] - cells.theta_lo[i]) / (2.0 * math.pi)
 
 
 def _next_outer_ring(g_k: float, p_eff: float) -> float:
@@ -97,51 +108,51 @@ class TestNextRingRadius:
 class TestPartition:
     def test_regions_complete_for_small_scaffold(self, gen1_partition):
         assert not any(gen1_partition.truncated.values())
-        kinds = {c.kind for c in gen1_partition.cells}
+        kinds = {R.KINDS[k] for k in gen1_partition.cells.kind.tolist()}
         assert {"A", "A-star", "A-dprime", "remainder"} <= kinds
 
     def test_regular_cells_carry_mass_two(self, gen1_partition):
-        for c in gen1_partition.regular_cells():
-            assert c.mass == pytest.approx(2.0, abs=1e-12)
+        cells = gen1_partition.cells
+        assert np.all(np.abs(cells.mass[cells.kind != _REMAINDER] - 2.0) <= 1e-12)
 
     def test_remainder_masses_in_range(self, gen1_partition):
-        rem = [c for c in gen1_partition.cells if c.kind == "remainder"]
-        assert rem
-        for c in rem:
-            assert 2.0 <= c.mass < 4.0
+        cells = gen1_partition.cells
+        rem = cells.mass[cells.kind == _REMAINDER]
+        assert len(rem)
+        assert np.all((2.0 <= rem) & (rem < 4.0))
 
     def test_angular_count_is_integer_part(self, gen1_partition):
-        by_ring = {}
-        for c in gen1_partition.cells:
-            if c.kind == "A":
-                by_ring.setdefault(c.g_lo, []).append(c)
+        cells = gen1_partition.cells
+        g_lo = ring_edges(cells)[0]
         full_rings = 0
-        for g_lo, cells in by_ring.items():
-            m = math.floor(math.exp(g_lo))
-            width = cells[0].theta_hi - cells[0].theta_lo
+        for g in np.unique(g_lo[cells.kind == _A]).tolist():
+            on = np.flatnonzero((cells.kind == _A) & (g_lo == g))
+            m = math.floor(math.exp(g))
+            width = cells.theta_hi[on[0]] - cells.theta_lo[on[0]]
             if abs(width - 2.0 * math.pi / m) < 1e-9:  # leftover rings re-split
-                assert len(cells) == m
+                assert len(on) == m
                 full_rings += 1
         assert full_rings >= 4
 
     def test_quadrature_mass_oracle_50_random_cells(self, gen1_partition, small_profile):
+        cells = gen1_partition.cells
         rng = np.random.default_rng(42)
-        idx = rng.choice(len(gen1_partition.cells), size=50, replace=False)
+        idx = rng.choice(len(cells), size=50, replace=False)
         for i in idx:
-            cell = gen1_partition.cells[int(i)]
-            assert quad_mass(small_profile, cell) == pytest.approx(cell.mass, abs=1e-6)
+            assert quad_mass(small_profile, cells, i) == pytest.approx(cells.mass[i], abs=1e-6)
 
     def test_side_comparability(self, gen1_partition):
         # regular rings stay within the geometric constant pi (p_eff + 2);
-        # leftover rings and the innermost integer-part region cost a factor
-        ratios = [c.side_ratio() for c in gen1_partition.cells]
+        # leftover rings and the innermost integer-part region cost a factor.
+        # The side ratio is max/min of (angular width, radial width): radii
+        # near 1, so the arc length is the plain angle
+        cells = gen1_partition.cells
+        g_lo, g_hi = ring_edges(cells)
+        dr, dth = np.exp(-g_lo) - np.exp(-g_hi), cells.theta_hi - cells.theta_lo
+        ratios = np.maximum(dth, dr) / np.minimum(dth, dr)
         assert max(ratios) <= 32.0 * math.pi
-        deep_regular = [
-            c.side_ratio()
-            for c in gen1_partition.regular_cells()
-            if c.g_lo >= 2.0 and c.kind in ("A-star", "A-dprime")
-        ]
-        assert deep_regular and max(deep_regular) <= 8.0 * math.pi
+        deep_regular = ratios[(g_lo >= 2.0) & np.isin(cells.kind, [_STAR, _DPRIME])]
+        assert len(deep_regular) and max(deep_regular) <= 8.0 * math.pi
 
     def test_ceiling_truncates_with_report(self, small_profile):
         part = R.partition_region(small_profile, 1, g_max=25.0, ceiling=500)
@@ -151,7 +162,7 @@ class TestPartition:
     def test_g_max_truncates(self, small_profile):
         part = R.partition_region(small_profile, 1, g_max=2.0, ceiling=100_000)
         assert part.truncated["A"]
-        assert all(c.g_hi <= 2.5 for c in part.cells if c.kind == "A")
+        assert np.all(ring_edges(part.cells)[1][part.cells.kind == _A] <= 2.5)
 
     def test_bad_generation(self, small_profile):
         with pytest.raises(R.PartitionError):
@@ -170,17 +181,17 @@ class TestPartition:
     def test_hat_region_present_when_p_exceeds_p2(self, wide_scaffold):
         prof = RadialProfile(wide_scaffold)
         part = R.partition_region(prof, 1, g_max=25.0, ceiling=100_000)
-        hat = [c for c in part.cells if c.kind == "A-hat"]
-        assert hat
-        for c in hat[:10]:
-            assert quad_mass(prof, c) == pytest.approx(c.mass, abs=1e-6)
+        hat = np.flatnonzero(part.cells.kind == _HAT)
+        assert len(hat)
+        for i in hat[:10]:
+            assert quad_mass(prof, part.cells, i) == pytest.approx(part.cells.mass[i], abs=1e-6)
 
 
 class TestAtomize:
     def test_counts_and_mass_accounting(self, gen1_partition, gen1_cloud):
-        heavy = sum(1 for c in gen1_partition.cells if c.mass >= 3.0)
+        heavy = np.count_nonzero(gen1_partition.cells.mass >= 3.0)
         assert len(gen1_cloud) == len(gen1_partition.cells) + heavy
-        assert gen1_cloud.total_multiplicity == 2 * len(gen1_cloud)
+        assert np.sum(gen1_cloud.mult) == 2 * len(gen1_cloud)
 
     def test_empty_partition(self, gen1_partition, small_profile):
         part = R.PartitionResult(cells=gen1_partition.cells[:0], truncated={})
@@ -188,30 +199,36 @@ class TestAtomize:
         assert len(cloud) == 0
 
     def test_single_cell_single_double_zero(self, gen1_partition, small_profile):
-        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={})
+        cells = gen1_partition.cells
+        one = R.PartitionResult(cells=cells[cells.kind != _REMAINDER][5:6], truncated={})
         cloud = R.atomize(one, small_profile)
         assert len(cloud) == 1
         assert cloud.mult[0] == 2
 
     def test_split_doubles_flag(self, gen1_partition, small_profile):
-        one = R.PartitionResult(cells=gen1_partition.regular_cells()[5:6], truncated={})
+        cells = gen1_partition.cells
+        one = R.PartitionResult(cells=cells[cells.kind != _REMAINDER][5:6], truncated={})
         cloud = R.atomize(one, small_profile, split_doubles=True)
         assert len(cloud) == 2
         assert all(m == 1 for m in cloud.mult)
 
     def test_centroid_against_quadrature(self, gen1_partition, small_profile):
         # density ~ (1-r)^-2 on the outer-approach cells
-        cell = next(c for c in gen1_partition.cells if c.kind == "A" and c.g_lo > 1.0)
+        cells = gen1_partition.cells
+        g_lo, g_hi = ring_edges(cells)
+        i = np.flatnonzero((cells.kind == _A) & (g_lo > 1.0))[0]
         den = R._density_for(small_profile, 0, 1)
-        got = R._cell_centroid(den, cell.g_lo, cell.g_hi)
-        num = integrate(lambda r: (1 - r) * den.rho(r), cell.r_lo, cell.r_hi, rel_tol=1e-12)
-        mass = integrate(lambda r: den.rho(r), cell.r_lo, cell.r_hi, rel_tol=1e-12)
+        got = R._cell_centroid(den, float(g_lo[i]), float(g_hi[i]))
+        r_lo, r_hi = -math.expm1(-g_lo[i]), -math.expm1(-g_hi[i])
+        num = integrate(lambda r: (1 - r) * den.rho(r), r_lo, r_hi, rel_tol=1e-12)
+        mass = integrate(lambda r: den.rho(r), r_lo, r_hi, rel_tol=1e-12)
         assert got == pytest.approx(-math.log(num / mass), rel=1e-8)
 
     def test_atom_inside_cell(self, gen1_cloud):
-        for g, t, cell in zip(gen1_cloud.g, gen1_cloud.theta, gen1_cloud.cells):
-            assert cell.g_lo <= g <= cell.g_hi
-            assert cell.theta_lo <= t <= cell.theta_hi
+        cells, g, t = gen1_cloud.cells, gen1_cloud.g, gen1_cloud.theta
+        g_lo, g_hi = ring_edges(cells)
+        assert np.all((g_lo <= g) & (g <= g_hi))
+        assert np.all((cells.theta_lo <= t) & (t <= cells.theta_hi))
 
     def test_jsonl_schema(self, gen1_cloud):
         import json
@@ -224,9 +241,14 @@ class TestAtomize:
 
 class TestSurrogate:
     def test_no_atoms_returns_phi(self, small_profile):
-        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [], [])
+        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [])
         v = R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.7)])[0]
         assert v == small_profile.phi(2.0)
+
+    def test_cloud_without_cells_is_refused(self, small_profile):
+        cloud = R.ZeroCloud(np.array([2.0]), np.array([0.5]), np.array([2.0]), ["A"])
+        with pytest.raises(R.PartitionError, match="needs the cloud's cells and nodes"):
+            R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.7)])
 
     def test_on_atom_sentinel(self, gen1_cloud, gen1_partition, small_profile, wide_cloud):
         # a sample on an atom has that atom in its near field, where the
@@ -259,7 +281,7 @@ class TestSurrogate:
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angles(self, gen1_cloud, small_profile, theta):
-        empty = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [], [])
+        empty = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [])
         for cloud in (gen1_cloud, empty):
             with pytest.raises(NumericsError, match="finite sample angles"):
                 R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.5), (LogGap(3.0), theta)])
@@ -363,26 +385,12 @@ class TestColumns:
         assert cells[10:20].rings is rings and cells[cells.kind == 0].rings is rings
         cloud = R.atomize(part, prof, split_doubles=True)
         assert cloud.cells.rings is rings and cloud.nodes.shape == (9, 15)
-        cell = cells[-1]
-        k = cells.ring[-1]
-        assert (cell.g_lo, cell.g_hi, cell.branch, cell.generation) == (
-            rings.g_lo[k], rings.g_hi[k], rings.branch[k], 1)
-        assert list(cells[-3:]) == [cells[len(cells) - 3], cells[len(cells) - 2], cell]
-
-    def test_no_cell_objects_on_the_pipeline(self, small_profile, monkeypatch):
-        built = []
-        monkeypatch.setattr(R, "PolarCell", lambda *a: built.append(a))
-        part = R.partition_region(small_profile, 1, g_max=25.0, ceiling=100_000)
-        cloud = R.atomize(part, small_profile, split_doubles=True)
-        cloud.to_jsonl()
-        R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.1)])
-        assert part.total_mass > 0.0 and not built
 
     def test_jsonl_rejects_non_finite_like_dumps17(self, small_profile):
         for bad_g, bad_theta, shown in ((math.nan, 0.5, "nan"), (1.0, math.inf, "inf")):
             cloud = R.ZeroCloud(
                 np.array([1.0, bad_g]), np.array([0.5, bad_theta]), np.array([2.0, 2.0]),
-                ["A", "A"], [None, None],
+                ["A", "A"],
             )
             with pytest.raises(ValueError, match=f"non-finite float {shown}"):
                 cloud.to_jsonl()
@@ -410,7 +418,7 @@ class TestJsonlRuns:
             ("50%", 0.0, 2.0, -0.0), ("50%", -0.0, 2.0, 1e-300),  # '%' in kind, signed zeros
         ]
         kind, g, mult, theta = zip(*rows)
-        cloud = R.ZeroCloud(np.array(g), np.array(theta), np.array(mult), list(kind), [None] * len(g))
+        cloud = R.ZeroCloud(np.array(g), np.array(theta), np.array(mult), list(kind))
         text = cloud.to_jsonl()
         assert text == _jsonl_rows(cloud)
         assert '"g":-0,' in text and '"theta":-0}' in text
@@ -422,7 +430,7 @@ class TestJsonlRuns:
         g = np.concatenate([np.full(n, g) for _, g, _, n in runs])
         mult = np.concatenate([np.full(n, m) for _, _, m, n in runs])
         theta = np.random.default_rng(len(g)).uniform(-1.0, 7.0, len(g))
-        return R.ZeroCloud(g, theta, mult, kind, [None] * len(g))
+        return R.ZeroCloud(g, theta, mult, kind)
 
     @pytest.mark.parametrize("n", [R._JSONL_CHUNK - 1, R._JSONL_CHUNK, R._JSONL_CHUNK + 1,
                                    2 * R._JSONL_CHUNK + 1])
@@ -443,7 +451,7 @@ class TestJsonlRuns:
         assert text.count('"cell_kind":"50%d%%"') == 2 * c + 5
 
     def test_empty_cloud(self):
-        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [], [])
+        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [])
         assert cloud.to_jsonl() == "" == _jsonl_rows(cloud)
 
     @pytest.mark.parametrize("split", [False, True])
@@ -563,22 +571,23 @@ def _near_atoms_loop(cloud, delta, theta):
     cell's g_lo, g_hi) lies within 64 s of the point, s = max(radial extent,
     widest cell width on the ring x r_lo), and its angle lies within
     sqrt((64 s)^2 - dr^2) / r_lo of theta, or that window reaches pi."""
-    cells = list(cloud.cells)
+    edges = list(zip(*(e.tolist() for e in ring_edges(cloud.cells))))
+    widths = (cloud.cells.theta_hi - cloud.cells.theta_lo).tolist()
     widest = {}
-    for c in cells:
-        key = (c.g_lo, c.g_hi)
-        widest[key] = max(widest.get(key, 0.0), c.theta_hi - c.theta_lo)
+    for key, width in zip(edges, widths):
+        widest[key] = max(widest.get(key, 0.0), width)
     r = 1.0 - delta
     kept = []
-    for i, c in enumerate(cells):
-        s = max(math.exp(-c.g_lo) - math.exp(-c.g_hi), widest[(c.g_lo, c.g_hi)] * c.r_lo)
+    for i, (g_lo, g_hi) in enumerate(edges):
+        r_lo, r_hi = -math.expm1(-g_lo), -math.expm1(-g_hi)
+        s = max(math.exp(-g_lo) - math.exp(-g_hi), widest[(g_lo, g_hi)] * r_lo)
         reach = 64.0 * s
-        dr = max(c.r_lo - r, r - c.r_hi, 0.0)
+        dr = max(r_lo - r, r - r_hi, 0.0)
         if dr > reach:
             continue
         span = math.sqrt(reach * reach - dr * dr)
         off = abs((float(cloud.theta[i]) - theta + math.pi) % (2.0 * math.pi) - math.pi)
-        if span >= math.pi * c.r_lo or off <= span / c.r_lo:
+        if span >= math.pi * r_lo or off <= span / r_lo:
             kept.append(i)
     return kept
 
@@ -806,7 +815,7 @@ class TestExcludedArcsBandEdge:
                    0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1.5, 1.9999, 2.0001, 2.5]
         gs = np.array([-math.log(math.exp(-g_circle) + s * lim) for s in offsets])
         thetas = np.linspace(0.1, 6.2, len(offsets))
-        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs), [None] * len(gs))
+        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs))
         want = _excluded_arcs_scalar(cloud, g_circle, eps)
         assert len(want) >= 5
         assert R.excluded_arcs(cloud, g_circle, eps) == want
@@ -837,7 +846,7 @@ class TestExcludedArcsBandEdge:
         gs = np.array([g_circle] * 7 + [g_off] * 2)
         thetas = np.array([0.0, 1e-4, 2.0 * math.pi - 1e-4, 2.0 * math.pi - 0.05,
                            1.0, 1.0 + 2.0 * h, 3.0, 3.0 - 0.3 * h, 3.0 + 0.7 * h])
-        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs), [None] * len(gs))
+        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs))
         want = _excluded_arcs_scalar(cloud, g_circle, eps)
         assert len(want) == 5
         assert want[0][0] == 0.0 and want[-1][1] == 2.0 * math.pi
