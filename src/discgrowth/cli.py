@@ -1,9 +1,9 @@
 """Command-line front end: every pipeline as a subcommand with deterministic
 line-delimited JSON (and CSV trace) outputs.
 
-A subcommand computes everything before it returns its outputs, and one
-writer then puts them on disk: outputs are written only after the whole
-command succeeded, and a run that exits non-zero leaves behind no file it
+A subcommand computes its results before it returns its outputs, and one
+writer then puts them on disk (the Riesz cloud's text is formatted block by
+block as it is written); a run that exits non-zero leaves behind no file it
 created.
 
 Each action (``scaffold``, ``ode predict``, ...) has its own parser that
@@ -26,6 +26,7 @@ import io
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -95,10 +96,11 @@ def _load_scaffold(path: str):
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns its outputs as (path, payload)
-# pairs, a payload being a list of records or finished text; "-" is stdout
-# and a path of None an output that was not requested
+# pairs, a payload being a list of records, finished text or an iterator of
+# text blocks; "-" is stdout and a path of None an output that was not
+# requested
 
-Output = tuple[str | None, list[dict] | str]
+Output = tuple[str | None, list[dict] | str | Iterator[str]]
 
 
 def _csv_text(rows) -> str:
@@ -159,8 +161,8 @@ def _cmd_riesz(args) -> list[Output]:
         "total_mass": part.total_mass,
         "truncated": {k: bool(v) for k, v in sorted(part.truncated.items())},
     }
-    # the text and its pieces take twice its size at their peak; the cell
-    # columns of the partition and of the cloud are not needed for it
+    # the writer formats the text one block at a time; the cell columns of
+    # the partition and of the cloud are not needed for it
     del part
     cloud.cells = None
     return [(args.out, cloud.to_jsonl()), (args.summary_out, [summary])]
@@ -248,6 +250,12 @@ def _cmd_solve(args) -> list[Output]:
     _require(args, "ode solve", "out")
     if args.audit_p1 is not None or args.audit_p2 is not None:
         _require(args, "ode solve", "audit_p1", "audit_p2")
+    g_lo, g_hi, n = args.estimate
+    grid = f"--estimate {g_lo:.17g}:{g_hi:.17g}:{n}"
+    if n < O.MIN_SAMPLES:
+        raise CliValidationError(f"{grid}: need N >= {O.MIN_SAMPLES} samples")
+    if g_hi - g_lo < args.min_span:
+        raise CliValidationError(f"{grid} spans {g_hi - g_lo:.17g} in g, less than --min-span {args.min_span:.17g}")
     coeffs = O.pole_coeffs(args.pole_order, args.degree, scale=args.scale)
     init = [LogValue.from_float(1.0)] + [LogValue.zero()] * (args.k - 1)
     sol = O.taylor_solve(coeffs, args.k, init, args.degree)
@@ -292,31 +300,29 @@ def _cmd_report(args) -> list[Output]:
     return [(args.out, "\n".join(lines) + "\n"), (args.csv_out, _csv_text(csv_rows))]
 
 
-_WRITE_SLICE = 1 << 20
-
-
 def _write_outputs(outputs: list[Output]) -> None:
     """Write each requested (path, payload) pair: records as JSONL through
-    write_records, text verbatim.  If a write fails, the files this run
-    created are removed before the error propagates."""
+    write_records, text verbatim, and text blocks one at a time as the
+    iterator gives them (to ``-`` joined first, so a failing block prints
+    nothing).  If a write fails, the files this run created are removed
+    before the error propagates."""
     created = []
     try:
         for path, payload in outputs:
             if path is None:
                 continue
             if path == "-":
-                text = payload if isinstance(payload, str) else "".join(dumps17(r) + "\n" for r in payload)
-                sys.stdout.write(text)
+                if isinstance(payload, list):
+                    payload = [dumps17(r) + "\n" for r in payload]
+                sys.stdout.write(payload if isinstance(payload, str) else "".join(payload))
                 continue
             if not os.path.lexists(path):
                 created.append(path)
-            if isinstance(payload, str):
-                with open(path, "w", newline="") as fh:
-                    # slices of 1 MiB, so no encoded copy of the whole text
-                    for i in range(0, len(payload), _WRITE_SLICE):
-                        fh.write(payload[i:i + _WRITE_SLICE])
-            else:
+            if isinstance(payload, list):
                 write_records(path, payload)
+            else:
+                with open(path, "w", newline="") as fh:
+                    fh.writelines([payload] if isinstance(payload, str) else payload)
     except BaseException:
         for path in created:
             with contextlib.suppress(FileNotFoundError):

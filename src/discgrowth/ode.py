@@ -497,6 +497,10 @@ class GrowthIndicators:
     window: tuple[float, float] | None = None
 
 
+# the fewest samples an order estimate takes
+MIN_SAMPLES = 32
+
+
 def _tail_estimates(
     samples: Sequence[tuple[float, float]], window: float, min_span: float
 ) -> tuple[Estimate, Estimate]:
@@ -504,8 +508,8 @@ def _tail_estimates(
     indicator is the limit behaviour of value/g."""
     pts = sorted(samples)
     gs = [g for g, _ in pts]
-    if len(pts) < 32:
-        raise OdeError(f"need >= 32 samples, got {len(pts)}")
+    if len(pts) < MIN_SAMPLES:
+        raise OdeError(f"need >= {MIN_SAMPLES} samples, got {len(pts)}")
     if gs[-1] - gs[0] < min_span:
         raise OdeError(f"samples span {gs[-1] - gs[0]:.2f} in g; need >= {min_span}")
     cut = gs[-1] - window * (gs[-1] - gs[0])

@@ -22,11 +22,13 @@ operation and element order as that loop, so outputs are bit-identical to
 it.  A ``ZeroCloud`` keeps the same columns for the cell piece behind each
 atom, and the node values per ring.
 
-``ZeroCloud.to_jsonl`` writes one dumps17 row per atom.  All atoms of a ring
-share their cell kind, centroid g and multiplicity, so the row prefix up to
-theta is formatted once per run of equal (kind, g, mult), and the thetas by
-one exact numpy ``%.17g`` kernel call (``serialize.format17_lines``) per block
-of atoms; the text is byte-identical to per-atom dumps17 rows.
+``ZeroCloud.to_jsonl`` gives the text of one dumps17 row per atom as an
+iterator of blocks of atoms, so a writer holds one block at a time.  All
+atoms of a ring share their cell kind, centroid g and multiplicity, so the
+row prefix up to theta is formatted once per run of equal (kind, g, mult),
+and the thetas by one exact numpy ``%.17g`` kernel call
+(``serialize.format17_lines``) per block; the text is byte-identical to
+per-atom dumps17 rows.
 
 Every query of a cloud reads one ring index (``_RingIndex``: the atoms by
 gap, in runs of one g, each by angle); the surrogate reads each ring of the
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,7 +138,11 @@ class PartitionResult:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.cells.mass.tolist())
+        # fsum rounds the exact sum once, so the cells of mass exactly 2 may
+        # enter as the one exact term 2 n
+        mass = self.cells.mass
+        two = mass == 2.0
+        return math.fsum([2.0 * np.count_nonzero(two), *mass[~two].tolist()])
 
 
 # -- per-branch densities (full-circle ring masses and first moments) -------
@@ -349,8 +355,9 @@ def partition_region(
 # -- atomization -------------------------------------------------------------
 
 
-# rows per format17_lines call of ZeroCloud.to_jsonl: enough to spread the
-# call's fixed cost, few enough for the block's arrays to stay in cache
+# rows per block of ZeroCloud.to_jsonl (one format17_lines call each): enough
+# to spread the call's fixed cost, few enough for the block's arrays and
+# text to stay in cache
 _JSONL_CHUNK = 1024
 
 
@@ -494,53 +501,58 @@ class ZeroCloud:
         a, b = idx.runs(lo, hi)
         return idx.order[idx.start[a]:idx.start[b]]
 
-    def to_jsonl(self) -> str:
-        """One dumps17 record per atom with keys cell_kind, g, mult, theta;
-        a non-finite g or theta raises dumps17's ValueError.
+    def to_jsonl(self) -> Iterator[str]:
+        """The text of one dumps17 record per atom with keys cell_kind, g,
+        mult, theta, as one string per block of ``_JSONL_CHUNK`` atoms; a
+        non-finite g or theta raises dumps17's ValueError here, before the
+        first block.
 
         The row prefix up to theta depends on (kind, g, mult) alone, so it is
-        formatted once per run of atoms with equal values (a ring of one cell
-        kind).  Runs break wherever a value or the bits of g change (0.0 and
-        -0.0 print differently).  The thetas are formatted by
-        ``format17_lines`` in blocks of ``_JSONL_CHUNK`` atoms, across run
-        boundaries: its numpy path covers 1e-4 <= theta < 8, and any other
-        theta falls back to ``%.17g`` for its row alone.  The rows of a run
-        within a block are its slice of the block's lines with each newline
-        replaced by the row end and the run's prefix, so the text is
-        byte-identical to the dumps17 rows for any cloud.  Each block's rows
-        are joined into one string before the whole text is: pieces of one
-        size leave the freed heap in pieces the next text can reuse."""
+        formatted here once per run of atoms with equal values (a ring of one
+        cell kind).  Runs break wherever a value or the bits of g change (0.0
+        and -0.0 print differently).  The blocks are formatted as they are
+        read: each one's thetas by one ``format17_lines`` call, whose numpy
+        path covers 1e-4 <= theta < 8 (any other theta falls back to
+        ``%.17g`` for its row alone).  The rows of a run within a block are
+        its slice of the block's lines with each newline replaced by the row
+        end and the run's prefix, so the text is byte-identical to the
+        dumps17 rows for any cloud."""
         g = np.ascontiguousarray(self.g, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(theta)))
         if len(bad):  # dumps17 raises its ValueError on the first one
             dumps17([float(g[bad[0]]), float(theta[bad[0]])])
         bits, kind, mult = g.view(np.int64), np.asarray(self.kind, dtype=object), np.asarray(self.mult)
-        n = len(g)
-        change = np.ones(n, dtype=bool)
+        change = np.ones(len(g), dtype=bool)
         change[1:] = (bits[1:] != bits[:-1]) | (kind[1:] != kind[:-1]) | (mult[1:] != mult[:-1])
-        starts = np.flatnonzero(change)
         heads = [
             '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(kind[s]), g[s], mult[s])
-            for s in starts.tolist()
+            for s in np.flatnonzero(change).tolist()
         ]
         # the pieces: runs cut at block edges
         cut = change.copy()
         cut[::_JSONL_CHUNK] = True
         cuts = np.flatnonzero(cut)
-        run_of = (np.cumsum(change)[cuts] - 1).tolist()
-        out, rows = [], []
-        for a, b, r in zip(cuts.tolist(), cuts[1:].tolist() + [n], run_of):
-            if a % _JSONL_CHUNK == 0:  # a new block
-                out.append("".join(rows))
+        return _jsonl_blocks(theta, heads, cuts.tolist(), (np.cumsum(change)[cuts] - 1).tolist())
+
+
+def _jsonl_blocks(theta: np.ndarray, heads: list[str], cuts: list[int], run_of: list[int]) -> Iterator[str]:
+    """The blocks of ``ZeroCloud.to_jsonl``: piece k holds the atoms
+    cuts[k] .. cuts[k + 1] - 1, all of run run_of[k], whose row prefix is
+    heads[run_of[k]]; every block starts a piece."""
+    rows = []
+    for a, b, r in zip(cuts, cuts[1:] + [len(theta)], run_of):
+        if a % _JSONL_CHUNK == 0:  # a new block
+            if rows:
+                yield "".join(rows)
                 rows = []
-                block = a
-                text, bounds = format17_lines(theta[a:a + _JSONL_CHUNK])
-            head = heads[r]
-            lines = text[bounds[a - block]:bounds[b - block] - 1]
-            rows += (head, lines.replace("\n", "}\n" + head), "}\n")
-        out.append("".join(rows))
-        return "".join(out)
+            block = a
+            text, bounds = format17_lines(theta[a:a + _JSONL_CHUNK])
+        head = heads[r]
+        lines = text[bounds[a - block]:bounds[b - block] - 1]
+        rows += (head, lines.replace("\n", "}\n" + head), "}\n")
+    if rows:
+        yield "".join(rows)
 
 
 def _cell_centroid(density: _BranchDensity, cell_g_lo, cell_g_hi) -> float:
@@ -571,30 +583,28 @@ def atomize(
         density = _density_for(profile, rings.generation - 1, branch)
         rows.append([_cell_centroid(density, g_lo, g_hi), *_ring_nodes(density, g_lo, g_hi)])
     per_ring = np.array(rows, dtype=float).reshape(-1, 10).T
-    # a heavy cell (mass >= 3) becomes two pieces split at its angular midpoint
-    n_pieces = np.where(cells.mass < 3.0, 1, 2)
-    cell_of = np.repeat(np.arange(len(cells)), n_pieces)
-    lo, hi = cells.theta_lo[cell_of], cells.theta_hi[cell_of]
-    first = (np.cumsum(n_pieces) - n_pieces)[n_pieces == 2]
-    cut = 0.5 * (lo[first] + hi[first])
-    hi[first] = cut
-    lo[first + 1] = cut
-    mass = cells.mass[cell_of] * (hi - lo) / (cells.theta_hi[cell_of] - cells.theta_lo[cell_of])
-    mid = 0.5 * (lo + hi)
+    # a heavy cell (mass >= 3) becomes two pieces split at its angular
+    # midpoint: its row is the first piece and a row inserted after it the
+    # second; any other cell is its own one piece.  A piece's mass is
+    # mass (piece width) / (cell width), also for a whole cell, where m w / w
+    # need not round to m
+    heavy = np.flatnonzero(~(cells.mass < 3.0))
+    lo, hi, width = cells.theta_lo, cells.theta_hi, cells.theta_hi - cells.theta_lo
+    cut = 0.5 * (lo[heavy] + hi[heavy])
+    mass = cells.mass * width
+    mass /= width
+    mass[heavy] = cells.mass[heavy] * (cut - lo[heavy]) / width[heavy]
+    mass = np.insert(mass, heavy + 1, cells.mass[heavy] * (hi[heavy] - cut) / width[heavy])
+    lo, hi = np.insert(lo, heavy + 1, cut), np.insert(hi, heavy, cut)
+    ring, kind = (np.insert(col, heavy + 1, col[heavy]) for col in (cells.ring, cells.kind))
+    theta = 0.5 * (lo + hi)
     if split_doubles:
         quarter = 0.25 * (hi - lo)
-        theta = np.column_stack([mid - quarter, mid + quarter]).ravel()
-        piece_of = np.repeat(np.arange(len(mid)), 2)
-        mult = np.full(len(theta), 1.0)
-    else:
-        theta, piece_of, mult = mid, np.arange(len(mid)), np.full(len(mid), 2.0)
-    atom_cell = cell_of[piece_of]
-    ring = cells.ring[atom_cell]
-    kind = cells.kind[atom_cell]
-    pieces = CellColumns(ring, lo[piece_of], hi[piece_of], mass[piece_of], kind, rings)
+        theta = np.column_stack([theta - quarter, theta + quarter]).ravel()
+        lo, hi, mass, ring, kind = (np.repeat(col, 2) for col in (lo, hi, mass, ring, kind))
     return ZeroCloud(
-        g=per_ring[0][ring], theta=theta, mult=mult, kind=_KIND_NAMES[kind], cells=pieces,
-        nodes=per_ring[1:],
+        g=per_ring[0][ring], theta=theta, mult=np.full(len(theta), 1.0 if split_doubles else 2.0),
+        kind=_KIND_NAMES[kind], cells=CellColumns(ring, lo, hi, mass, kind, rings), nodes=per_ring[1:],
     )
 
 

@@ -4,6 +4,7 @@ determinism of emitted bytes, 17-digit serialization."""
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ def small_scaffold_file(tmp_path_factory):
         "--generations", "2", "--g1", "3", "--log-c", "3.2", "--out", str(path),
     )
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def wide_scaffold_file(tmp_path_factory):
+    """The scaffold whose generation 1 is the 127k-cell partition."""
+    path = tmp_path_factory.mktemp("cli") / "wide.json"
+    assert run(
+        "scaffold", "--p1", "2", "--p2", "3", "--p", "4", "--k", "1",
+        "--generations", "2", "--g1", "3", "--log-c", "4", "--out", str(path),
+    ) == 0
     return path
 
 
@@ -209,6 +221,26 @@ class TestOdeSolveCmd:
         gs = [float(row.split(",")[0]) for row in samples.read_text().splitlines()[1:]]
         assert gs == np.linspace(0.5, 1.5, 40).tolist()
 
+    @pytest.mark.parametrize("extra,names", [
+        (("--estimate", "0.5:1.5:20"), ("--estimate 0.5:1.5:20", "N >= 32")),  # too few samples
+        (("--estimate", "0.5:1.2:48"), ("--estimate 0.5:1.2:48", "--min-span 1")),  # span below the default
+        (("--estimate", "1:3:48", "--min-span", "2.5"), ("--estimate 1:3:48", "--min-span 2.5")),
+    ])
+    def test_estimate_below_the_estimator_floor(self, tmp_path, capsys, extra, names):
+        # the order estimate needs 32 samples spanning --min-span in g; the
+        # error names the flags and no file is written
+        out, samples = tmp_path / "o.json", tmp_path / "s.csv"
+        assert run("ode", "solve", "--degree", "400", *extra, "--out", str(out), "--samples-csv", str(samples)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliValidationError" and all(n in err["message"] for n in names)
+        assert not out.exists() and not samples.exists()
+
+    def test_estimate_at_the_estimator_floor(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert run("ode", "solve", "--degree", "400", "--estimate", "0.5:1.5:32", "--out", str(out)) == 0
+        assert run("ode", "solve", "--degree", "400", "--estimate", "1:2.5:48", "--min-span", "1.5",
+                   "--out", str(out)) == 0
+
     def test_non_positive_log_m_is_a_validation_error(self, tmp_path, capsys):
         # log M(r, f) = log(1 + r^2 + ...) rounds to 0 at g = 1e-9, where
         # log log M is undefined
@@ -286,17 +318,79 @@ class TestRieszCmd:
         s = read_records(str(summary))[0]
         assert s["atoms"] >= s["cells"]
 
-    def test_text_written_in_slices(self, small_scaffold_file, tmp_path, monkeypatch):
-        # the writer puts text on disk in slices; an odd slice size cuts rows
-        # anywhere and the bytes stay those pinned below
-        from discgrowth import cli
+    def test_text_written_in_blocks(self, small_scaffold_file, tmp_path, monkeypatch):
+        # the writer puts the cloud on disk one block at a time; an odd block
+        # size cuts runs anywhere and the bytes stay those pinned below
+        from discgrowth import riesz as R
 
-        monkeypatch.setattr(cli, "_WRITE_SLICE", 4093)
+        monkeypatch.setattr(R, "_JSONL_CHUNK", 37)
         cloud = tmp_path / "cloud.jsonl"
         assert run("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1",
                    "--split-doubles", "--out", str(cloud)) == 0
         assert hashlib.sha256(cloud.read_bytes()).hexdigest() == (
             "03689a36ae0c978687a41125c28e79630a68e163ab06e41e3522dbe619685174")
+
+    def test_stdout_prints_the_file_bytes(self, small_scaffold_file, tmp_path, capsysbinary):
+        cloud = tmp_path / "cloud.jsonl"
+        args = ("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1", "--split-doubles")
+        assert run(*args, "--out", str(cloud)) == 0
+        capsysbinary.readouterr()
+        assert run(*args, "--out", "-") == 0
+        assert capsysbinary.readouterr().out == cloud.read_bytes()
+
+    @pytest.mark.parametrize("error,code", [(RuntimeError("block failed"), 3), (OSError(28, "No space left"), 2)])
+    def test_failing_block_leaves_no_file(self, small_scaffold_file, tmp_path, monkeypatch, capsys, error, code):
+        # the third block's formatting raises once the first two are on disk:
+        # the exit code is that of the error, as when the text was built
+        # before the write, and neither output is left behind
+        from discgrowth import riesz as R
+
+        calls, format17_lines = [], R.format17_lines
+
+        def failing(x):
+            calls.append(len(x))
+            if len(calls) == 3:
+                raise error
+            return format17_lines(x)
+
+        monkeypatch.setattr(R, "format17_lines", failing)
+        cloud, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"
+        assert run("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1",
+                   "--out", str(cloud), "--summary-out", str(summary)) == code
+        assert len(calls) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == type(error).__name__
+        assert not cloud.exists() and not summary.exists()
+
+    def test_wide_write_peak_is_the_build_peak(self, wide_scaffold_file, tmp_path):
+        # the 127k-atom cloud's text (10.5 MB) is formatted one block at a
+        # time as it is written, so the command's traced peak is that of the
+        # partition and atomization it runs, plus at most one block of 1024
+        # rows (~85 kB) as its pieces, its join and its encoded bytes, the
+        # file buffer and the summary
+        from discgrowth import cli
+        from discgrowth import riesz as R
+        from discgrowth.profiles import RadialProfile
+
+        slack = 1 << 19
+        prof = RadialProfile(cli._load_scaffold(str(wide_scaffold_file)))
+        tracemalloc.start()
+        try:
+            part = R.partition_region(prof, 1, g_max=25.0, ceiling=200_000)
+            cloud = R.atomize(part, prof)
+            build = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del part, cloud
+        out, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"
+        tracemalloc.start()
+        try:
+            code = run("riesz", "--scaffold", str(wide_scaffold_file), "--generation", "1",
+                       "--out", str(out), "--summary-out", str(summary))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.stat().st_size == 10_527_289
+        assert peak <= build + slack
 
     # sha256 of the cloud and summary bytes, recorded at commit dc95d27; plain
     # and split runs take the merge-back of a thin leftover ring, the ceiling

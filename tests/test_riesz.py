@@ -233,7 +233,7 @@ class TestAtomize:
     def test_jsonl_schema(self, gen1_cloud):
         import json
 
-        lines = gen1_cloud.to_jsonl().strip().split("\n")
+        lines = "".join(gen1_cloud.to_jsonl()).strip().split("\n")
         assert len(lines) == len(gen1_cloud)
         doc = json.loads(lines[0])
         assert set(doc) == {"g", "theta", "mult", "cell_kind"}
@@ -419,7 +419,7 @@ class TestJsonlRuns:
         ]
         kind, g, mult, theta = zip(*rows)
         cloud = R.ZeroCloud(np.array(g), np.array(theta), np.array(mult), list(kind))
-        text = cloud.to_jsonl()
+        text = "".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
         assert '"g":-0,' in text and '"theta":-0}' in text
 
@@ -436,30 +436,40 @@ class TestJsonlRuns:
                                    2 * R._JSONL_CHUNK + 1])
     def test_run_lengths_around_the_chunk(self, n):
         cloud = self._runs_cloud([("A", 4.25, 2.0, n)])
-        assert cloud.to_jsonl() == _jsonl_rows(cloud)
+        assert "".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
 
     def test_prefix_breaks_on_chunk_boundaries(self):
         c = R._JSONL_CHUNK
         cloud = self._runs_cloud([("A", 4.25, 2.0, c), ("A", 4.5, 2.0, 2 * c), ("remainder", 4.5, 2.0, 1)])
-        assert cloud.to_jsonl() == _jsonl_rows(cloud)
+        assert "".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
 
     def test_percent_in_kind_across_chunks(self):
         c = R._JSONL_CHUNK
         cloud = self._runs_cloud([("A", 1.5, 1.0, 3), ("50%d%%", 2.5, 2.0, 2 * c + 5), ("A", 1.5, 1.0, 2)])
-        text = cloud.to_jsonl()
+        text = "".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
         assert text.count('"cell_kind":"50%d%%"') == 2 * c + 5
 
+    def test_blocks_of_the_chunk(self):
+        # one string per block of _JSONL_CHUNK rows, the last one shorter
+        c = R._JSONL_CHUNK
+        cloud = self._runs_cloud([("A", 4.25, 2.0, c + 3), ("remainder", 4.5, 1.0, c)])
+        blocks = cloud.to_jsonl()
+        assert iter(blocks) is blocks
+        blocks = list(blocks)
+        assert [b.count("\n") for b in blocks] == [c, c, 3]
+        assert "".join(blocks) == _jsonl_rows(cloud)
+
     def test_empty_cloud(self):
         cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [])
-        assert cloud.to_jsonl() == "" == _jsonl_rows(cloud)
+        assert list(cloud.to_jsonl()) == [] and _jsonl_rows(cloud) == ""
 
     @pytest.mark.parametrize("split", [False, True])
     def test_gen1_cloud_matches_rows_and_round_trips(self, gen1_partition, small_profile, split):
         import json
 
         cloud = R.atomize(gen1_partition, small_profile, split_doubles=split)
-        text = cloud.to_jsonl()
+        text = "".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
         docs = [json.loads(line) for line in text.splitlines()]
         g = np.array([d["g"] for d in docs])
@@ -527,7 +537,7 @@ class TestPinnedValues:
         assert len(part.cells) == 2177
         assert part.total_mass.hex() == (4356.9362555897505).hex()
         cloud = R.atomize(part, prof, split_doubles=True)
-        digest = hashlib.sha256(cloud.to_jsonl().encode()).hexdigest()
+        digest = hashlib.sha256("".join(cloud.to_jsonl()).encode()).hexdigest()
         assert digest == "f63e024ca262afb9840dbddebdc386068ac9f48950e7bb8d7ca53e34719f3a3a"
         assert _nodes_digest(cloud) == "2d59ef9fd74fd0d1f7fa97720efe1a53a413e878dd340920bf82836dd6eb65cc"
         zs = [(LogGap(6.3), 0.5), (LogGap(2.0), 4.0)]
@@ -561,9 +571,55 @@ class TestPinnedValues:
     def test_wide_cloud_bytes(self, wide_partition, split, atoms, chars, digest):
         part, prof = wide_partition
         cloud = R.atomize(part, prof, split_doubles=split)
-        text = cloud.to_jsonl()
+        text = "".join(cloud.to_jsonl())
         assert (len(cloud), len(text)) == (atoms, chars)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # sha256 of the dtype and bytes of every atom column and cell-piece
+    # column, and the hex of the partition's total mass, recorded at commit
+    # 84cdd91 (every column gathered through per-piece index arrays); the
+    # mass column pins the m w / w rounding of whole cells
+    @pytest.mark.parametrize("name,split,total_mass,digests", [
+        ("small", False, "0x1.72a5df9e9a2bep+13", {
+            "g": "fd1dacfcec88e138889e7da4a5495533fe9b8fbf19a17a00fed216299c2dc64d",
+            "theta": "0a225a5bb1650b1e6494e7a35297327f2323e052f8c276ed513f4fd032b56f9c",
+            "mult": "4a82d03f39b89250d54ac24e5ce92a5e932860a688a4edc68adbd151b71c6892",
+            "ring": "567b15b8e03ee0201ae8f625eff5b0923b42aa2cc3171531961cebd99ac84c4d",
+            "theta_lo": "73c2d8c648fbde6094b868af4cf583253e5aebc94fe1925d20494a446c315d12",
+            "theta_hi": "ffeaff2d98fa67f8597243525df976e3d9c8689847723aaec3a0f503c2e32da3",
+            "mass": "67c5d270f08c3796f4935326aa3d1ef817eceeb5b12d8e796f1eae3a57312cf5",
+            "kind": "5ae5d88ff80a8db00f62f5a714dd988901eb4e82aee6daba84ad00a4651e496d",
+        }),
+        ("wide", False, "0x1.ef1cd1ea38a20p+17", {
+            "g": "be81e54e74a73d1dad8ea4d8518b2e6419c992ea051329d9c5a936cb96954135",
+            "theta": "fae24b9d54062321ef47cdb6f47e1a930bf1bfa49e7a5d75598e8abf75e3e0ac",
+            "mult": "e598533b7d6a7580994439c1f034cf87a68b610a696bd7ababa39f7ff4b64203",
+            "ring": "2893f62648e42a2643d497369ea1161284c69c1396c71b10dc84663c244e92cd",
+            "theta_lo": "f0637227550990e244fb8efbe68b4d87639bf6fb475125751c1c9660a447a0ad",
+            "theta_hi": "01ba797acf40d63f5bc4c98a196e56176072bce72e2e4e4cde6c36182f697f24",
+            "mass": "5bf60d956040bd57af9acba28105e9adfb3f13b80164d36c7600cfe276a3fc81",
+            "kind": "c22e9d7fca6fd572786b929a2986021e7d02a91891e9908a697d4c61c39e2244",
+        }),
+        ("small", True, "0x1.72a5df9e9a2bep+13", {
+            "g": "63f92e65e560b7a7a75cc2dc5c5d023f14b7270b207a0cc8ffb4a72bb603fc2e",
+            "theta": "c4625348e046c6f42ced10d51c823c35018719c1ca455ed15e1dbc00a31245a1",
+            "mult": "693ccd61781a6c17e8c8abfae776e3a98c9d29c759f14ee359a13e642234ccdc",
+            "ring": "8c8bc4a45f4c5dd1b12c63a1b8fec98db4d041729d4adea3accb753c2654902b",
+            "theta_lo": "aeb707a646a4e98c9deee02b4173605bf039ffea28fc0fc7ce6cfd1a283d624c",
+            "theta_hi": "09a68cf3d1c57c1cae49501d118ecf6f0f1f09e01c193645cb754b992c13d693",
+            "mass": "f8b98d90e58b2c3253c2500caf4953fb1a5d051b1e0154a31e2858be163e3b0b",
+            "kind": "85358f1463a726e58395f021038f51ca194b32843c86c72cf80a724d3f5a2398",
+        }),
+    ])
+    def test_atom_columns_pinned(self, gen1_partition, small_profile, wide_partition, name, split,
+                                 total_mass, digests):
+        part, prof = wide_partition if name == "wide" else (gen1_partition, small_profile)
+        cloud = R.atomize(part, prof, split_doubles=split)
+        columns = {col: getattr(cloud, col) for col in ("g", "theta", "mult")}
+        columns.update((col, getattr(cloud.cells, col)) for col in ("ring", "theta_lo", "theta_hi", "mass", "kind"))
+        got = {col: hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest() for col, a in columns.items()}
+        assert got == digests
+        assert part.total_mass.hex() == total_mass
 
 
 def _near_atoms_loop(cloud, delta, theta):
