@@ -11,9 +11,13 @@ the thin mass ring is a single ring split by angle alone.  Region leftovers
 become flagged remainder cells of mass in [2, 4).
 
 Only ``partition_region`` decides what a ring is.  It keeps what the cells of
-a ring share (g_lo, g_hi, branch) once per ring in a ``RingTable``, with the
-partition's generation, and the cells as numpy columns (``CellColumns``: ring
-index into the table, theta_lo, theta_hi, mass, kind code), one row per cell.
+a ring share (g_lo, g_hi, branch, and its lattice: the cell width w and the
+number n of cells [k w, (k + 1) w]) once per ring in a ``RingTable``, with
+the partition's generation, and the cells as numpy columns (``CellColumns``:
+ring index into the table, theta_lo, theta_hi, mass, kind code), one row per
+cell.  A ring's cells are computed as k w and (k + 1) w, so every lattice
+cell lies on the lattice bit for bit and nothing reads the layout back from
+the cells.
 ``atomize`` computes every transcendental value once per ring (the centroid
 g, the density at the Gauss-Legendre radii), with the scalar ``math`` calls
 of a per-cell loop; a generation has tens of rings against up to ~1e5 cells.
@@ -38,15 +42,16 @@ values from the cloud's ``cells`` and ``nodes``).  The zeros of a ring are
 equally spaced, so its correction sums in closed form,
 prod_k (z - rho e^(i(phi + 2 pi k/M))) = z^M - rho^M e^(i M phi), for each
 of the 17 sources of a cell (its atom and 4 x 4 nodes; 18 with split
-doubles): the table keeps one row per lattice ring (M, the seam of a split
-ring, and per source M log rho, phase and weight), and a sample costs
-O(rings).  A full sector ring is exact; a split ring (n - 1 cells of width
-w and a remainder cell closing it at 2 pi) sums by the same form with the
-non-integer M = 2 pi / w, used only for samples far from its seam.  The
-other (sample, ring) pairs, on rings that are no lattice and at split-ring
-seams, are summed over the near field only: the atoms within 64 local cell
-sizes of the sample and their cell nodes, found by the ring index's window
-search and evaluated in one batched pass over (sample, atom) pairs.  No
+doubles): the table keeps one row per ring of the ring table whose lattice
+cells the cloud holds (M, the seam of a split ring, and per source M log
+rho, phase and weight), and a sample costs O(rings).  A full sector ring is
+exact; a split ring (n cells of width w and a remainder cell closing it at
+2 pi) sums by the same form with the non-integer M = 2 pi / w, used only
+for samples far from its seam.  The other (sample, ring) pairs, on rings
+that are no lattice (a partial cloud) and at split-ring seams, are summed
+over the near field only: the atoms within 64 local cell sizes of the
+sample and their cell nodes, found by the ring index's window search and
+evaluated in one batched pass over (sample, atom) pairs.  No
 BLAS call is made, so the values do not depend on the BLAS thread count.
 A sample on an atom gets -inf.  ``_cell_nodes`` expands the compact nodes
 one by one for the direct sum over all 17 N sources (``_accel.kernel_sums``)
@@ -83,7 +88,6 @@ _LEG_NODES = {
 
 KINDS = ("A", "A-hat", "A-star", "A-dprime", "remainder")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
-_KIND_NAMES = np.array(KINDS, dtype=object)
 _REMAINDER = _KIND_CODE["remainder"]
 _TWO_PI = 2.0 * math.pi
 
@@ -95,12 +99,17 @@ class PartitionError(NumericsError):
 @dataclass(frozen=True, eq=False)
 class RingTable:
     """The rings of one partition, one row per ring: the log-gaps of its
-    edges and the profile branch carrying its density (1, 3, 4, 5); every
-    ring belongs to ``generation``."""
+    edges, the profile branch carrying its density (1, 3, 4, 5) and its
+    lattice: its first ``lattice_cells`` cells n are [k w, (k + 1) w] of the
+    cell ``width`` w, all of them for a sector ring (n w = 2 pi up to
+    rounding), all but the remainder cell [n w, 2 pi] for a split ring.
+    Every ring belongs to ``generation``."""
 
     g_lo: np.ndarray
     g_hi: np.ndarray
     branch: np.ndarray
+    width: np.ndarray
+    lattice_cells: np.ndarray
     generation: int
 
 
@@ -219,14 +228,18 @@ def _sector_count(g: float) -> int:
     return max(1, int(math.floor(math.exp(g))))
 
 
-def _sector_ring(g_lo, g_hi, m, kind, branch) -> tuple:
-    """m equal sectors of mass 2, as the row (g_lo, g_hi, branch, theta_lo,
-    theta_hi, mass, kind codes) that partition_region collects per ring; the
-    last four are the columns of its cells."""
-    width = 2.0 * math.pi / m
-    j = np.arange(m, dtype=float)
-    codes = np.full(m, _KIND_CODE[kind], dtype=np.int8)
-    return g_lo, g_hi, branch, j * width, (j + 1.0) * width, np.full(m, 2.0), codes
+def _ring(g_lo, g_hi, branch, kind, width, n, rest=None) -> tuple:
+    """The row (g_lo, g_hi, branch, width, n, theta_lo, theta_hi, mass, kind
+    codes) that partition_region collects per ring; the last four are the
+    columns of its cells.  Cell k < n is [k w, (k + 1) w] with mass 2; given
+    the mass ``rest``, a remainder cell [n w, 2 pi] closes the ring."""
+    j = np.arange(n + (rest is not None), dtype=float)
+    theta_lo, theta_hi = j * width, (j + 1.0) * width
+    mass = np.full(len(j), 2.0)
+    codes = np.full(len(j), _KIND_CODE[kind], dtype=np.int8)
+    if rest is not None:
+        theta_hi[-1], mass[-1], codes[-1] = _TWO_PI, rest, _REMAINDER
+    return g_lo, g_hi, branch, width, n, theta_lo, theta_hi, mass, codes
 
 
 def _split_ring_by_angle(rings: list[tuple], density, g_lo, g_hi, kind) -> None:
@@ -236,16 +249,7 @@ def _split_ring_by_angle(rings: list[tuple], density, g_lo, g_hi, kind) -> None:
         raise PartitionError(f"ring mass {total} below one cell")
     n_full = int(math.floor(total / 2.0))
     width = 2.0 * math.pi * (2.0 / total)
-    steps = np.full(n_full, width)
-    steps[0] = 0.0
-    theta_lo = np.add.accumulate(steps)  # theta += width, in sequence
-    theta_hi = theta_lo + width
-    theta_hi[-1] = 2.0 * math.pi
-    mass = np.full(n_full, 2.0)
-    mass[-1] = total - 2.0 * (n_full - 1)
-    codes = np.full(n_full, _KIND_CODE[kind], dtype=np.int8)
-    codes[-1] = _REMAINDER
-    rings.append((g_lo, g_hi, density.branch, theta_lo, theta_hi, mass, codes))
+    rings.append(_ring(g_lo, g_hi, density.branch, kind, width, n_full - 1, total - 2.0 * (n_full - 1)))
 
 
 def _cell_count(rings: list[tuple]) -> int:
@@ -289,7 +293,7 @@ def _partition_ringed_region(
             return False
         if _cell_count(rings) + m > ceiling:
             return True
-        rings.append(_sector_ring(g_k, g_next, m, kind, density.branch))
+        rings.append(_ring(g_k, g_next, density.branch, kind, 2.0 * math.pi / m, m))
         g_k = g_next
 
 
@@ -339,10 +343,10 @@ def partition_region(
     else:
         truncated["A-star"] = True
 
-    g_lo, g_hi, branch, theta_lo, theta_hi, mass, kind = zip(*rings) if rings else [()] * 7
+    g_lo, g_hi, branch, width, n, theta_lo, theta_hi, mass, kind = zip(*rings) if rings else [()] * 9
     table = RingTable(
         np.array(g_lo, dtype=float), np.array(g_hi, dtype=float), np.array(branch, dtype=np.int8),
-        generation,
+        np.array(width, dtype=float), np.array(n, dtype=np.intp), generation,
     )
     cells = CellColumns(
         np.repeat(np.arange(len(rings)), [len(codes) for codes in kind]),
@@ -470,7 +474,7 @@ class ZeroCloud:
     g: np.ndarray
     theta: np.ndarray
     mult: np.ndarray
-    kind: Sequence[str]
+    kind: np.ndarray  # int8 codes into KINDS
     cells: CellColumns | None = None
     # (9, rings): 1 - r at the ring's four Gauss-Legendre radii, their radial
     # weights w rho(r) and the total weight of a cell's 4 x 4 nodes
@@ -522,11 +526,11 @@ class ZeroCloud:
         bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(theta)))
         if len(bad):  # dumps17 raises its ValueError on the first one
             dumps17([float(g[bad[0]]), float(theta[bad[0]])])
-        bits, kind, mult = g.view(np.int64), np.asarray(self.kind, dtype=object), np.asarray(self.mult)
+        bits, kind, mult = g.view(np.int64), np.asarray(self.kind), np.asarray(self.mult)
         change = np.ones(len(g), dtype=bool)
         change[1:] = (bits[1:] != bits[:-1]) | (kind[1:] != kind[:-1]) | (mult[1:] != mult[:-1])
         heads = [
-            '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(kind[s]), g[s], mult[s])
+            '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(KINDS[kind[s]]), g[s], mult[s])
             for s in np.flatnonzero(change).tolist()
         ]
         # the pieces: runs cut at block edges
@@ -604,7 +608,7 @@ def atomize(
         lo, hi, mass, ring, kind = (np.repeat(col, 2) for col in (lo, hi, mass, ring, kind))
     return ZeroCloud(
         g=per_ring[0][ring], theta=theta, mult=np.full(len(theta), 1.0 if split_doubles else 2.0),
-        kind=_KIND_NAMES[kind], cells=CellColumns(ring, lo, hi, mass, kind, rings), nodes=per_ring[1:],
+        kind=kind, cells=CellColumns(ring, lo, hi, mass, kind, rings), nodes=per_ring[1:],
     )
 
 
@@ -620,34 +624,27 @@ _NEAR_CUT = 64.0
 # (sample, atom) pairs per block of the near-field kernel, so that its
 # (4, 4, block) temporaries stay in a 1-2 MB L2 cache
 _PAIR_BLOCK = 4096
-# a lattice cell k may sit up to (k + 1) _LATTICE_ULPS off [k w, (k + 1) w]:
-# the theta_lo of a split ring are a running sum of w, one rounding of at
-# most ulp(2 pi) / 2 per cell (4.9e-12 rad over the 127k-atom test cloud)
-_LATTICE_ULPS = 2.0 * float(np.spacing(_TWO_PI))
 
 
 @dataclass(frozen=True)
 class _Lattice:
     """The rings of a cloud that are summed in closed form, one row each.
 
-    A ring qualifies when, in theta order, its cells are n equal cells
-    [k w, (k + 1) w] (k = 0..n-1, within (k + 1) _LATTICE_ULPS) with one
-    mass, one atom gap and multiplicity, and the same atom offsets in every
-    cell, and either n w = 2 pi (a full sector ring: M = n) or the atoms left
-    after the n cells lie in [n w, 2 pi] with the last cell ending at 2 pi
-    (a split ring: M = 2 pi / w, its seam at the start of those atoms).  The
-    n cells' atoms and nodes then form, per source of the first cell, a ring
-    of equally spaced points phase + k w, and prod_k (z - rho e^(i(phase +
-    k w))) = z^M - rho^M e^(i M phase) sums each ring of them in closed form
+    A ring's lattice is in its ring table: n cells [k w, (k + 1) w], k =
+    0..n-1, either the whole ring (a sector ring: M = n) or all of it but
+    the remainder cell [n w, 2 pi] (a split ring: M = 2 pi / w, its seam at
+    n w).  A ring qualifies when the cloud holds every one of its lattice
+    cells (as many atoms on them as n cells of the cloud's atoms per cell)
+    and, on a split ring, atoms on its remainder.  Their atoms and nodes then
+    form, per source of the first cell, a ring of
+    equally spaced points phase + k w, and prod_k (z - rho e^(i(phase + k
+    w))) = z^M - rho^M e^(i M phase) sums each ring of them in closed form
     (exact for a full ring; on a split ring the seam is far from every
     sample summed this way)."""
 
     ring: np.ndarray  # (Q,) the qualified rings' rows in the ring table
-    m: np.ndarray  # (Q,) M = 2 pi / w
+    m: np.ndarray  # (Q,) M
     w: np.ndarray  # (Q,) cell width
-    first: np.ndarray  # (Q,) the position in the ring index's order of the ring's first atom
-    cells: np.ndarray  # (Q,) its lattice cells n
-    per_cell: int  # atoms per cell
     delta: np.ndarray  # (Q,) the atoms' gap, for the on-atom lookup
     b: np.ndarray  # (Q, S) per source: M log |zeta|
     phase: np.ndarray  # (Q, S) angle of the source in the first cell
@@ -720,58 +717,43 @@ class _Sources:
 
 def _lattice(cloud: ZeroCloud, theta, mult, index: _RingIndex, run: np.ndarray) -> _Lattice:
     """The closed-form rows of the cloud's lattice rings (see ``_Lattice``);
-    ring k's atoms are run run[k] of the ring index, by ascending theta.
-    Every ring's cells are checked with array arithmetic; one cloud has one
-    number of atoms per cell, that of its first ring."""
-    cells, nodes = cloud.cells, cloud.nodes
-    n_rings = len(run)
-    full, seam = np.zeros(n_rings, dtype=bool), np.full(n_rings, -1.0)
-    rows, per_cell = [], None
-    starts = index.start.tolist()
-    for k, j in enumerate(run.tolist()):
-        if j < 0:
-            continue
-        start = starts[j]
-        idx = index.order[start:starts[j + 1]]
-        lo, hi, th = cells.theta_lo[idx], cells.theta_hi[idx], theta[idx]
-        w, mult0, delta0 = hi[0] - lo[0], mult[idx[0]], cloud.delta[idx[0]]
-        if per_cell is None:
-            per_cell = int(np.count_nonzero((lo == lo[0]) & (hi == hi[0])))
-        a = per_cell
-        in_cells = len(idx) // a * a  # the atoms of whole cells, as (cells, a) below
-        if in_cells == 0 or not w > 0.0:
-            continue
-        lo2, hi2, th2 = (x[:in_cells].reshape(-1, a) for x in (lo, hi, th))
-        cell = np.arange(in_cells // a, dtype=float)[:, None]
-        tol = (cell + 1.0) * _LATTICE_ULPS
-        same = (mult[idx] == mult0) & (cells.mass[idx] == cells.mass[idx[0]]) & (cloud.delta[idx] == delta0)
-        ok = ((np.abs(lo2 - cell * w) <= tol) & (np.abs(hi2 - (cell + 1.0) * w) <= tol)
-              & (np.abs(th2 - lo2 - (th2[0] - lo2[0])) <= tol) & same[:in_cells].reshape(-1, a)).all(axis=1)
-        n = len(ok) if ok.all() else int(np.argmin(ok))  # the lattice cells
-        if n == 0:
-            continue
-        if n * a == len(idx) and abs(n * w - _TWO_PI) <= (n + 1.0) * _LATTICE_ULPS:
-            full[k], m = True, float(n)
-        elif (n * a < len(idx) and abs(hi[-1] - _TWO_PI) <= len(idx) * _LATTICE_ULPS
-              and lo[n * a:].min() >= n * w - (n + 1.0) * _LATTICE_ULPS):
-            seam[k], m = lo[n * a:].min(), _TWO_PI / w
-        else:
-            continue
-        node_phase = 0.5 * (lo[0] + hi[0]) + 0.5 * w * _LEG_X  # angle j of the first cell's nodes
-        node_weight = -(nodes[4:8, k][:, None] * _LEG_W) * (a * mult0 / nodes[8, k])
+    ring k's atoms are run run[k] of the ring index, by ascending theta.  One
+    cloud has one number of atoms per cell, that of the first cell of the
+    index's first run."""
+    cells, nodes, rings = cloud.cells, cloud.nodes, cloud.cells.rings
+    n = rings.lattice_cells
+    seam = n * rings.width  # the remainder's theta_lo on a split ring
+    # a split ring's remainder is at least one cell wide, so 2 pi / w rounds
+    # past n there
+    full = np.rint(_TWO_PI / rings.width) == n
+    start = index.start.tolist()
+    first = index.order[:start[1] if len(start) > 1 else 0]  # the first run's atoms
+    per_cell = int(np.count_nonzero((cells.theta_lo[first] == cells.theta_lo[first[:1]])
+                                    & (cells.theta_hi[first] == cells.theta_hi[first[:1]]))) or 1
+    # the atoms on each ring's lattice cells, and on its remainder
+    held = np.bincount(cells.ring[cells.theta_lo < seam[cells.ring]], minlength=len(run))
+    rest = np.bincount(cells.ring, minlength=len(run)) - held
+    rows = []
+    for k in np.flatnonzero((n > 0) & (held == n * per_cell) & (full | (rest > 0))).tolist():
+        atoms = index.order[start[run[k]]:start[run[k]] + per_cell]  # the first cell's
+        w, mult0, delta0 = rings.width[k], mult[atoms[0]], cloud.delta[atoms[0]]
+        m = float(n[k]) if full[k] else _TWO_PI / w
+        node_phase = 0.5 * w + 0.5 * w * _LEG_X  # angle j of the first cell's nodes
+        node_weight = -(nodes[4:8, k][:, None] * _LEG_W) * (per_cell * mult0 / nodes[8, k])
         rows.append((
-            k, m, w, start, n, delta0,
-            m * np.concatenate([np.full(a, math.log1p(-delta0)), np.repeat(np.log1p(-nodes[:4, k]), 4)]),
-            np.concatenate([th[:a], np.tile(node_phase, 4)]),
-            np.concatenate([np.full(a, mult0), node_weight.ravel()]),
+            k, m, w, delta0,
+            m * np.concatenate([np.full(per_cell, math.log1p(-delta0)), np.repeat(np.log1p(-nodes[:4, k]), 4)]),
+            np.concatenate([theta[atoms], np.tile(node_phase, 4)]),
+            np.concatenate([np.full(per_cell, mult0), node_weight.ravel()]),
         ))
-    ring, m, w, first, n, delta, b, phase, weight = zip(*rows) if rows else ([],) * 9
-    s = 16 + (per_cell or 0)
+    ring, m, w, delta, b, phase, weight = zip(*rows) if rows else ([],) * 7
+    ring = np.array(ring, dtype=np.intp)
+    lattice = np.zeros(len(run), dtype=bool)
+    lattice[ring] = True
     return _Lattice(
-        np.array(ring, dtype=np.intp), np.array(m, dtype=float), np.array(w, dtype=float),
-        np.array(first, dtype=np.intp), np.array(n, dtype=np.intp), per_cell or 1,
-        np.array(delta, dtype=float), *(np.array(col, dtype=float).reshape(-1, s) for col in (b, phase, weight)),
-        full, seam,
+        ring, np.array(m, dtype=float), np.array(w, dtype=float), np.array(delta, dtype=float),
+        *(np.array(col, dtype=float).reshape(-1, 16 + per_cell) for col in (b, phase, weight)),
+        lattice & full, np.where(lattice & ~full, seam, -1.0),
     )
 
 
@@ -855,16 +837,10 @@ def _ring_sums(src: _Sources, log_r: np.ndarray, t: np.ndarray) -> np.ndarray:
       = 2 max(a, b) + log[(expm1(-|a - b|)^2 + 4 e^-|a - b| s^2)
                          / (expm1(a + b)^2 + 4 e^(a + b) s^2)],
     a = M log|z|, b = M log rho and s = sin(pi x), where x is the sample's
-    offset from the source's nearest lattice point in cells.  The lattice is
-    moved by the drift of the cell under the sample (its first atom's stored
-    theta minus the first cell's, minus k w), so the drift of a split ring's
-    stored angles from k w cancels near the sample."""
-    lat, order = src.lattice, src.index.order
-    cell = np.clip(np.floor(t[:, None] / lat.w), 0, lat.cells - 1).astype(np.intp)
-    first = src.theta[order[lat.first]]
-    drift = src.theta[order[lat.first + cell * lat.per_cell]] - first - cell * lat.w
+    offset from the source's nearest lattice point in cells."""
+    lat = src.lattice
     a = (log_r[:, None] * lat.m)[:, :, None]
-    x = ((t[:, None] - drift)[:, :, None] - lat.phase) / lat.w[:, None]
+    x = (t[:, None, None] - lat.phase) / lat.w[:, None]
     x -= np.rint(x)
     s = np.sin(math.pi * x)
     s *= s
@@ -891,22 +867,19 @@ def eval_log_surrogate_many(
     to the atom's theta mod 2 pi, which the source table keeps (every theta
     of an ``atomize`` cloud lies in [0, 2 pi) already).  theta + 2 pi k is
     itself rounded, so its t can miss the atom's theta by an ulp and the
-    value stays finite: atom 5900 of the small test scaffold's
-    generation-1 cloud gives -inf at theta and at theta - 2 pi, but -32.26
-    at theta + 2 pi.
+    value stays finite: atom 15 of the small test scaffold's generation-1
+    cloud gives -inf at theta and at theta - 2 pi, but -46.38 at theta +
+    2 pi.
 
     The correction is summed ring by ring.  A lattice ring (``_Lattice``)
     takes its closed form (``_ring_sums``), O(rings) per sample whatever the
     ring's size, with the sample's angle reduced mod 2 pi.  On a full sector
-    ring it is exact to rounding (within 3.4e-11 of the direct sum over the
-    ring on the 5.9k- and 127k-atom test clouds).  A split ring's stored
-    angles are a running sum of w and drift up to 5e-12 rad from the lattice
-    k w; the closed form anchors the lattice at the stored atom of the cell
-    under the sample, so that drift cancels.  The closed form sums a split
-    ring as if its lattice ran on through the seam, which costs, against the
-    direct sum over the whole ring, about 1e-6 at 16 cells from the seam,
-    up to 2e-7 at 64 and 2e-9 past 500 (test clouds).  So a
-    split ring takes it only while the sample's near-field window on it
+    ring it is exact to rounding (within 5.4e-12 of the direct sum over the
+    ring on the 5.9k- and 127k-atom test clouds).  The closed form sums a
+    split ring as if its lattice ran on through the seam, which costs,
+    against the direct sum over the whole ring, about 1e-6 at 16 cells from
+    the seam, up to 2e-7 at 64 and 2e-9 past 500 (test clouds).  So a split
+    ring takes it only while the sample's near-field window on it
     stays inside [0, seam]: every sample summed that way is at least 64
     cells from the seam.
 

@@ -328,7 +328,7 @@ class TestRieszCmd:
         assert run("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1",
                    "--split-doubles", "--out", str(cloud)) == 0
         assert hashlib.sha256(cloud.read_bytes()).hexdigest() == (
-            "03689a36ae0c978687a41125c28e79630a68e163ab06e41e3522dbe619685174")
+            "89ac4e874ffddc9bdc0031fbdc456f5816ae61f67d240ef6de16a8449dd218d6")
 
     def test_stdout_prints_the_file_bytes(self, small_scaffold_file, tmp_path, capsysbinary):
         cloud = tmp_path / "cloud.jsonl"
@@ -389,20 +389,21 @@ class TestRieszCmd:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and out.stat().st_size == 10_527_289
+        assert code == 0 and out.stat().st_size == 10_527_343
         assert peak <= build + slack
 
-    # sha256 of the cloud and summary bytes, recorded at commit dc95d27; plain
-    # and split runs take the merge-back of a thin leftover ring, the ceiling
-    # of 2000 stops inside the A-dprime region
+    # sha256 of the cloud and summary bytes; plain and split runs take the
+    # merge-back of a thin leftover ring, the ceiling of 2000 stops inside the
+    # A-dprime region.  The clouds were re-recorded when the partition put
+    # split rings' cells on the exact lattice k w; the summaries did not move
     @pytest.mark.parametrize("extra,cloud_sha,summary_sha", [
-        ((), "3e29869b0a6aea0ba31931ac2dacc21e3fb28d908334c155099d2ab740c861b2",
+        ((), "6f9926ffc1fc71c64686159514607c6aba44a9c20555738559544167c62f23cd",
          "2b6e52399c7b2022d7adc08473ae2b36ba5835b312a89fd8e46782b7776c7504"),
-        (("--split-doubles",), "03689a36ae0c978687a41125c28e79630a68e163ab06e41e3522dbe619685174",
+        (("--split-doubles",), "89ac4e874ffddc9bdc0031fbdc456f5816ae61f67d240ef6de16a8449dd218d6",
          "c948327b9a64d347c61c14c6615e2c34691f81100df960da91baa2f9bd700d47"),
-        (("--ceiling", "2000"), "317c173f6ca2ddd463817cdaa5fbe8918f62c7c6c82c39901b150acba425d546",
+        (("--ceiling", "2000"), "d639a4e6b92af37e802f972c2f12acf9ffd69b0e838f9d606c7ca74a9d426337",
          "f332d2678d2e173d187a971abc8c837bb32e403499025d70ccf0fa2c83c2c598"),
-    ])
+    ], ids=["plain", "split-doubles", "ceiling-2000"])
     def test_bytes_pinned(self, small_scaffold_file, tmp_path, extra, cloud_sha, summary_sha):
         import hashlib
 
@@ -432,7 +433,7 @@ class TestRieszCmd:
 
         def nan_cloud(part, prof, split_doubles=False):
             return riesz.ZeroCloud(np.array([1.0, math.nan]), np.array([0.5, 0.5]),
-                                   np.array([2.0, 2.0]), ["A", "A"])
+                                   np.array([2.0, 2.0]), np.zeros(2, dtype=np.int8))
 
         monkeypatch.setattr(riesz, "atomize", nan_cloud)
         cloud, summary = tmp_path / "cloud.jsonl", tmp_path / "sum.json"

@@ -241,12 +241,12 @@ class TestAtomize:
 
 class TestSurrogate:
     def test_no_atoms_returns_phi(self, small_profile):
-        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [])
+        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), np.array([], dtype=np.int8))
         v = R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.7)])[0]
         assert v == small_profile.phi(2.0)
 
     def test_cloud_without_cells_is_refused(self, small_profile):
-        cloud = R.ZeroCloud(np.array([2.0]), np.array([0.5]), np.array([2.0]), ["A"])
+        cloud = R.ZeroCloud(np.array([2.0]), np.array([0.5]), np.array([2.0]), np.array([_A], dtype=np.int8))
         with pytest.raises(R.PartitionError, match="needs the cloud's cells and nodes"):
             R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.7)])
 
@@ -281,7 +281,7 @@ class TestSurrogate:
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angles(self, gen1_cloud, small_profile, theta):
-        empty = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [])
+        empty = R.ZeroCloud(np.array([]), np.array([]), np.array([]), np.array([], dtype=np.int8))
         for cloud in (gen1_cloud, empty):
             with pytest.raises(NumericsError, match="finite sample angles"):
                 R.eval_log_surrogate_many(cloud, small_profile, [(LogGap(2.0), 0.5), (LogGap(3.0), theta)])
@@ -301,28 +301,41 @@ class TestSurrogate:
             want = R.eval_log_surrogate_many(cloud, prof, [(LogGap(g), t) for g, t in zip(gs, reduced)])
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def _turn_away_atoms(cloud):
+        """An atom whose theta -+ 2 pi reduces back to theta, and one whose
+        theta - 2 pi does but whose theta + 2 pi rounds to another angle."""
+        theta, turn = cloud.theta, 2.0 * math.pi
+        back = np.mod(theta - turn, turn) == theta
+        up = np.mod(theta + turn, turn) == theta
+        both, down_only = np.flatnonzero(back & up), np.flatnonzero(back & ~up)
+        assert len(both) and len(down_only)
+        return int(both[0]), int(down_only[0])
+
     def test_on_atom_a_turn_away(self, gen1_cloud, small_profile):
-        # np.mod gives back atom 3000's theta from theta -+ 2 pi; at atom
-        # 5900, theta + 2 pi rounds to another angle mod 2 pi
+        # np.mod gives back the first atom's theta from theta -+ 2 pi; at the
+        # second, theta + 2 pi rounds to another angle mod 2 pi
         def value(a, shift):
             z = (LogGap(float(gen1_cloud.g[a])), float(gen1_cloud.theta[a]) + shift)
             return R.eval_log_surrogate_many(gen1_cloud, small_profile, [z])[0]
 
+        both, down_only = self._turn_away_atoms(gen1_cloud)
         for shift in (2.0 * math.pi, -2.0 * math.pi):
-            assert value(3000, shift) == -math.inf
-        assert value(5900, -2.0 * math.pi) == -math.inf
-        assert np.mod(gen1_cloud.theta[5900] + 2.0 * math.pi, 2.0 * math.pi) != gen1_cloud.theta[5900]
-        assert math.isfinite(value(5900, 2.0 * math.pi))
+            assert value(both, shift) == -math.inf
+        assert value(down_only, -2.0 * math.pi) == -math.inf
+        assert np.mod(gen1_cloud.theta[down_only] + 2.0 * math.pi, 2.0 * math.pi) != gen1_cloud.theta[down_only]
+        assert math.isfinite(value(down_only, 2.0 * math.pi))
 
     def test_on_an_atom_stored_a_turn_away(self, gen1_cloud, small_profile):
-        # atom 3000 stored at theta + 2 pi is the same point: the source
-        # table keeps its theta mod 2 pi, so both angles hit it
+        # an atom stored at theta + 2 pi is the same point: the source table
+        # keeps its theta mod 2 pi, so both angles hit it
+        a = self._turn_away_atoms(gen1_cloud)[0]
         theta = gen1_cloud.theta.copy()
-        old = float(theta[3000])
-        theta[3000] += 2.0 * math.pi
+        old = float(theta[a])
+        theta[a] += 2.0 * math.pi
         moved = R.ZeroCloud(gen1_cloud.g, theta, gen1_cloud.mult, gen1_cloud.kind, gen1_cloud.cells, gen1_cloud.nodes)
-        g = LogGap(float(gen1_cloud.g[3000]))
-        got = R.eval_log_surrogate_many(moved, small_profile, [(g, old), (g, float(theta[3000]))])
+        g = LogGap(float(gen1_cloud.g[a]))
+        got = R.eval_log_surrogate_many(moved, small_profile, [(g, old), (g, float(theta[a]))])
         assert got.tolist() == [-math.inf, -math.inf]
 
     def test_near_atom_logarithmic_dip(self, gen1_cloud, small_profile):
@@ -390,7 +403,7 @@ class TestColumns:
         for bad_g, bad_theta, shown in ((math.nan, 0.5, "nan"), (1.0, math.inf, "inf")):
             cloud = R.ZeroCloud(
                 np.array([1.0, bad_g]), np.array([0.5, bad_theta]), np.array([2.0, 2.0]),
-                ["A", "A"],
+                np.zeros(2, dtype=np.int8),
             )
             with pytest.raises(ValueError, match=f"non-finite float {shown}"):
                 cloud.to_jsonl()
@@ -399,7 +412,7 @@ class TestColumns:
 def _jsonl_rows(cloud):
     """The cloud's text as one dumps17 record per atom."""
     return "".join(
-        dumps17({"cell_kind": k, "g": float(g), "mult": int(m), "theta": float(t)}) + "\n"
+        dumps17({"cell_kind": R.KINDS[k], "g": float(g), "mult": int(m), "theta": float(t)}) + "\n"
         for k, g, m, t in zip(cloud.kind, cloud.g, cloud.mult, cloud.theta)
     )
 
@@ -410,23 +423,24 @@ class TestJsonlRuns:
 
     def test_hand_built_run_boundaries(self):
         rows = [
-            ("A", 1.5, 2.0, 0.1), ("A", 1.5, 2.0, 0.2),
-            ("remainder", 1.5, 2.0, 0.3),  # kind changes at equal g
-            ("remainder", 1.5, 1.0, 0.4), ("remainder", 1.5, 2.0, 0.5),  # mult 2 -> 1 -> 2
-            ("remainder", 1.75, 2.0, 0.6),  # g changes at equal kind
-            ("A", 1.5, 2.0, 0.7),  # back to an earlier prefix: a new run
-            ("50%", 0.0, 2.0, -0.0), ("50%", -0.0, 2.0, 1e-300),  # '%' in kind, signed zeros
+            (_A, 1.5, 2.0, 0.1), (_A, 1.5, 2.0, 0.2),
+            (_REMAINDER, 1.5, 2.0, 0.3),  # kind changes at equal g
+            (_REMAINDER, 1.5, 1.0, 0.4), (_REMAINDER, 1.5, 2.0, 0.5),  # mult 2 -> 1 -> 2
+            (_REMAINDER, 1.75, 2.0, 0.6),  # g changes at equal kind
+            (_A, 1.5, 2.0, 0.7),  # back to an earlier prefix: a new run
+            (_STAR, 0.0, 2.0, -0.0), (_STAR, -0.0, 2.0, 1e-300),  # signed zeros
         ]
         kind, g, mult, theta = zip(*rows)
-        cloud = R.ZeroCloud(np.array(g), np.array(theta), np.array(mult), list(kind))
+        cloud = R.ZeroCloud(np.array(g), np.array(theta), np.array(mult), np.array(kind, dtype=np.int8))
         text = "".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
         assert '"g":-0,' in text and '"theta":-0}' in text
 
     @staticmethod
     def _runs_cloud(runs):
-        """A hand-built cloud of runs (kind, g, mult, length), random thetas."""
-        kind = [k for k, _, _, n in runs for _ in range(n)]
+        """A hand-built cloud of runs (kind code, g, mult, length), random
+        thetas."""
+        kind = np.array([k for k, _, _, n in runs for _ in range(n)], dtype=np.int8)
         g = np.concatenate([np.full(n, g) for _, g, _, n in runs])
         mult = np.concatenate([np.full(n, m) for _, _, m, n in runs])
         theta = np.random.default_rng(len(g)).uniform(-1.0, 7.0, len(g))
@@ -435,17 +449,19 @@ class TestJsonlRuns:
     @pytest.mark.parametrize("n", [R._JSONL_CHUNK - 1, R._JSONL_CHUNK, R._JSONL_CHUNK + 1,
                                    2 * R._JSONL_CHUNK + 1])
     def test_run_lengths_around_the_chunk(self, n):
-        cloud = self._runs_cloud([("A", 4.25, 2.0, n)])
+        cloud = self._runs_cloud([(_A, 4.25, 2.0, n)])
         assert "".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
 
     def test_prefix_breaks_on_chunk_boundaries(self):
         c = R._JSONL_CHUNK
-        cloud = self._runs_cloud([("A", 4.25, 2.0, c), ("A", 4.5, 2.0, 2 * c), ("remainder", 4.5, 2.0, 1)])
+        cloud = self._runs_cloud([(_A, 4.25, 2.0, c), (_A, 4.5, 2.0, 2 * c), (_REMAINDER, 4.5, 2.0, 1)])
         assert "".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
 
-    def test_percent_in_kind_across_chunks(self):
+    def test_percent_in_kind_across_chunks(self, monkeypatch):
+        # a kind name is formatted as a value, never as a format string
+        monkeypatch.setattr(R, "KINDS", ("A", "50%d%%"))
         c = R._JSONL_CHUNK
-        cloud = self._runs_cloud([("A", 1.5, 1.0, 3), ("50%d%%", 2.5, 2.0, 2 * c + 5), ("A", 1.5, 1.0, 2)])
+        cloud = self._runs_cloud([(0, 1.5, 1.0, 3), (1, 2.5, 2.0, 2 * c + 5), (0, 1.5, 1.0, 2)])
         text = "".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
         assert text.count('"cell_kind":"50%d%%"') == 2 * c + 5
@@ -453,7 +469,7 @@ class TestJsonlRuns:
     def test_blocks_of_the_chunk(self):
         # one string per block of _JSONL_CHUNK rows, the last one shorter
         c = R._JSONL_CHUNK
-        cloud = self._runs_cloud([("A", 4.25, 2.0, c + 3), ("remainder", 4.5, 1.0, c)])
+        cloud = self._runs_cloud([(_A, 4.25, 2.0, c + 3), (_REMAINDER, 4.5, 1.0, c)])
         blocks = cloud.to_jsonl()
         assert iter(blocks) is blocks
         blocks = list(blocks)
@@ -461,7 +477,7 @@ class TestJsonlRuns:
         assert "".join(blocks) == _jsonl_rows(cloud)
 
     def test_empty_cloud(self):
-        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), [])
+        cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), np.array([], dtype=np.int8))
         assert list(cloud.to_jsonl()) == [] and _jsonl_rows(cloud) == ""
 
     @pytest.mark.parametrize("split", [False, True])
@@ -476,7 +492,7 @@ class TestJsonlRuns:
         theta = np.array([d["theta"] for d in docs])
         assert g.tobytes() == np.asarray(cloud.g, dtype=float).tobytes()
         assert theta.tobytes() == np.asarray(cloud.theta, dtype=float).tobytes()
-        assert [d["cell_kind"] for d in docs] == list(cloud.kind)
+        assert [d["cell_kind"] for d in docs] == [R.KINDS[k] for k in cloud.kind]
         assert [d["mult"] for d in docs] == np.asarray(cloud.mult).astype(int).tolist()
 
 
@@ -512,22 +528,23 @@ def _nodes_digest(cloud):
 
 class TestPinnedValues:
     """The cell nodes are pinned bit for bit by the sha256 of their
-    (delta, theta, weight) bytes, recorded at commit 8d59609 (the 17 N source
-    triple built once per cloud).  The direct sums over every source and the
+    (delta, theta, weight) bytes.  The direct sums over every source and the
     values of eval_log_surrogate_many (closed-form lattice rings, the near
     field at split-ring seams) are pinned beside them; the two differ by at
     most 1.3e-6 here.  Neither sum calls BLAS, so the values do not depend
-    on its thread count."""
+    on its thread count.  Every pin that reads a split ring's angles was
+    re-recorded when the partition began to write cell k as [k w, (k + 1) w]
+    (those angles moved by <= 4.9e-12 rad)."""
 
     def test_surrogate_values(self, gen1_cloud, small_profile):
-        assert _nodes_digest(gen1_cloud) == "3c7fa41c7006074cf9ab3ce0ab55ec19e40ad057d1d19c305d5842f904885ac5"
+        assert _nodes_digest(gen1_cloud) == "bf966d6b7f12be73277669a1a5c7b3765214d4c346e13ac44044ea6843c08bfd"
         zs = [(LogGap(1.0), 0.3), (LogGap(3.5), 2.0), (LogGap(6.15), 1.0), (LogGap(8.0), 5.0)]
         direct = _direct_sum(gen1_cloud, small_profile, zs)
-        assert [v.hex() for v in direct] == ["0x1.e0455c12d7426p+3", "0x1.33942de12a137p+4",
-                                             "0x1.9c4c91dcccfb3p+3", "0x1.03662bc3253d4p+5"]
+        assert [v.hex() for v in direct] == ["0x1.e0455c12d7425p+3", "0x1.33942de12a13ap+4",
+                                             "0x1.9c4c91dcb9063p+3", "0x1.03662bc3159b1p+5"]
         got = R.eval_log_surrogate_many(gen1_cloud, small_profile, zs)
         assert [v.hex() for v in got.tolist()] == ["0x1.e0455c0efb6b8p+3", "0x1.33942de1268b3p+4",
-                                                   "0x1.9c4c91dccbcc0p+3", "0x1.03662bc325373p+5"]
+                                                   "0x1.9c4c91dcb7396p+3", "0x1.03662bc3158e9p+5"]
 
     def test_hat_region_cloud_and_surrogate(self):
         # p > p2 opens the A-hat region; the ceiling stops inside A-dprime
@@ -538,22 +555,21 @@ class TestPinnedValues:
         assert part.total_mass.hex() == (4356.9362555897505).hex()
         cloud = R.atomize(part, prof, split_doubles=True)
         digest = hashlib.sha256("".join(cloud.to_jsonl()).encode()).hexdigest()
-        assert digest == "f63e024ca262afb9840dbddebdc386068ac9f48950e7bb8d7ca53e34719f3a3a"
-        assert _nodes_digest(cloud) == "2d59ef9fd74fd0d1f7fa97720efe1a53a413e878dd340920bf82836dd6eb65cc"
+        assert digest == "3f8f46b0192f93e6069754f24a8bfb5493cabc79c47a18ffca1477792b1d68c4"
+        assert _nodes_digest(cloud) == "e19f14364101dbf2675c32e2d9e6b2e41d5352bc9cff9b4ccf639d0c5f4418ac"
         zs = [(LogGap(6.3), 0.5), (LogGap(2.0), 4.0)]
         direct = _direct_sum(cloud, prof, zs)
-        assert [v.hex() for v in direct] == ["0x1.596b141685cdbp+4", "0x1.d90f88e561303p+3"]
+        assert [v.hex() for v in direct] == ["0x1.596b141685cdfp+4", "0x1.d90f88e561304p+3"]
         got = R.eval_log_surrogate_many(cloud, prof, zs)
-        assert [v.hex() for v in got.tolist()] == ["0x1.596b12bba2c83p+4", "0x1.d90f88e1193cep+3"]
+        assert [v.hex() for v in got.tolist()] == ["0x1.596b12bba2c82p+4", "0x1.d90f88e1193cep+3"]
 
     # sha256 of the cell nodes of the 127k-atom cloud, plain and split_doubles,
-    # and of the generation-2 cloud of the small scaffold, recorded at commit
-    # a9a7c55 (ring values found by runs of equal per-cell ring columns)
+    # and of the generation-2 cloud of the small scaffold
     @pytest.mark.parametrize("scaffold,generation,split,digest", [
-        ("wide", 1, False, "c5c721a4447812d1cbca49750bdff971f408319c8a7c8522c836fee2f51de09e"),
-        ("wide", 1, True, "c917dfb1900111c0fa62d77662ee8abd4023f2f393b8e9774e4e71d61af87d6a"),
-        ("small", 2, False, "0f31e24f46978c77a79aef0884fc0297a549417a22c0f4bd5fcef4dff13dc99f"),
-    ])
+        ("wide", 1, False, "5a4efb7f346cd440520fa5f3caab7d6cc9985ea9f874a913127ae09917cabe14"),
+        ("wide", 1, True, "a51a7b8bad1d2db0f8020b25ae1edae90c63c2197cd27a6f35f58964f28a3cac"),
+        ("small", 2, False, "732ceb86abaa9850f9041584ed7d1c9e92a97d1bca11d6d31f21d8722759bc01"),
+    ], ids=["wide-1-plain", "wide-1-split", "small-2-plain"])
     def test_cell_nodes_pinned(self, wide_partition, small_profile, scaffold, generation, split, digest):
         if scaffold == "wide":
             part, prof = wide_partition
@@ -562,12 +578,11 @@ class TestPinnedValues:
             part = R.partition_region(prof, generation, g_max=25.0, ceiling=200_000)
         assert _nodes_digest(R.atomize(part, prof, split_doubles=split)) == digest
 
-    # sha256 and length of the 127k-atom cloud text, plain and split_doubles,
-    # recorded at commit 947e291 (one format of the whole row per atom)
+    # sha256 and length of the 127k-atom cloud text, plain and split_doubles
     @pytest.mark.parametrize("split,atoms,chars,digest", [
-        (False, 126_749, 10_527_289, "f19d82258ea9f8900f3afbdd5c6c6b3ba1b36868a78a52e7836e22cc10d8c647"),
-        (True, 253_498, 21_054_600, "85edc9b5c25139b9a19f246a2f036385117eff78dbcbdfeeab90f64b8f5a9e72"),
-    ])
+        (False, 126_749, 10_527_343, "1188295c5353bcf9cc533936892736aa6c37d2d83de163144471b8a4941f0565"),
+        (True, 253_498, 21_054_628, "473ed828a4e1b1acf9efbfba2f7b24652a2c922f66bbf47356072001222a3985"),
+    ], ids=["plain", "split"])
     def test_wide_cloud_bytes(self, wide_partition, split, atoms, chars, digest):
         part, prof = wide_partition
         cloud = R.atomize(part, prof, split_doubles=split)
@@ -576,38 +591,37 @@ class TestPinnedValues:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     # sha256 of the dtype and bytes of every atom column and cell-piece
-    # column, and the hex of the partition's total mass, recorded at commit
-    # 84cdd91 (every column gathered through per-piece index arrays); the
-    # mass column pins the m w / w rounding of whole cells
+    # column, and the hex of the partition's total mass; the mass column pins
+    # the m w / w rounding of whole cells
     @pytest.mark.parametrize("name,split,total_mass,digests", [
         ("small", False, "0x1.72a5df9e9a2bep+13", {
             "g": "fd1dacfcec88e138889e7da4a5495533fe9b8fbf19a17a00fed216299c2dc64d",
-            "theta": "0a225a5bb1650b1e6494e7a35297327f2323e052f8c276ed513f4fd032b56f9c",
+            "theta": "859c63653d697a05d41a2d59818325834afd0f0464dfc059d0386e57283bdf90",
             "mult": "4a82d03f39b89250d54ac24e5ce92a5e932860a688a4edc68adbd151b71c6892",
             "ring": "567b15b8e03ee0201ae8f625eff5b0923b42aa2cc3171531961cebd99ac84c4d",
-            "theta_lo": "73c2d8c648fbde6094b868af4cf583253e5aebc94fe1925d20494a446c315d12",
-            "theta_hi": "ffeaff2d98fa67f8597243525df976e3d9c8689847723aaec3a0f503c2e32da3",
-            "mass": "67c5d270f08c3796f4935326aa3d1ef817eceeb5b12d8e796f1eae3a57312cf5",
+            "theta_lo": "e6e9de37f38d5365cbd98592611d648fb2d1fdf11e1cd7ab8c383d4d407d6c63",
+            "theta_hi": "a7ece82e7e2717f3e041bae041e0a66b5f82c4677172b7c0e1a2e3bcf0f06986",
+            "mass": "fb5b90b950bef09ab084dbb324b580eecb3c7694650c49db77c263d99050c72f",
             "kind": "5ae5d88ff80a8db00f62f5a714dd988901eb4e82aee6daba84ad00a4651e496d",
         }),
         ("wide", False, "0x1.ef1cd1ea38a20p+17", {
             "g": "be81e54e74a73d1dad8ea4d8518b2e6419c992ea051329d9c5a936cb96954135",
-            "theta": "fae24b9d54062321ef47cdb6f47e1a930bf1bfa49e7a5d75598e8abf75e3e0ac",
+            "theta": "7b0133540f20a0a7475e8d0cb81bf0ee51a8f4a9c6e5691299352c4b7950d604",
             "mult": "e598533b7d6a7580994439c1f034cf87a68b610a696bd7ababa39f7ff4b64203",
             "ring": "2893f62648e42a2643d497369ea1161284c69c1396c71b10dc84663c244e92cd",
-            "theta_lo": "f0637227550990e244fb8efbe68b4d87639bf6fb475125751c1c9660a447a0ad",
-            "theta_hi": "01ba797acf40d63f5bc4c98a196e56176072bce72e2e4e4cde6c36182f697f24",
-            "mass": "5bf60d956040bd57af9acba28105e9adfb3f13b80164d36c7600cfe276a3fc81",
+            "theta_lo": "a089109df02e501b071036708b73750664fe760f0f2193017603bbb82cae3642",
+            "theta_hi": "5f35e2065234fc1a4ee4e944b397a7f65533bda6bdf2c4b7c61144b67eda3172",
+            "mass": "c9ca4e27a39b637acb5778b61da5fc4f3bedf85d995d93a93bee23699430f5f5",
             "kind": "c22e9d7fca6fd572786b929a2986021e7d02a91891e9908a697d4c61c39e2244",
         }),
         ("small", True, "0x1.72a5df9e9a2bep+13", {
             "g": "63f92e65e560b7a7a75cc2dc5c5d023f14b7270b207a0cc8ffb4a72bb603fc2e",
-            "theta": "c4625348e046c6f42ced10d51c823c35018719c1ca455ed15e1dbc00a31245a1",
+            "theta": "85abf44c89be9c594d46de41187646af8cbcb2a7c27f101218a7be681f0a4b5c",
             "mult": "693ccd61781a6c17e8c8abfae776e3a98c9d29c759f14ee359a13e642234ccdc",
             "ring": "8c8bc4a45f4c5dd1b12c63a1b8fec98db4d041729d4adea3accb753c2654902b",
-            "theta_lo": "aeb707a646a4e98c9deee02b4173605bf039ffea28fc0fc7ce6cfd1a283d624c",
-            "theta_hi": "09a68cf3d1c57c1cae49501d118ecf6f0f1f09e01c193645cb754b992c13d693",
-            "mass": "f8b98d90e58b2c3253c2500caf4953fb1a5d051b1e0154a31e2858be163e3b0b",
+            "theta_lo": "792b20b4863cf2bf0beb239c45b866defe163da63c93bc80f57a15e29166a004",
+            "theta_hi": "09e1630a981330cbd546707d69833a51504dd0c0f89b7196523fa25059e00f4e",
+            "mass": "ec54ddc5cb5c17af87e00550ffe7f91de8d736029b75395ba8ac312d80dea813",
             "kind": "85358f1463a726e58395f021038f51ca194b32843c86c72cf80a724d3f5a2398",
         }),
     ])
@@ -871,7 +885,7 @@ class TestExcludedArcsBandEdge:
                    0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1.5, 1.9999, 2.0001, 2.5]
         gs = np.array([-math.log(math.exp(-g_circle) + s * lim) for s in offsets])
         thetas = np.linspace(0.1, 6.2, len(offsets))
-        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs))
+        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), np.zeros(len(gs), dtype=np.int8))
         want = _excluded_arcs_scalar(cloud, g_circle, eps)
         assert len(want) >= 5
         assert R.excluded_arcs(cloud, g_circle, eps) == want
@@ -902,7 +916,7 @@ class TestExcludedArcsBandEdge:
         gs = np.array([g_circle] * 7 + [g_off] * 2)
         thetas = np.array([0.0, 1e-4, 2.0 * math.pi - 1e-4, 2.0 * math.pi - 0.05,
                            1.0, 1.0 + 2.0 * h, 3.0, 3.0 - 0.3 * h, 3.0 + 0.7 * h])
-        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), ["A"] * len(gs))
+        cloud = R.ZeroCloud(gs, thetas, np.full(len(gs), 2.0), np.zeros(len(gs), dtype=np.int8))
         want = _excluded_arcs_scalar(cloud, g_circle, eps)
         assert len(want) == 5
         assert want[0][0] == 0.0 and want[-1][1] == 2.0 * math.pi
@@ -926,11 +940,18 @@ class TestExcludedArcsBandEdge:
 
 
 @pytest.fixture(scope="module")
-def hat_cloud():
-    """The A-hat instance of TestPinnedValues: p > p2, split doubles, a
-    ceiling that stops the partition inside A-dprime."""
+def hat_partition():
+    """The A-hat instance of TestPinnedValues: p > p2 and a ceiling that
+    stops the partition inside A-dprime."""
     prof = RadialProfile(build_scaffold(ScaffoldParams.with_defaults(k=1, p1=2.0, p2=3.0, p=3.5, log_c=3.2, g1=3.0), 2))
-    return R.atomize(R.partition_region(prof, 1, g_max=25.0, ceiling=3000), prof, split_doubles=True), prof
+    return R.partition_region(prof, 1, g_max=25.0, ceiling=3000), prof
+
+
+@pytest.fixture(scope="module")
+def hat_cloud(hat_partition):
+    """The A-hat partition's cloud with split doubles."""
+    part, prof = hat_partition
+    return R.atomize(part, prof, split_doubles=True), prof
 
 
 @pytest.fixture(scope="module")
@@ -941,6 +962,12 @@ def clouds(gen1_cloud, gen1_partition, small_profile, wide_cloud, hat_cloud):
         "wide": wide_cloud,
         "hat": hat_cloud,
     }
+
+
+@pytest.fixture(scope="module")
+def partitions(gen1_partition, wide_partition, hat_partition):
+    """The partition of each cloud of ``clouds``."""
+    return {"small": gen1_partition, "split": gen1_partition, "wide": wide_partition[0], "hat": hat_partition[0]}
 
 
 def _ring_errors(cloud, src):
@@ -981,16 +1008,64 @@ class TestClosedForm:
         ("small", 11, 8, 3), ("split", 11, 8, 3), ("wide", 15, 11, 4), ("hat", 9, 7, 2),
     ])
     def test_every_ring_is_a_lattice(self, clouds, name, rings, full, split):
-        # the wide cloud's split rings drift up to 4.9e-12 rad from k w, so
-        # the check's tolerance must grow with k
         lat = clouds[name][0].sources.lattice
         assert len(lat.ring) == rings and lat.ring.tolist() == list(range(rings))
         assert (int(np.sum(lat.full)), int(np.sum(lat.seam >= 0.0))) == (full, split)
-        assert lat.per_cell == (2 if name in ("split", "hat") else 1)
+        # per row, the atoms of one cell and the 16 nodes
+        assert lat.phase.shape == (rings, 16 + (2 if name in ("split", "hat") else 1))
+
+    @pytest.mark.parametrize("name", ["small", "split", "wide", "hat"])
+    def test_cells_lie_on_the_lattice_of_their_ring_table(self, clouds, partitions, name):
+        # cell k of a ring is [k w, (k + 1) w] bit for bit, but for a split
+        # ring's remainder, its last cell, which ends at 2 pi; the lattice
+        # cells are the m sectors of a sector ring or those before the
+        # remainder; the surrogate's rows take M, w and the seam from the table
+        cells = partitions[name].cells
+        rings = cells.rings
+        k = np.arange(len(cells)) - np.searchsorted(cells.ring, cells.ring)  # the cell's place in its ring
+        w = rings.width[cells.ring]
+        rem = cells.kind == _REMAINDER
+        assert np.array_equal(cells.theta_lo, k * w)
+        assert np.array_equal(cells.theta_hi[~rem], (k[~rem] + 1.0) * w[~rem])
+        assert np.all(cells.theta_hi[rem] == 2.0 * math.pi)
+        count, split = np.bincount(cells.ring), np.bincount(cells.ring[rem], minlength=len(rings.g_lo))
+        assert np.array_equal(k[rem], count[cells.ring[rem]] - 1)
+        assert np.array_equal(rings.lattice_cells, count - split)
+        sector = np.flatnonzero(split == 0)
+        assert rings.lattice_cells[sector].tolist() == [R._sector_count(g) for g in rings.g_lo[sector].tolist()]
+        lat = clouds[name][0].sources.lattice
+        n, width, full = rings.lattice_cells[lat.ring], rings.width[lat.ring], lat.full[lat.ring]
+        assert np.array_equal(full, split[lat.ring] == 0)
+        assert np.array_equal(lat.w, width)
+        assert np.array_equal(lat.m, np.where(full, n, 2.0 * math.pi / width))
+        assert np.array_equal(lat.seam[lat.ring], np.where(full, -1.0, n * width))
+        assert np.array_equal(lat.seam[lat.ring][~full], cells.theta_lo[rem][np.isin(cells.ring[rem], lat.ring)])
+
+    @pytest.mark.parametrize("missing", ["lattice cell", "remainder"])
+    def test_a_ring_missing_a_cell_takes_the_near_field(self, gen1_partition, small_profile, missing):
+        # without the middle cell of the largest sector ring, or the
+        # remainder of the largest split ring, the ring is no lattice: it
+        # gets no closed-form row, and samples around the hole match the
+        # direct sum within the near field's bound
+        cells = gen1_partition.cells
+        rings = cells.rings
+        split = np.bincount(cells.ring[cells.kind == _REMAINDER], minlength=len(rings.g_lo)) > 0
+        k = int(np.argmax(np.where(split == (missing == "remainder"), rings.lattice_cells, 0)))
+        n = int(rings.lattice_cells[k])
+        hole = int(np.searchsorted(cells.ring, k)) + (n if missing == "remainder" else n // 2)
+        cloud = R.atomize(R.PartitionResult(cells=cells[np.arange(len(cells)) != hole], truncated={}), small_profile)
+        lat = cloud.sources.lattice
+        assert k not in lat.ring.tolist() and len(lat.ring) == len(rings.g_lo) - 1
+        g = float(cloud.g[np.flatnonzero(cloud.cells.ring == k)[0]])
+        mid, w = 0.5 * (cells.theta_lo[hole] + cells.theta_hi[hole]), float(rings.width[k])
+        zs = [(LogGap(g + dg), mid + s * w) for dg in (0.0, 0.01) for s in (-1.5, -0.3, 0.0, 0.3, 1.5)]
+        zs += [(LogGap(g), t) for t in (0.5, 3.0, 6.0)]
+        got = R.eval_log_surrogate_many(cloud, small_profile, zs)
+        assert np.max(np.abs(got - _direct_sum(cloud, small_profile, zs))) <= 2e-4
 
     @pytest.mark.parametrize("name", ["small", "split", "wide", "hat"])
     def test_each_ring_matches_its_direct_sum(self, clouds, name):
-        # a full ring is exact to rounding (<= 3.4e-11 measured); a split
+        # a full ring is exact to rounding (<= 5.4e-12 measured); a split
         # ring misses its seam by at most 2.0e-7 at 64 cells (wide, hat)
         cloud = clouds[name][0]
         full, split = _ring_errors(cloud, cloud.sources)
