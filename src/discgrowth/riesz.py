@@ -891,14 +891,15 @@ def eval_log_surrogate_many(
     atoms and their cell nodes, and the rest of the ring is dropped.  Each
     atom minus its cell average has zero net mass, so that tail is small.
     On uniform random samples over the enumerated range, the values lie
-    within 8.0e-5 (600 samples; median 9e-11) and 1.5e-5 (120 samples) of
-    the direct sum over every source on the generation-1 clouds of the
-    small (5.9k atoms) and wide (127k atoms) test scaffolds, where 10% and
-    7% of the (sample, ring) pairs are explicit; a sample whose explicit
-    rings all have whole windows is within 6e-8.  No runtime estimate of
-    the tail is made: the cheap ones do not bound it (|S(64) - S(32)|, S(c)
-    the near-field sum at cut c, fell below the true error on 11 of 48 wide
-    samples, by up to 51x).
+    within 8.2e-5 (600 samples from np.random.default_rng(1), g uniform in
+    [0, max g + 0.3], then theta in [0, 2 pi); median 7.5e-11) and 1.5e-5
+    (120 samples) of the direct sum over every source on the generation-1
+    clouds of the small (5.9k atoms) and wide (127k atoms) test scaffolds,
+    where 10% and 7% of the (sample, ring) pairs are explicit; a sample
+    whose explicit rings all have whole windows is within 6e-8.  No runtime
+    estimate of the tail is made: the cheap ones do not bound it
+    (|S(64) - S(32)|, S(c) the near-field sum at cut c, fell below the true
+    error on 11 of 48 wide samples, by up to 51x).
 
     A sample exactly on an atom of a ring summed in closed form is found by
     a lookup in the ring index, because the closed form is finite there; an
@@ -951,6 +952,20 @@ def eval_log_surrogate_many(
 # -- excluded arcs and the approximation report -------------------------------
 
 
+def _half_arcs(reach: float, dr: np.ndarray, r_circle: float, r_ring: np.ndarray) -> np.ndarray:
+    """Per ring, the half-width of the arc of the circle of radius r_circle
+    within reach of a point of radius r_ring, dr radially apart: 2 asin of
+    sqrt(q), q = (reach^2 - dr^2) / (4 r_circle r_ring) clipped to [0, 1]
+    (q < 0, a ring out of reach, gives 0).  Where 4 r_circle r_ring <=
+    |reach^2 - dr^2|, as at the origin, q is taken as 1 or -1 (the sign of
+    reach^2 - dr^2) with no division: the circle then lies within reach of
+    the point everywhere or nowhere."""
+    num = reach * reach - dr * dr
+    den = 4.0 * r_circle * r_ring
+    q = np.divide(num, den, out=np.copysign(np.ones_like(num), num), where=den > np.abs(num))
+    return 2.0 * np.arcsin(np.sqrt(np.clip(q, 0.0, 1.0)))
+
+
 def _merged_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The merged arcs of ``excluded_arcs`` as arrays of starts and ends.
 
@@ -972,9 +987,7 @@ def _merged_arcs(cloud: ZeroCloud, g_circle: float, eps: float) -> tuple[np.ndar
         return none, none
     if r == 0.0:  # the circle is the origin, within eps of the atoms kept
         return np.array([0.0]), np.array([_TWO_PI])
-    dr = gap - idx.gap[runs]
-    sin2 = (lim * lim - dr * dr) / (4.0 * r * -np.expm1(-idx.g[runs]))
-    half = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(sin2, 0.0))))
+    half = _half_arcs(lim, gap - idx.gap[runs], r, -np.expm1(-idx.g[runs]))
     atoms, count = idx.atoms(runs)
     ta, half = cloud.theta[atoms], np.repeat(half, count)
     lo, hi = ta - half, ta + half

@@ -160,12 +160,63 @@ class TestMatchesMaskedQueries:
     @pytest.mark.parametrize("name", ALL)
     def test_circle_counting_integral(self, clouds, name):
         cloud = clouds[name]
-        # the inner rings: an atom costs a pass over the nodes here
-        rings = np.unique(cloud.g[np.isfinite(cloud.g)]).tolist()
-        for g_r in rings[:4] + [0.5 * sum(rings[1:3]), rings[-1] + 0.3] if len(rings) > 2 else [0.5, 3.0]:
+        # the inner rings and the first ring of 1,000 atoms or more (the
+        # oracle costs a pass over the nodes per atom)
+        rings, counts = np.unique(cloud.g[np.isfinite(cloud.g)], return_counts=True)
+        large = [g for g, k in zip(rings.tolist(), counts.tolist()) if k >= 1_000][:1]
+        assert large or name in ("edge", "empty")
+        rings = rings.tolist()
+        for g_r in rings[:4] + large + [0.5 * sum(rings[1:3]), rings[-1] + 0.3] if len(rings) > 2 else [0.5, 3.0]:
             for z in ((LogGap(g_r + 0.7), 0.4), (LogGap(max(g_r - 1.5, 0.0)), 2.0)):
                 got = L.circle_counting_integral(cloud, z, LogGap(g_r), n_theta=64)
                 assert repr(got) == repr(oracles.masked_circle_counting_integral(cloud, z, LogGap(g_r), n_theta=64))
+
+    def test_circle_counting_integral_near_the_origin(self):
+        # atoms at the origin (g = 0) and rings within h of the circles
+        # g_r <= 0.03, where arcs run from a few nodes to the whole circle
+        # (also an atom's arc of n nodes or more, which takes each node
+        # once); NaN angles, angles outside one turn and arcs over theta = 0
+        turn = 2.0 * math.pi
+        g = np.repeat([0.0, 0.005, 0.02, 0.04, 0.06, 0.0665, 0.5], 7)
+        theta = np.tile([math.nan, -30.0, turn - 1e-3, 1e-17, -0.0, turn + 0.3, 3.0], 7)
+        mult = np.tile([1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0], 7)
+        cloud = _hand_built(g, theta, mult)
+        for g_r in (0.0, 0.01, 0.03):
+            for z in ((LogGap(g_r + 0.7), 0.4), (LogGap(g_r + 2.0), turn - 0.1)):
+                for n_theta in (1, 8, 64):
+                    got = L.circle_counting_integral(cloud, z, LogGap(g_r), n_theta=n_theta)
+                    want = oracles.masked_circle_counting_integral(cloud, z, LogGap(g_r), n_theta=n_theta)
+                    assert repr(got) == repr(want)
+                    # an atom at the centre of the circle R = 0 has dist 0
+                    assert (got == math.inf) == (g_r == 0.0) and got > 0.0
+
+    @pytest.mark.parametrize("g_r,g,t,n_theta", [
+        (3.180521551188528e-14, 0.0645385211376029, -6.45383567456177, 16384),
+        (8.67231543666117e-15, 0.06453852113757981, -6.951767593345213, 16384),
+        (2.587937218709038e-15, 0.06453852113757366, -4.350360538698044, 16384),
+        (2.9003743191602976e-15, 0.06453852113757401, 8.529880943345706, 2048),
+    ])
+    def test_circle_counting_integral_ill_posed_arcs(self, g_r, g, t, n_theta):
+        # a ring on the edge of the band about a circle of radius ~1e-15:
+        # 4 r_a R is ~1e-16 against h^2 ~ 4e-3, so the end of the arc is
+        # ill-posed, and the nodes where dist rounds to h (a term of 0)
+        # reach tens of nodes past the closed-form arc at h
+        cloud = _hand_built([g], [t])
+        z = (LogGap(g_r + 1.0), 0.3)
+        got = L.circle_counting_integral(cloud, z, LogGap(g_r), n_theta=n_theta)
+        assert repr(got) == repr(oracles.masked_circle_counting_integral(cloud, z, LogGap(g_r), n_theta=n_theta))
+
+    def test_circle_counting_integral_drops_infinite_angles(self):
+        # an atom with an infinite angle is at no node, as one with a NaN
+        # angle (the oracle's sin(inf) would warn)
+        g = np.repeat([2.0, 2.05, 2.1], 3)
+        theta = np.tile([math.nan, 1.0, 6.2], 3)
+        z, big_r = (LogGap(1.0), 0.3), LogGap(2.05)
+        want = L.circle_counting_integral(_hand_built(g, theta), z, big_r)
+        assert want > 0.0 and repr(want) == repr(oracles.masked_circle_counting_integral(_hand_built(g, theta), z, big_r))
+        for inf in (math.inf, -math.inf):
+            theta[::3] = inf
+            assert repr(L.circle_counting_integral(_hand_built(g, theta), z, big_r)) == repr(want)
 
     def test_angles_stored_outside_one_turn(self):
         # hand-built rings with angles anywhere in [-30, 30], on and next to

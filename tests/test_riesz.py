@@ -624,7 +624,7 @@ class TestPinnedValues:
             "mass": "ec54ddc5cb5c17af87e00550ffe7f91de8d736029b75395ba8ac312d80dea813",
             "kind": "85358f1463a726e58395f021038f51ca194b32843c86c72cf80a724d3f5a2398",
         }),
-    ])
+    ], ids=["small-plain", "wide-plain", "small-split"])
     def test_atom_columns_pinned(self, gen1_partition, small_profile, wide_partition, name, split,
                                  total_mass, digests):
         part, prof = wide_partition if name == "wide" else (gen1_partition, small_profile)
