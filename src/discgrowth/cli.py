@@ -97,10 +97,10 @@ def _load_scaffold(path: str):
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns its outputs as (path, payload)
 # pairs, a payload being a list of records, finished text or an iterator of
-# text blocks; "-" is stdout and a path of None an output that was not
+# ASCII byte blocks; "-" is stdout and a path of None an output that was not
 # requested
 
-Output = tuple[str | None, list[dict] | str | Iterator[str]]
+Output = tuple[str | None, list[dict] | str | Iterator[bytes]]
 
 
 def _csv_text(rows) -> str:
@@ -302,7 +302,7 @@ def _cmd_report(args) -> list[Output]:
 
 def _write_outputs(outputs: list[Output]) -> None:
     """Write each requested (path, payload) pair: records as JSONL through
-    write_records, text verbatim, and text blocks one at a time as the
+    write_records, text verbatim, and byte blocks one at a time as the
     iterator gives them (to ``-`` joined first, so a failing block prints
     nothing).  If a write fails, the files this run created are removed
     before the error propagates."""
@@ -312,6 +312,12 @@ def _write_outputs(outputs: list[Output]) -> None:
             if path is None:
                 continue
             if path == "-":
+                if isinstance(payload, Iterator):
+                    blocks = b"".join(payload)
+                    # what the text layer holds goes out before the bytes
+                    sys.stdout.flush()
+                    sys.stdout.buffer.write(blocks)
+                    continue
                 if isinstance(payload, list):
                     payload = [dumps17(r) + "\n" for r in payload]
                 sys.stdout.write(payload if isinstance(payload, str) else "".join(payload))
@@ -320,9 +326,12 @@ def _write_outputs(outputs: list[Output]) -> None:
                 created.append(path)
             if isinstance(payload, list):
                 write_records(path, payload)
-            else:
+            elif isinstance(payload, str):
                 with open(path, "w", newline="") as fh:
-                    fh.writelines([payload] if isinstance(payload, str) else payload)
+                    fh.write(payload)
+            else:
+                with open(path, "wb") as fh:
+                    fh.writelines(payload)
     except BaseException:
         for path in created:
             with contextlib.suppress(FileNotFoundError):

@@ -26,13 +26,13 @@ operation and element order as that loop, so outputs are bit-identical to
 it.  A ``ZeroCloud`` keeps the same columns for the cell piece behind each
 atom, and the node values per ring.
 
-``ZeroCloud.to_jsonl`` gives the text of one dumps17 row per atom as an
-iterator of blocks of atoms, so a writer holds one block at a time.  All
+``ZeroCloud.to_jsonl`` gives the ASCII bytes of one dumps17 row per atom as
+an iterator of blocks of atoms, so a writer holds one block at a time.  All
 atoms of a ring share their cell kind, centroid g and multiplicity, so the
 row prefix up to theta is formatted once per run of equal (kind, g, mult),
 and the thetas by one exact numpy ``%.17g`` kernel call
-(``serialize.format17_lines``) per block; the text is byte-identical to
-per-atom dumps17 rows.
+(``serialize.format17_lines``) per block; the bytes are those of per-atom
+dumps17 rows.
 
 Every query of a cloud reads one ring index (``_RingIndex``: the atoms by
 gap, in runs of one g, each by angle); the surrogate reads each ring of the
@@ -359,10 +359,15 @@ def partition_region(
 # -- atomization -------------------------------------------------------------
 
 
-# rows per block of ZeroCloud.to_jsonl (one format17_lines call each): enough
-# to spread the call's fixed cost, few enough for the block's arrays and
-# text to stay in cache
-_JSONL_CHUNK = 1024
+# rows per block of ZeroCloud.to_jsonl (one format17_lines call each).  A
+# block has a fixed cost (the kernel's ~70 numpy calls, the loop over its
+# pieces, one join and one write), which blocks of 1024 rows paid 124 times
+# on the 127k-atom cloud: a riesz_build benchmark pass took a median 0.214 s
+# of CPU with them, 0.192 / 0.180 / 0.174 s with blocks of 4096 / 8192 /
+# 16384 (2-CPU Xeon, numpy 2.4).  Larger blocks raise the memory peak: the
+# riesz command on that cloud reached a max RSS of 44.4 MB with blocks of
+# 16384 or 32768 rows and 49.3 MB with 65536
+_JSONL_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -505,11 +510,11 @@ class ZeroCloud:
         a, b = idx.runs(lo, hi)
         return idx.order[idx.start[a]:idx.start[b]]
 
-    def to_jsonl(self) -> Iterator[str]:
-        """The text of one dumps17 record per atom with keys cell_kind, g,
-        mult, theta, as one string per block of ``_JSONL_CHUNK`` atoms; a
-        non-finite g or theta raises dumps17's ValueError here, before the
-        first block.
+    def to_jsonl(self) -> Iterator[bytes]:
+        """The ASCII bytes of one dumps17 record per atom with keys cell_kind,
+        g, mult, theta, as one bytes object per block of ``_JSONL_CHUNK``
+        atoms; a non-finite g or theta raises dumps17's ValueError here,
+        before the first block.
 
         The row prefix up to theta depends on (kind, g, mult) alone, so it is
         formatted here once per run of atoms with equal values (a ring of one
@@ -519,8 +524,8 @@ class ZeroCloud:
         path covers 1e-4 <= theta < 8 (any other theta falls back to
         ``%.17g`` for its row alone).  The rows of a run within a block are
         its slice of the block's lines with each newline replaced by the row
-        end and the run's prefix, so the text is byte-identical to the
-        dumps17 rows for any cloud."""
+        end and the run's prefix, so the bytes are those of the dumps17 rows
+        for any cloud."""
         g = np.ascontiguousarray(self.g, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(theta)))
@@ -530,7 +535,7 @@ class ZeroCloud:
         change = np.ones(len(g), dtype=bool)
         change[1:] = (bits[1:] != bits[:-1]) | (kind[1:] != kind[:-1]) | (mult[1:] != mult[:-1])
         heads = [
-            '{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(KINDS[kind[s]]), g[s], mult[s])
+            b'{"cell_kind":%s,"g":%.17g,"mult":%d,"theta":' % (json.dumps(KINDS[kind[s]]).encode(), g[s], mult[s])
             for s in np.flatnonzero(change).tolist()
         ]
         # the pieces: runs cut at block edges
@@ -540,7 +545,7 @@ class ZeroCloud:
         return _jsonl_blocks(theta, heads, cuts.tolist(), (np.cumsum(change)[cuts] - 1).tolist())
 
 
-def _jsonl_blocks(theta: np.ndarray, heads: list[str], cuts: list[int], run_of: list[int]) -> Iterator[str]:
+def _jsonl_blocks(theta: np.ndarray, heads: list[bytes], cuts: list[int], run_of: list[int]) -> Iterator[bytes]:
     """The blocks of ``ZeroCloud.to_jsonl``: piece k holds the atoms
     cuts[k] .. cuts[k + 1] - 1, all of run run_of[k], whose row prefix is
     heads[run_of[k]]; every block starts a piece."""
@@ -548,15 +553,15 @@ def _jsonl_blocks(theta: np.ndarray, heads: list[str], cuts: list[int], run_of: 
     for a, b, r in zip(cuts, cuts[1:] + [len(theta)], run_of):
         if a % _JSONL_CHUNK == 0:  # a new block
             if rows:
-                yield "".join(rows)
+                yield b"".join(rows)
                 rows = []
             block = a
             text, bounds = format17_lines(theta[a:a + _JSONL_CHUNK])
         head = heads[r]
         lines = text[bounds[a - block]:bounds[b - block] - 1]
-        rows += (head, lines.replace("\n", "}\n" + head), "}\n")
+        rows += (head, lines.replace(b"\n", b"}\n" + head), b"}\n")
     if rows:
-        yield "".join(rows)
+        yield b"".join(rows)
 
 
 def _cell_centroid(density: _BranchDensity, cell_g_lo, cell_g_hi) -> float:

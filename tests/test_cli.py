@@ -2,8 +2,10 @@
 determinism of emitted bytes, 17-digit serialization."""
 
 import hashlib
+import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -338,13 +340,32 @@ class TestRieszCmd:
         assert run(*args, "--out", "-") == 0
         assert capsysbinary.readouterr().out == cloud.read_bytes()
 
+    def test_stdout_keeps_the_order_of_text_and_bytes(self, small_scaffold_file, tmp_path, monkeypatch):
+        # the cloud's bytes go to stdout's byte buffer and every other output
+        # through its text layer, which holds text until flushed (a pipe's
+        # stdout is not write-through); stdout keeps the order of the writes:
+        # an earlier command's text, then the cloud, then its summary
+        pred, cloud, summary = tmp_path / "pred.json", tmp_path / "cloud.jsonl", tmp_path / "sum.json"
+        predict = ("ode", "predict", "--k", "1", "--p1", "2", "--p2", "4", "--p", "4")
+        args = ("riesz", "--scaffold", str(small_scaffold_file), "--generation", "1")
+        assert run(*predict, "--out", str(pred)) == 0
+        assert run(*args, "--out", str(cloud), "--summary-out", str(summary)) == 0
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run(*predict) == 0
+        assert run(*args, "--out", "-", "--summary-out", "-") == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == pred.read_bytes() + cloud.read_bytes() + summary.read_bytes()
+
     @pytest.mark.parametrize("error,code", [(RuntimeError("block failed"), 3), (OSError(28, "No space left"), 2)])
     def test_failing_block_leaves_no_file(self, small_scaffold_file, tmp_path, monkeypatch, capsys, error, code):
         # the third block's formatting raises once the first two are on disk:
         # the exit code is that of the error, as when the text was built
-        # before the write, and neither output is left behind
+        # before the write, and neither output is left behind; blocks of
+        # 1024 rows cut the cloud's 5931 atoms into six
         from discgrowth import riesz as R
 
+        monkeypatch.setattr(R, "_JSONL_CHUNK", 1024)
         calls, format17_lines = [], R.format17_lines
 
         def failing(x):
@@ -364,9 +385,11 @@ class TestRieszCmd:
     def test_wide_write_peak_is_the_build_peak(self, wide_scaffold_file, tmp_path):
         # the 127k-atom cloud's text (10.5 MB) is formatted one block at a
         # time as it is written, so the command's traced peak is that of the
-        # partition and atomization it runs, plus at most one block of 1024
-        # rows (~85 kB) as its pieces, its join and its encoded bytes, the
-        # file buffer and the summary
+        # partition and atomization it runs: beside the cloud's columns, the
+        # write holds the per-atom run arrays and one block of 16384 rows
+        # (the kernel's arrays, the pieces and their join), ~3.6 MB, less
+        # than the ~8 MB of partition columns freed before it; the slack
+        # covers the file buffer and the summary
         from discgrowth import cli
         from discgrowth import riesz as R
         from discgrowth.profiles import RadialProfile

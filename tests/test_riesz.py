@@ -233,7 +233,7 @@ class TestAtomize:
     def test_jsonl_schema(self, gen1_cloud):
         import json
 
-        lines = "".join(gen1_cloud.to_jsonl()).strip().split("\n")
+        lines = b"".join(gen1_cloud.to_jsonl()).strip().split(b"\n")
         assert len(lines) == len(gen1_cloud)
         doc = json.loads(lines[0])
         assert set(doc) == {"g", "theta", "mult", "cell_kind"}
@@ -410,11 +410,11 @@ class TestColumns:
 
 
 def _jsonl_rows(cloud):
-    """The cloud's text as one dumps17 record per atom."""
+    """The cloud as one dumps17 record per atom, in ASCII bytes."""
     return "".join(
         dumps17({"cell_kind": R.KINDS[k], "g": float(g), "mult": int(m), "theta": float(t)}) + "\n"
         for k, g, m, t in zip(cloud.kind, cloud.g, cloud.mult, cloud.theta)
-    )
+    ).encode()
 
 
 class TestJsonlRuns:
@@ -432,9 +432,9 @@ class TestJsonlRuns:
         ]
         kind, g, mult, theta = zip(*rows)
         cloud = R.ZeroCloud(np.array(g), np.array(theta), np.array(mult), np.array(kind, dtype=np.int8))
-        text = "".join(cloud.to_jsonl())
+        text = b"".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
-        assert '"g":-0,' in text and '"theta":-0}' in text
+        assert b'"g":-0,' in text and b'"theta":-0}' in text
 
     @staticmethod
     def _runs_cloud(runs):
@@ -446,46 +446,48 @@ class TestJsonlRuns:
         theta = np.random.default_rng(len(g)).uniform(-1.0, 7.0, len(g))
         return R.ZeroCloud(g, theta, mult, kind)
 
-    @pytest.mark.parametrize("n", [R._JSONL_CHUNK - 1, R._JSONL_CHUNK, R._JSONL_CHUNK + 1,
-                                   2 * R._JSONL_CHUNK + 1])
-    def test_run_lengths_around_the_chunk(self, n):
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_run_lengths_around_the_chunk(self, n, monkeypatch):
+        # in blocks of 1024 rows: a run one row short of a block, one block,
+        # one row over, and two blocks and a row
+        monkeypatch.setattr(R, "_JSONL_CHUNK", 1024)
         cloud = self._runs_cloud([(_A, 4.25, 2.0, n)])
-        assert "".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
+        assert b"".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
 
     def test_prefix_breaks_on_chunk_boundaries(self):
         c = R._JSONL_CHUNK
         cloud = self._runs_cloud([(_A, 4.25, 2.0, c), (_A, 4.5, 2.0, 2 * c), (_REMAINDER, 4.5, 2.0, 1)])
-        assert "".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
+        assert b"".join(cloud.to_jsonl()) == _jsonl_rows(cloud)
 
     def test_percent_in_kind_across_chunks(self, monkeypatch):
         # a kind name is formatted as a value, never as a format string
         monkeypatch.setattr(R, "KINDS", ("A", "50%d%%"))
         c = R._JSONL_CHUNK
         cloud = self._runs_cloud([(0, 1.5, 1.0, 3), (1, 2.5, 2.0, 2 * c + 5), (0, 1.5, 1.0, 2)])
-        text = "".join(cloud.to_jsonl())
+        text = b"".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
-        assert text.count('"cell_kind":"50%d%%"') == 2 * c + 5
+        assert text.count(b'"cell_kind":"50%d%%"') == 2 * c + 5
 
     def test_blocks_of_the_chunk(self):
-        # one string per block of _JSONL_CHUNK rows, the last one shorter
+        # one bytes object per block of _JSONL_CHUNK rows, the last one shorter
         c = R._JSONL_CHUNK
         cloud = self._runs_cloud([(_A, 4.25, 2.0, c + 3), (_REMAINDER, 4.5, 1.0, c)])
         blocks = cloud.to_jsonl()
         assert iter(blocks) is blocks
         blocks = list(blocks)
-        assert [b.count("\n") for b in blocks] == [c, c, 3]
-        assert "".join(blocks) == _jsonl_rows(cloud)
+        assert [b.count(b"\n") for b in blocks] == [c, c, 3]
+        assert b"".join(blocks) == _jsonl_rows(cloud)
 
     def test_empty_cloud(self):
         cloud = R.ZeroCloud(np.array([]), np.array([]), np.array([]), np.array([], dtype=np.int8))
-        assert list(cloud.to_jsonl()) == [] and _jsonl_rows(cloud) == ""
+        assert list(cloud.to_jsonl()) == [] and _jsonl_rows(cloud) == b""
 
     @pytest.mark.parametrize("split", [False, True])
     def test_gen1_cloud_matches_rows_and_round_trips(self, gen1_partition, small_profile, split):
         import json
 
         cloud = R.atomize(gen1_partition, small_profile, split_doubles=split)
-        text = "".join(cloud.to_jsonl())
+        text = b"".join(cloud.to_jsonl())
         assert text == _jsonl_rows(cloud)
         docs = [json.loads(line) for line in text.splitlines()]
         g = np.array([d["g"] for d in docs])
@@ -508,7 +510,7 @@ def test_theta_kernel_matches_percent_on_every_cloud(name, small_scaffold, wide_
         for split in (False, True):
             theta = np.asarray(R.atomize(part, prof, split_doubles=split).theta, dtype=float)
             assert len(theta) > 5000
-            assert format17_lines(theta)[0] == "".join("%.17g\n" % t for t in theta.tolist())
+            assert format17_lines(theta)[0] == "".join("%.17g\n" % t for t in theta.tolist()).encode()
 
 
 def _direct_sum(cloud, profile, zs):
@@ -554,7 +556,7 @@ class TestPinnedValues:
         assert len(part.cells) == 2177
         assert part.total_mass.hex() == (4356.9362555897505).hex()
         cloud = R.atomize(part, prof, split_doubles=True)
-        digest = hashlib.sha256("".join(cloud.to_jsonl()).encode()).hexdigest()
+        digest = hashlib.sha256(b"".join(cloud.to_jsonl())).hexdigest()
         assert digest == "3f8f46b0192f93e6069754f24a8bfb5493cabc79c47a18ffca1477792b1d68c4"
         assert _nodes_digest(cloud) == "e19f14364101dbf2675c32e2d9e6b2e41d5352bc9cff9b4ccf639d0c5f4418ac"
         zs = [(LogGap(6.3), 0.5), (LogGap(2.0), 4.0)]
@@ -586,9 +588,9 @@ class TestPinnedValues:
     def test_wide_cloud_bytes(self, wide_partition, split, atoms, chars, digest):
         part, prof = wide_partition
         cloud = R.atomize(part, prof, split_doubles=split)
-        text = "".join(cloud.to_jsonl())
+        text = b"".join(cloud.to_jsonl())
         assert (len(cloud), len(text)) == (atoms, chars)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text).hexdigest() == digest
 
     # sha256 of the dtype and bytes of every atom column and cell-piece
     # column, and the hex of the partition's total mass; the mass column pins

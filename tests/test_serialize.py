@@ -12,7 +12,7 @@ from discgrowth.serialize import format17_lines
 
 
 def _lines(xs):
-    return "".join("%.17g\n" % v for v in np.asarray(xs, dtype=float).tolist())
+    return "".join("%.17g\n" % v for v in np.asarray(xs, dtype=float).tolist()).encode()
 
 
 def assert_formats_like_percent(xs):
@@ -20,7 +20,7 @@ def assert_formats_like_percent(xs):
     text, bounds = format17_lines(xs)
     assert text == _lines(xs)
     assert len(bounds) == len(xs) + 1 and bounds[0] == 0 and bounds[-1] == len(text)
-    assert all(text[b - 1] == "\n" for b in bounds[1:].tolist())
+    assert all(text[b - 1:b] == b"\n" for b in bounds[1:].tolist())
 
 
 def test_million_doubles_over_the_fast_domain():
@@ -33,7 +33,7 @@ def test_million_doubles_over_the_fast_domain():
 def test_exact_ties_round_half_even():
     # x = m 2^(E-17), m odd, in decade E has 18 significant digits, the last
     # a 5: an exact tie at 17 digits, which %g rounds to even
-    assert format17_lines(np.array([1 + 2.0**-17]))[0] == "1.0000076293945312\n"
+    assert format17_lines(np.array([1 + 2.0**-17]))[0] == b"1.0000076293945312\n"
     rng = np.random.default_rng(5)
     ties = []
     for e in range(-4, 1):
@@ -59,8 +59,8 @@ def test_neighbours_of_powers_of_ten_and_decade_rollovers():
                 x = np.nextafter(x, np.inf)
     xs = np.array(xs)
     assert_formats_like_percent(xs)
-    # some of them make log10 miss the decimal exponent, which the kernel
-    # corrects by one
+    # some of them make log10 miss the decimal exponent; the kernel counts
+    # the decade edges at or below x instead
     fast = xs[(xs >= 1e-4) & (xs < 8.0)]
     true_e = np.array([int(("%.16e" % x).split("e")[1]) for x in fast.tolist()])
     assert np.any(np.floor(np.log10(fast)) != true_e)
@@ -74,7 +74,7 @@ def test_domain_edges_and_fallback_values():
                math.nan, math.inf, -math.inf]
     assert_formats_like_percent(edge + special)
     text, _ = format17_lines(np.array([np.nextafter(1e-4, 0.0), -0.0, 1.0, 0.5]))
-    assert text == "9.9999999999999991e-05\n-0\n1\n0.5\n"
+    assert text == b"9.9999999999999991e-05\n-0\n1\n0.5\n"
     # fallback rows inside a block of fast ones keep their places
     rng = np.random.default_rng(3)
     mixed = rng.uniform(1e-4, 8.0, 3000)
@@ -83,7 +83,7 @@ def test_domain_edges_and_fallback_values():
 
 
 def test_empty_and_non_float_input():
-    assert format17_lines(np.array([]))[0] == ""
+    assert format17_lines(np.array([]))[0] == b""
     assert_formats_like_percent([1, 2, 3])
 
 
